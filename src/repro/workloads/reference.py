@@ -16,7 +16,10 @@ values are pinned in ``tests/data/golden_latencies.json``:
 * **e16** — the sunny-day chaining stream of the availability
   experiment (no faults, every resilience counter zero), plus a
   **degraded** stream where the corporate single point of failure is
-  down (retry sweeps, backoff waits, partial merges).
+  down (retry sweeps, backoff waits, partial merges);
+* **e19_batch** — ``execute_batch`` over the split world, plain and
+  cached, with shield denials, error items, a within-batch duplicate,
+  degraded items and stale serves, under two retry policies.
 
 ``bench_e18_observability.py`` and ``tests/test_obs_determinism.py``
 replay these streams — observability disabled — and assert bit-identical
@@ -29,8 +32,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.access import RequestContext
-from repro.core import ComponentCache, GupsterServer, QueryExecutor
+from repro.access import PolicyRule, RequestContext, relationship_in
+from repro.core import (
+    ComponentCache,
+    GupsterServer,
+    QueryExecutor,
+    RetryPolicy,
+)
 from repro.pxml import PNode
 from repro.simnet import Network, Trace
 from repro.workloads.synthetic import SyntheticAdapter
@@ -42,15 +50,18 @@ __all__ = [
     "e7_stream",
     "e16_degraded_stream",
     "e16_sunny_stream",
+    "e19_batch_stream",
     "reference_streams",
 ]
 
 BOOK = "/user[@id='u1']/address-book"
 PERSONAL = "/user[@id='u1']/address-book/item[@type='personal']"
 CORPORATE = "/user[@id='u1']/address-book/item[@type='corporate']"
+#: The split world's stores (see :func:`build_split_world`).
+STORES = ("gup.alpha.com", "gup.beta.com", "gup.corp.com")
 
 #: Stream names, in report order.
-GOLDEN_STREAMS = ("e1", "e7", "e16_sunny", "e16_degraded")
+GOLDEN_STREAMS = ("e1", "e7", "e16_sunny", "e16_degraded", "e19_batch")
 
 
 def _ctx() -> RequestContext:
@@ -211,6 +222,75 @@ def e16_degraded_stream() -> List[Tuple[float, int]]:
     return results
 
 
+def e19_batch_stream() -> List[List[float]]:
+    """E19's batched pipeline over the split world, shield on.
+
+    One eight-item batch — whole book and slices for a co-worker
+    (permitted everything) and a family member (personal slice only),
+    a denied stranger, an uncovered component, an unparsable path and
+    a within-batch duplicate (a second wave when cached) — replayed
+    over five rounds: sunny, repeat (cache hits), corporate store down
+    past TTL (degraded items), every store down inside the stale grace
+    (stale serves), all restored. Run plain and cached, under the
+    default :class:`~repro.core.RetryPolicy` and ``RetryPolicy.none()``.
+    Returns ``[elapsed_ms, hops, bytes, retries, failovers,
+    stale_serves, degraded_parts]`` per batch."""
+    family = RequestContext("mom", relationship="family")
+    coworker = RequestContext("colleague", relationship="co-worker")
+    stranger = RequestContext("app", relationship="third-party")
+    items = [
+        (BOOK, coworker),
+        (BOOK, family),
+        (BOOK, stranger),
+        ("/user[@id='u1']/calendar", coworker),
+        ("not a path", coworker),
+        (BOOK, coworker),
+        (PERSONAL, family),
+        (CORPORATE, coworker),
+    ]
+    rounds: Tuple[Tuple[float, Tuple[str, ...]], ...] = (
+        (0.0, ()),
+        (500.0, ()),
+        (3_000.0, ("gup.corp.com",)),
+        (6_000.0, STORES),
+        (6_500.0, ()),
+    )
+    rows: List[List[float]] = []
+    for policy in (RetryPolicy(), RetryPolicy.none()):
+        for use_cache in (False, True):
+            network, server, executor = build_split_world(
+                stale_grace_ms=60_000.0
+            )
+            executor.retry_policy = policy
+            server.enforce_policies = True
+            server.policy_repository.store(PolicyRule(
+                "u1", PERSONAL, "permit", relationship_in("family"),
+                rule_id="family-personal",
+            ))
+            server.policy_repository.store(PolicyRule(
+                "u1", "/user[@id='u1']", "permit",
+                relationship_in("co-worker"), rule_id="coworker-all",
+            ))
+            for now, down in rounds:
+                for store_id in STORES:
+                    network.restore(store_id)
+                for store_id in down:
+                    network.fail(store_id)
+                _results, trace = executor.execute_batch(
+                    "client",
+                    [request for request, _context in items],
+                    [context for _request, context in items],
+                    now=now,
+                    use_cache=use_cache,
+                )
+                rows.append([
+                    trace.elapsed_ms, trace.hops, trace.bytes_total,
+                    trace.retries, trace.failovers, trace.stale_serves,
+                    trace.degraded_parts,
+                ])
+    return rows
+
+
 def e16_degraded_query(observed: bool = False) -> Tuple[Network, Trace]:
     """One degraded E16 chaining query (corp store down) — the worked
     example the E18 benchmark exports as a Chrome trace. With
@@ -231,4 +311,5 @@ def reference_streams() -> Dict[str, List]:
         "e7": e7_stream(),
         "e16_sunny": e16_sunny_stream(),
         "e16_degraded": [list(pair) for pair in e16_degraded_stream()],
+        "e19_batch": e19_batch_stream(),
     }
