@@ -514,8 +514,8 @@ class GrowthAnalysis:
 
     def _held_class_refs(self, cls: ClassInfo) -> Set[str]:
         """Project classes this class's attributes may hold —
-        inferred attr types, annotation element types, and classes
-        constructed into the class's own containers."""
+        inferred attr types, annotation element types, classes
+        constructed into the class's own containers, and its bases."""
         module = self.project.modules.get(cls.module_name)
         if module is None:  # pragma: no cover - defensive
             return set()
@@ -549,7 +549,10 @@ class GrowthAnalysis:
                         ref = dotted_ref(arg.func)
                         if ref is not None:
                             raw.add(ref)
-        resolved: Set[str] = set()
+        # A base class's fields are this object's fields: the base is
+        # held for exactly as long (QueryExecutor's collaborators are
+        # wired in QueryHost.__init__).
+        resolved: Set[str] = set(self.project.bases_of(cls.qualname))
         for ref in sorted(raw):
             absolute = module.symbols.resolve_local(ref)
             if absolute is not None and absolute in \

@@ -7,11 +7,15 @@ a new code path that fetches from an adapter or probes the cache and
 returns the fragment without an ``enforce`` is invisible to runtime
 tests until someone writes the exact missing test (PR 1's cache
 bypass). This rule does a taint-style walk over
-``core/server.py`` / ``core/query.py`` / ``core/cache.py``:
+``core/server.py`` / ``core/cache.py`` / ``sansio/engine.py`` (where
+every query pattern's protocol logic lives):
 
 * **sources** — calls that yield profile data: ``*.export_user()``,
-  ``get``/``get_stale`` on cache- or adapter-like receivers, and (by a
-  per-class fixpoint) any same-class helper whose own return value is
+  ``get``/``get_stale`` on cache- or adapter-like receivers, the value
+  a program receives at ``yield StoreGet(...)`` (the driver performs
+  the adapter read and sends the fragment back in), and (by a
+  per-class fixpoint) any same-class helper or sub-program — called,
+  ``yield from``-ed or handed to ``Fork`` — whose own return value is
   tainted and unsanitized;
 * **egress functions** — functions/methods that take a requester
   ``RequestContext`` (parameter named ``context`` or so annotated) —
@@ -26,9 +30,10 @@ bypass). This rule does a taint-style walk over
 
 An egress function that returns tainted data without calling a
 sanitizer is flagged. Internal plumbing without a requester context
-(``ComponentCache`` itself, ``_fetch_part_from``) is exempt — scoping
-its keys is the ``cache-key-scope`` rule's job, and the deliberately
-unshielded ``direct()`` baseline takes no context by design.
+(``ComponentCache`` itself, the engine's ``fetch_part``) is exempt —
+scoping its keys is the ``cache-key-scope`` rule's job, and the
+deliberately unshielded ``direct()`` baseline takes no context by
+design.
 
 **Bus delivery callbacks are requester egress too** (E20): in
 ``repro/bus/`` modules, a delivery batch parameter (``records``,
@@ -70,6 +75,9 @@ _SOURCE_ANY = frozenset({"export_user"})
 #: an adapter, or a change log/bus (the E20 replay surface).
 _SOURCE_ON_DATAISH = frozenset({"get", "get_stale", "since"})
 _DATAISH_MARKERS = ("cache", "adapter", "log", "bus")
+#: Sans-io intents whose yielded value is profile data: the driver
+#: does the adapter read on the program's behalf.
+_SOURCE_INTENTS = frozenset({"StoreGet"})
 #: In bus modules, these parameter names carry replayed change records
 #: — tainted at function entry (the log is where they came from).
 _BUS_PAYLOAD_PARAMS = frozenset({
@@ -197,7 +205,8 @@ class _TaintWalk:
                 return True
             return False
         if isinstance(func, ast.Name):
-            return func.id in self._tainted_peers
+            return func.id in self._tainted_peers \
+                or func.id in _SOURCE_INTENTS
         return False
 
     def _is_tainted(self, expr: Optional[ast.expr]) -> bool:
@@ -341,17 +350,17 @@ def _function_facts(fn: ast.FunctionDef,
 
 
 class ShieldEgressRule(Rule):
-    """Taint-walks server/query/cache egress to the privacy shield."""
+    """Taint-walks server/engine/cache egress to the privacy shield."""
 
     name = "shield-egress"
     description = (
-        "context-mediated egress in server/query/cache reaches a "
+        "context-mediated egress in server/engine/cache reaches a "
         "privacy-shield check before returning profile data"
     )
     prefixes = (
         "repro/core/server.py",
-        "repro/core/query.py",
         "repro/core/cache.py",
+        "repro/sansio/engine.py",
         "repro/bus/",
         "repro/federation/",
     )
@@ -414,7 +423,7 @@ class ShieldEgressRule(Rule):
     ) -> Dict[str, _FunctionFacts]:
         """Iterate until the set of tainted-returning, unsanitized
         helpers stabilizes, so taint flows through same-class (or
-        same-module) plumbing like ``_fetch_part_from``."""
+        same-module) plumbing like the engine's ``fetch_part``."""
         tainted_peers: FrozenSet[str] = frozenset()
         facts: Dict[str, _FunctionFacts] = {}
         for _round in range(len(functions) + 1):

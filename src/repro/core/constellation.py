@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.errors import GupsterError, NodeUnreachableError
 from repro.pxml import Path, parse_path
 from repro.access import RequestContext
+from repro.core.host import QueryHost
 from repro.core.referral import Referral
 from repro.core.server import GupsterServer
 from repro.simnet import Network, Trace
@@ -34,8 +35,6 @@ from repro.adapters.base import GupAdapter
 __all__ = ["MirrorConstellation"]
 
 ENTRY_BYTES = 96  # serialized coverage-change estimate
-REQUEST_OVERHEAD_BYTES = 80
-RESOLVE_COMPUTE_MS = 0.3
 
 
 class MirrorConstellation:
@@ -156,17 +155,17 @@ class MirrorConstellation:
         for node in order:
             request_bytes = (
                 len(str(path)) + context.byte_size()
-                + REQUEST_OVERHEAD_BYTES
+                + QueryHost.REQUEST_OVERHEAD_BYTES
             )
             try:
                 trace.hop(client, node, request_bytes, "resolve")
             except NodeUnreachableError as err:
                 last_error = err
                 continue
-            trace.compute(RESOLVE_COMPUTE_MS, "resolve")
+            trace.compute(QueryHost.RESOLVE_COMPUTE_MS, "resolve")
             referral = self.servers[node].resolve(path, context, now)
             trace.hop(node, client,
-                      referral.byte_size() + REQUEST_OVERHEAD_BYTES,
+                      referral.byte_size() + QueryHost.REQUEST_OVERHEAD_BYTES,
                       "referral")
             return referral, trace, node
         raise GupsterError(

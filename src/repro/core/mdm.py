@@ -26,6 +26,7 @@ from repro.errors import GupsterError, ReproError
 from repro.pxml import Path, parse_path
 from repro.pxml.containment import subtree_covers
 from repro.access import RequestContext
+from repro.core.host import QueryHost
 from repro.core.referral import Referral
 from repro.core.resilience import (
     TRANSIENT_ERRORS,
@@ -37,8 +38,6 @@ from repro.simnet import Network, Trace
 
 __all__ = ["CentralizedMdm", "UserDistributedMdm", "HierarchicalMdm"]
 
-REQUEST_OVERHEAD_BYTES = 80
-RESOLVE_COMPUTE_MS = 0.3
 WHITEPAGES_COMPUTE_MS = 0.05
 
 #: Per-item outcome of a batched meta-data resolution: exactly one of
@@ -65,7 +64,7 @@ def _batched_attempt(
     disturbing batch-mates. A *transient* (network) failure of the
     shared round trip propagates to the caller — the whole group
     retries or fails over together, because they shared the wire."""
-    request_bytes = REQUEST_OVERHEAD_BYTES + sum(
+    request_bytes = QueryHost.REQUEST_OVERHEAD_BYTES + sum(
         len(str(path)) + context.byte_size()
         for _index, path, context in items
     )
@@ -79,14 +78,14 @@ def _batched_attempt(
                   "batched resolve at %s (%d items)"
                   % (node, len(items)))
         for index, path, context in items:
-            trace.compute(RESOLVE_COMPUTE_MS, "resolve")
+            trace.compute(QueryHost.RESOLVE_COMPUTE_MS, "resolve")
             try:
                 entries.append(
                     (index, server.resolve(path, context, now), None)
                 )
             except ReproError as err:
                 entries.append((index, None, err))
-        response_bytes = REQUEST_OVERHEAD_BYTES + sum(
+        response_bytes = QueryHost.REQUEST_OVERHEAD_BYTES + sum(
             referral.byte_size() if referral is not None else 32
             for _index, referral, _err in entries
         )
@@ -169,14 +168,16 @@ def _referral_round_trip(
     now: float,
 ) -> Referral:
     request_bytes = (
-        len(str(request)) + context.byte_size() + REQUEST_OVERHEAD_BYTES
+        len(str(request))
+        + context.byte_size()
+        + QueryHost.REQUEST_OVERHEAD_BYTES
     )
     with trace.span("mdm.round_trip", node=node):
         trace.hop(client, node, request_bytes, "resolve at %s" % node)
-        trace.compute(RESOLVE_COMPUTE_MS, "resolve")
+        trace.compute(QueryHost.RESOLVE_COMPUTE_MS, "resolve")
         referral = server.resolve(request, context, now)
         trace.hop(node, client,
-                  referral.byte_size() + REQUEST_OVERHEAD_BYTES,
+                  referral.byte_size() + QueryHost.REQUEST_OVERHEAD_BYTES,
                   "referral")
     return referral
 
@@ -432,7 +433,7 @@ class UserDistributedMdm:
                 # White-pages round trip.
                 with trace.span("mdm.whitepages"):
                     trace.hop(client, self.whitepages_node,
-                              len(user_id) + REQUEST_OVERHEAD_BYTES,
+                              len(user_id) + QueryHost.REQUEST_OVERHEAD_BYTES,
                               "white pages lookup")
                     trace.compute(WHITEPAGES_COMPUTE_MS, "white pages")
                     entry = self._assignments.get(user_id)
@@ -449,7 +450,7 @@ class UserDistributedMdm:
                         )
                     node, server = entry
                     trace.hop(self.whitepages_node, client,
-                              len(node) + REQUEST_OVERHEAD_BYTES,
+                              len(node) + QueryHost.REQUEST_OVERHEAD_BYTES,
                               "pointer")
             lookup.set("mdm_node", node)
             referral = _retry_round_trip(
@@ -524,7 +525,7 @@ class UserDistributedMdm:
                 ):
                     trace.hop(
                         client, self.whitepages_node,
-                        REQUEST_OVERHEAD_BYTES + sum(
+                        QueryHost.REQUEST_OVERHEAD_BYTES + sum(
                             len(user_id)
                             for _i, _p, _c, user_id in lookups
                         ),
@@ -559,7 +560,7 @@ class UserDistributedMdm:
                         servers[node] = server
                     trace.hop(
                         self.whitepages_node, client,
-                        REQUEST_OVERHEAD_BYTES + pointer_bytes,
+                        QueryHost.REQUEST_OVERHEAD_BYTES + pointer_bytes,
                         "batched pointers",
                     )
             # One batched referral round trip per target MDM, in
@@ -647,7 +648,9 @@ class HierarchicalMdm:
         # Ask the primary (retrying transient failures — there is only
         # one primary, nothing to fail over to).
         request_bytes = (
-            len(str(path)) + context.byte_size() + REQUEST_OVERHEAD_BYTES
+            len(str(path))
+            + context.byte_size()
+            + QueryHost.REQUEST_OVERHEAD_BYTES
         )
         policy = self.retry_policy
         last_error: Optional[Exception] = None
@@ -676,7 +679,7 @@ class HierarchicalMdm:
                     "primary MDM %s unreachable: %s"
                     % (primary_node, last_error)
                 )
-            trace.compute(RESOLVE_COMPUTE_MS, "primary lookup")
+            trace.compute(QueryHost.RESOLVE_COMPUTE_MS, "primary lookup")
             for delegated_path, node, server in self._delegations.get(
                 user_id or "", []
             ):
@@ -684,7 +687,7 @@ class HierarchicalMdm:
                     # Primary only returns the delegation pointer.
                     lookup.set("delegated_to", node)
                     trace.hop(primary_node, client,
-                              len(node) + REQUEST_OVERHEAD_BYTES,
+                              len(node) + QueryHost.REQUEST_OVERHEAD_BYTES,
                               "delegation pointer")
                     referral = _retry_round_trip(
                         trace, policy, self.health, client, node,
@@ -693,7 +696,7 @@ class HierarchicalMdm:
                     return referral, trace
             referral = primary_server.resolve(path, context, now)
             trace.hop(primary_node, client,
-                      referral.byte_size() + REQUEST_OVERHEAD_BYTES,
+                      referral.byte_size() + QueryHost.REQUEST_OVERHEAD_BYTES,
                       "referral")
         return referral, trace
 
@@ -757,7 +760,7 @@ class HierarchicalMdm:
         now: float,
     ) -> None:
         """One primary's slice of a hierarchical batch."""
-        request_bytes = REQUEST_OVERHEAD_BYTES + sum(
+        request_bytes = QueryHost.REQUEST_OVERHEAD_BYTES + sum(
             len(str(path)) + context.byte_size()
             for _index, path, context in group
         )
@@ -795,7 +798,7 @@ class HierarchicalMdm:
         local: List[Tuple[int, Path, RequestContext]] = []
         pointer_bytes = 0
         for index, path, context in group:
-            trace.compute(RESOLVE_COMPUTE_MS, "primary lookup")
+            trace.compute(QueryHost.RESOLVE_COMPUTE_MS, "primary lookup")
             target: Optional[Tuple[str, GupsterServer]] = None
             for delegated_path, node, server in self._delegations.get(
                 path.user_id() or "", []
@@ -811,7 +814,7 @@ class HierarchicalMdm:
                     .append((index, path, context))
         if delegated:
             trace.hop(primary_node, client,
-                      REQUEST_OVERHEAD_BYTES + pointer_bytes,
+                      QueryHost.REQUEST_OVERHEAD_BYTES + pointer_bytes,
                       "batched delegation pointers")
         local_referrals: List[Optional[Referral]] = []
         for index, path, context in local:
@@ -826,7 +829,7 @@ class HierarchicalMdm:
         if local:
             trace.hop(
                 primary_node, client,
-                REQUEST_OVERHEAD_BYTES + sum(
+                QueryHost.REQUEST_OVERHEAD_BYTES + sum(
                     referral.byte_size() if referral is not None else 32
                     for referral in local_referrals
                 ),

@@ -19,9 +19,11 @@ network under each pattern, charging every hop and compute step to a
   where everything is and speaks to stores without access control.
 * **cached** — chaining through GUPster's component cache (E7).
 
-Per-message sizes come from real serialized fragment/referral sizes;
-per-step compute costs are explicit constants (class attributes) so
-ablations can turn them up or down.
+Each pattern's protocol logic is a :mod:`repro.sansio.engine` program,
+driven here by :class:`~repro.simnet.driver.SimnetDriver`. Per-message
+sizes come from real serialized fragment/referral sizes; per-step
+compute costs are :class:`~repro.core.host.QueryHost` class attributes
+so ablations can turn them up or down.
 
 Failure awareness (requirement 13 / E16): every store fetch runs under
 a :class:`~repro.core.resilience.RetryPolicy` — failover across the
@@ -37,30 +39,15 @@ is down. Only when nothing at all can be produced does the query raise
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import (
-    AccessDeniedError,
-    NoCoverageError,
-    PartialResultError,
-    ReproError,
-)
 from repro.pxml import PNode, Path, parse_path
-from repro.pxml.merge import GUP_KEYSPEC, merge_all
 from repro.access import RequestContext
-from repro.core.referral import Referral, ReferralPart
-from repro.core.resilience import (
-    TRANSIENT_ERRORS,
-    EndpointHealth,
-    PartStatus,
-    RetryPolicy,
-)
+from repro.core.host import QueryHost
+from repro.core.resilience import EndpointHealth, RetryPolicy
 from repro.core.server import GupsterServer
-
-# Module-style import: repro.sansio.engine imports repro.core at its
-# own import time, so a from-import here would deadlock whichever side
-# loads second. The attribute is only resolved at call time.
-import repro.sansio.engine as _sansio
+from repro.sansio.engine import BatchItemResult, SansIoQueryEngine
+from repro.sansio.intents import Program
 from repro.simnet import Network, Trace
 from repro.simnet.driver import SimnetDriver
 
@@ -70,101 +57,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 __all__ = ["BatchItemResult", "QueryBatch", "QueryExecutor"]
 
 
-class BatchItemResult:
-    """Outcome of one query inside a :class:`QueryBatch`.
+class QueryExecutor(QueryHost):
+    """Runs requests under the Section 5.2 query patterns.
 
-    Mirrors what the equivalent *sequential* query would have produced:
-    ``fragment`` is the merged answer (bit-identical to the sequential
-    merge), ``error`` is the exception the sequential call would have
-    raised (shield denial, spurious query, no coverage, total-failure
-    :class:`~repro.errors.PartialResultError`), and ``statuses`` are
-    the per-part :class:`~repro.core.resilience.PartStatus` reports in
-    referral order."""
-
-    __slots__ = ("path", "fragment", "hit", "stale", "statuses", "error")
-
-    def __init__(
-        self,
-        path: Union[str, Path],
-        fragment: Optional[PNode] = None,
-        hit: bool = False,
-        stale: bool = False,
-        statuses: Optional[List[PartStatus]] = None,
-        error: Optional[Exception] = None,
-    ) -> None:
-        self.path = path
-        self.fragment = fragment
-        self.hit = hit
-        self.stale = stale
-        self.statuses: List[PartStatus] = (
-            statuses if statuses is not None else []
-        )
-        self.error = error
-
-    @property
-    def ok(self) -> bool:
-        """True when the sequential equivalent would not have raised."""
-        return self.error is None
-
-    @property
-    def degraded_parts(self) -> int:
-        """Unreachable referral parts behind this (partial) answer."""
-        return sum(1 for status in self.statuses if not status.ok)
-
-    def __repr__(self) -> str:
-        if self.error is not None:
-            return "<BatchItemResult %s error=%s>" % (
-                self.path, type(self.error).__name__,
-            )
-        flags = "".join(
-            flag for flag, on in (
-                ("H", self.hit), ("S", self.stale),
-                ("D", self.degraded_parts > 0),
-            ) if on
-        )
-        return "<BatchItemResult %s ok%s>" % (
-            self.path, " " + flags if flags else "",
-        )
-
-
-class _BatchJob:
-    """One (item, referral part) sub-fetch inside a batched fan-out."""
-
-    __slots__ = (
-        "item", "part_index", "part", "candidates", "next_index",
-        "fragment", "store", "done", "last_error",
-    )
-
-    def __init__(
-        self, item: int, part_index: int, part: ReferralPart
-    ) -> None:
-        self.item = item
-        self.part_index = part_index
-        self.part = part
-        self.candidates: List[str] = []
-        self.next_index = 0
-        self.fragment: Optional[PNode] = None
-        self.store: Optional[str] = None
-        self.done = False
-        self.last_error: Optional[Exception] = None
-
-
-class QueryExecutor:
-    """Runs requests under the Section 5.2 query patterns."""
-
-    #: Fixed protocol overhead per message (headers, framing).
-    REQUEST_OVERHEAD_BYTES = 80
-    #: GUPster-side compute: schema filter + policy + rewrite + sign.
-    RESOLVE_COMPUTE_MS = 0.3
-    #: Store-side compute: signature + timestamp verification.
-    VERIFY_COMPUTE_MS = 0.1
-    #: Store-side compute: evaluate the path over the native store.
-    STORE_QUERY_COMPUTE_MS = 0.2
-    #: Merge cost per fragment at whichever node merges.
-    MERGE_COMPUTE_MS_PER_PART = 0.2
-    #: Cache probe/store cost at GUPster (the probe includes the
-    #: shield re-check on hits — both are in-memory lookups).
-    CACHE_COMPUTE_MS = 0.05
+    Every pattern method parses its request, builds the matching
+    :class:`~repro.sansio.SansIoQueryEngine` program with this
+    executor as the host, and drives it over the simulated network on
+    a fresh :class:`~repro.simnet.Trace`."""
 
     def __init__(
         self,
@@ -176,166 +75,24 @@ class QueryExecutor:
         retry_policy: Optional[RetryPolicy] = None,
         health: Optional[EndpointHealth] = None,
     ) -> None:
-        self.network = network
-        self.server = server
-        self.server_node = server_node or server.name
-        self.verifier = server.signer.verifier()
-        #: Optional :class:`~repro.core.provenance.ProvenanceTracker`;
-        #: when set, every resolve/fetch/update lands in the ledger.
-        self.provenance = provenance
-        #: Optional :class:`~repro.core.provenance.SourceAnnotator`;
-        #: when set, fetched fragments are stamped with their origin
-        #: store before merging.
-        self.annotator = annotator
-        #: Retry/backoff behaviour for store fetches. The default does
-        #: one backed-off re-sweep; :meth:`RetryPolicy.none` restores
-        #: strict first-error-wins.
-        self.retry_policy = (
-            retry_policy if retry_policy is not None else RetryPolicy()
+        super().__init__(
+            server, server_node, retry_policy, health, provenance,
+            annotator,
         )
-        #: Per-store health: recent failures sink a store to the back
-        #: of its ``||`` choice list.
-        self.health = health if health is not None else EndpointHealth()
+        self.network = network
+        self._engine = SansIoQueryEngine(self)
         # Re-home every instrument onto the network's world registry so
         # one snapshot/export covers net.*, cache.*, health.* and
         # server.* (E18).
         self.health.bind_registry(network.metrics)
         server.bind_registry(network.metrics)
 
-    # -- shared pieces -----------------------------------------------------------
-
-    def _request_bytes(
-        self, path: Path, context: RequestContext
-    ) -> int:
-        return (
-            len(str(path))
-            + context.byte_size()
-            + self.REQUEST_OVERHEAD_BYTES
-        )
-
-    def _fetch_part_from(
-        self,
-        origin: str,
-        part: ReferralPart,
-        now: float,
-        trace: Trace,
-    ) -> Tuple[Optional[PNode], str]:
-        """Fetch one referral part, surviving dead stores and lost
-        messages when alternatives (or retry budget) remain.
-
-        Returns (fragment, store used). Within one sweep the ``||``
-        choices are tried in health-then-referral order; a failed store
-        charges the detection timeout and the next choice is tried
-        (failover). When a sweep ends with nothing, the retry policy
-        may wait an exponential backoff and sweep again — a flapping
-        store can come back. Raises the last transient error once the
-        budget is exhausted."""
-        last_error: Optional[Exception] = None
-        policy = self.retry_policy
-        for sweep in range(policy.max_attempts):
-            if sweep:
-                trace.wait(
-                    policy.backoff_ms(sweep),
-                    "backoff before retry sweep %d" % (sweep + 1),
-                )
-                trace.note_retry()
-            candidates = [
-                store_id
-                for store_id in self.health.order(part.store_ids)
-                if store_id in self.server.adapters
-            ]
-            if not candidates:
-                break
-            for index, store_id in enumerate(candidates):
-                adapter = self.server.adapters[store_id]
-                query_bytes = (
-                    part.signed_query.byte_size()
-                    + self.REQUEST_OVERHEAD_BYTES
-                    if part.signed_query is not None
-                    else len(str(part.path)) + self.REQUEST_OVERHEAD_BYTES
-                )
-                try:
-                    with trace.span(
-                        "fetch.store",
-                        store=store_id, path=str(part.path), sweep=sweep,
-                    ) as attempt:
-                        trace.hop(origin, store_id, query_bytes,
-                                  "query %s" % part.path)
-                        if part.signed_query is not None:
-                            self.verifier.verify(part.signed_query, now)
-                            trace.compute(
-                                self.VERIFY_COMPUTE_MS, "verify signature"
-                            )
-                        trace.compute(
-                            self.STORE_QUERY_COMPUTE_MS, "evaluate path"
-                        )
-                        fragment = adapter.get(part.path)
-                        if (
-                            fragment is not None
-                            and self.annotator is not None
-                        ):
-                            self.annotator.annotate(fragment, store_id)
-                        response_bytes = (
-                            fragment.byte_size()
-                            if fragment is not None else 32
-                        ) + self.REQUEST_OVERHEAD_BYTES
-                        trace.hop(store_id, origin, response_bytes,
-                                  "fragment")
-                        attempt.set("status", "ok")
-                except TRANSIENT_ERRORS as err:
-                    last_error = err
-                    self.health.failure(store_id)
-                    if index + 1 < len(candidates):
-                        trace.note_failover()
-                    continue
-                self.health.success(store_id)
-                return fragment, store_id
-        if last_error is not None:
-            raise last_error
-        raise NoCoverageError(
-            "no adapter registered for any of %s" % part.store_ids
-        )
-
-    def _merge_at(
-        self,
-        fragments: List[PNode],
-        trace: Trace,
-        where: str,
-    ) -> Optional[PNode]:
-        fragments = [f for f in fragments if f is not None]
-        if not fragments:
-            return None
-        if len(fragments) == 1:
-            return fragments[0]
-        trace.compute(
-            self.MERGE_COMPUTE_MS_PER_PART * len(fragments),
-            "merge %d fragments at %s" % (len(fragments), where),
-        )
-        return merge_all(fragments, GUP_KEYSPEC)
-
-    def _resolve_tracked(
-        self, path: Path, context: RequestContext, now: float
-    ) -> Referral:
-        """Resolve at the server, recording grants and denials in the
-        provenance ledger when one is attached."""
-        from repro.errors import AccessDeniedError
-
-        try:
-            referral = self.server.resolve(path, context, now)
-        except AccessDeniedError:
-            if self.provenance is not None:
-                self.provenance.record(
-                    now, context, path, [], "resolve", granted=False
-                )
-            raise
-        if self.provenance is not None:
-            stores = sorted(
-                {s for part in referral.parts for s in part.store_ids}
-            )
-            self.provenance.record(
-                now, context, path, stores, "resolve", granted=True
-            )
-        return referral
+    def _run(self, program: Program) -> Tuple[Any, Trace]:
+        """Drive *program* over the simulated network on a fresh
+        trace; returns (the program's outcome, the trace)."""
+        trace = self.network.trace()
+        driver = SimnetDriver(self.server.adapters)
+        return driver.run(program, trace), trace
 
     # -- patterns ------------------------------------------------------------------
 
@@ -353,40 +110,10 @@ class QueryExecutor:
         component): a part whose stores are all unreachable raises
         after retries/failovers, as before."""
         path = parse_path(request)
-        trace = self.network.trace()
-        with trace.span(
-            "query.referral",
-            path=str(path), scope=context.cache_scope(), client=client,
-        ):
-            trace.hop(client, self.server_node,
-                      self._request_bytes(path, context),
-                      "resolve request")
-            trace.compute(self.RESOLVE_COMPUTE_MS, "rewrite+policy+sign")
-            referral = self._resolve_tracked(path, context, now)
-            trace.hop(self.server_node, client,
-                      referral.byte_size() + self.REQUEST_OVERHEAD_BYTES,
-                      "referral")
-            fragments: List[Optional[PNode]] = []
-            if parallel and len(referral.parts) > 1:
-                branches = []
-                for part in referral.parts:
-                    branch = trace.fork()
-                    fragment, _store = self._fetch_part_from(
-                        client, part, now, branch
-                    )
-                    fragments.append(fragment)
-                    branches.append(branch)
-                trace.join(branches)
-            else:
-                for part in referral.parts:
-                    fragment, _store = self._fetch_part_from(
-                        client, part, now, trace
-                    )
-                    fragments.append(fragment)
-            merged = self._merge_at(
-                [f for f in fragments if f is not None], trace, client
-            )
-        return merged, trace
+        outcome, trace = self._run(self._engine.referral(
+            client, path, context, now, parallel
+        ))
+        return outcome.fragment, trace
 
     def chaining(
         self,
@@ -401,18 +128,11 @@ class QueryExecutor:
         merge and reported in ``trace.part_status`` /
         ``trace.degraded_parts``. Raises
         :class:`~repro.errors.PartialResultError` only when *every*
-        part failed.
-
-        Since the sans-io refactor the protocol logic lives in
-        :meth:`repro.sansio.SansIoQueryEngine.chain`; this method
-        builds the program and drives it over the simulated network."""
+        part failed."""
         path = parse_path(request)
-        trace = self.network.trace()
-        engine = _sansio.SansIoQueryEngine(self)
-        driver = SimnetDriver(self.server.adapters)
-        outcome = driver.run(
-            engine.chain(client, path, context, now), trace
-        )
+        outcome, trace = self._run(self._engine.chain(
+            client, path, context, now
+        ))
         return outcome.fragment, trace
 
     def recruiting(
@@ -425,55 +145,10 @@ class QueryExecutor:
         """GUPster migrates the query to a data store, which gathers the
         remaining parts and answers the client directly."""
         path = parse_path(request)
-        trace = self.network.trace()
-        with trace.span(
-            "query.recruiting",
-            path=str(path), scope=context.cache_scope(), client=client,
-        ) as pattern:
-            trace.hop(client, self.server_node,
-                      self._request_bytes(path, context),
-                      "recruited request")
-            trace.compute(self.RESOLVE_COMPUTE_MS, "rewrite+policy+sign")
-            referral = self._resolve_tracked(path, context, now)
-            # Prefer a healthy recruit among the first part's choices.
-            recruit = self.health.order(referral.parts[0].store_ids)[0]
-            pattern.set("recruit", recruit)
-            plan_bytes = (
-                referral.byte_size() + self.REQUEST_OVERHEAD_BYTES
-            )
-            trace.hop(self.server_node, recruit, plan_bytes,
-                      "migrate query plan")
-            fragments: List[Optional[PNode]] = []
-            # The recruit serves its own part locally...
-            self.verifier.verify(referral.parts[0].signed_query, now)
-            trace.compute(
-                self.VERIFY_COMPUTE_MS + self.STORE_QUERY_COMPUTE_MS,
-                "local part at recruit",
-            )
-            local_adapter = self.server.adapters.get(recruit)
-            if local_adapter is not None:
-                fragments.append(
-                    local_adapter.get(referral.parts[0].path)
-                )
-            # ...and fetches the remaining parts from their stores.
-            branches = []
-            for part in referral.parts[1:]:
-                branch = trace.fork()
-                fragment, _store = self._fetch_part_from(
-                    recruit, part, now, branch
-                )
-                fragments.append(fragment)
-                branches.append(branch)
-            trace.join(branches)
-            merged = self._merge_at(
-                [f for f in fragments if f is not None], trace, recruit
-            )
-            response_bytes = (
-                merged.byte_size() if merged is not None else 32
-            ) + self.REQUEST_OVERHEAD_BYTES
-            trace.hop(recruit, client, response_bytes,
-                      "result to client")
-        return merged, trace
+        outcome, trace = self._run(self._engine.recruiting(
+            client, path, context, now
+        ))
+        return outcome.fragment, trace
 
     def direct(
         self,
@@ -483,22 +158,10 @@ class QueryExecutor:
     ) -> Tuple[Optional[PNode], Trace]:
         """Pre-GUPster baseline: the client already knows the stores and
         paths (no meta-data lookup, no access control, no signatures)."""
-        trace = self.network.trace()
-        with trace.span(
-            "query.direct", client=client, targets=len(targets),
-        ):
-            fragments: List[Optional[PNode]] = []
-            for store_id, raw_path in targets:
-                path = parse_path(raw_path)
-                part = ReferralPart(path, [store_id])
-                fragment, _store = self._fetch_part_from(
-                    client, part, now, trace
-                )
-                fragments.append(fragment)
-            merged = self._merge_at(
-                [f for f in fragments if f is not None], trace, client
-            )
-        return merged, trace
+        outcome, trace = self._run(self._engine.direct(
+            client, targets, now
+        ))
+        return outcome.fragment, trace
 
     def cached(
         self,
@@ -518,20 +181,13 @@ class QueryExecutor:
         the server may serve the requester's own last-known entry
         within the cache's stale grace (``was_hit`` is True and the
         trace records a stale serve); partial failures degrade like
-        ``chaining`` and are never written back to the cache.
-
-        Since the sans-io refactor the protocol logic lives in
-        :meth:`repro.sansio.SansIoQueryEngine.cached`; this method
-        builds the program and drives it over the simulated network."""
+        ``chaining`` and are never written back to the cache."""
         if self.server.cache is None:
             raise ValueError("server has no cache configured")
         path = parse_path(request)
-        trace = self.network.trace()
-        engine = _sansio.SansIoQueryEngine(self)
-        driver = SimnetDriver(self.server.adapters)
-        outcome = driver.run(
-            engine.cached(client, path, context, now), trace
-        )
+        outcome, trace = self._run(self._engine.cached(
+            client, path, context, now
+        ))
         return outcome.fragment, trace, outcome.hit
 
     # -- batched execution (E19) -------------------------------------------------
@@ -563,7 +219,8 @@ class QueryExecutor:
         context — a denied item yields a per-item
         :class:`~repro.errors.AccessDeniedError` in its result and
         never taints its batch-mates. Cache entries are read and
-        written under each item's own requester scope.
+        written under each item's own requester scope. An unparsable
+        request likewise fails only its own item.
 
         Equivalence under fault injection holds for deterministic
         impairments (``Network.fail``/``restore``); probabilistic loss
@@ -577,316 +234,9 @@ class QueryExecutor:
             )
         if use_cache and self.server.cache is None:
             raise ValueError("server has no cache configured")
-        count = len(requests)
-        results: List[Optional[BatchItemResult]] = [None] * count
-        paths: List[Optional[Path]] = [None] * count
-        for index, request in enumerate(requests):
-            try:
-                paths[index] = parse_path(request)
-            except ReproError as err:
-                results[index] = BatchItemResult(request, error=err)
-        trace = self.network.trace()
-        with trace.span(
-            "query.batch",
-            items=count, client=client, cached=use_cache,
-        ) as pattern:
-            request_bytes = self.REQUEST_OVERHEAD_BYTES + sum(
-                len(str(paths[i])) + contexts[i].byte_size()
-                for i in range(count)
-                if paths[i] is not None
-            )
-            trace.hop(client, self.server_node, request_bytes,
-                      "batched request (%d items)" % count)
-            pending = [i for i in range(count) if results[i] is None]
-            while pending:
-                pending = self._execute_batch_wave(
-                    pending, paths, contexts, now, trace, results,
-                    use_cache,
-                )
-            final = [r for r in results if r is not None]
-            degraded_items = sum(
-                1 for r in final if r.ok and r.degraded_parts
-            )
-            if degraded_items:
-                pattern.set("degraded_items", degraded_items)
-            response_bytes = self.REQUEST_OVERHEAD_BYTES + sum(
-                (r.fragment.byte_size() if r.fragment is not None else 32)
-                for r in final
-            )
-            trace.hop(self.server_node, client, response_bytes,
-                      "batched response (%d items)" % count)
-        return final, trace
-
-    def _execute_batch_wave(
-        self,
-        item_ids: List[int],
-        paths: Sequence[Optional[Path]],
-        contexts: Sequence[RequestContext],
-        now: float,
-        trace: Trace,
-        results: List[Optional[BatchItemResult]],
-        use_cache: bool,
-    ) -> List[int]:
-        """One batch *wave*: all items except within-batch duplicates.
-
-        A duplicate (same path, same requester scope) is deferred to
-        the next wave so it observes the earlier item's cache fill —
-        exactly as its sequential expansion would. Returns the deferred
-        item ids (always empty when *use_cache* is off: items are then
-        independent)."""
-        active: List[int] = []
-        deferred: List[int] = []
-        seen_keys: set = set()
-        for item in item_ids:
-            if use_cache:
-                key = (str(paths[item]), contexts[item].cache_scope())
-                if key in seen_keys:
-                    deferred.append(item)
-                    continue
-                seen_keys.add(key)
-            active.append(item)
-        # Phase 1 — per-item shield + referral work at the server, in
-        # item order (provenance and counter order match sequential).
-        referrals: Dict[int, Referral] = {}
-        for item in active:
-            path = paths[item]
-            assert path is not None  # filtered by execute_batch
-            context = contexts[item]
-            if use_cache:
-                trace.compute(self.CACHE_COMPUTE_MS, "cache probe")
-                try:
-                    cached = self.server.cache_lookup(path, context, now)
-                except AccessDeniedError as err:
-                    results[item] = BatchItemResult(path, error=err)
-                    continue
-                if cached is not None:
-                    results[item] = BatchItemResult(
-                        path, fragment=cached, hit=True
-                    )
-                    continue
-            trace.compute(self.RESOLVE_COMPUTE_MS, "rewrite+policy+sign")
-            try:
-                referrals[item] = self._resolve_tracked(path, context, now)
-            except ReproError as err:
-                results[item] = BatchItemResult(path, error=err)
-        # Phase 2 — grouped sub-fetch fan-out.
-        jobs: List[_BatchJob] = []
-        for item in active:
-            referral = referrals.get(item)
-            if referral is None:
-                continue
-            jobs.extend(
-                _BatchJob(item, part_index, part)
-                for part_index, part in enumerate(referral.parts)
-            )
-        self._fetch_jobs_batched(self.server_node, jobs, now, trace)
-        # Phase 3 — per-item status/merge/cache, in item order.
-        jobs_by_item: Dict[int, List[_BatchJob]] = {}
-        for job in jobs:
-            jobs_by_item.setdefault(job.item, []).append(job)
-        for item in active:
-            if item not in referrals:
-                continue
-            path = paths[item]
-            assert path is not None
-            results[item] = self._finish_batch_item(
-                path, contexts[item], jobs_by_item.get(item, []),
-                now, trace, use_cache,
-            )
-        return deferred
-
-    def _fetch_jobs_batched(
-        self,
-        origin: str,
-        jobs: List[_BatchJob],
-        now: float,
-        trace: Trace,
-    ) -> None:
-        """Grouped equivalent of :meth:`_fetch_part_from` over many
-        parts at once.
-
-        Each sweep, every pending job targets the first untried store
-        in its health-ordered choice list; jobs sharing a target form
-        one (endpoint, group) round trip — a single request hop
-        carrying every signed sub-query and a single response hop
-        carrying every fragment. A dead endpoint fails the whole group
-        (they shared the round trip), each member fails over to its
-        next choice, and the loop re-groups until the sweep is
-        exhausted; the retry policy then waits a backoff and sweeps
-        again. Health bookkeeping is per job, mirroring the sequential
-        path's per-part feedback."""
-        policy = self.retry_policy
-        for sweep in range(policy.max_attempts):
-            pending = [job for job in jobs if not job.done]
-            if not pending:
-                return
-            if sweep:
-                trace.wait(
-                    policy.backoff_ms(sweep),
-                    "backoff before batch retry sweep %d" % (sweep + 1),
-                )
-                for _job in pending:
-                    trace.note_retry()
-            active: List[_BatchJob] = []
-            for job in pending:
-                job.candidates = [
-                    store_id
-                    for store_id in self.health.order(job.part.store_ids)
-                    if store_id in self.server.adapters
-                ]
-                job.next_index = 0
-                if job.candidates:
-                    active.append(job)
-            while active:
-                groups: Dict[str, List[_BatchJob]] = {}
-                for job in active:
-                    groups.setdefault(
-                        job.candidates[job.next_index], []
-                    ).append(job)
-                branches: List[Trace] = []
-                survivors: List[_BatchJob] = []
-                for store_id, group in groups.items():
-                    branch = trace.fork()
-                    branches.append(branch)
-                    self._fetch_group(
-                        origin, store_id, group, now, branch, survivors,
-                    )
-                trace.join(branches)
-                active = survivors
-
-    def _fetch_group(
-        self,
-        origin: str,
-        store_id: str,
-        group: List[_BatchJob],
-        now: float,
-        branch: Trace,
-        survivors: List[_BatchJob],
-    ) -> None:
-        """One (endpoint, group) round trip of a batched fan-out."""
-        adapter = self.server.adapters[store_id]
-        query_bytes = self.REQUEST_OVERHEAD_BYTES + sum(
-            job.part.signed_query.byte_size()
-            if job.part.signed_query is not None
-            else len(str(job.part.path))
-            for job in group
-        )
-        try:
-            with branch.span(
-                "fetch.store.batch",
-                store=store_id, parts=len(group),
-            ) as attempt:
-                branch.hop(origin, store_id, query_bytes,
-                           "batched query (%d parts)" % len(group))
-                fragments: List[Optional[PNode]] = []
-                for job in group:
-                    if job.part.signed_query is not None:
-                        self.verifier.verify(job.part.signed_query, now)
-                        branch.compute(
-                            self.VERIFY_COMPUTE_MS, "verify signature"
-                        )
-                    branch.compute(
-                        self.STORE_QUERY_COMPUTE_MS, "evaluate path"
-                    )
-                    fragment = adapter.get(job.part.path)
-                    if fragment is not None and self.annotator is not None:
-                        self.annotator.annotate(fragment, store_id)
-                    fragments.append(fragment)
-                response_bytes = self.REQUEST_OVERHEAD_BYTES + sum(
-                    fragment.byte_size() if fragment is not None else 32
-                    for fragment in fragments
-                )
-                branch.hop(store_id, origin, response_bytes,
-                           "batched fragments (%d parts)" % len(group))
-                attempt.set("status", "ok")
-        except TRANSIENT_ERRORS as err:
-            # The round trip failed for everyone aboard: per-job
-            # health feedback (mirroring the sequential path, where
-            # each part would have observed the failure itself) and
-            # failover to each job's next choice.
-            for job in group:
-                job.last_error = err
-                self.health.failure(store_id)
-                job.next_index += 1
-                if job.next_index < len(job.candidates):
-                    branch.note_failover()
-                    survivors.append(job)
-            return
-        for job, fragment in zip(group, fragments):
-            self.health.success(store_id)
-            job.fragment = fragment
-            job.store = store_id
-            job.done = True
-
-    def _finish_batch_item(
-        self,
-        path: Path,
-        context: RequestContext,
-        item_jobs: List[_BatchJob],
-        now: float,
-        trace: Trace,
-        use_cache: bool,
-    ) -> BatchItemResult:
-        """Statuses, merge, degradation and cache fill for one batched
-        item — the tail of :meth:`chaining`/:meth:`cached`, item-wise."""
-        statuses: List[PartStatus] = []
-        fragments: List[Optional[PNode]] = []
-        for job in sorted(item_jobs, key=lambda j: j.part_index):
-            if job.done:
-                fragments.append(job.fragment)
-                statuses.append(
-                    PartStatus(job.part.path, store=job.store or "")
-                )
-            else:
-                error: Exception = (
-                    job.last_error
-                    if job.last_error is not None
-                    else NoCoverageError(
-                        "no adapter registered for any of %s"
-                        % (job.part.store_ids,)
-                    )
-                )
-                statuses.append(
-                    PartStatus(job.part.path, ok=False, error=error)
-                )
-        trace.part_status.extend(statuses)
-        failed = [status for status in statuses if not status.ok]
-        if failed and not any(status.ok for status in statuses):
-            if use_cache:
-                stale = self.server.cache_stale_lookup(path, context, now)
-                if stale is not None:
-                    trace.note_stale_serve()
-                    trace.note_degraded_item(len(failed))
-                    return BatchItemResult(
-                        path, fragment=stale, hit=True, stale=True,
-                        statuses=statuses,
-                    )
-                return BatchItemResult(
-                    path,
-                    statuses=statuses,
-                    error=PartialResultError(
-                        "every part of %s is unreachable and no stale "
-                        "cache entry survives" % path,
-                        statuses,
-                    ),
-                )
-            return BatchItemResult(
-                path,
-                statuses=statuses,
-                error=PartialResultError(
-                    "every part of %s is unreachable" % path, statuses
-                ),
-            )
-        if failed:
-            trace.note_degraded_item(len(failed))
-        merged = self._merge_at(
-            [f for f in fragments if f is not None],
-            trace, self.server_node,
-        )
-        if use_cache and merged is not None and not failed:
-            if self.server.cache_store(path, merged, context, now):
-                trace.compute(self.CACHE_COMPUTE_MS, "cache fill")
-        return BatchItemResult(path, fragment=merged, statuses=statuses)
+        return self._run(self._engine.batch(
+            client, requests, contexts, now, use_cache
+        ))
 
     # -- writes ----------------------------------------------------------------
 
@@ -899,19 +249,11 @@ class QueryExecutor:
         now: float = 0.0,
     ) -> Trace:
         """Enter-once write: resolve for update, then fan the fragment
-        out to every store holding the component.
-
-        Since the sans-io refactor the protocol logic lives in
-        :meth:`repro.sansio.SansIoQueryEngine.provision`; this method
-        builds the program and drives it over the simulated network."""
+        out to every store holding the component."""
         path = parse_path(request)
-        trace = self.network.trace()
-        engine = _sansio.SansIoQueryEngine(self)
-        driver = SimnetDriver(self.server.adapters)
-        driver.run(
-            engine.provision(client, path, fragment, context, now),
-            trace,
-        )
+        _outcome, trace = self._run(self._engine.provision(
+            client, path, fragment, context, now
+        ))
         return trace
 
 

@@ -1,6 +1,12 @@
-"""Sans-io protocol core (ROADMAP item 2): the query patterns as
-generator programs yielding typed I/O intents, driven either by the
-virtual-time simnet harness or by the real asyncio transport."""
+"""Sans-io protocol core: the query patterns as generator programs
+yielding typed I/O intents, driven either by the virtual-time simnet
+harness or by the real asyncio transport."""
+
+# Load order: importing any repro.core submodule runs the repro.core
+# package, whose query module imports this package's engine — and the
+# engine imports core submodules. Finishing repro.core first means the
+# engine is never half-initialised when core.query asks for its names.
+import repro.core  # noqa: F401
 
 from repro.sansio.intents import (
     MARK_KINDS,

@@ -1,19 +1,17 @@
 """Sans-io query engine: the Section 5.2 wire patterns as programs.
 
-This module holds the *protocol logic* of the server-mediated query
-patterns — ``chaining``, ``cached`` and the enter-once ``provision``
-fan-out — refactored out of :class:`~repro.core.query.QueryExecutor`
-into generator *programs* that yield typed
-:mod:`~repro.sansio.intents` and never perform I/O themselves.
+This module holds the *protocol logic* of every query pattern —
+``referral``, ``chaining``, ``recruiting``, ``direct``, ``cached``,
+the E19 wave ``batch`` and the enter-once ``provision`` fan-out — as
+generator *programs* that yield typed :mod:`~repro.sansio.intents`
+and never perform I/O themselves.
 
 The same program is consumed by two drivers:
 
 * :class:`repro.simnet.driver.SimnetDriver` charges every intent to a
-  virtual-time :class:`~repro.simnet.Trace`. The intent stream mirrors
-  the pre-refactor inline code *operation for operation*, so the
-  simulated cost model (and the golden latency fixtures pinning it) is
-  bit-identical — simnet became one harness for the system instead of
-  the system itself.
+  virtual-time :class:`~repro.simnet.Trace`; the golden latency
+  fixtures pin the resulting cost model bit for bit.
+  :class:`~repro.core.query.QueryExecutor` is this driver's face.
 * :class:`repro.serve.transport.WallTransport` performs the intents
   under asyncio against the wall clock, giving the serving layer
   (:mod:`repro.serve`) real concurrency for fork/join fan-outs and
@@ -23,34 +21,31 @@ The same program is consumed by two drivers:
   injection.
 
 Everything stateful the programs consult — coverage resolution, the
-privacy shield, signing, endpoint health, provenance — lives behind
-the :class:`QueryHost`, whose members are all pure/virtual-time (the
-``sans-io-purity`` gupcheck rule enforces this package stays off the
-wire). :class:`~repro.core.query.QueryExecutor` passes *itself* as the
-host so ablation benchmarks that tune its per-step cost class
-attributes keep working; the serving layer uses a
-:class:`StandaloneQueryHost`.
+privacy shield, signing, endpoint health, provenance — and every cost
+constant lives behind a :class:`~repro.core.host.QueryHost`, whose
+members are all pure/virtual-time (the ``sans-io-purity`` gupcheck
+rule enforces this package stays off the wire). A
+:class:`~repro.core.query.QueryExecutor` *is* a host, so ablation
+benchmarks that tune its per-step cost attributes reach the programs;
+the serving layer constructs a plain one.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import (
     AccessDeniedError,
     NoCoverageError,
     PartialResultError,
+    ReproError,
 )
-from repro.pxml import Path, PNode, extract
+from repro.pxml import Path, PNode, extract, parse_path
 from repro.pxml.merge import GUP_KEYSPEC, merge_all
 from repro.access import RequestContext
+from repro.core.host import QueryHost
 from repro.core.referral import Referral, ReferralPart
-from repro.core.resilience import (
-    TRANSIENT_ERRORS,
-    EndpointHealth,
-    PartStatus,
-    RetryPolicy,
-)
+from repro.core.resilience import TRANSIENT_ERRORS, PartStatus
 from repro.sansio.intents import (
     Compute,
     Fork,
@@ -67,17 +62,16 @@ from repro.sansio.intents import (
     StorePut,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.provenance import ProvenanceTracker, SourceAnnotator
-    from repro.core.server import GupsterServer
-    from repro.core.signing import QueryVerifier
-
 __all__ = [
+    "BatchItemResult",
     "QueryOutcome",
     "SansIoQueryEngine",
     "StandaloneQueryHost",
     "decision_of",
 ]
+
+#: The host under the name drivers without an executor construct it by.
+StandaloneQueryHost = QueryHost
 
 #: The Fork capture set of degradable fan-outs: a dead store, a lost
 #: message, or an uncovered part degrades that *part*; anything else
@@ -86,8 +80,8 @@ _DEGRADABLE_CAPTURE = TRANSIENT_ERRORS + (NoCoverageError,)
 
 
 class QueryOutcome:
-    """What a server-mediated query program returns: the merged
-    fragment, cache disposition flags, and per-part statuses."""
+    """What a query program returns: the merged fragment, cache
+    disposition flags, and per-part statuses."""
 
     __slots__ = ("fragment", "hit", "stale", "statuses")
 
@@ -116,49 +110,89 @@ class QueryOutcome:
         )
 
 
-class StandaloneQueryHost:
-    """A :class:`QueryHost` for drivers that run without a
-    :class:`~repro.core.query.QueryExecutor` (the serving layer).
+class BatchItemResult(QueryOutcome):
+    """Outcome of one query inside a batch.
 
-    Carries the canonical cost constants; construct with the same
-    server/policy/health collaborators an executor would hold."""
+    Mirrors what the equivalent *sequential* query would have produced:
+    ``fragment`` is the merged answer (bit-identical to the sequential
+    merge), ``error`` is the exception the sequential call would have
+    raised (shield denial, spurious query, no coverage, total-failure
+    :class:`~repro.errors.PartialResultError`), and ``statuses`` are
+    the per-part :class:`~repro.core.resilience.PartStatus` reports in
+    referral order."""
 
-    REQUEST_OVERHEAD_BYTES = 80
-    RESOLVE_COMPUTE_MS = 0.3
-    VERIFY_COMPUTE_MS = 0.1
-    STORE_QUERY_COMPUTE_MS = 0.2
-    MERGE_COMPUTE_MS_PER_PART = 0.2
-    CACHE_COMPUTE_MS = 0.05
+    __slots__ = ("path", "error")
 
     def __init__(
         self,
-        server: "GupsterServer",
-        server_node: Optional[str] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        health: Optional[EndpointHealth] = None,
-        provenance: Optional["ProvenanceTracker"] = None,
-        annotator: Optional["SourceAnnotator"] = None,
+        path: Union[str, Path],
+        fragment: Optional[PNode] = None,
+        hit: bool = False,
+        stale: bool = False,
+        statuses: Optional[List[PartStatus]] = None,
+        error: Optional[Exception] = None,
     ) -> None:
-        self.server = server
-        self.server_node = server_node or server.name
-        self.verifier: "QueryVerifier" = server.signer.verifier()
-        self.retry_policy = (
-            retry_policy if retry_policy is not None else RetryPolicy()
+        super().__init__(fragment, hit, stale, statuses)
+        self.path = path
+        self.error = error
+
+    @property
+    def ok(self) -> bool:
+        """True when the sequential equivalent would not have raised."""
+        return self.error is None
+
+    @property
+    def degraded_parts(self) -> int:
+        """Unreachable referral parts behind this (partial) answer."""
+        return sum(1 for status in self.statuses if not status.ok)
+
+    def __repr__(self) -> str:
+        if self.error is not None:
+            return "<BatchItemResult %s error=%s>" % (
+                self.path, type(self.error).__name__,
+            )
+        flags = "".join(
+            flag for flag, on in (
+                ("H", self.hit), ("S", self.stale),
+                ("D", self.degraded_parts > 0),
+            ) if on
         )
-        self.health = health if health is not None else EndpointHealth()
-        self.provenance = provenance
-        self.annotator = annotator
+        return "<BatchItemResult %s ok%s>" % (
+            self.path, " " + flags if flags else "",
+        )
+
+
+class _BatchJob:
+    """One (item, referral part) sub-fetch inside a batched fan-out."""
+
+    __slots__ = (
+        "item", "part_index", "part", "candidates", "next_index",
+        "fragment", "store", "last_error",
+    )
+
+    def __init__(
+        self, item: int, part_index: int, part: ReferralPart
+    ) -> None:
+        self.item = item
+        self.part_index = part_index
+        self.part = part
+        self.candidates: List[str] = []
+        self.next_index = 0
+        self.fragment: Optional[PNode] = None
+        #: The store that answered; None until the fetch succeeds.
+        self.store: Optional[str] = None
+        self.last_error: Optional[Exception] = None
 
 
 class SansIoQueryEngine:
-    """Generator programs for the server-mediated query patterns.
+    """Generator programs for the Section 5.2 query patterns.
 
     *host* provides collaborators and cost constants (see module
     docstring); it is read at call time, so mutating
     ``host.retry_policy`` or the cost attributes between calls — as
     the ablation benchmarks do — affects the next program built."""
 
-    def __init__(self, host: Any) -> None:
+    def __init__(self, host: QueryHost) -> None:
         self.host = host
 
     # -- shared pieces ------------------------------------------------------
@@ -204,12 +238,14 @@ class SansIoQueryEngine:
         """Fetch one referral part, surviving dead stores and lost
         messages when alternatives (or retry budget) remain.
 
-        Returns (fragment, store used) — the sans-io twin of the old
-        ``QueryExecutor._fetch_part_from``, intent for intent: within
-        one sweep the ``||`` choices are tried in health-then-referral
-        order, a failed store charges the detection timeout (the
-        driver throws the transport error in) and the next choice is
-        tried; an exhausted sweep backs off and sweeps again."""
+        Returns (fragment, store used). Within one sweep the ``||``
+        choices are tried in health-then-referral order; a failed
+        store charges the detection timeout (the driver throws the
+        transport error in) and the next choice is tried (failover).
+        When a sweep ends with nothing, the retry policy may wait an
+        exponential backoff and sweep again — a flapping store can
+        come back. Raises the last transient error once the budget is
+        exhausted."""
         host = self.host
         last_error: Optional[Exception] = None
         policy = host.retry_policy
@@ -326,6 +362,49 @@ class SansIoQueryEngine:
 
     # -- patterns -----------------------------------------------------------
 
+    def referral(
+        self,
+        client: str,
+        path: Path,
+        context: RequestContext,
+        now: float,
+        parallel: bool = True,
+    ) -> Program[QueryOutcome]:
+        """The default GUPster pattern: a signed referral, then the
+        client fetches every part itself and merges locally (see
+        ``QueryExecutor.referral``). Any part failing fails the
+        query."""
+        host = self.host
+        server_node = host.server_node
+        yield SpanOpen("query.referral", {
+            "path": str(path), "scope": context.cache_scope(),
+            "client": client,
+        })
+        yield Send(client, server_node,
+                   self._request_bytes(path, context),
+                   "resolve request")
+        yield Compute(host.RESOLVE_COMPUTE_MS, "rewrite+policy+sign")
+        referral = self._resolve_tracked(path, context, now)
+        yield Send(server_node, client,
+                   referral.byte_size() + host.REQUEST_OVERHEAD_BYTES,
+                   "referral")
+        fragments: List[Optional[PNode]] = []
+        if parallel and len(referral.parts) > 1:
+            outcomes: List[LegOutcome] = yield Fork([
+                self.fetch_part(client, part, now)
+                for part in referral.parts
+            ])
+            fragments.extend(outcome.value[0] for outcome in outcomes)
+        else:
+            for part in referral.parts:
+                fragment, _store = yield from self.fetch_part(
+                    client, part, now
+                )
+                fragments.append(fragment)
+        merged = yield from self.merge_at(fragments, client)
+        yield SpanClose()
+        return QueryOutcome(merged)
+
     def chain(
         self,
         client: str,
@@ -365,6 +444,80 @@ class SansIoQueryEngine:
                    "merged result")
         yield SpanClose()
         return QueryOutcome(merged, statuses=statuses)
+
+    def recruiting(
+        self,
+        client: str,
+        path: Path,
+        context: RequestContext,
+        now: float,
+    ) -> Program[QueryOutcome]:
+        """GUPster migrates the query to a data store, which gathers
+        the remaining parts and answers the client directly (see
+        ``QueryExecutor.recruiting``)."""
+        host = self.host
+        server_node = host.server_node
+        yield SpanOpen("query.recruiting", {
+            "path": str(path), "scope": context.cache_scope(),
+            "client": client,
+        })
+        yield Send(client, server_node,
+                   self._request_bytes(path, context),
+                   "recruited request")
+        yield Compute(host.RESOLVE_COMPUTE_MS, "rewrite+policy+sign")
+        referral = self._resolve_tracked(path, context, now)
+        # Prefer a healthy recruit among the first part's choices.
+        recruit = host.health.order(referral.parts[0].store_ids)[0]
+        yield SpanSet("recruit", recruit)
+        yield Send(server_node, recruit,
+                   referral.byte_size() + host.REQUEST_OVERHEAD_BYTES,
+                   "migrate query plan")
+        fragments: List[Optional[PNode]] = []
+        # The recruit serves its own part locally...
+        host.verifier.verify(referral.parts[0].signed_query, now)
+        yield Compute(
+            host.VERIFY_COMPUTE_MS + host.STORE_QUERY_COMPUTE_MS,
+            "local part at recruit",
+        )
+        if recruit in host.server.adapters:
+            local = yield StoreGet(recruit, referral.parts[0].path)
+            fragments.append(local)
+        # ...and fetches the remaining parts from their stores.
+        outcomes: List[LegOutcome] = yield Fork([
+            self.fetch_part(recruit, part, now)
+            for part in referral.parts[1:]
+        ])
+        fragments.extend(outcome.value[0] for outcome in outcomes)
+        merged = yield from self.merge_at(fragments, recruit)
+        response_bytes = (
+            merged.byte_size() if merged is not None else 32
+        ) + host.REQUEST_OVERHEAD_BYTES
+        yield Send(recruit, client, response_bytes, "result to client")
+        yield SpanClose()
+        return QueryOutcome(merged)
+
+    def direct(
+        self,
+        client: str,
+        targets: Sequence[Tuple[str, Union[str, Path]]],
+        now: float,
+    ) -> Program[QueryOutcome]:
+        """Pre-GUPster baseline: the client already knows the stores
+        and paths — no meta-data lookup, no access control, no
+        signatures (see ``QueryExecutor.direct``)."""
+        yield SpanOpen("query.direct", {
+            "client": client, "targets": len(targets),
+        })
+        fragments: List[Optional[PNode]] = []
+        for store_id, raw_path in targets:
+            part = ReferralPart(parse_path(raw_path), [store_id])
+            fragment, _store = yield from self.fetch_part(
+                client, part, now
+            )
+            fragments.append(fragment)
+        merged = yield from self.merge_at(fragments, client)
+        yield SpanClose()
+        return QueryOutcome(merged)
 
     def cached(
         self,
@@ -439,6 +592,326 @@ class SansIoQueryEngine:
                    "filled result")
         yield SpanClose()
         return QueryOutcome(merged, statuses=statuses)
+
+    # -- batched execution (E19) --------------------------------------------
+
+    def batch(
+        self,
+        client: str,
+        requests: Sequence[Union[str, Path]],
+        contexts: Sequence[RequestContext],
+        now: float,
+        use_cache: bool,
+    ) -> Program[List[BatchItemResult]]:
+        """Many queries as one batched round-trip pipeline (see
+        ``QueryExecutor.execute_batch``): items run in waves, each
+        wave's sub-fetches grouped into one round trip per endpoint."""
+        host = self.host
+        server_node = host.server_node
+        count = len(requests)
+        results: List[Optional[BatchItemResult]] = [None] * count
+        paths: List[Optional[Path]] = [None] * count
+        for index, request in enumerate(requests):
+            try:
+                paths[index] = parse_path(request)
+            except ReproError as err:
+                results[index] = BatchItemResult(request, error=err)
+        yield SpanOpen("query.batch", {
+            "items": count, "client": client, "cached": use_cache,
+        })
+        request_bytes = host.REQUEST_OVERHEAD_BYTES + sum(
+            len(str(paths[i])) + contexts[i].byte_size()
+            for i in range(count)
+            if paths[i] is not None
+        )
+        yield Send(client, server_node, request_bytes,
+                   "batched request (%d items)" % count)
+        pending = [i for i in range(count) if results[i] is None]
+        while pending:
+            pending = yield from self._batch_wave(
+                pending, paths, contexts, now, results, use_cache
+            )
+        final = [r for r in results if r is not None]
+        degraded_items = sum(
+            1 for r in final if r.ok and r.degraded_parts
+        )
+        if degraded_items:
+            yield SpanSet("degraded_items", degraded_items)
+        response_bytes = host.REQUEST_OVERHEAD_BYTES + sum(
+            (r.fragment.byte_size() if r.fragment is not None else 32)
+            for r in final
+        )
+        yield Send(server_node, client, response_bytes,
+                   "batched response (%d items)" % count)
+        yield SpanClose()
+        return final
+
+    def _batch_wave(
+        self,
+        item_ids: List[int],
+        paths: Sequence[Optional[Path]],
+        contexts: Sequence[RequestContext],
+        now: float,
+        results: List[Optional[BatchItemResult]],
+        use_cache: bool,
+    ) -> Program[List[int]]:
+        """One batch *wave*: all items except within-batch duplicates.
+
+        A duplicate (same path, same requester scope) is deferred to
+        the next wave so it observes the earlier item's cache fill —
+        exactly as its sequential expansion would. Returns the deferred
+        item ids (always empty when *use_cache* is off: items are then
+        independent)."""
+        host = self.host
+        active: List[int] = []
+        deferred: List[int] = []
+        seen_keys: set = set()
+        for item in item_ids:
+            if use_cache:
+                key = (str(paths[item]), contexts[item].cache_scope())
+                if key in seen_keys:
+                    deferred.append(item)
+                    continue
+                seen_keys.add(key)
+            active.append(item)
+        # Phase 1 — per-item shield + referral work at the server, in
+        # item order (provenance and counter order match sequential).
+        referrals: Dict[int, Referral] = {}
+        for item in active:
+            path = paths[item]
+            assert path is not None  # filtered by batch()
+            context = contexts[item]
+            if use_cache:
+                yield Compute(host.CACHE_COMPUTE_MS, "cache probe")
+                try:
+                    cached = host.server.cache_lookup(path, context, now)
+                except AccessDeniedError as err:
+                    results[item] = BatchItemResult(path, error=err)
+                    continue
+                if cached is not None:
+                    results[item] = BatchItemResult(
+                        path, fragment=cached, hit=True
+                    )
+                    continue
+            yield Compute(host.RESOLVE_COMPUTE_MS, "rewrite+policy+sign")
+            try:
+                referrals[item] = self._resolve_tracked(path, context, now)
+            except ReproError as err:
+                results[item] = BatchItemResult(path, error=err)
+        # Phase 2 — grouped sub-fetch fan-out.
+        jobs: List[_BatchJob] = []
+        for item in active:
+            referral = referrals.get(item)
+            if referral is None:
+                continue
+            jobs.extend(
+                _BatchJob(item, part_index, part)
+                for part_index, part in enumerate(referral.parts)
+            )
+        yield from self._fetch_jobs_batched(host.server_node, jobs, now)
+        # Phase 3 — per-item status/merge/cache, in item order.
+        jobs_by_item: Dict[int, List[_BatchJob]] = {}
+        for job in jobs:
+            jobs_by_item.setdefault(job.item, []).append(job)
+        for item in active:
+            if item not in referrals:
+                continue
+            path = paths[item]
+            assert path is not None
+            results[item] = yield from self._finish_batch_item(
+                path, contexts[item], jobs_by_item.get(item, []),
+                now, use_cache,
+            )
+        return deferred
+
+    def _fetch_jobs_batched(
+        self,
+        origin: str,
+        jobs: List[_BatchJob],
+        now: float,
+    ) -> Program[None]:
+        """Grouped equivalent of :meth:`fetch_part` over many parts at
+        once.
+
+        Each sweep, every pending job targets the first untried store
+        in its health-ordered choice list; jobs sharing a target form
+        one (endpoint, group) round trip — a single request hop
+        carrying every signed sub-query and a single response hop
+        carrying every fragment. A dead endpoint fails the whole group
+        (they shared the round trip), each member fails over to its
+        next choice, and the loop re-groups until the sweep is
+        exhausted; the retry policy then waits a backoff and sweeps
+        again. Health bookkeeping is per job, mirroring the sequential
+        path's per-part feedback."""
+        host = self.host
+        policy = host.retry_policy
+        for sweep in range(policy.max_attempts):
+            pending = [job for job in jobs if job.store is None]
+            if not pending:
+                return
+            if sweep:
+                yield Sleep(
+                    policy.backoff_ms(sweep),
+                    "backoff before batch retry sweep %d" % (sweep + 1),
+                )
+                yield Mark("retry", len(pending))
+            active: List[_BatchJob] = []
+            for job in pending:
+                job.candidates = [
+                    store_id
+                    for store_id in host.health.order(job.part.store_ids)
+                    if store_id in host.server.adapters
+                ]
+                job.next_index = 0
+                if job.candidates:
+                    active.append(job)
+            while active:
+                groups: Dict[str, List[_BatchJob]] = {}
+                for job in active:
+                    groups.setdefault(
+                        job.candidates[job.next_index], []
+                    ).append(job)
+                yield Fork([
+                    self._fetch_group(origin, store_id, group, now)
+                    for store_id, group in groups.items()
+                ])
+                # Survivors group by group — the order the next
+                # regroup (and so the next fork's legs) depends on.
+                active = [
+                    job
+                    for group in groups.values()
+                    for job in group
+                    if job.store is None
+                    and job.next_index < len(job.candidates)
+                ]
+
+    def _fetch_group(
+        self,
+        origin: str,
+        store_id: str,
+        group: List[_BatchJob],
+        now: float,
+    ) -> Program[None]:
+        """One (endpoint, group) round trip of a batched fan-out."""
+        host = self.host
+        query_bytes = host.REQUEST_OVERHEAD_BYTES + sum(
+            job.part.signed_query.byte_size()
+            if job.part.signed_query is not None
+            else len(str(job.part.path))
+            for job in group
+        )
+        try:
+            yield SpanOpen("fetch.store.batch", {
+                "store": store_id, "parts": len(group),
+            })
+            yield Send(origin, store_id, query_bytes,
+                       "batched query (%d parts)" % len(group))
+            fragments: List[Optional[PNode]] = []
+            for job in group:
+                if job.part.signed_query is not None:
+                    host.verifier.verify(job.part.signed_query, now)
+                    yield Compute(
+                        host.VERIFY_COMPUTE_MS, "verify signature"
+                    )
+                yield Compute(
+                    host.STORE_QUERY_COMPUTE_MS, "evaluate path"
+                )
+                fragment = yield StoreGet(store_id, job.part.path)
+                if fragment is not None and host.annotator is not None:
+                    host.annotator.annotate(fragment, store_id)
+                fragments.append(fragment)
+            response_bytes = host.REQUEST_OVERHEAD_BYTES + sum(
+                fragment.byte_size() if fragment is not None else 32
+                for fragment in fragments
+            )
+            yield Send(store_id, origin, response_bytes,
+                       "batched fragments (%d parts)" % len(group))
+            yield SpanSet("status", "ok")
+            yield SpanClose()
+        except TRANSIENT_ERRORS as err:
+            yield SpanClose()
+            # The round trip failed for everyone aboard: per-job
+            # health feedback (mirroring the sequential path, where
+            # each part would have observed the failure itself) and
+            # failover to each job's next choice.
+            for job in group:
+                job.last_error = err
+                host.health.failure(store_id)
+                job.next_index += 1
+                if job.next_index < len(job.candidates):
+                    yield Mark("failover")
+            return
+        for job, fragment in zip(group, fragments):
+            host.health.success(store_id)
+            job.fragment = fragment
+            job.store = store_id
+
+    def _finish_batch_item(
+        self,
+        path: Path,
+        context: RequestContext,
+        item_jobs: List[_BatchJob],
+        now: float,
+        use_cache: bool,
+    ) -> Program[BatchItemResult]:
+        """Statuses, merge, degradation and cache fill for one batched
+        item — the tail of :meth:`chain`/:meth:`cached`, item-wise."""
+        host = self.host
+        statuses: List[PartStatus] = []
+        fragments: List[Optional[PNode]] = []
+        for job in sorted(item_jobs, key=lambda j: j.part_index):
+            if job.store is not None:
+                fragments.append(job.fragment)
+                statuses.append(
+                    PartStatus(job.part.path, store=job.store)
+                )
+            else:
+                error: Exception = (
+                    job.last_error
+                    if job.last_error is not None
+                    else NoCoverageError(
+                        "no adapter registered for any of %s"
+                        % (job.part.store_ids,)
+                    )
+                )
+                statuses.append(
+                    PartStatus(job.part.path, ok=False, error=error)
+                )
+        yield PartReport(statuses)
+        failed = [status for status in statuses if not status.ok]
+        if failed and not any(status.ok for status in statuses):
+            if use_cache:
+                stale = host.server.cache_stale_lookup(path, context, now)
+                if stale is not None:
+                    yield Mark("stale_serve")
+                    yield Mark("degraded_item", len(failed))
+                    return BatchItemResult(
+                        path, fragment=stale, hit=True, stale=True,
+                        statuses=statuses,
+                    )
+                return BatchItemResult(
+                    path,
+                    statuses=statuses,
+                    error=PartialResultError(
+                        "every part of %s is unreachable and no stale "
+                        "cache entry survives" % path,
+                        statuses,
+                    ),
+                )
+            return BatchItemResult(
+                path,
+                statuses=statuses,
+                error=PartialResultError(
+                    "every part of %s is unreachable" % path, statuses
+                ),
+            )
+        if failed:
+            yield Mark("degraded_item", len(failed))
+        merged = yield from self.merge_at(fragments, host.server_node)
+        if use_cache and merged is not None and not failed:
+            if host.server.cache_store(path, merged, context, now):
+                yield Compute(host.CACHE_COMPUTE_MS, "cache fill")
+        return BatchItemResult(path, fragment=merged, statuses=statuses)
 
     # -- writes -------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Typed I/O intents — the sans-io vocabulary (ROADMAP item 2).
+"""Typed I/O intents — the sans-io vocabulary.
 
 Protocol logic in :mod:`repro.sansio.engine` is written as plain
 Python generators that **yield** instances of the classes below and
@@ -9,8 +9,7 @@ network: everything observable about the outside world arrives through
 the intent protocol, so a single body of protocol code can be driven
 
 * by :class:`repro.simnet.driver.SimnetDriver` — charging every intent
-  to a virtual-time :class:`~repro.simnet.Trace`, bit-identical to the
-  pre-refactor inline execution; and
+  to a virtual-time :class:`~repro.simnet.Trace`; and
 * by :class:`repro.serve.transport.WallTransport` — performing the
   same intents under asyncio against the wall clock.
 

@@ -247,9 +247,12 @@ class WallTransport:
         elif isinstance(intent, SpanClose):
             scope.close()
         elif isinstance(intent, Mark):
+            # A degraded query or batched item is one degraded
+            # *response*; its count is the parts it lost.
+            degraded = intent.kind in ("degraded", "degraded_item")
             self.metrics.counter(
                 _MARK_METRICS[intent.kind]
-            ).inc(intent.count if intent.kind != "degraded" else 1)
+            ).inc(1 if degraded else intent.count)
         elif isinstance(intent, PartReport):
             pass  # statuses travel in the program's return value
         elif isinstance(intent, Fork):

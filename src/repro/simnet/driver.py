@@ -2,9 +2,8 @@
 
 :class:`SimnetDriver` consumes the typed intent stream of a
 :mod:`repro.sansio` program and charges every intent to a
-:class:`~repro.simnet.Trace` — hop for hop, compute for compute — so a
-refactored pattern costs exactly what its pre-refactor inline version
-did (the golden latency fixtures pin this bit-for-bit). Transport
+:class:`~repro.simnet.Trace` — hop for hop, compute for compute (the
+golden latency fixtures pin the resulting costs bit-for-bit). Transport
 failures raised by the trace (:class:`~repro.errors.NodeUnreachableError`,
 :class:`~repro.errors.PacketLossError`) are *thrown into* the program
 at the failing yield, which is where the protocol logic decides to

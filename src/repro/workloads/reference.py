@@ -248,13 +248,14 @@ def e19_batch_stream() -> List[List[float]]:
         (PERSONAL, family),
         (CORPORATE, coworker),
     ]
-    rounds: Tuple[Tuple[float, Tuple[str, ...]], ...] = (
+    rounds = (
         (0.0, ()),
         (500.0, ()),
         (3_000.0, ("gup.corp.com",)),
         (6_000.0, STORES),
         (6_500.0, ()),
     )
+    requests, contexts = zip(*items)
     rows: List[List[float]] = []
     for policy in (RetryPolicy(), RetryPolicy.none()):
         for use_cache in (False, True):
@@ -277,11 +278,8 @@ def e19_batch_stream() -> List[List[float]]:
                 for store_id in down:
                     network.fail(store_id)
                 _results, trace = executor.execute_batch(
-                    "client",
-                    [request for request, _context in items],
-                    [context for _request, context in items],
-                    now=now,
-                    use_cache=use_cache,
+                    "client", requests, contexts,
+                    now=now, use_cache=use_cache,
                 )
                 rows.append([
                     trace.elapsed_ms, trace.hops, trace.bytes_total,

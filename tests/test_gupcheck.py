@@ -520,6 +520,7 @@ class TestSimBlockingRule:
 
 class TestShieldEgressRule:
     RELPATH = "repro/core/server.py"
+    ENGINE_RELPATH = "repro/sansio/engine.py"
 
     def test_flags_unshielded_cache_egress(self):
         found = check_source(
@@ -551,7 +552,7 @@ class TestShieldEgressRule:
                         fragment = self._fetch(request)
                         return fragment, now
             """),
-            "repro/core/query.py",
+            self.ENGINE_RELPATH,
         )
         assert len(found) == 1
 
@@ -604,7 +605,7 @@ class TestShieldEgressRule:
                             fragments.append(adapter.get(part.path))
                         return fragments
             """),
-            "repro/core/query.py",
+            self.ENGINE_RELPATH,
         )
         assert found == []
 
@@ -624,7 +625,7 @@ class TestShieldEgressRule:
                             results.append(adapter.get(request.path))
                         return results
             """),
-            "repro/core/query.py",
+            self.ENGINE_RELPATH,
         )
         assert len(found) == 1
         assert "execute_batch" in found[0].message
@@ -645,7 +646,7 @@ class TestShieldEgressRule:
                         ]
                         return payload
             """),
-            "repro/core/query.py",
+            self.ENGINE_RELPATH,
         )
         assert len(found) == 1
 
@@ -669,13 +670,82 @@ class TestShieldEgressRule:
                             results.append(referral)
                         return results
             """),
-            "repro/core/query.py",
+            self.ENGINE_RELPATH,
+        )
+        assert found == []
+
+    def test_flags_unshielded_store_get_program(self):
+        # The value a sans-io program receives at `yield StoreGet(...)`
+        # is the adapter read the driver did for it — a source exactly
+        # like `adapter.get(...)` was in the inline dialect.
+        found = check_source(
+            ShieldEgressRule(),
+            dedent("""
+                class Engine:
+                    def peek(self, client, part, context, now):
+                        fragment = yield StoreGet(part.store_id, part.path)
+                        yield Send(part.store_id, client,
+                                   fragment.byte_size(), "fragment")
+                        return fragment
+            """),
+            self.ENGINE_RELPATH,
+        )
+        assert len(found) == 1
+        assert "peek" in found[0].message
+
+    def test_flags_referral_program_resolved_off_the_shield(self):
+        # The engine's referral program, except that the referral comes
+        # from a raw coverage lookup instead of _resolve_tracked: taint
+        # flows out of fetch_part through `yield Fork([...])` and
+        # `yield from`, and nothing on the path consults the shield.
+        found = check_source(
+            ShieldEgressRule(),
+            dedent("""
+                class Engine:
+                    def fetch_part(self, origin, part, now):
+                        yield Send(origin, part.store_id, 80, "query")
+                        fragment = yield StoreGet(part.store_id, part.path)
+                        return fragment, part.store_id
+
+                    def referral(self, client, path, context, now,
+                                 parallel=True):
+                        referral = self.host.server.coverage.lookup(path)
+                        fragments = []
+                        if parallel and len(referral.parts) > 1:
+                            outcomes = yield Fork([
+                                self.fetch_part(client, part, now)
+                                for part in referral.parts
+                            ])
+                            fragments.extend(
+                                outcome.value[0] for outcome in outcomes
+                            )
+                        else:
+                            for part in referral.parts:
+                                fragment, _store = yield from (
+                                    self.fetch_part(client, part, now)
+                                )
+                                fragments.append(fragment)
+                        merged = yield from self.merge_at(fragments, client)
+                        return QueryOutcome(merged)
+            """),
+            self.ENGINE_RELPATH,
+        )
+        assert len(found) == 1
+        assert "referral" in found[0].message
+
+    def test_shipped_engine_is_shielded(self):
+        # Every requester-facing pattern program reaches the shield.
+        path = os.path.join(SRC_ROOT, "repro", "sansio", "engine.py")
+        with open(path, "r", encoding="utf-8") as handle:
+            source = handle.read()
+        found = check_source(
+            ShieldEgressRule(), source, self.ENGINE_RELPATH
         )
         assert found == []
 
     def test_contextless_plumbing_exempt(self):
         # No requester context = not an egress surface (the cache
-        # itself, _fetch_part_from, the deliberately unshielded
+        # itself, the engine's fetch_part, the deliberately unshielded
         # direct() baseline).
         found = check_source(
             ShieldEgressRule(),

@@ -107,20 +107,40 @@ def build_wall_side(failed, drops, retry_policy):
     return transport, engine
 
 
+def batch_decision(items):
+    decisions = [
+        decision_of(item.error if item.error is not None else item)
+        for item in items
+    ]
+    return {
+        "ok": all(decision["ok"] for decision in decisions),
+        "items": decisions,
+    }
+
+
 def run_request(pattern, path, context, now, runner, engine):
-    if pattern == "cached":
+    record = decision_of
+    if pattern == "batch":
+        # A cached batch with a within-batch duplicate (second wave).
+        program = engine.batch(
+            CLIENT, [path, BOOK, path], [context] * 3, now, True
+        )
+        record = batch_decision
+    elif pattern == "cached":
         program = engine.cached(CLIENT, parse_path(path), context, now)
+    elif pattern == "referral":
+        program = engine.referral(CLIENT, parse_path(path), context, now)
     else:
         program = engine.chain(CLIENT, parse_path(path), context, now)
     try:
-        return decision_of(runner(program))
+        return record(runner(program))
     except Exception as err:  # noqa: BLE001 - the decision IS the record
         return decision_of(err)
 
 
 requests_strategy = st.lists(
     st.tuples(
-        st.sampled_from(["chaining", "cached"]),
+        st.sampled_from(["chaining", "cached", "referral", "batch"]),
         st.sampled_from([BOOK, PERSONAL, CORPORATE]),
     ),
     min_size=1, max_size=6,

@@ -477,13 +477,15 @@ class TestWallTransportFaults:
             yield Mark("retry")
             yield Mark("failover")
             yield Mark("degraded", 3)
+            yield Mark("degraded_item", 2)
         run(transport.run(program()))
         assert transport.metrics.counter("serve.retries").value == 1
         assert transport.metrics.counter("serve.failovers").value == 1
-        # One degraded *response*, whatever the part count.
+        # One degraded *response* per query or batched item, whatever
+        # the part count.
         assert transport.metrics.counter(
             "serve.degraded_responses"
-        ).value == 1
+        ).value == 2
 
 
 # ---------------------------------------------------------------------------
