@@ -1263,3 +1263,28 @@ class TestSelfCheck:
         assert proc.returncode == 0
         for rule_class in ALL_RULES:
             assert rule_class.name in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# the E17 kill matrix cannot silently rot
+# ---------------------------------------------------------------------------
+
+class TestKillMatrix:
+    def test_every_mutant_still_applies_exactly_once(self):
+        # String search only — no analyzer run in tier-1. A mutant
+        # whose `old` drifted out of the shipped file proves nothing.
+        import importlib.util
+
+        spec = importlib.util.spec_from_file_location(
+            "bench_e17_killmatrix",
+            os.path.join(
+                REPO_ROOT, "benchmarks", "bench_e17_killmatrix.py"
+            ),
+        )
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        names = [row["name"] for row in bench.MUTANTS]
+        assert len(names) == len(set(names)) >= 11
+        for row in bench.MUTANTS:
+            assert row["old"] != row["new"]
+            bench.mutated_source(row)  # SystemExit unless exactly once
