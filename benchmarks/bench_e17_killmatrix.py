@@ -38,7 +38,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_ROOT = os.path.join(REPO_ROOT, "src")
@@ -253,7 +253,7 @@ def static_kills(
     return kills
 
 
-def runtime_verdict(src_copy: str) -> Dict[str, object]:
+def runtime_verdict(src_copy: str) -> Dict[str, Any]:
     """Run the runtime suite against the mutant copy."""
     env = dict(os.environ, PYTHONPATH=src_copy)
     proc = subprocess.run(
@@ -274,11 +274,11 @@ def runtime_verdict(src_copy: str) -> Dict[str, object]:
     }
 
 
-def build_matrix(runtime: bool) -> Dict[str, object]:
+def build_matrix(runtime: bool) -> Dict[str, Any]:
     from repro.analysis.rules import ALL_RULES
 
     patched = {row["name"]: mutated_source(row) for row in MUTANTS}
-    rows: List[Dict[str, object]] = []
+    rows: List[Dict[str, Any]] = []
     with tempfile.TemporaryDirectory(prefix="killmatrix-") as scratch:
         clean_copy = os.path.join(scratch, "clean", "src")
         shutil.copytree(
@@ -292,7 +292,7 @@ def build_matrix(runtime: bool) -> Dict[str, object]:
             target = os.path.join(copy, row["relpath"])
             with open(target, "w", encoding="utf-8") as handle:
                 handle.write(patched[row["name"]])
-            entry: Dict[str, object] = {
+            entry: Dict[str, Any] = {
                 "name": row["name"],
                 "bug_class": row["bug_class"],
                 "relpath": row["relpath"],
@@ -304,7 +304,7 @@ def build_matrix(runtime: bool) -> Dict[str, object]:
             sys.stderr.write(
                 "killmatrix: %-26s static=%s%s\n" % (
                     row["name"],
-                    ",".join(sorted(entry["static"])) or "-",  # type: ignore[call-overload]
+                    ",".join(sorted(entry["static"])) or "-",
                     "" if not runtime else " runtime=%s" % (
                         entry["runtime"],
                     ),
@@ -321,12 +321,12 @@ def build_matrix(runtime: bool) -> Dict[str, object]:
 
 
 def lost_kills(
-    recorded: Dict[str, object], current: Dict[str, object]
+    recorded: Dict[str, Any], current: Dict[str, Any]
 ) -> List[str]:
     """Mutants some rule caught in *recorded* that none catches now."""
-    now = {row["name"]: row for row in current["mutants"]}  # type: ignore[union-attr]
+    now = {row["name"]: row for row in current["mutants"]}
     lost: List[str] = []
-    for row in recorded["mutants"]:  # type: ignore[union-attr]
+    for row in recorded["mutants"]:
         if not row["static"]:
             continue
         if row["name"] not in now or not now[row["name"]]["static"]:

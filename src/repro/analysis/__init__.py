@@ -10,13 +10,12 @@ encode those invariants (DESIGN.md §4.2–4.3):
 ========================  ====================================================
 rule                      invariant protected
 ========================  ====================================================
-``shield-egress``         context-mediated egress in the server/query/cache
-                          layer reaches a privacy-shield check before profile
-                          data flows back to a requester (per-class, v1)
-``shield-egress-ip``      the same invariant *whole-program*: interprocedural
-                          taint from every store/adapter/cache/sync source,
-                          through services/sync/subscription/referral, to
-                          every return/send sink — shield is the only
+``shield-egress``         every egress serving a requester context reaches a
+                          privacy-shield check first (whole-program):
+                          interprocedural taint from every
+                          store/adapter/cache/sync/``StoreGet`` source to
+                          every return, send, bus-delivery and
+                          foreign-write sink — the shield is the only
                           sanitizer
 ``determinism``           simulated components use the virtual clock and an
                           injected seeded ``random.Random`` — never wall-clock

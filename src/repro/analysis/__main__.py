@@ -137,6 +137,25 @@ def _changed_files(ref: str, paths: List[str]) -> Optional[List[str]]:
     )
 
 
+def _emit(destination: str, text: str, what: str) -> bool:
+    """Write *text* to stdout (``-``) or to the file *destination*;
+    False, after saying so on stderr, when the file cannot be
+    written."""
+    if destination == "-":
+        sys.stdout.write(text)
+        return True
+    try:
+        with open(destination, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as err:
+        sys.stderr.write(
+            "gupcheck: could not write %s %s: %s\n"
+            % (what, destination, err)
+        )
+        return False
+    return True
+
+
 def _run_effects(paths: List[str], destination: str) -> int:
     """``--effects``: parse *paths*, run the effect fixpoint, and
     write the boundary map (no rules, no cache — the map must always
@@ -167,18 +186,9 @@ def _run_effects(paths: List[str], destination: str) -> int:
 
     payload = effects_payload(modules)
     text = json.dumps(payload, indent=2) + "\n"
-    if destination == "-":
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(destination, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as err:
-            sys.stderr.write(
-                "gupcheck: could not write effects map %s: %s\n"
-                % (destination, err)
-            )
-            return EXIT_ERROR
+    if not _emit(destination, text, "effects map"):
+        return EXIT_ERROR
+    if destination != "-":
         boundary = payload["boundary"]
         sys.stdout.write(
             "gupcheck: effects map %s written (%d function(s), "
@@ -238,18 +248,8 @@ def _run_growth(
     project = Project(modules)
     payload = growth_payload_for(project)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if destination == "-":
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(destination, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as err:
-            sys.stderr.write(
-                "gupcheck: could not write growth inventory %s: %s\n"
-                % (destination, err)
-            )
-            return EXIT_ERROR
+    if not _emit(destination, text, "growth inventory"):
+        return EXIT_ERROR
 
     failing = ContainerGrowthRule().check_project(project)
     if use_baseline:
@@ -411,20 +411,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if options.sarif is not None:
         from repro.analysis.sarif import to_sarif_json
 
-        text = to_sarif_json(report, rules)
-        if options.sarif == "-":
-            sys.stdout.write(text)
-        else:
-            try:
-                with open(options.sarif, "w",
-                          encoding="utf-8") as handle:
-                    handle.write(text)
-            except OSError as err:
-                sys.stderr.write(
-                    "gupcheck: could not write SARIF %s: %s\n"
-                    % (options.sarif, err)
-                )
-                return EXIT_ERROR
+        if not _emit(
+            options.sarif, to_sarif_json(report, rules), "SARIF"
+        ):
+            return EXIT_ERROR
 
     if options.as_json:
         sys.stdout.write(report.to_json() + "\n")

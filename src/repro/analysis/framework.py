@@ -405,13 +405,15 @@ class Analyzer:
     """Runs a rule set over modules / source trees."""
 
     def __init__(self, rules: Optional[Sequence[Rule]] = None) -> None:
-        if rules is None:
-            from repro.analysis.rules import default_rules
-            rules = default_rules()
-        self.rules = list(rules)
-        known = {rule.name for rule in self.rules}
-        known.add(SUPPRESSION_RULE)
-        self._known_rules = known
+        from repro.analysis.rules import ALL_RULES, default_rules
+
+        self.rules = list(default_rules() if rules is None else rules)
+        #: The suppression audit's vocabulary is every *registered*
+        #: rule, not the active subset: under ``--rules X`` a
+        #: suppression naming an inactive rule is simply not audited.
+        self._known_rules = {
+            rule.name for rule in (*ALL_RULES, *self.rules)
+        } | {SUPPRESSION_RULE}
 
     # -- single module ------------------------------------------------------
 
@@ -678,11 +680,20 @@ def check_source(
     Suppressions are honoured (suppressed findings are dropped), so a
     fixture can exercise the suppression path too; malformed
     suppressions are **not** audited here (that is
-    :meth:`Analyzer.analyze_module`'s job)."""
+    :meth:`Analyzer.analyze_module`'s job). A :class:`ProjectRule`
+    sees a one-module project."""
     module = ModuleInfo.from_source(source, relpath)
     findings = []
     if rule.applies_to(relpath):
-        for violation in rule.check(module):
+        if isinstance(rule, ProjectRule):
+            from repro.analysis.ir.project import Project
+
+            project = Project([module])
+            project.taint.compute([relpath])
+            raw = rule.check_module(project, module)
+        else:
+            raw = rule.check(module)
+        for violation in raw:
             supp = module.suppression_for(rule.name, violation.line)
             if supp is not None and supp.justification:
                 continue

@@ -7,10 +7,23 @@ SCCs until the (monotone) summaries stabilize.
 
 **Sources** (axiomatic — their bodies read native stores the project
 cannot see into): ``GupAdapter.get/export_user`` and every subclass
-override, ``ComponentCache.get/get_stale``, and
-``SyncEndpoint.item/snapshot/changes_since``.  Unresolvable receivers
-fall back to the v1 receiver-marker heuristics (``...cache.get(...)``
-etc.) so a dynamically-typed call site never silently drops a source.
+override, ``ComponentCache.get/get_stale``,
+``SyncEndpoint.item/snapshot/changes_since``, and the value a sans-io
+program receives at ``yield StoreGet(...)`` (the driver performs the
+adapter read and sends the fragment back in).  Unresolvable receivers
+fall back to receiver-marker heuristics (``...cache.get(...)``,
+``...log.since(...)``) so a dynamically-typed call site never
+silently drops a source; a bare module-level name is not a receiver
+(``_PARSE_CACHE.get`` is a memo dict, not a component cache).
+
+**Per-package egress models** (:data:`EGRESS_MODELS`): inside
+``repro/bus/`` and ``repro/federation/`` handing records onward *is*
+the plumbing, so egress there is defined by a table row — payload
+parameters that are profile data at entry (what the change log
+replays, what a sync round exports) and the calls that hand them to a
+subscriber or a foreign directory — and applies only to functions
+serving a requester context.  Everywhere else :data:`SEND_SINKS`
+applies, context or not.
 
 **Sanitizer**: the privacy shield, and only the privacy shield.
 GUPster applies it in two shapes, both honoured:
@@ -25,17 +38,21 @@ GUPster applies it in two shapes, both honoured:
   new ones are generated (the shield approved this requester, and the
   referral it pruned governs the subsequent fetches).  The guard
   effect is transitive through a callee whose summary has ``guards``
-  set.  Deliberately *not* ``resolve``: ``GupsterServer.resolve``
-  earns ``guards`` transitively, while ``Reconciler.resolve`` in sync
-  merges raw changes and never will.
+  set.  No other name is a shield: ``GupsterServer.resolve``, the
+  ``cache_lookup`` facades and the engine's ``_resolve_tracked`` earn
+  ``guards`` through their bodies, while ``CoverageMap.resolve`` and
+  sync's ``Reconciler.resolve`` never will.
 
 **Precision/soundness split**: confidently-resolved calls compose
 callee summaries (``returns_source`` + per-parameter flows, sanitizer
-kill honoured); unresolved or name-fallback calls take the blanket
-union of receiver and argument taint so unknown code never launders
-data.  Guard placement is statement-ordered but branch-insensitive —
-a guard inside one branch still marks the frame (documented caveat,
-DESIGN §4.3); returns *before* the first guard keep their taint.
+kill honoured); constructors carry their arguments' taint into the
+object (``QueryOutcome(fragment)``); unresolved or name-fallback
+calls take the blanket union of receiver and argument taint so
+unknown code never launders data.  A ``yield`` evaluates to what it
+yielded (``yield Fork([...])`` hands back the legs' results).  Guard
+placement is statement-ordered but branch-insensitive — a guard
+inside one branch still marks the frame (documented caveat, DESIGN
+§4.3); returns *before* the first guard keep their taint.
 """
 
 from __future__ import annotations
@@ -59,6 +76,8 @@ from repro.analysis.interproc.summaries import SOURCE_LABEL, Summary
 
 __all__ = [
     "DIRECT_SANITIZERS",
+    "EGRESS_MODELS",
+    "INTENT_SOURCES",
     "SEND_SINKS",
     "SIM_RUN_METHODS",
     "SOURCE_METHODS",
@@ -80,11 +99,40 @@ SOURCE_METHODS: Dict[str, FrozenSet[str]] = {
     ),
 }
 
+#: Sans-io intents whose yielded value is profile data: the driver
+#: does the adapter read on the program's behalf.
+INTENT_SOURCES = frozenset({"StoreGet"})
+
 #: Network-style send sinks: handing raw profile data to one of these
 #: is an egress even without a ``return``.
 SEND_SINKS = frozenset(
     {"send", "deliver", "publish", "broadcast", "transmit"}
 )
+
+#: Per-package egress models, relpath prefix -> (payload parameter
+#: names tainted at entry, sink call names).  A row replaces
+#: :data:`SEND_SINKS` under its prefix and binds only functions that
+#: take a requester context — contextless bus/federation code
+#: (``CacheInvalidationListener.deliver``, the import path) is
+#: plumbing.
+EGRESS_MODELS: Dict[str, Tuple[FrozenSet[str], FrozenSet[str]]] = {
+    # Bus delivery: the batch is what the change log replays;
+    # forwarding it to a subscriber is a return, inverted.
+    "repro/bus/": (
+        frozenset({"records", "record", "deltas", "delta", "batch"}),
+        frozenset({
+            "deliver", "_deliver", "_deliver_records", "on_delivery",
+            "_on_delivery", "record_delivery", "_record_delivery",
+        }),
+    ),
+    # Federation export: an outbound sync write discloses to another
+    # administrative domain.
+    "repro/federation/": (
+        frozenset({"value", "values", "record", "records",
+                   "resolution"}),
+        frozenset({"write", "write_attr"}),
+    ),
+}
 
 #: Methods that (re-)enter the discrete-event loop when invoked on a
 #: simulator receiver.
@@ -97,33 +145,52 @@ _BINDING_MUTATORS = frozenset({
 })
 
 #: Receiver-marker fallback (unresolved receivers only):
-#: substring-of-receiver-text -> method names treated as sources.
+#: substring-of-receiver-text -> method names treated as sources
+#: (the empty marker matches any receiver).
 _MARKER_SOURCES: Tuple[Tuple[str, FrozenSet[str]], ...] = (
+    ("", frozenset({"export_user"})),
     ("cache", frozenset({"get", "get_stale"})),
     ("adapter", frozenset({"get", "export_user"})),
     ("endpoint",
      frozenset({"item", "snapshot", "changes_since"})),
     ("store", frozenset({"get", "fetch", "export", "snapshot"})),
+    ("log", frozenset({"since"})),
+    ("bus", frozenset({"since"})),
 )
 
 
 def takes_request_context(fn: FunctionInfo) -> bool:
-    """A parameter named ``context`` or annotated RequestContext marks
-    the function as serving an external requester — its return value
-    is an egress surface."""
-    for param in fn.params:
-        if param == "context":
+    """A parameter named ``context`` / ``contexts`` (the E19 batch)
+    or whose annotation mentions RequestContext anywhere
+    (``Sequence[RequestContext]``, string forms) marks the function
+    as serving an external requester — its return value is an egress
+    surface."""
+    args = fn.node.args
+    for arg in args.posonlyargs + args.args + args.kwonlyargs:
+        if arg.arg in ("context", "contexts"):
             return True
-        annotation = fn.param_annotations.get(param, "")
-        if "RequestContext" in annotation:
+        if arg.annotation is not None \
+                and "RequestContext" in ast.dump(arg.annotation):
             return True
     return False
+
+
+def _egress_model(
+    fn: FunctionInfo,
+) -> Tuple[FrozenSet[str], FrozenSet[str]]:
+    """``(payload params, sink names)`` in force inside *fn*."""
+    for prefix, model in EGRESS_MODELS.items():
+        if fn.relpath.startswith(prefix):
+            if takes_request_context(fn):
+                return model
+            return frozenset(), frozenset()
+    return frozenset(), SEND_SINKS
 
 
 class _Frame:
     """Mutable per-function analysis state."""
 
-    __slots__ = ("env", "returns", "sends", "state")
+    __slots__ = ("env", "returns", "sends", "state", "sinks")
 
     def __init__(
         self,
@@ -131,17 +198,21 @@ class _Frame:
         returns: List[Tuple[int, Set[str]]],
         sends: List[Tuple[int, int, str]],
         state: Dict[str, bool],
+        sinks: FrozenSet[str],
     ) -> None:
         self.env = env
         self.returns = returns
         self.sends = sends
+        #: Call names that are egress inside this function.
+        self.sinks = sinks
         #: ``guarded``: a shield guard has executed on some path.
         self.state = state
 
     def child(self) -> "_Frame":
         """Comprehension scope: own bindings, shared effects."""
         return _Frame(
-            dict(self.env), self.returns, self.sends, self.state
+            dict(self.env), self.returns, self.sends, self.state,
+            self.sinks,
         )
 
     @property
@@ -252,17 +323,22 @@ class TaintEngine:
     # -- per-function analysis ------------------------------------------
 
     def _summarize(self, fn: FunctionInfo) -> Summary:
+        payload, sinks = _egress_model(fn)
         env: Dict[str, Set[str]] = {
             name: {"p%d" % index}
             for index, name in enumerate(fn.params)
         }
-        frame = _Frame(env, [], [], {})
+        frame = _Frame(env, [], [], {}, sinks)
         # Two sweeps: loop-carried and use-before-def local taint
-        # stabilizes on the second pass (matches the v1 rule).
+        # stabilizes on the second pass.
         for _ in range(2):
             del frame.returns[:]
             del frame.sends[:]
             frame.state["guarded"] = False
+            # Payload parameters are profile data at entry — on every
+            # sweep: the first one's guard purged the label.
+            for name in payload.intersection(fn.params):
+                env[name].add(SOURCE_LABEL)
             self._walk_block(fn.node.body, frame, fn)
         labels: Set[str] = set()
         tainted_lines: List[int] = []
@@ -466,6 +542,17 @@ class TaintEngine:
             taint = self._eval(expr.value, frame, fn)
             self._bind(expr.target, taint, frame)
             return taint
+        if isinstance(expr, (ast.Yield, ast.YieldFrom)):
+            taint = self._eval(expr.value, frame, fn)
+            intent = expr.value
+            if (
+                isinstance(intent, ast.Call)
+                and isinstance(intent.func, ast.Name)
+                and intent.func.id in INTENT_SOURCES
+                and not frame.guarded
+            ):
+                taint.add(SOURCE_LABEL)
+            return taint
         return set()
 
     def _eval_call(
@@ -489,8 +576,8 @@ class TaintEngine:
             kw.arg: self._eval(kw.value, frame, fn)
             for kw in call.keywords
         }
-        # Send sinks: raw profile data handed to the network.
-        if name in SEND_SINKS:
+        # Egress sinks: raw profile data handed onward.
+        if name in frame.sinks:
             handed: Set[str] = set()
             for taint in arg_taints:
                 handed |= taint
@@ -526,6 +613,9 @@ class TaintEngine:
                     target, call, resolution.is_constructor,
                     receiver_taint, arg_taints, kw_taints, frame,
                 )
+            if resolution.is_constructor:
+                # The object carries whatever it was built from.
+                result = result.union(*arg_taints, *kw_taints.values())
             if frame.guarded:
                 result.discard(SOURCE_LABEL)
             return result
@@ -547,7 +637,7 @@ class TaintEngine:
         elif (
             isinstance(func, ast.Attribute)
             and name is not None
-            and self._marker_source(func, name)
+            and self._marker_source(func, name, fn)
         ):
             blanket.add(SOURCE_LABEL)
         if frame.guarded:
@@ -630,15 +720,28 @@ class TaintEngine:
         return False
 
     @staticmethod
-    def _marker_source(func: ast.Attribute, name: str) -> bool:
-        receiver = dotted_ref(func.value) or ""
-        text = receiver.lower()
-        if not text:
+    def _marker_source(func: ast.Attribute, name: str,
+                       fn: FunctionInfo) -> bool:
+        text = (dotted_ref(func.value) or "").lower()
+        if not any(
+            marker in text and name in methods
+            for marker, methods in _MARKER_SOURCES
+        ):
             return False
-        for marker, methods in _MARKER_SOURCES:
-            if marker in text and name in methods:
-                return True
-        return False
+        # A bare name the function never binds is module-level state
+        # (``_PARSE_CACHE.get`` is a memo dict), not an injected
+        # cache/adapter/log object.
+        receiver = func.value
+        return (
+            not isinstance(receiver, ast.Name)
+            or receiver.id in fn.params
+            or any(
+                isinstance(node, ast.Name)
+                and node.id == receiver.id
+                and isinstance(node.ctx, ast.Store)
+                for node in ast.walk(fn.node)
+            )
+        )
 
     # -- effect inference -----------------------------------------------
 

@@ -8,8 +8,10 @@ it may reach:
   import-alias map;
 * ``self.m(...)`` — method lookup with base-class walk;
 * ``recv.m(...)`` where the receiver's class is known from a parameter
-  annotation, an inferred ``self.attr`` type or a local
-  ``x = SomeClass(...)`` assignment — **interface dispatch**: the call
+  annotation, an inferred ``self.attr`` type, a local
+  ``x = SomeClass(...)`` / ``x = self.attr`` assignment or an
+  attribute chain over any of them (``host.server.resolve(...)``) —
+  **interface dispatch**: the call
   binds to the static implementation *plus every project subclass
   override* (the ``adapters/base`` pattern);
 * fallback: an unannotated receiver binds by method name only when
@@ -86,9 +88,18 @@ class CallResolver:
             return self._resolve_method(func, fn)
         return _UNRESOLVED
 
-    def receiver_class(self, expr: ast.expr,
-                       fn: FunctionInfo) -> Optional[str]:
-        """Project class qualname of a receiver expression, if known."""
+    def receiver_class(
+        self,
+        expr: ast.expr,
+        fn: FunctionInfo,
+        types: Optional[Dict[str, str]] = None,
+    ) -> Optional[str]:
+        """Project class qualname of a receiver expression, if known:
+        ``self``, an annotated parameter, a typed local, or any
+        attribute chain over one (``host.server.cache``).  *types* is
+        the local-type map to read bare names from —
+        :meth:`_local_types` passes the partial map it is building so
+        the lookup never recurses into it."""
         if isinstance(expr, ast.Name):
             if expr.id == "self" and fn.class_name is not None:
                 return "%s.%s" % (fn.module_name, fn.class_name)
@@ -97,15 +108,13 @@ class CallResolver:
                 qual = self._class_qualname(ref, fn.module_name)
                 if qual is not None:
                     return qual
-            return self._local_types(fn).get(expr.id)
-        if (
-            isinstance(expr, ast.Attribute)
-            and isinstance(expr.value, ast.Name)
-            and expr.value.id == "self"
-            and fn.class_name is not None
-        ):
-            owner = "%s.%s" % (fn.module_name, fn.class_name)
-            return self._attr_class(owner, expr.attr)
+            if types is None:
+                types = self._local_types(fn)
+            return types.get(expr.id)
+        if isinstance(expr, ast.Attribute):
+            owner = self.receiver_class(expr.value, fn, types)
+            if owner is not None:
+                return self._attr_class(owner, expr.attr)
         return None
 
     # -- name-shaped calls ---------------------------------------------
@@ -228,10 +237,11 @@ class CallResolver:
 
     def _local_types(self, fn: FunctionInfo) -> Dict[str, str]:
         """``x = SomeClass(...)`` / ``x: T`` local type bindings,
-        plus ``x = recv.method()`` through the resolved callee's
-        *return annotation* (``trace = network.trace()`` binds
-        ``trace`` to the Trace class that ``Network.trace -> "Trace"``
-        names)."""
+        ``x = self.attr`` through the attribute's inferred class
+        (``host = self.host``), plus ``x = recv.method()`` through
+        the resolved callee's *return annotation*
+        (``trace = network.trace()`` binds ``trace`` to the Trace
+        class that ``Network.trace -> "Trace"`` names)."""
         cached = self._locals_cache.get(fn.qualname)
         if cached is not None:
             return cached
@@ -259,6 +269,8 @@ class CallResolver:
                     qual = self._return_class(value, fn, types)
             elif ref is not None:
                 qual = self._class_qualname(ref, fn.module_name)
+            elif isinstance(value, ast.Attribute):
+                qual = self.receiver_class(value, fn, types)
             if qual is not None and types.get(target.id, qual) == qual:
                 types[target.id] = qual
             elif target.id in types and types[target.id] != qual:
@@ -276,35 +288,11 @@ class CallResolver:
         """Project class the *call*'s return annotation names, if the
         callee resolves.  ``types`` is the partial local map built so
         far (statements are walked in order, so earlier bindings are
-        visible) — this deliberately avoids :meth:`receiver_class`,
-        whose locals lookup would recurse into the map under
-        construction."""
+        visible)."""
         func = call.func
         callee: Optional[FunctionInfo] = None
         if isinstance(func, ast.Attribute):
-            owner: Optional[str] = None
-            receiver = func.value
-            if isinstance(receiver, ast.Name):
-                if receiver.id == "self" and fn.class_name is not None:
-                    owner = "%s.%s" % (fn.module_name, fn.class_name)
-                else:
-                    ann = fn.param_annotations.get(receiver.id)
-                    if ann is not None:
-                        owner = self._class_qualname(
-                            ann, fn.module_name
-                        )
-                    if owner is None:
-                        owner = types.get(receiver.id)
-            elif (
-                isinstance(receiver, ast.Attribute)
-                and isinstance(receiver.value, ast.Name)
-                and receiver.value.id == "self"
-                and fn.class_name is not None
-            ):
-                owner = self._attr_class(
-                    "%s.%s" % (fn.module_name, fn.class_name),
-                    receiver.attr,
-                )
+            owner = self.receiver_class(func.value, fn, types)
             if owner is not None:
                 callee = self.project.method_on(owner, func.attr)
         else:

@@ -1,8 +1,8 @@
 """The repo-specific gupcheck rules (one module per rule).
 
 Intra-module rules see one :class:`~repro.analysis.framework.ModuleInfo`
-at a time; whole-program rules (``shield-egress-ip``,
-``handler-reentrancy``) subclass
+at a time; whole-program rules (``shield-egress``,
+``handler-reentrancy``, ...) subclass
 :class:`~repro.analysis.framework.ProjectRule` and run on the
 project IR with interprocedural taint summaries.
 """
@@ -27,9 +27,6 @@ from repro.analysis.rules.layering import LayeringRule
 from repro.analysis.rules.memo_confinement import MemoConfinementRule
 from repro.analysis.rules.sans_io import SansIoPurityRule
 from repro.analysis.rules.shield_egress import ShieldEgressRule
-from repro.analysis.rules.shield_egress_ip import (
-    ShieldEgressInterprocRule,
-)
 from repro.analysis.rules.sim_blocking import SimBlockingRule
 from repro.analysis.rules.sim_race import SimRaceRule
 from repro.analysis.rules.span_balance import SpanBalanceRule
@@ -37,7 +34,6 @@ from repro.analysis.rules.span_balance import SpanBalanceRule
 #: Rule classes in report order.
 ALL_RULES = (
     ShieldEgressRule,
-    ShieldEgressInterprocRule,
     DeterminismRule,
     LayeringRule,
     ExceptionTotalityRule,
@@ -65,7 +61,6 @@ __all__ = [
     "LayeringRule",
     "MemoConfinementRule",
     "SansIoPurityRule",
-    "ShieldEgressInterprocRule",
     "ShieldEgressRule",
     "SimBlockingRule",
     "SimRaceRule",

@@ -22,9 +22,10 @@ The typestate is per local variable over the function CFG:
 
 Join is must-fresh: a snapshot stale on *any* incoming path is stale
 at the merge — replay safety has to hold on every path.  Receivers
-are recognized by the same trailing-identifier heuristic the
-shield-egress rule uses for log/bus objects (``bus``, ``log``,
-``*_bus``, ``*_log``, ``self._logs[...]``).
+are recognized by a trailing-identifier heuristic for log/bus
+objects (``bus``, ``log``, ``*_bus``, ``*_log``,
+``self._logs[...]``) — the same spirit as the taint engine's
+receiver markers (``_MARKER_SOURCES`` in ``interproc/taint.py``).
 """
 
 from __future__ import annotations

@@ -29,8 +29,9 @@ SARIF_SCHEMA = (
 #: Major-bumped with the analysis engine: 4.x adds the
 #: interprocedural resource-bound analysis (container-growth, the
 #: verdict inventory and the declared-bound contract surface); 3.x
-#: added the CFG/typestate rules and effect inference.
-_TOOL_VERSION = "4.0.0"
+#: added the CFG/typestate rules and effect inference. 4.1 changes
+#: rule ids: the two shield rules are one ``shield-egress``.
+_TOOL_VERSION = "4.1.0"
 _FINGERPRINT_KEY = "gupcheckFingerprint/v1"
 
 

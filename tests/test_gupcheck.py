@@ -7,6 +7,7 @@ snippet it must not flag, and a suppressed snippet (justified
 ``# gupcheck: ignore[rule] -- why`` comment) it must stay silent on.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -593,10 +594,20 @@ class TestShieldEgressRule:
         assert found == []
 
     def test_resolve_counts_as_sanitizer(self):
+        # Not by its name: the server's resolve earns the guard
+        # through a body that reaches pep.enforce.
         found = check_source(
             ShieldEgressRule(),
             dedent("""
+                class Server:
+                    def resolve(self, request, context, now):
+                        self.pep.enforce(request, context)
+                        return self.coverage.lookup(request)
+
                 class Executor:
+                    def __init__(self, server: Server):
+                        self.server = server
+
                     def run(self, request, context, now):
                         referral = self.server.resolve(request, context, now)
                         fragments = []
@@ -669,6 +680,15 @@ class TestShieldEgressRule:
                             )
                             results.append(referral)
                         return results
+
+                    def cache_lookup(self, request, context, now):
+                        hit = self.cache.get(request, now, scope="s")
+                        self._shield_cached(request, context)
+                        return hit
+
+                    def _resolve_tracked(self, request, context, now):
+                        self.pep.enforce(request, context)
+                        return self.coverage.lookup(request)
             """),
             self.ENGINE_RELPATH,
         )
@@ -733,15 +753,19 @@ class TestShieldEgressRule:
         assert len(found) == 1
         assert "referral" in found[0].message
 
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def shipped_findings():
+        """Relpaths of the rule's findings over the real tree (the
+        whole of src/ is the project: shields are earned through
+        resolved callee bodies, not names)."""
+        report = Analyzer([ShieldEgressRule()]).analyze_paths([SRC_ROOT])
+        assert report.errors == []
+        return [v.path for v in report.violations + report.suppressed]
+
     def test_shipped_engine_is_shielded(self):
         # Every requester-facing pattern program reaches the shield.
-        path = os.path.join(SRC_ROOT, "repro", "sansio", "engine.py")
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        found = check_source(
-            ShieldEgressRule(), source, self.ENGINE_RELPATH
-        )
-        assert found == []
+        assert self.ENGINE_RELPATH not in self.shipped_findings()
 
     def test_contextless_plumbing_exempt(self):
         # No requester context = not an egress surface (the cache
@@ -764,6 +788,7 @@ class TestShieldEgressRule:
         assert found == []
 
     def test_out_of_scope_file_not_checked(self):
+        # The rule covers all of repro/; tests and benches are out.
         found = check_source(
             ShieldEgressRule(),
             dedent("""
@@ -771,7 +796,7 @@ class TestShieldEgressRule:
                     def lookup(self, request, context):
                         return self.cache.get(request, 0.0)
             """),
-            "repro/core/mdm.py",
+            "tests/fixture.py",
         )
         assert found == []
 
@@ -844,6 +869,22 @@ class TestShieldEgressRule:
             self.BUS_RELPATH,
         )
         assert found == []
+
+    def test_flags_bus_delivery_before_the_shield(self):
+        # The shield is statement-ordered, not function-wide: a delta
+        # forwarded before the enforce has not passed it.
+        found = check_source(
+            ShieldEgressRule(),
+            dedent("""
+                class Subscriber:
+                    def _deliver_records(self, records, now, context):
+                        for record in records:
+                            self._on_delivery(record.value, record.at, now)
+                        self._pep.enforce(self._request, context)
+            """),
+            self.BUS_RELPATH,
+        )
+        assert len(found) == 1
 
     def test_contextless_bus_plumbing_exempt(self):
         # The wave flush hands records to listeners but acts for no
@@ -965,15 +1006,7 @@ class TestShieldEgressRule:
 
     def test_shipped_reconciler_export_is_shielded(self):
         # The rule holds on the real module, not just fixtures.
-        path = os.path.join(
-            SRC_ROOT, "repro", "federation", "reconciler.py"
-        )
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        found = check_source(
-            ShieldEgressRule(), source, self.FED_RELPATH
-        )
-        assert found == []
+        assert self.FED_RELPATH not in self.shipped_findings()
 
 
 # ---------------------------------------------------------------------------
@@ -1134,6 +1167,19 @@ class TestSuppressionAudit:
         """)
         assert [v.rule for v in active] == [SUPPRESSION_RULE]
         assert "no-such-rule" in active[0].message
+
+    def test_rule_subset_still_knows_every_registered_rule(self):
+        # `--rules X` must not turn every other rule's suppressions
+        # into "unknown rule" findings: the vocabulary is the
+        # registry, and an inactive rule's suppression is not audited.
+        subset = Analyzer(rules=[SimBlockingRule()])
+        module = ModuleInfo.from_source(dedent("""
+            x = 1  # gupcheck: ignore[determinism] -- inactive here
+            y = 2  # gupcheck: ignore[nonsense] -- still a typo
+        """), "repro/core/fixture.py")
+        active, _ = subset.analyze_module(module)
+        assert [v.rule for v in active] == [SUPPRESSION_RULE]
+        assert "nonsense" in active[0].message
 
     def test_trailing_comment_covers_its_own_line(self):
         active, suppressed = self._analyze("""

@@ -28,7 +28,7 @@ from repro.analysis.ir.project import (
 from repro.analysis.rules import (
     HandlerReentrancyRule,
     IterOrderRule,
-    ShieldEgressInterprocRule,
+    ShieldEgressRule,
     SimRaceRule,
 )
 from repro.analysis.sarif import to_sarif, to_sarif_json
@@ -345,7 +345,7 @@ class TestShieldEgressInterproc:
         report = self.analyze(tmp_path, SERVICES)
         hits = [
             v for v in report.violations
-            if v.rule == ShieldEgressInterprocRule.name
+            if v.rule == ShieldEgressRule.name
         ]
         assert hits, [str(v) for v in report.violations]
         assert all(v.path == "repro/services/svc.py" for v in hits)
@@ -388,7 +388,7 @@ class TestShieldEgressInterproc:
         report = self.analyze(tmp_path, safe_only)
         assert [
             v for v in report.violations
-            if v.rule == ShieldEgressInterprocRule.name
+            if v.rule == ShieldEgressRule.name
         ] == []
 
     def test_send_sink_is_flagged_without_context(self, tmp_path):
@@ -410,10 +410,110 @@ class TestShieldEgressInterproc:
         report = self.analyze(tmp_path, sender)
         hits = [
             v for v in report.violations
-            if v.rule == ShieldEgressInterprocRule.name
+            if v.rule == ShieldEgressRule.name
         ]
         assert len(hits) == 1
         assert "send" in hits[0].message
+
+    # -- the engine repairs the one-rule fold needed -------------------
+
+    CHAIN = dedent(
+        """
+        class ComponentCache:
+            def get(self, path, now, scope=""):
+                return self.entries.get((path, scope))
+
+
+        class Coverage:
+            def resolve(self, path):
+                return [path]
+
+
+        class Server:
+            def __init__(self, cache: ComponentCache,
+                         coverage: Coverage):
+                self.cache = cache
+                self.coverage = coverage
+
+            def resolve(self, path, context, now):
+                self.pep.enforce(path, context)
+                return self.coverage.resolve(path)
+
+
+        class Host:
+            def __init__(self, server: Server):
+                self.server = server
+
+
+        class Outcome:
+            def __init__(self, value, hit=False):
+                self.value = value
+                self.hit = hit
+
+
+        class Engine:
+            def __init__(self, host: Host):
+                self.host = host
+
+            def shielded(self, path, context, now):
+                host = self.host
+                referral = host.server.resolve(path, context, now)
+                fragment = yield StoreGet(referral[0], path)
+                return Outcome(fragment)
+
+            def raw_cache_hit(self, path, context, now):
+                host = self.host
+                cached = host.server.cache.get(path, now, scope="s")
+                return Outcome(cached, hit=True)
+
+            def off_the_shield(self, path, context, now):
+                referral = self.host.server.coverage.resolve(path)
+                fragment = yield StoreGet(referral[0], path)
+                return Outcome(fragment)
+        """
+    )
+
+    def test_shield_is_earned_through_attribute_chains_not_names(self):
+        # `host = self.host; host.server.resolve(...)` types through
+        # to Server.resolve, whose body reaches enforce: guarded.
+        # Coverage.resolve shares the name and is no shield; a project
+        # class constructor carries its argument's taint (the PR 1
+        # bypass inside a program returns `Outcome(cached, hit=True)`).
+        found = check_source(
+            ShieldEgressRule(), self.CHAIN, "repro/sansio/engine.py"
+        )
+        flagged = sorted(v.message.split()[0] for v in found)
+        assert flagged == [
+            "repro.sansio.engine.Engine.off_the_shield",
+            "repro.sansio.engine.Engine.raw_cache_hit",
+        ]
+
+    def test_module_level_memo_is_not_a_cache_source(self):
+        # A memo dict named like a cache is not a ComponentCache: the
+        # receiver-marker fallback is for injected objects only.
+        found = check_source(
+            ShieldEgressRule(),
+            dedent(
+                """
+                _PARSE_CACHE = {}
+
+
+                def parse(text, context):
+                    cached = _PARSE_CACHE.get(text)
+                    if cached is None:
+                        cached = _PARSE_CACHE[text] = text.split("/")
+                    return cached
+
+
+                def probe(cache, text, context):
+                    return cache.get(text)
+                """
+            ),
+            "repro/pxml/path.py",
+        )
+        assert [v.message.split()[0] for v in found] == [
+            "repro.pxml.path.probe"
+        ]
 
 
 # ---------------------------------------------------------------------------

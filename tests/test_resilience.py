@@ -377,6 +377,30 @@ class TestCachePrivacyShield:
                 "client-app", self.BOOK, cousin, now=1.0
             )
 
+    def test_policy_revocation_reaches_stale_serves(self):
+        # The serve-stale facade re-checks the shield too. Inside
+        # cached() the preceding resolve denies first, so only a
+        # direct call tells a missing re-check apart (the E17 kill
+        # matrix's stale_no_recheck mutant).
+        world = build_converged_world()
+        world.server.cache = ComponentCache(
+            default_ttl_ms=1_000.0, stale_grace_ms=10_000.0
+        )
+        cousin = RequestContext("cousin", relationship="family")
+        world.executor.cached(
+            "client-app", self.BOOK, cousin, now=0.0
+        )
+        # Past TTL, inside the stale grace: still served...
+        assert world.server.cache_stale_lookup(
+            self.BOOK, cousin, 5_000.0
+        ) is not None
+        # ...until the owner revokes family access.
+        world.server.revoke_policy("arnaud", "arnaud-family-book")
+        with pytest.raises(AccessDeniedError):
+            world.server.cache_stale_lookup(
+                self.BOOK, cousin, 5_000.0
+            )
+
 
 class TestSubscriptionPollResilience:
     def test_poll_failures_counted_not_fatal(self):

@@ -219,7 +219,7 @@ class TestConflicts:
 
 
 # ---------------------------------------------------------------------------
-# shield-mediated sessions (gupcheck shield-egress-ip satellite): the
+# shield-mediated sessions (gupcheck shield-egress satellite): the
 # network never pushes an item to the device that the device's
 # RequestContext is not permitted to see.
 # ---------------------------------------------------------------------------
