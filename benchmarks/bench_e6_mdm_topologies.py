@@ -161,7 +161,7 @@ def test_e6_availability(benchmark, report):
                 try:
                     distributed.resolve("client", PRESENCE, ctx())
                     dist_ok += 1
-                except (GupsterError, Exception):
+                except GupsterError:
                     pass
             rows.append(
                 (", ".join(failed) if failed else "(none)",

@@ -21,16 +21,24 @@ changelog feed.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
-from repro.errors import GupsterError, NodeUnreachableError
+from repro.errors import GupsterError
 from repro.pxml import Path, parse_path
 from repro.access import RequestContext
-from repro.core.host import QueryHost
+from repro.core.mdm import BatchOutcome, Lookup, single
 from repro.core.referral import Referral
+from repro.core.resilience import RetryPolicy
 from repro.core.server import GupsterServer
-from repro.simnet import Network, Trace
+from repro.sansio.intents import Program, Send
+from repro.simnet import Network
+from repro.simnet.driver import SimnetDriver
 from repro.adapters.base import GupAdapter
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.simnet import Trace
 
 __all__ = ["MirrorConstellation"]
 
@@ -87,6 +95,16 @@ class MirrorConstellation:
         """One gossip round: every mirror ships its news to every
         other. Returns the number of change entries applied; charges
         messages/bytes to *trace* when given."""
+        round_ = self._gossip_round()
+        if trace is not None:
+            return SimnetDriver({}).run(round_, trace)
+        try:  # uncharged (E14's background gossip): skip the Sends
+            while True:
+                next(round_)
+        except StopIteration as done:
+            return done.value
+
+    def _gossip_round(self) -> Program[int]:
         applied_total = 0
         for source in self.mirror_nodes:
             source_cov = self.servers[source].coverage
@@ -97,9 +115,8 @@ class MirrorConstellation:
                 changes = source_cov.changes_since(mark)
                 if changes:
                     payload = ENTRY_BYTES * len(changes)
-                    if trace is not None:
-                        trace.hop(source, target, payload,
-                                  "replicate %d entries" % len(changes))
+                    yield Send(source, target, payload,
+                               "replicate %d entries" % len(changes))
                     self.replication_messages += 1
                     self.replication_bytes += payload
                     applied_total += self._apply_foreign(
@@ -136,41 +153,24 @@ class MirrorConstellation:
     # -- reads ------------------------------------------------------------------
 
     def resolve(
-        self,
-        client: str,
-        request: Union[str, Path],
-        context: RequestContext,
-        now: float = 0.0,
+        self, client: str, request: Union[str, Path],
+        context: RequestContext, now: float = 0.0,
         prefer: Optional[str] = None,
     ) -> Tuple[Referral, Trace, str]:
-        """Resolve at the preferred (or first reachable) mirror.
-        Returns (referral, trace, mirror used)."""
-        path = parse_path(request)
-        order = list(self.mirror_nodes)
-        if prefer is not None and prefer in order:
-            order.remove(prefer)
-            order.insert(0, prefer)
+        """One sweep of the :class:`~repro.core.mdm.CentralizedMdm`
+        walk over per-mirror servers, *prefer* first and the rest in
+        mirror order. Returns (referral, trace, mirror used)."""
+        outcomes: List[BatchOutcome] = [(None, None)]
+        items = [(0, parse_path(request), context)]
+        lookup = Lookup(client, now, RetryPolicy.none(), None, outcomes)
+        order = sorted(self.mirror_nodes, key=lambda node: node != prefer)
         trace = self.network.trace()
-        last_error: Optional[Exception] = None
-        for node in order:
-            request_bytes = (
-                len(str(path)) + context.byte_size()
-                + QueryHost.REQUEST_OVERHEAD_BYTES
-            )
-            try:
-                trace.hop(client, node, request_bytes, "resolve")
-            except NodeUnreachableError as err:
-                last_error = err
-                continue
-            trace.compute(QueryHost.RESOLVE_COMPUTE_MS, "resolve")
-            referral = self.servers[node].resolve(path, context, now)
-            trace.hop(node, client,
-                      referral.byte_size() + QueryHost.REQUEST_OVERHEAD_BYTES,
-                      "referral")
-            return referral, trace, node
-        raise GupsterError(
-            "no mirror reachable: %s" % last_error
-        )
+        answered = SimnetDriver({}).run(lookup.with_retry(
+            order, items, lambda node: lookup.round_trip(
+                node, items, self.servers[node].resolve
+            ),
+        ), trace)
+        return single((outcomes, trace)) + (answered[0],)
 
     # -- consistency measurement ---------------------------------------------------
 

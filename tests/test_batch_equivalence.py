@@ -440,6 +440,7 @@ def _mdm_batched(mdm, requests, contexts, **kwargs):
 class TestMdmBatchEquivalence:
     PRESENCE = "/user[@id='u1']/presence"
     GHOST = "/user[@id='ghost']/presence"
+    WALLET = "/user[@id='u1']/wallet"
 
     def _requests(self):
         ghost = RequestContext("ghost", relationship="self")
@@ -448,6 +449,21 @@ class TestMdmBatchEquivalence:
             [self.PRESENCE, self.GHOST, self.PRESENCE],
             [u1, ghost, u1],
         )
+
+    def _assert_equivalent(self, build, requests, contexts, fault_sets):
+        """Batch ≡ sequential under each (dead nodes, forced drops per
+        client link) set. One drop is absorbed by a retry or failover
+        on both sides; 99 outlast every attempt of every item."""
+        for dead, drops in fault_sets:
+            runs = []
+            for run in (_mdm_sequential, _mdm_batched):
+                network, mdm = build()
+                for node in dead:
+                    network.fail(node)
+                for node, count in drops.items():
+                    network.force_drops("client", node, count)
+                runs.append(run(mdm, requests, contexts))
+            assert runs[0] == runs[1], (dead, drops)
 
     def _centralized(self):
         from repro.core import CentralizedMdm
@@ -461,16 +477,14 @@ class TestMdmBatchEquivalence:
         )
 
     def test_centralized_sunny_and_failover(self):
-        requests, contexts = self._requests()
-        for dead in ((), ("mdm.us",), ("mdm.us", "mdm.eu")):
-            network, mdm = self._centralized()
-            for node in dead:
-                network.fail(node)
-            sequential = _mdm_sequential(mdm, requests, contexts)
-            network2, mdm2 = self._centralized()
-            for node in dead:
-                network2.fail(node)
-            assert _mdm_batched(mdm2, requests, contexts) == sequential
+        self._assert_equivalent(self._centralized, *self._requests(), (
+            ((), {}),
+            (("mdm.us",), {}),
+            (("mdm.us", "mdm.eu"), {}),
+            ((), {"mdm.us": 1}),
+            ((), {"mdm.us": 1, "mdm.eu": 1}),
+            (("mdm.eu",), {"mdm.us": 99}),
+        ))
 
     def _distributed(self):
         from repro.core import UserDistributedMdm
@@ -483,21 +497,18 @@ class TestMdmBatchEquivalence:
         return network, mdm
 
     def test_user_distributed(self):
-        requests, contexts = self._requests()
-        for dead in ((), ("mdm.carrier",)):
-            network, mdm = self._distributed()
-            for node in dead:
-                network.fail(node)
-            sequential = _mdm_sequential(mdm, requests, contexts)
-            network2, mdm2 = self._distributed()
-            for node in dead:
-                network2.fail(node)
-            assert _mdm_batched(mdm2, requests, contexts) == sequential
+        self._assert_equivalent(self._distributed, *self._requests(), (
+            ((), {}),
+            (("mdm.carrier",), {}),
+            ((), {"whitepages": 1}),
+            ((), {"mdm.carrier": 1}),
+            ((), {"whitepages": 99}),
+            ((), {"mdm.carrier": 99}),
+        ))
 
     def _hierarchical(self):
         from repro.core import HierarchicalMdm
 
-        wallet = "/user[@id='u1']/wallet"
         network = Network(seed=5)
         for node in ("client", "mdm.carrier", "mdm.bank"):
             network.add_node(node)
@@ -506,22 +517,25 @@ class TestMdmBatchEquivalence:
         bank_store = SyntheticAdapter("store.bank")
         bank_store.add_user("u1", ["preferences"])
         bank.join(bank_store)
-        bank.register_component(wallet, "store.bank")
+        bank.register_component(self.WALLET, "store.bank")
         mdm.set_primary("u1", "mdm.carrier", _mdm_server("primary"))
-        mdm.delegate("u1", wallet, "mdm.bank", bank)
-        return network, mdm, wallet
+        mdm.delegate("u1", self.WALLET, "mdm.bank", bank)
+        return network, mdm
 
     def test_hierarchical_with_delegation(self):
         ghost = RequestContext("ghost", relationship="self")
         u1 = RequestContext("u1", relationship="self")
-        for dead in ((), ("mdm.bank",), ("mdm.carrier",)):
-            network, mdm, wallet = self._hierarchical()
-            requests = [self.PRESENCE, wallet, self.GHOST, wallet]
-            contexts = [u1, u1, ghost, u1]
-            for node in dead:
-                network.fail(node)
-            sequential = _mdm_sequential(mdm, requests, contexts)
-            network2, mdm2, _wallet = self._hierarchical()
-            for node in dead:
-                network2.fail(node)
-            assert _mdm_batched(mdm2, requests, contexts) == sequential
+        self._assert_equivalent(
+            self._hierarchical,
+            [self.PRESENCE, self.WALLET, self.GHOST, self.WALLET],
+            [u1, u1, ghost, u1],
+            (
+                ((), {}),
+                (("mdm.bank",), {}),
+                (("mdm.carrier",), {}),
+                ((), {"mdm.carrier": 1}),
+                ((), {"mdm.bank": 1}),
+                ((), {"mdm.carrier": 99}),
+                ((), {"mdm.bank": 99}),
+            ),
+        )

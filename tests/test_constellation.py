@@ -124,6 +124,17 @@ class TestReads:
         assert used != "mdm.0"
         assert trace.elapsed_ms > network.detect_timeout_ms
 
+    def test_lost_message_fails_over_like_a_dead_mirror(self):
+        network, constellation, store = build()
+        constellation.join_store(store, via="mdm.0")
+        constellation.replicate()
+        network.force_drops("client", "mdm.1", 1)
+        referral, trace, used = constellation.resolve(
+            "client", PRESENCE, ctx(), prefer="mdm.1"
+        )
+        assert referral.parts and used == "mdm.0"
+        assert trace.timeouts_charged == 1
+
     def test_all_mirrors_down(self):
         network, constellation, store = build()
         constellation.join_store(store, via="mdm.0")

@@ -22,6 +22,19 @@ def ctx():
     return RequestContext("u1", relationship="self")
 
 
+class DropNth(Network):
+    """Loses exactly the *nth* hop sent — a reply-hop loss that
+    ``force_drops`` (next-N-hops) cannot express."""
+
+    def __init__(self, nth, **kwargs):
+        super().__init__(**kwargs)
+        self.until_drop = nth
+
+    def _should_drop(self, src, dst):
+        self.until_drop -= 1
+        return self.until_drop == 0
+
+
 def make_server(name, components=("presence",), user="u1"):
     server = GupsterServer(name)
     store = SyntheticAdapter("store.%s" % name)
@@ -107,6 +120,28 @@ class TestUserDistributedMdm:
         assert referral.parts
         assert trace.hops == 2  # no white-pages hop with a hint
 
+    def test_white_pages_trip_is_retried(self):
+        # Any hop of the white-pages trip may be lost; the lookup
+        # backs off and asks again instead of leaking the loss.
+        self.network.force_drops("client", "whitepages", 1)
+        referral, trace = self.mdm.resolve("client", PRESENCE, ctx())
+        assert referral.parts
+        assert (trace.retries, trace.hops) == (1, 4)
+
+    def test_white_pages_outage_fails_only_the_lookups(self):
+        unlisted = make_server("u2-mdm", user="u2")
+        self.mdm.assign("u2", "mdm.bank", unlisted, unlisted=True)
+        self.network.fail("whitepages")
+        outcomes, _trace = self.mdm.resolve_batch(
+            "client",
+            [PRESENCE, "/user[@id='u2']/presence"],
+            [ctx(), RequestContext("u2", relationship="self")],
+            hints={"u2": "mdm.bank"},
+        )
+        (_listed, error), (hinted, _none) = outcomes
+        assert isinstance(error, GupsterError)
+        assert hinted.parts  # needed no white pages
+
     def test_wrong_hint_rejected(self):
         with pytest.raises(GupsterError):
             self.mdm.resolve("client", PRESENCE, ctx(),
@@ -146,6 +181,18 @@ class TestHierarchicalMdm:
         referral, trace = self.mdm.resolve("client", WALLET_CARD, ctx())
         assert referral.parts[0].store_ids == ["store.bank"]
         assert trace.hops == 4  # primary RT + delegate RT
+
+    def test_lost_primary_reply_is_retried(self):
+        network = DropNth(2, seed=5)  # hop 2 is the primary's reply
+        for node in ("client", "mdm.carrier"):
+            network.add_node(node)
+        mdm = HierarchicalMdm(network)
+        mdm.set_primary("u1", "mdm.carrier", self.primary)
+        referral, trace = mdm.resolve("client", PRESENCE, ctx())
+        assert referral.parts
+        assert (trace.retries, trace.hops) == (1, 3)
+        # Health learns from the whole trip, not the request alone.
+        assert not mdm.health.is_suspect("mdm.carrier")
 
     def test_delegation_must_belong_to_user(self):
         with pytest.raises(GupsterError):

@@ -2,8 +2,12 @@
 satellite regressions (cache TTL boundary, backoff cap, resync
 error)."""
 
+import ast
+import pathlib
+
 import pytest
 
+import repro.core
 from repro.access import RequestContext
 from repro.core import (
     ComponentCache,
@@ -102,6 +106,53 @@ class TestIntents:
             [LegOutcome(value=1), LegOutcome(error=boom),
              LegOutcome(value=2)]
         ) == [1, 2]
+
+
+# ---------------------------------------------------------------------------
+# repro.core is written in intents, not against the Trace
+# ---------------------------------------------------------------------------
+
+class TestCoreChargesThroughIntents:
+    """Every network-charging path in ``repro/core/`` is a sans-io
+    program: only ``query.py`` (the simnet face) may import ``Trace``
+    at run time, and nothing calls the charging methods directly."""
+
+    MODULES = sorted(
+        pathlib.Path(repro.core.__file__).parent.glob("*.py")
+    )
+
+    @staticmethod
+    def _runtime_nodes(tree):
+        """Every node outside ``if TYPE_CHECKING:`` blocks."""
+        pending = [tree]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.dump(
+                node.test
+            ):
+                pending.extend(node.orelse)
+                continue
+            yield node
+            pending.extend(ast.iter_child_nodes(node))
+
+    @pytest.mark.parametrize(
+        "module", MODULES, ids=[path.name for path in MODULES]
+    )
+    def test_no_inline_trace_dialect(self, module):
+        for node in self._runtime_nodes(ast.parse(module.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                imported = {alias.name for alias in node.names}
+                assert "Trace" not in imported or (
+                    module.name == "query.py"
+                ), "%s imports Trace" % module.name
+            if isinstance(node, ast.Call) and isinstance(
+                node.func, ast.Attribute
+            ):
+                assert node.func.attr not in (
+                    "hop", "compute", "wait", "fork",
+                ), "%s:%d charges a trace inline" % (
+                    module.name, node.lineno,
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,12 @@ while sim legs run sequentially, so legs touching a *shared* endpoint
 could observe its health ledger in different orders. With disjoint
 sets per part, each endpoint's health is driven by exactly one leg
 and the interleaving cannot matter.
+
+The Section 5.1 meta-data lookups ride the same property: the three
+MDM topology programs, single and batched, run on a twin of the E6
+golden world (``build_mdm_world``) under the same schedule, and must
+agree on per-item outcomes, retries and failovers. The same constraint
+holds there by construction — no two fan-out legs share an MDM node.
 """
 
 import asyncio
@@ -28,6 +34,7 @@ from hypothesis import strategies as st
 
 from repro.access import RequestContext
 from repro.core import ComponentCache, GupsterServer, RetryPolicy
+from repro.core.mdm import Lookup
 from repro.pxml import parse_path
 from repro.sansio import (
     SansIoQueryEngine,
@@ -38,6 +45,7 @@ from repro.serve import FaultPlan, WallTransport
 from repro.simnet import Network
 from repro.simnet.driver import SimnetDriver
 from repro.workloads import SyntheticAdapter
+from repro.workloads.reference import MDM_NODES, build_mdm_world
 
 BOOK = "/user[@id='u1']/address-book"
 PERSONAL = BOOK + "/item[@type='personal']"
@@ -47,10 +55,14 @@ STORES = ("gup.alpha.com", "gup.beta.com", "gup.corp.com")
 SERVER = "gupster"
 CLIENT = "client"
 
+#: The three MDM topologies, in ``build_mdm_world`` order; a
+#: ``.batch`` suffix resolves a mixed multi-group batch instead.
+MDM_PATTERNS = ("centralized", "user_distributed", "hierarchical")
+
 #: Links whose forced-drop budgets the fault schedule may charge.
 DROPPABLE_LINKS = tuple(
     (SERVER, store) for store in STORES
-) + ((CLIENT, SERVER),)
+) + ((CLIENT, SERVER),) + tuple((CLIENT, node) for node in MDM_NODES)
 
 
 def build_server():
@@ -74,6 +86,15 @@ def build_server():
     return server
 
 
+def build_mdms(retry_policy):
+    """The E6 golden world's topologies by pattern name (plus their
+    network, which only the sim side drives)."""
+    mdm_network, *mdms = build_mdm_world(seed=16)
+    for mdm in mdms:
+        mdm.retry_policy = retry_policy
+    return mdm_network, dict(zip(MDM_PATTERNS, mdms))
+
+
 def build_sim_side(failed, drops, retry_policy):
     network = Network(seed=16)
     network.add_node(SERVER, region="core")
@@ -81,15 +102,27 @@ def build_sim_side(failed, drops, retry_policy):
     network.add_node("gup.alpha.com", region="internet")
     network.add_node("gup.beta.com", region="core")
     network.add_node("gup.corp.com", region="enterprise")
+    mdm_network, mdms = build_mdms(retry_policy)
+
+    def world_of(node):
+        return mdm_network if node in MDM_NODES else network
+
     for node in failed:
-        network.fail(node)
+        world_of(node).fail(node)
     for (a, b), count in drops.items():
-        network.force_drops(a, b, count)
+        world_of(b).force_drops(a, b, count)
     server = build_server()
     host = StandaloneQueryHost(
         server, server_node=SERVER, retry_policy=retry_policy
     )
-    return network, server, SansIoQueryEngine(host)
+
+    def run(program, pattern):
+        on_mdms = pattern.partition(".")[0] in mdms
+        trace = (mdm_network if on_mdms else network).trace()
+        result = SimnetDriver(server.adapters).run(program, trace)
+        return result, (trace.retries, trace.failovers)
+
+    return run, SansIoQueryEngine(host), mdms
 
 
 def build_wall_side(failed, drops, retry_policy):
@@ -103,8 +136,26 @@ def build_wall_side(failed, drops, retry_policy):
         server, server_node=SERVER, retry_policy=retry_policy
     )
     engine = SansIoQueryEngine(host)
+    return wall_runner(server, faults), engine, build_mdms(retry_policy)[1]
+
+
+def wall_runner(server, faults):
     transport = WallTransport(server.adapters, faults=faults)
-    return transport, engine
+
+    def marks():
+        return tuple(
+            transport.metrics.counter(name).value
+            for name in ("serve.retries", "serve.failovers")
+        )
+
+    def run(program, _pattern):
+        before = marks()
+        result = asyncio.run(transport.run(program))
+        return result, tuple(
+            now - then for now, then in zip(marks(), before)
+        )
+
+    return run
 
 
 def batch_decision(items):
@@ -118,7 +169,44 @@ def batch_decision(items):
     }
 
 
-def run_request(pattern, path, context, now, runner, engine):
+def mdm_request(pattern, path, context, now, runner, mdms):
+    """One MDM lookup — *path* alone, or aboard a batch that fans out
+    over every MDM and carries unknown, unlisted-but-hinted and
+    uncovered items. Records per-item outcomes plus the retry and
+    failover marks."""
+    name, _, batched = pattern.partition(".")
+    requests = [path]
+    if batched:
+        requests += [
+            "/user[@id='u2']/presence", "/user[@id='u3']/presence",
+            "/user[@id='ghost']/presence", "/user[@id='u1']/calendar",
+        ]
+    outcomes = [(None, None)] * len(requests)
+    lookup = Lookup(
+        CLIENT, now, mdms[name].retry_policy, mdms[name].health,
+        outcomes, {"u3": "mdm.bank"},
+    )
+    items = [
+        (index, parse_path(request), context)
+        for index, request in enumerate(requests)
+    ]
+    _none, (retries, failovers) = runner(
+        mdms[name].program(lookup, items), pattern
+    )
+    return {
+        "items": [
+            referral.render() if error is None
+            else (type(error).__name__, str(error))
+            for referral, error in outcomes
+        ],
+        "retries": retries,
+        "failovers": failovers,
+    }
+
+
+def run_request(pattern, path, context, now, runner, engine, mdms):
+    if pattern.partition(".")[0] in mdms:
+        return mdm_request(pattern, path, context, now, runner, mdms)
     record = decision_of
     if pattern == "batch":
         # A cached batch with a within-batch duplicate (second wave).
@@ -133,21 +221,24 @@ def run_request(pattern, path, context, now, runner, engine):
     else:
         program = engine.chain(CLIENT, parse_path(path), context, now)
     try:
-        return record(runner(program))
+        return record(runner(program, pattern)[0])
     except Exception as err:  # noqa: BLE001 - the decision IS the record
         return decision_of(err)
 
 
 requests_strategy = st.lists(
     st.tuples(
-        st.sampled_from(["chaining", "cached", "referral", "batch"]),
+        st.sampled_from(
+            ("chaining", "cached", "referral", "batch") + MDM_PATTERNS
+            + tuple(name + ".batch" for name in MDM_PATTERNS)
+        ),
         st.sampled_from([BOOK, PERSONAL, CORPORATE]),
     ),
     min_size=1, max_size=6,
 )
 
 faults_strategy = st.fixed_dictionaries({
-    "failed": st.sets(st.sampled_from(STORES)),
+    "failed": st.sets(st.sampled_from(STORES + MDM_NODES)),
     "drops": st.dictionaries(
         st.sampled_from(DROPPABLE_LINKS),
         st.integers(min_value=1, max_value=3),
@@ -163,10 +254,10 @@ def test_sim_and_wall_drivers_agree(requests, faults):
     retry_policy = RetryPolicy(
         max_attempts=faults["max_attempts"], base_backoff_ms=10.0
     )
-    network, sim_server, sim_engine = build_sim_side(
+    sim_side = build_sim_side(
         faults["failed"], faults["drops"], retry_policy
     )
-    transport, wall_engine = build_wall_side(
+    wall_side = build_wall_side(
         faults["failed"], faults["drops"], retry_policy
     )
 
@@ -175,18 +266,12 @@ def test_sim_and_wall_drivers_agree(requests, faults):
     for index, (pattern, path) in enumerate(requests):
         context = RequestContext("app")
         now = float(index) * 1000.0
-        sim_decisions.append(run_request(
-            pattern, path, context, now,
-            lambda p: SimnetDriver(sim_server.adapters).run(
-                p, network.trace()
-            ),
-            sim_engine,
-        ))
-        wall_decisions.append(run_request(
-            pattern, path, context, now,
-            lambda p: asyncio.run(transport.run(p)),
-            wall_engine,
-        ))
+        sim_decisions.append(
+            run_request(pattern, path, context, now, *sim_side)
+        )
+        wall_decisions.append(
+            run_request(pattern, path, context, now, *wall_side)
+        )
 
     assert sim_decisions == wall_decisions
 
@@ -204,9 +289,7 @@ def test_slow_links_never_change_decisions(requests, slow):
     """Wall-side latency faults (slow replies) change *timing*, never
     values: the decisions match a fault-free sim baseline."""
     retry_policy = RetryPolicy(max_attempts=2, base_backoff_ms=10.0)
-    network, sim_server, sim_engine = build_sim_side(
-        set(), {}, retry_policy
-    )
+    sim_side = build_sim_side(set(), {}, retry_policy)
     faults = FaultPlan()
     for (a, b), extra in slow.items():
         faults.slow_link(a, b, extra)
@@ -214,23 +297,16 @@ def test_slow_links_never_change_decisions(requests, slow):
     host = StandaloneQueryHost(
         server, server_node=SERVER, retry_policy=retry_policy
     )
-    wall_engine = SansIoQueryEngine(host)
-    transport = WallTransport(server.adapters, faults=faults)
+    wall_side = (
+        wall_runner(server, faults), SansIoQueryEngine(host),
+        build_mdms(retry_policy)[1],
+    )
 
     for index, (pattern, path) in enumerate(requests):
         context = RequestContext("app")
         now = float(index) * 1000.0
-        sim_record = run_request(
-            pattern, path, context, now,
-            lambda p: SimnetDriver(sim_server.adapters).run(
-                p, network.trace()
-            ),
-            sim_engine,
-        )
-        wall_record = run_request(
-            pattern, path, context, now,
-            lambda p: asyncio.run(transport.run(p)),
-            wall_engine,
-        )
+        sim_record = run_request(pattern, path, context, now, *sim_side)
+        wall_record = run_request(pattern, path, context, now, *wall_side)
         assert sim_record == wall_record
-        assert sim_record["ok"]
+        assert sim_record.get("ok", True)
+        assert not sim_record.get("retries")
