@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.errors import PolicyError
 from repro.pxml import Path, parse_path
+from repro.seqlog import DEFAULT_WINDOW, SeqLog
 from repro.access.context import RequestContext
 from repro.access.policy import (
     Decision,
@@ -38,18 +39,26 @@ class PolicyRepository:
     """Stores each user's privacy-shield rules (the PRP).
 
     A monotone ``revision`` stamps every change so replicas can sync
-    incrementally: ``changes_since(revision)`` is the replication feed.
+    incrementally: ``changes_since(revision)`` is the replication feed
+    (its newest :data:`~repro.seqlog.DEFAULT_WINDOW` changes; a
+    replica behind the window re-seeds).
     """
 
     def __init__(self, name: str = "prp"):
         self.name = name
+        # gupcheck: bounded[dataset] -- one bucket per owner with rules, one entry per rule; remove() pops both
         self._rules: Dict[str, Dict[str, PolicyRule]] = {}
-        self.revision = 0
-        self._changelog: List[tuple] = []  # (revision, op, owner, rule)
+        #: (revision, op, owner, rule) per change.
+        self._changelog: SeqLog[tuple] = SeqLog(DEFAULT_WINDOW)
 
-    def _bump(self, op: str, owner: str, rule: PolicyRule) -> None:
-        self.revision += 1
-        self._changelog.append((self.revision, op, owner, rule))
+    @property
+    def revision(self) -> int:
+        return self._changelog.last_seq
+
+    def _log_change(
+        self, revision: int, op: str, owner: str, rule: PolicyRule
+    ) -> None:
+        self._changelog.append((revision, op, owner, rule), revision)
 
     def store(self, rule: PolicyRule) -> None:
         bucket = self._rules.setdefault(rule.owner, {})
@@ -57,14 +66,20 @@ class PolicyRepository:
         if existing is not None:
             rule.version = existing.version + 1
         bucket[rule.rule_id] = rule
-        self._bump("store", rule.owner, rule)
+        self._log_change(self.revision + 1, "store", rule.owner, rule)
 
-    def remove(self, owner: str, rule_id: str) -> None:
+    def _pop(self, owner: str, rule_id: str) -> Optional[PolicyRule]:
         bucket = self._rules.get(owner, {})
         rule = bucket.pop(rule_id, None)
+        if rule is not None and not bucket:
+            del self._rules[owner]
+        return rule
+
+    def remove(self, owner: str, rule_id: str) -> None:
+        rule = self._pop(owner, rule_id)
         if rule is None:
             raise PolicyError("no rule %r for %r" % (rule_id, owner))
-        self._bump("remove", owner, rule)
+        self._log_change(self.revision + 1, "remove", owner, rule)
 
     def rules_for(self, owner: str) -> List[PolicyRule]:
         return list(self._rules.get(owner, {}).values())
@@ -78,7 +93,7 @@ class PolicyRepository:
     # -- replication (the cost E5 measures) -----------------------------------
 
     def changes_since(self, revision: int) -> List[tuple]:
-        return [c for c in self._changelog if c[0] > revision]
+        return self._changelog.since(revision)
 
     def apply_changes(self, changes: Sequence[tuple]) -> int:
         """Apply a replication feed; returns entries applied."""
@@ -89,9 +104,8 @@ class PolicyRepository:
             if op == "store":
                 self._rules.setdefault(owner, {})[rule.rule_id] = rule
             else:
-                self._rules.get(owner, {}).pop(rule.rule_id, None)
-            self.revision = revision
-            self._changelog.append((revision, op, owner, rule))
+                self._pop(owner, rule.rule_id)
+            self._log_change(revision, op, owner, rule)
             applied += 1
         return applied
 

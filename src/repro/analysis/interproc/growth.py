@@ -153,6 +153,9 @@ _EXEMPT_PREFIXES = ("repro/analysis/",)
 #: Fixpoint safety valve for parameter summaries inside a call SCC.
 _MAX_SCC_PASSES = 16
 
+#: Package ``__init__`` re-exports followed to reach a class's definition.
+_MAX_REEXPORT_HOPS = 4
+
 
 class Site:
     """One grow or shrink evidence site."""
@@ -555,8 +558,15 @@ class GrowthAnalysis:
         resolved: Set[str] = set(self.project.bases_of(cls.qualname))
         for ref in sorted(raw):
             absolute = module.symbols.resolve_local(ref)
-            if absolute is not None and absolute in \
-                    self.project.classes:
+            for _hop in range(_MAX_REEXPORT_HOPS):
+                # `from repro.access import X` names the package's
+                # re-export: follow its __init__'s own import of X.
+                package, _, name = (absolute or "").rpartition(".")
+                exporter = self.project.modules.get(package)
+                if absolute in self.project.classes or exporter is None:
+                    break
+                absolute = exporter.symbols.imports.get(name)
+            if absolute in self.project.classes:
                 resolved.add(absolute)
         return resolved
 

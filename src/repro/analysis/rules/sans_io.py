@@ -7,9 +7,9 @@ if the boundary is real — so this rule pins it, machine-checked, on
 every run:
 
     every function in ``repro/core/``, ``repro/pxml/`` and
-    ``repro/sansio/`` (and the pure replay structure
-    ``repro/bus/log.py``) must infer as ``pure`` or
-    ``virtual-time``.
+    ``repro/sansio/`` (and the pure replay structures
+    ``repro/seqlog.py`` and ``repro/bus/log.py``) must infer as
+    ``pure`` or ``virtual-time``.
 
 ``virtual-time`` is allowed because charging the Trace cost ledger
 *is* the intent layer — the engine records what a hop would cost
@@ -50,12 +50,13 @@ class SansIoPurityRule(ProjectRule):
 
     name = "sans-io-purity"
     description = (
-        "core/, pxml/, sansio/ and bus/log.py are the sans-io "
+        "core/, pxml/, sansio/, seqlog.py and bus/log.py are the sans-io "
         "boundary: every function there must be pure or virtual-time "
         "— transport stays behind bus/, simnet/ and serve/"
     )
     prefixes = (
-        "repro/core/", "repro/pxml/", "repro/bus/log.py",
+        "repro/core/", "repro/pxml/", "repro/seqlog.py",
+        "repro/bus/log.py",
         # The sans-io engine itself is the boundary's whole point:
         # programs yield intents, drivers perform them. Nothing under
         # repro/sansio/ may touch the wire — the drivers live in

@@ -23,6 +23,7 @@ from repro.access import Decision, PolicyEnforcementPoint, RequestContext
 from repro.bus.bus import BusListener, ChangeBus, ShieldMemo
 from repro.bus.log import ChangeRecord
 from repro.pxml import Path, parse_path
+from repro.seqlog import trim_oldest
 
 __all__ = [
     "CacheInvalidationListener",
@@ -204,8 +205,6 @@ class RecordingListener(BusListener):
     ) -> None:
         self.received.extend(records)
         self.delivered_at.extend(now for _ in records)
-        overflow = len(self.received) - self.max_records
-        if overflow > 0:
-            del self.received[:overflow]
-            del self.delivered_at[:overflow]
-            self.dropped += overflow
+        self.dropped += trim_oldest(
+            self.max_records, self.received, self.delivered_at
+        )

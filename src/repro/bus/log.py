@@ -1,11 +1,10 @@
 """Append-only per-shard change log with replay cursors in mind.
 
-Every profile mutation becomes a :class:`ChangeRecord` with a
-**monotonic sequence number** (per shard) and the virtual instant it
-happened. Listeners replay ``since(cursor)`` and the bus compacts
-records every listener has consumed — so the log is bounded by the
-slowest cursor, not by history (the unbounded ``_change_log`` the old
-SubscriptionHub kept was exactly that bug).
+Every profile mutation becomes a :class:`ChangeRecord` in a
+:class:`~repro.seqlog.SeqLog` (per shard), stamped with the virtual
+instant it happened. Listeners replay ``since(cursor)`` and the bus
+compacts records every listener has consumed — so the log is bounded
+by the slowest cursor, not by history.
 
 The log also answers the poll path's question — *when did the change
 producing this value happen?* — from a **latest-change-per-path
@@ -18,6 +17,8 @@ is not the one asked about, instead of the old fabricated
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
+
+from repro.seqlog import SeqLog
 
 __all__ = ["ChangeLog", "ChangeRecord"]
 
@@ -58,25 +59,19 @@ class ChangeRecord:
 
 
 class ChangeLog:
-    """Append-only change history for one shard.
-
-    Records are held in append order with **contiguous** sequence
-    numbers starting at 1, so ``since(cursor)`` is an O(1) slice (no
-    scan): the record with sequence ``s`` lives at offset
-    ``s - head_seq``. :meth:`compact` drops the prefix every listener
-    has consumed; the latest-change index is untouched by compaction.
+    """Append-only change history for one shard: a
+    :class:`~repro.seqlog.SeqLog` of :class:`ChangeRecord` (contiguous
+    sequence numbers from 1, so replay is an O(1) slice) that the bus
+    compacts behind its slowest cursor, plus the latest-change index,
+    which compaction leaves whole.
     """
 
     def __init__(self, shard_id: str = "main") -> None:
         self.shard_id = shard_id
-        self._records: List[ChangeRecord] = []
-        #: Sequence number of ``_records[0]`` (when non-empty).
-        self._head_seq = 1
-        self.last_seq = 0
+        self._records: SeqLog[ChangeRecord] = SeqLog()
         #: path -> (value, at) of the *latest* change on that path.
         # gupcheck: bounded[distinct-paths] -- one entry per changed profile path; updated in place
         self._latest: Dict[str, Tuple[str, float]] = {}
-        self.compacted_total = 0
 
     # -- writing -------------------------------------------------------------
 
@@ -88,9 +83,8 @@ class ChangeLog:
         user_id: Optional[str] = None,
     ) -> ChangeRecord:
         """Log one change at virtual instant *at*; returns the record."""
-        self.last_seq += 1
         record = ChangeRecord(
-            self.last_seq, at, path, value, user_id, self.shard_id
+            self.last_seq + 1, at, path, value, user_id, self.shard_id
         )
         self._records.append(record)
         self._latest[path] = (value, at)
@@ -99,19 +93,15 @@ class ChangeLog:
     # -- replay --------------------------------------------------------------
 
     def since(self, cursor: int) -> List[ChangeRecord]:
-        """Every record with ``seq > cursor``, oldest first.
-
-        A cursor below ``head_seq - 1`` would mean the bus compacted
-        past an unconsumed record; the bus never does (compaction uses
-        the minimum cursor), but the clamp keeps the slice safe."""
-        if cursor >= self.last_seq:
-            return []
-        start = max(0, cursor + 1 - self._head_seq)
-        return list(self._records[start:])
+        """Every record with ``seq > cursor``, oldest first. A cursor
+        the log was compacted past raises
+        :class:`~repro.errors.ResyncRequiredError`; the bus compacts
+        at its minimum cursor, so none of its listeners can hold one."""
+        return self._records.since(cursor)
 
     def backlog(self, cursor: int) -> int:
         """How many records *cursor* still has to consume — O(1)."""
-        return max(0, self.last_seq - max(cursor, self._head_seq - 1))
+        return self._records.backlog(cursor)
 
     # -- the poll path's question --------------------------------------------
 
@@ -130,22 +120,22 @@ class ChangeLog:
         """Drop every record with ``seq <= min_cursor`` (all consumed).
         Returns how many were dropped. The latest-change index is kept
         whole — it is bounded by distinct paths, not history."""
-        if min_cursor < self._head_seq:
-            return 0
-        keep_from = min(min_cursor, self.last_seq) + 1 - self._head_seq
-        if keep_from <= 0:
-            return 0
-        del self._records[:keep_from]
-        self._head_seq += keep_from
-        self.compacted_total += keep_from
-        return keep_from
+        return self._records.compact(min_cursor)
 
     # -- introspection -------------------------------------------------------
 
     @property
     def head_seq(self) -> int:
         """Sequence number of the oldest retained record."""
-        return self._head_seq
+        return self._records.head_seq
+
+    @property
+    def last_seq(self) -> int:
+        return self._records.last_seq
+
+    @property
+    def compacted_total(self) -> int:
+        return self._records.dropped
 
     def __len__(self) -> int:
         return len(self._records)

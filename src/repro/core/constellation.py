@@ -25,9 +25,10 @@ from typing import (
     TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union,
 )
 
-from repro.errors import GupsterError
+from repro.errors import GupsterError, ResyncRequiredError
 from repro.pxml import Path, parse_path
 from repro.access import RequestContext
+from repro.core.coverage import CoverageMap
 from repro.core.mdm import BatchOutcome, Lookup, single
 from repro.core.referral import Referral
 from repro.core.resilience import RetryPolicy
@@ -43,6 +44,19 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 __all__ = ["MirrorConstellation"]
 
 ENTRY_BYTES = 96  # serialized coverage-change estimate
+
+
+def _held(coverage: CoverageMap) -> List[Tuple[str, Path]]:
+    """Every (store, path) registration in *coverage*, stably ordered."""
+    return sorted(
+        (
+            (store_id, path)
+            for user in coverage.users()
+            for path in coverage.paths_for_user(user)
+            for store_id in coverage.stores_for(path)
+        ),
+        key=lambda held: (held[0], str(held[1])),
+    )
 
 
 class MirrorConstellation:
@@ -112,11 +126,17 @@ class MirrorConstellation:
                 if source == target:
                     continue
                 mark = self._sync_marks.get((source, target), 0)
-                changes = source_cov.changes_since(mark)
+                try:
+                    changes = source_cov.changes_since(mark)
+                    shipped = len(changes)
+                except ResyncRequiredError:
+                    changes, shipped = self._full_state(
+                        source_cov, self.servers[target].coverage
+                    )
                 if changes:
-                    payload = ENTRY_BYTES * len(changes)
+                    payload = ENTRY_BYTES * shipped
                     yield Send(source, target, payload,
-                               "replicate %d entries" % len(changes))
+                               "replicate %d entries" % shipped)
                     self.replication_messages += 1
                     self.replication_bytes += payload
                     applied_total += self._apply_foreign(
@@ -126,6 +146,26 @@ class MirrorConstellation:
                     source_cov.revision
                 )
         return applied_total
+
+    @staticmethod
+    def _full_state(
+        source_cov: CoverageMap, target_cov: CoverageMap
+    ) -> Tuple[List[Tuple[int, str, Path, str]], int]:
+        """The resync fallback for a target behind the source's feed
+        window: the source ships every registration it holds, and for
+        each store the source knows the target drops what the source
+        no longer lists. Returns (feed, registrations shipped)."""
+        theirs = _held(source_cov)
+        listed = set(theirs)
+        known = {store_id for store_id, _path in theirs}
+        feed = [
+            (0, "register", path, store_id) for store_id, path in theirs
+        ] + [
+            (0, "unregister", path, store_id)
+            for store_id, path in _held(target_cov)
+            if store_id in known and (store_id, path) not in listed
+        ]
+        return feed, len(theirs)
 
     def _apply_foreign(
         self, target: str,
@@ -176,20 +216,11 @@ class MirrorConstellation:
 
     def consistent(self) -> bool:
         """Do all mirrors hold identical coverage right now?"""
-        snapshots = []
-        for node in self.mirror_nodes:
-            coverage = self.servers[node].coverage
-            snapshot = tuple(
-                sorted(
-                    (user, str(path), tuple(sorted(
-                        coverage.stores_for(path)
-                    )))
-                    for user in coverage.users()
-                    for path in coverage.paths_for_user(user)
-                )
-            )
-            snapshots.append(snapshot)
-        return all(s == snapshots[0] for s in snapshots)
+        views = [
+            _held(self.servers[node].coverage)
+            for node in self.mirror_nodes
+        ]
+        return all(view == views[0] for view in views)
 
     def stale_mirrors(
         self, request: Union[str, Path]

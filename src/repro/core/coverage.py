@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple, Union
 
-from repro.errors import CoverageError, ResyncRequiredError
+from repro.errors import CoverageError
 from repro.pxml import Path, parse_path
 from repro.pxml.containment import subtree_covers, subtree_overlaps
+from repro.seqlog import DEFAULT_WINDOW, SeqLog
 
 __all__ = ["CoverageMap", "CoverageResolution"]
 
@@ -69,7 +70,7 @@ class CoverageMap:
     def __init__(
         self,
         track_changes: bool = True,
-        max_changelog: int = 65536,
+        max_changelog: int = DEFAULT_WINDOW,
     ) -> None:
         #: user id -> coverage path -> ordered store ids
         # gupcheck: bounded[enrollment] -- one entry per enrolled (user, component); unregister pops
@@ -79,36 +80,51 @@ class CoverageMap:
         self._by_store: Dict[str, Set[Tuple[str, Path]]] = {}
         self.registrations = 0
         self.lookups = 0
-        #: Monotone revision + changelog so mirror constellations can
-        #: replicate registrations incrementally (Section 4.2's
-        #: "family of mirrored servers"). ``track_changes=False``
-        #: disables the log — carrier-scale populations (E19, millions
-        #: of registrations) never replay it, and an unbounded append
-        #: per registration is real memory at that size. The log keeps
-        #: the newest *max_changelog* entries; a mirror that falls
-        #: behind the window gets a loud :class:`CoverageError` from
-        #: :meth:`changes_since` (full resync needed), never a
-        #: silently incomplete feed.
+        #: Monotone revision + replication feed (the newest
+        #: *max_changelog* changes) so mirror constellations replicate
+        #: incrementally (Section 4.2's "family of mirrored servers").
+        #: ``track_changes=False`` disables the feed — carrier-scale
+        #: populations (E19, millions of registrations) never replay
+        #: it, and an append per registration is real memory there.
         self.track_changes = track_changes
         if max_changelog <= 0:
             raise ValueError("max_changelog must be positive")
         self.max_changelog = max_changelog
         self.revision = 0
-        self._changelog: List[Tuple[int, str, Path, str]] = []
-        #: Highest revision trimmed out of the log window (0: none).
-        self._log_floor = 0
-
-    # -- the replication feed window --------------------------------------------
+        self._changelog: SeqLog[Tuple[int, str, Path, str]] = SeqLog(
+            max_changelog
+        )
 
     def _log_change(self, op: str, path: Path, store_id: str) -> None:
-        """Append one feed entry at the current revision, trimming
-        the log to the newest ``max_changelog`` entries. Trimmed
-        revisions raise the floor :meth:`changes_since` checks."""
-        self._changelog.append((self.revision, op, path, store_id))
-        overflow = len(self._changelog) - self.max_changelog
-        if overflow > 0:
-            self._log_floor = self._changelog[overflow - 1][0]
-            del self._changelog[:overflow]
+        """Append one feed entry at the current revision."""
+        self._changelog.append(
+            (self.revision, op, path, store_id), self.revision
+        )
+
+    def _changed(self, op: str, path: Path, store_id: str) -> None:
+        """A local change takes the next revision and feeds mirrors."""
+        self.revision += 1
+        if self.track_changes:
+            self._log_change(op, path, store_id)
+
+    def _add(self, user_id: str, path: Path, store_id: str) -> bool:
+        stores = self._by_user.setdefault(user_id, {}).setdefault(path, [])
+        if store_id in stores:
+            return False
+        stores.append(store_id)
+        self._by_store.setdefault(store_id, set()).add((user_id, path))
+        return True
+
+    def _discard(self, user_id: str, path: Path, store_id: str) -> bool:
+        bucket = self._by_user.get(user_id, {})
+        stores = bucket.get(path)
+        if not stores or store_id not in stores:
+            return False
+        stores.remove(store_id)
+        if not stores:
+            del bucket[path]
+        self._by_store.get(store_id, set()).discard((user_id, path))
+        return True
 
     # -- registration ----------------------------------------------------------
 
@@ -125,48 +141,24 @@ class CoverageMap:
                 "components are subtrees; attribute paths cannot be "
                 "registered: %s" % parsed
             )
-        bucket = self._by_user.setdefault(user_id, {})
-        stores = bucket.setdefault(parsed, [])
-        if store_id not in stores:
-            stores.append(store_id)
-            self._by_store.setdefault(store_id, set()).add(
-                (user_id, parsed)
-            )
+        if self._add(user_id, parsed, store_id):
             self.registrations += 1
-            self.revision += 1
-            if self.track_changes:
-                self._log_change("register", parsed, store_id)
+            self._changed("register", parsed, store_id)
 
     def unregister(self, path: Union[str, Path], store_id: str) -> None:
         parsed = parse_path(path)
-        user_id = parsed.user_id()
-        bucket = self._by_user.get(user_id or "", {})
-        stores = bucket.get(parsed)
-        if not stores or store_id not in stores:
+        if not self._discard(parsed.user_id() or "", parsed, store_id):
             raise CoverageError(
                 "%r never registered %s" % (store_id, parsed)
             )
-        stores.remove(store_id)
-        if not stores:
-            del bucket[parsed]
-        self._by_store.get(store_id, set()).discard((user_id, parsed))
-        self.revision += 1
-        if self.track_changes:
-            self._log_change("unregister", parsed, store_id)
+        self._changed("unregister", parsed, store_id)
 
     def unregister_store(self, store_id: str) -> int:
         """A store leaves the community; drop all its registrations."""
         entries = self._by_store.pop(store_id, set())
         for user_id, path in sorted(entries, key=lambda e: str(e[1])):
-            bucket = self._by_user.get(user_id, {})
-            stores = bucket.get(path)
-            if stores and store_id in stores:
-                stores.remove(store_id)
-                if not stores:
-                    del bucket[path]
-            self.revision += 1
-            if self.track_changes:
-                self._log_change("unregister", path, store_id)
+            self._discard(user_id, path, store_id)
+            self._changed("unregister", path, store_id)
         return len(entries)
 
     # -- replication (mirror constellations) ------------------------------------
@@ -179,13 +171,7 @@ class CoverageMap:
             raise CoverageError(
                 "replication feed disabled (track_changes=False)"
             )
-        if revision < self._log_floor:
-            raise ResyncRequiredError(
-                "replication feed truncated: revision %d predates "
-                "the retained window (floor %d); full resync required"
-                % (revision, self._log_floor)
-            )
-        return [c for c in self._changelog if c[0] > revision]
+        return self._changelog.since(revision)
 
     def apply_changes(
         self, changes: List[Tuple[int, str, Path, str]]
@@ -198,23 +184,9 @@ class CoverageMap:
                 continue
             user_id = path.user_id() or ""
             if op == "register":
-                bucket = self._by_user.setdefault(user_id, {})
-                stores = bucket.setdefault(path, [])
-                if store_id not in stores:
-                    stores.append(store_id)
-                    self._by_store.setdefault(store_id, set()).add(
-                        (user_id, path)
-                    )
+                self._add(user_id, path, store_id)
             else:
-                bucket = self._by_user.get(user_id, {})
-                stores = bucket.get(path, [])
-                if store_id in stores:
-                    stores.remove(store_id)
-                    if not stores:
-                        del bucket[path]
-                self._by_store.get(store_id, set()).discard(
-                    (user_id, path)
-                )
+                self._discard(user_id, path, store_id)
             self.revision = revision
             self._log_change(op, path, store_id)
             applied += 1

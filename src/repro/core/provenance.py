@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.errors import ReproError
 from repro.pxml import PNode, Path, parse_path
 from repro.pxml.containment import subtree_covers, subtree_overlaps
+from repro.seqlog import trim_oldest
 from repro.access import RequestContext
 from repro.access.policy import PolicyRule
 
@@ -109,10 +110,7 @@ class ProvenanceTracker:
             note=note,
         )
         self._records.append(entry)
-        overflow = len(self._records) - self.max_records
-        if overflow > 0:
-            del self._records[:overflow]
-            self.dropped += overflow
+        self.dropped += trim_oldest(self.max_records, self._records)
         return entry
 
     # -- the user-facing audit ------------------------------------------------

@@ -44,6 +44,7 @@ from repro.bus import ChangeBus, PushForwarder, SubscriberListener
 from repro.obs.metrics import CounterView
 from repro.pxml import Path, parse_path
 from repro.pxml.evaluate import evaluate_values
+from repro.seqlog import trim_oldest
 from repro.access import RequestContext
 from repro.core.query import QueryExecutor
 from repro.core.server import GupsterServer
@@ -172,10 +173,9 @@ class SubscriptionHub:
         histogram when the change instant is known (stamped at the
         virtual delivery instant), count it unknown otherwise."""
         self.deliveries.append(delivery)
-        overflow = len(self.deliveries) - self.max_deliveries
-        if overflow > 0:
-            del self.deliveries[:overflow]
-            self.dropped_deliveries += overflow
+        self.dropped_deliveries += trim_oldest(
+            self.max_deliveries, self.deliveries
+        )
         if delivery.changed_at is None:
             self.latency_unknown += 1
         else:

@@ -14,10 +14,8 @@ benches and property tests drive:
   user are rejected (constraint violation, ACL, replication conflict
   ...), which is what feeds the reconciler's reject queue.
 * a **bounded journal window** — like AD's tombstone lifetime, only
-  the newest ``max_journal`` changes replay; a cursor that fell
-  behind the window raises
-  :class:`~repro.errors.ForeignResyncRequiredError` instead of
-  silently feeding an incomplete change stream.
+  the newest ``max_journal`` changes replay; a cursor behind it gets
+  :class:`~repro.errors.ForeignResyncRequiredError`, never a gap.
 
 Every change carries an **origin tag**. The foreign side's own writers
 use their own tags (default ``"foreign"``); the reconciler writes with
@@ -40,6 +38,7 @@ from repro.errors import (
     ForeignUnavailableError,
     StoreError,
 )
+from repro.seqlog import DEFAULT_WINDOW, SeqLog
 from repro.simnet import Simulator
 
 __all__ = [
@@ -50,7 +49,7 @@ __all__ = [
 ]
 
 #: Default journal window (changes retained for incremental replay).
-DEFAULT_MAX_JOURNAL = 65536
+DEFAULT_MAX_JOURNAL = DEFAULT_WINDOW
 
 #: Origin tag of the foreign side's own writers.
 FOREIGN_ORIGIN = "foreign"
@@ -126,13 +125,9 @@ class ForeignDirectory:
         # gupcheck: bounded[dataset] -- one entry per (user, attribute); writes overwrite in place
         self._state: Dict[Tuple[str, str], Tuple[str, float]] = {}
         #: Incremental replay window, newest ``max_journal`` changes.
-        # gupcheck: bounded[journal-window] -- capped at max_journal; oldest dropped with `dropped` accounted
-        self._journal: List[ForeignChange] = []
-        #: USN of ``_journal[0]`` (when non-empty).
-        self._head_usn = 1
-        self.last_usn = 0
-        #: Journal entries dropped by the retention window.
-        self.dropped = 0
+        self._journal: SeqLog[ForeignChange] = SeqLog(
+            max_journal, ForeignResyncRequiredError
+        )
         #: Users whose writes are currently rejected (poison hook).
         # gupcheck: bounded[fault-hook] -- test/bench fault injection; clear_rejects() empties it
         self._rejected: Set[str] = set()
@@ -194,16 +189,10 @@ class ForeignDirectory:
         when = self.sim.now if at is None else at
         self._apply_native(user_id, attr, value)
         self._state[(user_id, attr)] = (value, when)
-        self.last_usn += 1
         change = ForeignChange(
-            self.last_usn, when, user_id, attr, value, origin
+            self.last_usn + 1, when, user_id, attr, value, origin
         )
         self._journal.append(change)
-        overflow = len(self._journal) - self.max_journal
-        if overflow > 0:
-            del self._journal[:overflow]
-            self._head_usn += overflow
-            self.dropped += overflow
         self.writes += 1
         return change
 
@@ -239,20 +228,21 @@ class ForeignDirectory:
         raises :class:`~repro.errors.ForeignResyncRequiredError` —
         the reconciler must full-resync, not silently skip the gap."""
         self._check_available()
-        if usn >= self.last_usn:
-            return []
-        if usn < self._head_usn - 1:
-            raise ForeignResyncRequiredError(
-                "cursor %d fell behind %r's journal window "
-                "(oldest retained usn %d)"
-                % (usn, self.name, self._head_usn)
-            )
-        return list(self._journal[usn + 1 - self._head_usn:])
+        return self._journal.since(usn)
 
     @property
     def head_usn(self) -> int:
         """USN of the oldest retained journal entry."""
-        return self._head_usn
+        return self._journal.head_seq
+
+    @property
+    def last_usn(self) -> int:
+        return self._journal.last_seq
+
+    @property
+    def dropped(self) -> int:
+        """Journal entries dropped by the retention window."""
+        return self._journal.dropped
 
     def journal_len(self) -> int:
         return len(self._journal)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import StoreError
+from repro.seqlog import SeqLog
 from repro.stores.base import NativeStore
 
 __all__ = ["SimCard", "PhoneBookEntry", "MobilePhone", "Pda"]
@@ -66,7 +67,28 @@ class SimCard:
         self.phonebook[entry.entry_id] = entry
 
 
-class MobilePhone(NativeStore):
+class _Device(NativeStore):
+    """A store with a local change feed for SyncML-style fast syncs."""
+
+    def __init__(self, name: str, network: str, user_id: str):
+        super().__init__(name, network=network, region="wireless")
+        self.user_id = user_id
+        self._changes: SeqLog[Tuple[int, str, str]] = SeqLog()
+
+    @property
+    def change_counter(self) -> int:
+        """Monotone change counter for fast sync."""
+        return self._changes.last_seq
+
+    def _record_change(self, op: str, item_id: str) -> None:
+        seq = self._changes.last_seq + 1
+        self._changes.append((seq, op, item_id))
+
+    def changes_since(self, counter: int) -> List[Tuple[int, str, str]]:
+        return self._changes.since(counter)
+
+
+class MobilePhone(_Device):
     """A handset: on-phone storage plus an optional SIM slot."""
 
     PROFILE_DATA = (
@@ -81,17 +103,13 @@ class MobilePhone(NativeStore):
         carrier: str,
         sim: Optional[SimCard] = None,
     ):
-        super().__init__(name, network="Wireless", region="wireless")
-        self.user_id = user_id
+        super().__init__(name, "Wireless", user_id)
         self.carrier = carrier
         self.sim = sim
         self.phonebook: Dict[str, PhoneBookEntry] = {}
         self.preferences: Dict[str, str] = {}
         self.wap_bookmarks: Dict[str, str] = {}
         self.powered_on = False
-        #: Monotone change counter for fast sync.
-        self.change_counter = 0
-        self._changes: List[Tuple[int, str, str]] = []  # (ctr, op, id)
 
     # -- power / SIM ----------------------------------------------------------
 
@@ -110,10 +128,6 @@ class MobilePhone(NativeStore):
         return sim
 
     # -- phone book -------------------------------------------------------------
-
-    def _record_change(self, op: str, entry_id: str) -> None:
-        self.change_counter += 1
-        self._changes.append((self.change_counter, op, entry_id))
 
     def store_entry(self, entry: PhoneBookEntry, on_sim: bool = False) -> None:
         if on_sim:
@@ -141,9 +155,6 @@ class MobilePhone(NativeStore):
             merged.update(self.sim.phonebook)
         return [merged[key] for key in sorted(merged)]
 
-    def changes_since(self, counter: int) -> List[Tuple[int, str, str]]:
-        return [c for c in self._changes if c[0] > counter]
-
     # -- preferences ---------------------------------------------------------
 
     def set_preference(self, name: str, value: str) -> None:
@@ -155,22 +166,15 @@ class MobilePhone(NativeStore):
         self._record_change("wap", mark_id)
 
 
-class Pda(NativeStore):
+class Pda(_Device):
     """A personal digital assistant with address book + calendar."""
 
     PROFILE_DATA = ("address book", "calendar", "memos")
 
     def __init__(self, name: str, user_id: str):
-        super().__init__(name, network="Web", region="wireless")
-        self.user_id = user_id
+        super().__init__(name, "Web", user_id)
         self.contacts: Dict[str, PhoneBookEntry] = {}
         self.appointments: Dict[str, Tuple[str, str, str]] = {}
-        self.change_counter = 0
-        self._changes: List[Tuple[int, str, str]] = []
-
-    def _record_change(self, op: str, item_id: str) -> None:
-        self.change_counter += 1
-        self._changes.append((self.change_counter, op, item_id))
 
     def store_contact(self, entry: PhoneBookEntry) -> None:
         self.contacts[entry.entry_id] = entry
@@ -181,6 +185,3 @@ class Pda(NativeStore):
     ) -> None:
         self.appointments[appt_id] = (start, end, subject)
         self._record_change("put-appt", appt_id)
-
-    def changes_since(self, counter: int) -> List[Tuple[int, str, str]]:
-        return [c for c in self._changes if c[0] > counter]

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import SyncError
 from repro.pxml import PNode
+from repro.seqlog import SeqLog
 
 __all__ = ["Change", "SyncEndpoint"]
 
@@ -62,10 +63,18 @@ class SyncEndpoint:
         self.item_tag = item_tag
         self._items: Dict[str, PNode] = {}
         self._updated_at: Dict[str, float] = {}
-        self.seq = 0
-        self._log: List[Change] = []
+        self._log: SeqLog[Change] = SeqLog()
+
+    @property
+    def seq(self) -> int:
+        return self._log.last_seq
 
     # -- mutation ------------------------------------------------------------
+
+    def _record(
+        self, op: str, item_id: str, payload: Optional[PNode], at: float
+    ) -> None:
+        self._log.append(Change(self.seq + 1, op, item_id, payload, at))
 
     def put_item(self, item: PNode, now: float = 0.0) -> None:
         if item.tag != self.item_tag:
@@ -80,18 +89,14 @@ class SyncEndpoint:
             return  # no-op writes don't pollute the log
         self._items[item_id] = item.copy()
         self._updated_at[item_id] = now
-        self.seq += 1
-        self._log.append(
-            Change(self.seq, "put", item_id, item.copy(), now)
-        )
+        self._record("put", item_id, item.copy(), now)
 
     def delete_item(self, item_id: str, now: float = 0.0) -> None:
         if item_id not in self._items:
             raise SyncError("no item %r at %s" % (item_id, self.name))
         del self._items[item_id]
         self._updated_at.pop(item_id, None)
-        self.seq += 1
-        self._log.append(Change(self.seq, "delete", item_id, None, now))
+        self._record("delete", item_id, None, now)
 
     def apply_change(self, change: Change, now: float) -> None:
         """Apply a remote change without re-logging a conflict storm:
@@ -100,20 +105,14 @@ class SyncEndpoint:
         if change.op == "put" and change.payload is not None:
             self._items[change.item_id] = change.payload.copy()
             self._updated_at[change.item_id] = change.at
-            self.seq += 1
-            self._log.append(
-                Change(self.seq, "put", change.item_id,
-                       change.payload.copy(), change.at)
+            self._record(
+                "put", change.item_id, change.payload.copy(), change.at
             )
         elif change.op == "delete":
             if change.item_id in self._items:
                 del self._items[change.item_id]
                 self._updated_at.pop(change.item_id, None)
-                self.seq += 1
-                self._log.append(
-                    Change(self.seq, "delete", change.item_id, None,
-                           change.at)
-                )
+                self._record("delete", change.item_id, None, change.at)
 
     # -- queries ------------------------------------------------------------
 
@@ -129,10 +128,7 @@ class SyncEndpoint:
 
     def changes_since(self, seq: int) -> List[Change]:
         """Net changes after *seq*: per item, only the latest wins."""
-        latest: Dict[str, Change] = {}
-        for change in self._log:
-            if change.seq > seq:
-                latest[change.item_id] = change
+        latest = {c.item_id: c for c in self._log.since(seq)}
         return sorted(latest.values(), key=lambda c: c.seq)
 
     def snapshot(self) -> PNode:

@@ -11,6 +11,7 @@ from repro.bus import (
     RecordingListener,
     SubscriberListener,
 )
+from repro.errors import ResyncRequiredError
 from repro.simnet import Network, Simulator
 from repro.stores.sharded import ShardedStore
 
@@ -78,6 +79,21 @@ class TestChangeLog:
         # Compaction below the head is a no-op.
         assert log.compact(2) == 0
         assert log.compacted_total == 4
+
+    def test_cursor_below_the_compaction_floor_raises(self):
+        # One contract for every change feed: a cursor the log was
+        # compacted past gets a loud error, never the retained suffix
+        # passed off as the whole backlog.
+        log = ChangeLog()
+        for i in range(6):
+            log.append(float(i), PATH, "v%d" % i)
+        log.compact(4)
+        for stale in (0, 3):
+            with pytest.raises(ResyncRequiredError):
+                log.since(stale)
+            with pytest.raises(ResyncRequiredError):
+                log.backlog(stale)
+        assert log.backlog(4) == 2
 
     def test_compact_keeps_latest_change_index(self):
         log = ChangeLog()

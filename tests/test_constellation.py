@@ -4,8 +4,11 @@ asynchronous replication (Section 4.2)."""
 import pytest
 
 from repro.access import RequestContext
-from repro.core import MirrorConstellation
-from repro.errors import GupsterError, NoCoverageError
+from repro.core import GupsterServer, MirrorConstellation
+from repro.core.coverage import CoverageMap
+from repro.errors import (
+    GupsterError, NoCoverageError, ResyncRequiredError,
+)
 from repro.simnet import Network
 from repro.workloads import SyntheticAdapter
 
@@ -110,6 +113,73 @@ class TestReplication:
         assert trace.bytes_total > 0
         assert constellation.replication_messages > 0
         assert constellation.replication_bytes == trace.bytes_total
+
+    def test_mirror_behind_the_feed_window_resyncs_full_state(self):
+        # Ten registrations and an unregister land at mdm.0 before the
+        # first round; its feed keeps four entries, so mdm.1's mark
+        # (0) is below the floor. The round must fall back to a
+        # full-state transfer — not raise on this and every later one.
+        network = Network(seed=21)
+        mirrors = ["mdm.0", "mdm.1"]
+        for mirror in mirrors:
+            network.add_node(mirror, region="core")
+        constellation = MirrorConstellation(
+            network, mirrors,
+            make_server=lambda name: GupsterServer(
+                name, enforce_policies=False,
+                coverage=CoverageMap(max_changelog=4),
+            ),
+        )
+        paths = ["/user[@id='u%d']/presence" % i for i in range(10)]
+        for path in paths:
+            constellation.register_component(path, "s", via="mdm.0")
+        source = constellation.server_at("mdm.0").coverage
+        source.unregister(paths[3], "s")
+        with pytest.raises(ResyncRequiredError):
+            source.changes_since(0)
+
+        trace = network.trace()
+        assert constellation.replicate(trace) == 9
+        assert constellation.consistent()
+        target = constellation.server_at("mdm.1").coverage
+        assert target.stores_for(paths[3]) == []
+        assert target.entry_count() == 9
+        # mdm.0 -> mdm.1 ships the 9 live registrations; mdm.1's own
+        # four-entry feed is equally behind for mdm.0, so the echo is
+        # a second full-state transfer that applies nothing.
+        assert constellation.replication_messages == 2
+        assert trace.bytes_total == 2 * 9 * 96
+        assert constellation.replicate() == 0
+        assert constellation.replication_messages == 2  # nothing shipped
+
+    def test_full_state_resync_drops_what_the_source_unlisted(self):
+        network = Network(seed=21)
+        mirrors = ["mdm.0", "mdm.1"]
+        for mirror in mirrors:
+            network.add_node(mirror, region="core")
+        constellation = MirrorConstellation(
+            network, mirrors,
+            make_server=lambda name: GupsterServer(
+                name, enforce_policies=False,
+                coverage=CoverageMap(max_changelog=2),
+            ),
+        )
+        first = "/user[@id='u0']/presence"
+        constellation.register_component(first, "s", via="mdm.0")
+        constellation.register_component(first, "local", via="mdm.1")
+        constellation.replicate()
+        constellation.replicate()
+        assert constellation.consistent()
+        # The unregister of `first` falls out of mdm.0's window.
+        source = constellation.server_at("mdm.0").coverage
+        source.unregister(first, "s")
+        for i in range(1, 4):
+            source.register("/user[@id='u%d']/presence" % i, "s")
+        constellation.replicate()
+        constellation.replicate()
+        assert constellation.consistent()
+        target = constellation.server_at("mdm.1").coverage
+        assert target.stores_for(first) == ["local"]
 
 
 class TestReads:

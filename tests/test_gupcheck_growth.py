@@ -280,6 +280,41 @@ class TestVerdicts:
         growth = growth_of(sources)
         assert "repro.core.fixture.Leaf" in growth.owners
 
+    def test_closure_follows_package_reexports(self):
+        # `from repro.leafpkg import Leaf` names the package's
+        # re-export, not the defining module; the closure chases it.
+        sources = {
+            "repro/leafpkg/impl.py": dedent(
+                """
+                class Leaf:
+                    def __init__(self):
+                        self._items = []
+
+                    def push(self, item):
+                        self._items.append(item)
+                """
+            ),
+            "repro/leafpkg/__init__.py": dedent(
+                """
+                from repro.leafpkg.impl import Leaf
+                """
+            ),
+            FIXTURE: dedent(
+                """
+                from repro.leafpkg import Leaf
+
+
+                class WaveHub:
+                    def __init__(self):
+                        self._leaf = Leaf()
+                """
+            ),
+        }
+        growth = growth_of(sources)
+        owner = growth.owners["repro.leafpkg.impl.Leaf"]
+        assert owner.root_via == "reachable: %s" % HUB
+        assert owner.fields["_items"].verdict == VERDICT_UNBOUNDED
+
     def test_short_lived_classes_are_not_owners(self):
         sources = {FIXTURE: dedent(
             """
@@ -878,9 +913,20 @@ class TestRealTree:
         assert verdict(
             "repro.pxml.path", "_PARSE_CACHE"
         ) == VERDICT_EVICTING
+        # Every change feed (bus log, coverage and policy replica
+        # feeds, the federation journal) is one SeqLog, proven once.
         assert verdict(
-            "repro.bus.log.ChangeLog", "_records"
+            "repro.seqlog.SeqLog", "_entries"
         ) == VERDICT_EVICTING
+        for holder, feed in (
+            ("repro.bus.log.ChangeLog", "_records"),
+            ("repro.core.coverage.CoverageMap", "_changelog"),
+            ("repro.access.infrastructure.PolicyRepository",
+             "_changelog"),
+            ("repro.federation.foreign.ForeignDirectory", "_journal"),
+        ):
+            # A held SeqLog, not a private list of the holder's own.
+            assert feed not in growth.owners[holder].fields
         assert verdict(
             "repro.obs.spans.SpanRecorder", "spans"
         ) == VERDICT_EVICTING
@@ -891,8 +937,8 @@ class TestRealTree:
             "repro.core.provenance.ProvenanceTracker", "_records"
         ) == VERDICT_EVICTING
         assert verdict(
-            "repro.core.coverage.CoverageMap", "_changelog"
-        ) == VERDICT_EVICTING
+            "repro.access.infrastructure.PolicyRepository", "_rules"
+        ) == VERDICT_DECLARED
         assert verdict(
             "repro.simnet.engine.Simulator", "_heap"
         ) == VERDICT_DECLARED

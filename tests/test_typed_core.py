@@ -10,6 +10,7 @@ unannotated def cannot land.
 The typed scope matches the mypy ``files`` list:
 
 * ``repro/errors.py`` — the exception contract
+* ``repro/seqlog.py`` — the change-feed primitive every layer holds
 * ``repro/core/`` — server, query, cache, coverage, resilience, ...
 * ``repro/analysis/`` — gupcheck itself practices what it preaches
 * ``repro/obs/`` — spans, metrics registry, exporters (PR 4)
@@ -40,6 +41,7 @@ TYPED_DIRS = (
 #: Individual modules included.
 TYPED_FILES = (
     "errors.py",
+    "seqlog.py",
     os.path.join("pxml", "path.py"),
     os.path.join("pxml", "evaluate.py"),
     os.path.join("adapters", "base.py"),
