@@ -21,11 +21,17 @@ replacement. For each row the harness
 ``--check FILE`` re-derives the static column and exits 1 on any
 *lost* kill: a mutant some rule caught in FILE that no rule catches
 now. CI runs it so a rule edit cannot lose a kill unnoticed.
+``--table FILE`` prints the per-rule summary of a recorded matrix
+(EXPERIMENTS.md E17): mutants killed, mutants killed by that rule
+*only* (no other rule fired and tier-1 survived), lines in the rule's
+own module.
 
     python benchmarks/bench_e17_killmatrix.py --runtime \\
         --output benchmarks/results/e17_killmatrix.json
     python benchmarks/bench_e17_killmatrix.py \\
         --check benchmarks/results/e17_killmatrix.json
+    python benchmarks/bench_e17_killmatrix.py \\
+        --table benchmarks/results/e17_killmatrix.json
 """
 
 from __future__ import annotations
@@ -210,6 +216,203 @@ MUTANTS: List[Dict[str, str]] = [
         "old": "        point = self._rng.random()\n",
         "new": "        point = random.random()\n",
     },
+    # One row (at least) per remaining rule, so a rule edit that
+    # loses *any* rule's kill shows up in ``--check``.
+    {
+        "name": "service_imports_store",
+        "bug_class": "a service imports a native store at runtime, "
+                     "around the adapter layer",
+        "relpath": "repro/services/portability.py",
+        "old": "from repro.adapters.base import GupAdapter\n",
+        "new": (
+            "from repro.adapters.base import GupAdapter\n"
+            "from repro.stores.hlr import HLR\n"
+        ),
+    },
+    {
+        "name": "pxml_bare_valueerror",
+        "bug_class": "pxml raises a bare ValueError past "
+                     "`except ReproError`",
+        "relpath": "repro/pxml/path.py",
+        "old": (
+            '            raise PathSyntaxError('
+            '"a path needs at least one step")\n'
+        ),
+        "new": (
+            '            raise ValueError('
+            '"a path needs at least one step")\n'
+        ),
+    },
+    {
+        "name": "cache_get_unscoped",
+        "bug_class": "cache read without the requester scope (the "
+                     "PR 1 bypass at the key level)",
+        "relpath": "repro/core/server.py",
+        "old": (
+            "        cached = self.cache.get(\n"
+            "            parsed, now, scope=context.cache_scope()\n"
+            "        )\n"
+        ),
+        "new": "        cached = self.cache.get(parsed, now)\n",
+    },
+    {
+        "name": "poll_sweep_same_instant",
+        "bug_class": "poll tick and poll-state sweep armed for the "
+                     "same virtual instants, both writing _poll_state",
+        "relpath": "repro/core/subscription.py",
+        "old": (
+            "        self.sim.schedule_at(\n"
+            "            max(until, self.sim.now) + interval_ms,\n"
+            "            lambda: self._poll_state.pop(poller_id, None),\n"
+            "        )\n"
+        ),
+        "new": (
+            "        self.sim.every(\n"
+            "            interval_ms,\n"
+            "            lambda: self._poll_state.pop(poller_id, None),\n"
+            "            until=until,\n"
+            "        )\n"
+        ),
+    },
+    {
+        "name": "wave_over_listener_set",
+        "bug_class": "a wave iterates its listeners as a set and "
+                     "schedules hand-overs in hash order",
+        "relpath": "repro/bus/bus.py",
+        "old": (
+            "        memo: ShieldMemo = {}\n"
+            "        for listener in self._listeners:\n"
+        ),
+        "new": (
+            "        memo: ShieldMemo = {}\n"
+            "        for listener in set(self._listeners):\n"
+        ),
+    },
+    {
+        "name": "push_callback_steps_sim",
+        "bug_class": "a scheduled delivery callback re-enters the "
+                     "event loop",
+        "relpath": "repro/bus/push.py",
+        "old": (
+            "        self._deliver(value, changed_at, self.sim.now)\n"
+        ),
+        "new": (
+            "        self.sim.step()\n"
+            "        self._deliver(value, changed_at, self.sim.now)\n"
+        ),
+    },
+    {
+        "name": "fed_poll_span_leaks_on_error",
+        "bug_class": "a hand-opened span is entered only on the "
+                     "fall-through path; the exception edges return "
+                     "with it open",
+        "relpath": "repro/federation/reconciler.py",
+        "old": (
+            "        try:\n"
+            "            trace.hop(self.node, self.foreign.name, "
+            "POLL_BYTES)\n"
+            "            changes = self.foreign.changes_since("
+            "self._cursor)\n"
+            "            trace.hop(\n"
+            "                self.foreign.name, self.node,\n"
+            "                POLL_BYTES + sum(c.byte_size() "
+            "for c in changes),\n"
+            "            )\n"
+            "        except ForeignResyncRequiredError:\n"
+            "            # Cursor fell behind the retained window: "
+            "the incremental\n"
+            "            # stream is incomplete, so re-derive from "
+            "full state.\n"
+            "            self.full_resync()\n"
+            "            return\n"
+            "        except (NetworkError, StoreError):\n"
+            "            self.poll_failures += 1\n"
+            "            return\n"
+        ),
+        "new": (
+            '        poll = trace.span("fed.poll", '
+            "foreign=self.foreign.name)\n"
+            "        try:\n"
+            "            trace.hop(self.node, self.foreign.name, "
+            "POLL_BYTES)\n"
+            "            changes = self.foreign.changes_since("
+            "self._cursor)\n"
+            "            trace.hop(\n"
+            "                self.foreign.name, self.node,\n"
+            "                POLL_BYTES + sum(c.byte_size() "
+            "for c in changes),\n"
+            "            )\n"
+            "        except ForeignResyncRequiredError:\n"
+            "            self.full_resync()\n"
+            "            return\n"
+            "        except (NetworkError, StoreError):\n"
+            "            self.poll_failures += 1\n"
+            "            return\n"
+            "        with poll as span:\n"
+            '            span.set("changes", len(changes))\n'
+        ),
+    },
+    {
+        "name": "fed_listener_stale_cursor",
+        "bug_class": "a listener trims the log to its own cursor, "
+                     "then replays from the pre-compact snapshot",
+        "relpath": "repro/federation/listener.py",
+        "old": (
+            "        for record in records:\n"
+            "            self.routed += 1\n"
+            "            self.reconciler.note_gup_delta(record)\n"
+        ),
+        "new": (
+            "        held = bus.cursor(self.name)\n"
+            "        for record in records:\n"
+            "            self.routed += 1\n"
+            "            self.reconciler.note_gup_delta(record)\n"
+            "        for shard_id in sorted(held):\n"
+            "            log = bus.log_for(shard_id)\n"
+            "            log.compact(held[shard_id])\n"
+            "            for record in log.since(held[shard_id]):\n"
+            "                self.reconciler.note_gup_delta(record)\n"
+        ),
+    },
+    {
+        "name": "wave_memo_returned",
+        "bug_class": "the wave's ShieldMemo is returned to whoever "
+                     "ran the flush",
+        "relpath": "repro/bus/bus.py",
+        "old": (
+            "        self._compact()\n"
+            "\n"
+            "    def _hand_over(\n"
+        ),
+        "new": (
+            "        self._compact()\n"
+            "        return memo\n"
+            "\n"
+            "    def _hand_over(\n"
+        ),
+    },
+    {
+        "name": "wave_memo_outlives_wave",
+        "bug_class": "one ShieldMemo kept on the bus and reused by "
+                     "every wave (decisions survive a revocation)",
+        "relpath": "repro/bus/bus.py",
+        "old": "        memo: ShieldMemo = {}\n",
+        "new": (
+            '        memo: ShieldMemo = getattr(self, "_memo", {})\n'
+            "        self._memo = memo\n"
+        ),
+    },
+    {
+        "name": "delivery_window_untrimmed",
+        "bug_class": "the hub's delivery audit window loses its trim",
+        "relpath": "repro/core/subscription.py",
+        "old": (
+            "        self.dropped_deliveries += trim_oldest(\n"
+            "            self.max_deliveries, self.deliveries\n"
+            "        )\n"
+        ),
+        "new": "",
+    },
 ]
 
 Finding = Tuple[str, str, str]
@@ -231,8 +434,7 @@ def mutated_source(row: Dict[str, str], src_root: str = SRC_ROOT) -> str:
 
 
 def findings(src_copy: str) -> Set[Finding]:
-    """(rule, path, message) of every active violation, all rules, no
-    cache, no baseline."""
+    """(rule, path, message) of every active violation, all rules."""
     from repro.analysis import Analyzer
 
     report = Analyzer().analyze_paths([src_copy])
@@ -334,6 +536,39 @@ def lost_kills(
     return lost
 
 
+def rule_table(recorded: Dict[str, Any]) -> str:
+    """Markdown per-rule summary of a recorded (``--runtime``) matrix."""
+    import inspect
+
+    from repro.analysis.rules import ALL_RULES
+
+    lines = [
+        "| rule | mutants killed | killed by this rule only "
+        "| lines of rule code |",
+        "|---|---|---|---|",
+    ]
+    for rule_class in ALL_RULES:
+        killed = [
+            row for row in recorded["mutants"]
+            if rule_class.name in row["static"]
+        ]
+        only = [
+            row["name"] for row in killed
+            if len(row["static"]) == 1 and not row["runtime"]["killed"]
+        ]
+        with open(inspect.getsourcefile(rule_class) or "",
+                  "r", encoding="utf-8") as handle:
+            loc = len(handle.readlines())
+        lines.append("| `%s` | %d | %s | %d |" % (
+            rule_class.name, len(killed),
+            "%d (%s)" % (
+                len(only), ", ".join("`%s`" % name for name in only)
+            ) if only else "0",
+            loc,
+        ))
+    return "\n".join(lines) + "\n"
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__,
@@ -352,8 +587,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="re-derive the static column and exit 1 if a mutant "
              "caught in FILE is caught by no rule now",
     )
+    parser.add_argument(
+        "--table", metavar="FILE", default=None,
+        help="print the per-rule markdown summary of the matrix in FILE",
+    )
     options = parser.parse_args(argv)
 
+    if options.table is not None:
+        with open(options.table, "r", encoding="utf-8") as handle:
+            sys.stdout.write(rule_table(json.load(handle)))
+        return 0
     if options.check is not None:
         with open(options.check, "r", encoding="utf-8") as handle:
             recorded = json.load(handle)

@@ -1330,7 +1330,7 @@ class TestKillMatrix:
         bench = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(bench)
         names = [row["name"] for row in bench.MUTANTS]
-        assert len(names) == len(set(names)) >= 11
+        assert len(names) == len(set(names)) >= 22
         for row in bench.MUTANTS:
             assert row["old"] != row["new"]
             bench.mutated_source(row)  # SystemExit unless exactly once
