@@ -36,18 +36,14 @@ rule                      invariant protected
                           ``Simulator.run/step/advance`` (whole-program)
 ========================  ====================================================
 
-Run it over the source tree::
+Run it over the source tree — one invocation parses every file once,
+analyses the whole tree and writes every requested artefact from that
+one result::
 
     PYTHONPATH=src python -m repro.analysis src/          # human output
     PYTHONPATH=src python -m repro.analysis --json src/   # machine output
-    PYTHONPATH=src python -m repro.analysis --sarif out.sarif src/
-    PYTHONPATH=src python -m repro.analysis --stats src/  # run-shape counters
-
-Whole-program rules run on an incremental cache
-(``.gupcheck-cache.json``): modules whose *deep* content hash (own
-source + transitive import closure + project interface fingerprint)
-is unchanged replay their stored findings and function summaries, so
-a one-file edit re-analyzes only the dirty import/call SCCs.
+    PYTHONPATH=src python -m repro.analysis src/ --sarif out.sarif \\
+        --effects .gupcheck-effects.json --growth .gupcheck-growth.json
 
 A violation can be suppressed — with a mandatory justification — by a
 comment on (or immediately above) the offending line::
@@ -55,13 +51,10 @@ comment on (or immediately above) the offending line::
     time.time()  # gupcheck: ignore[determinism] -- wall-clock only in __repr__
 
 Suppressions without a justification, or naming unknown rules, are
-themselves violations.  Pre-existing findings can be accepted into a
-baseline file (``--write-baseline`` / ``--baseline``) for gradual
-adoption; the repository ships an empty baseline for ``src/``.
+themselves violations.
 """
 
 from repro.analysis.framework import (
-    AnalysisStats,
     Analyzer,
     ModuleInfo,
     ProjectRule,
@@ -74,7 +67,6 @@ from repro.analysis.rules import ALL_RULES, default_rules
 
 __all__ = [
     "ALL_RULES",
-    "AnalysisStats",
     "Analyzer",
     "ModuleInfo",
     "ProjectRule",

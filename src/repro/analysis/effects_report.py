@@ -14,33 +14,28 @@ deterministic (deps-first over call SCCs).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List
 
-from repro.analysis.framework import ModuleInfo
 from repro.analysis.interproc.effects import (
     EFFECTS, EFFECT_PURE, EFFECT_VIRTUAL_TIME, join_effects,
 )
 from repro.analysis.rules.sans_io import SansIoPurityRule
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.ir.project import Project
+
 __all__ = ["EFFECTS_FILENAME", "SCHEMA", "effects_payload"]
 
-#: Default artifact name, next to ``.gupcheck-cache.json``.
+#: Default artifact name.
 EFFECTS_FILENAME = ".gupcheck-effects.json"
 
 #: Bumped when the payload shape changes.
 SCHEMA = "gupcheck-effects/1"
 
 
-def effects_payload(modules: Sequence[ModuleInfo]) -> Dict[str, Any]:
-    """Build the boundary map for *modules* (already parsed).
-
-    Runs the full interprocedural fixpoint — the map must reflect
-    *transitive* effects, so there is no incremental shortcut here."""
-    from repro.analysis.ir.project import Project
-
-    project = Project(list(modules))
-    project.taint.compute([module.relpath for module in modules])
-
+def effects_payload(project: "Project") -> Dict[str, Any]:
+    """The boundary map of *project*: the transitive effect of every
+    function, as the interprocedural fixpoint inferred it."""
     functions: Dict[str, Dict[str, str]] = {}
     module_join: Dict[str, str] = {}
     counts = {effect: 0 for effect in EFFECTS}

@@ -24,12 +24,10 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.analysis.cache import AnalysisCache
     from repro.analysis.ir.project import Project
 
 __all__ = [
     "Analyzer",
-    "AnalysisStats",
     "ModuleInfo",
     "ProjectRule",
     "Report",
@@ -81,8 +79,8 @@ class Violation:
         self.severity = severity if severity in SEVERITIES else "error"
 
     def fingerprint(self) -> str:
-        """Location-independent identity used by the baseline file and
-        SARIF ``partialFingerprints``: line numbers shift on unrelated
+        """Location-independent identity (SARIF
+        ``partialFingerprints``): line numbers shift on unrelated
         edits, so the fingerprint hashes rule + path + message only."""
         digest = hashlib.sha1(
             ("%s|%s|%s" % (self.rule, self.path, self.message))
@@ -104,18 +102,6 @@ class Violation:
             data["justification"] = self.justification
         return data
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Violation":
-        """Inverse of :meth:`to_dict` (used by the incremental cache)."""
-        return cls(
-            str(data["rule"]),
-            str(data["path"]),
-            int(data["line"]),       # type: ignore[arg-type]
-            int(data["col"]),        # type: ignore[arg-type]
-            str(data["message"]),
-            severity=str(data.get("severity", "error")),
-        )
-
     def __repr__(self) -> str:
         return "%s:%d:%d: [%s] %s" % (
             self.path, self.line, self.col, self.rule, self.message
@@ -136,7 +122,7 @@ class ModuleInfo:
     """A parsed source module handed to every rule."""
 
     __slots__ = ("path", "relpath", "source", "tree", "lines",
-                 "suppressions", "sha")
+                 "suppressions")
 
     def __init__(self, path: str, relpath: str, source: str,
                  tree: ast.Module) -> None:
@@ -151,9 +137,6 @@ class ModuleInfo:
         #: suppression on a standalone comment line also covers the
         #: next line (see :meth:`suppression_for`).
         self.suppressions: Dict[int, _Suppression] = {}
-        #: Content hash — the incremental cache's identity for this
-        #: module's *intra*-module analysis results.
-        self.sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
         self._scan_suppressions()
 
     @classmethod
@@ -229,10 +212,6 @@ class Rule:
     prefixes: Tuple[str, ...] = ()
     #: ``error`` findings gate the run; ``warning`` findings do not.
     severity = "error"
-    #: Uncacheable rules re-run on every module each analysis: their
-    #: findings' evidence can live outside the module's own (deep)
-    #: content hash, so replaying stored results would be unsound.
-    cacheable = True
 
     def applies_to(self, relpath: str) -> bool:
         return not self.prefixes or any(
@@ -262,10 +241,8 @@ class ProjectRule(Rule):
     Project rules run after every module is parsed, on the
     :class:`~repro.analysis.ir.project.Project` (import/call graph +
     interprocedural summaries). They report per module through
-    :meth:`check_module`, which is the unit the incremental cache can
-    skip: a module whose *deep* content hash (own source + transitive
-    import closure + project interface fingerprint) is unchanged gets
-    its previous findings replayed instead of re-analysis.
+    :meth:`check_module`, so their findings pass the same per-module
+    suppression filter as every other rule's.
     """
 
     def check(self, module: ModuleInfo) -> List[Violation]:
@@ -284,75 +261,23 @@ class ProjectRule(Rule):
         return found
 
 
-class AnalysisStats:
-    """Run-shape counters for ``--stats`` (and the E17 benchmark)."""
-
-    __slots__ = ("modules_total", "modules_analyzed", "cache_hits",
-                 "import_sccs", "call_sccs", "functions",
-                 "summaries_computed", "wall_ms")
-
-    def __init__(self) -> None:
-        self.modules_total = 0
-        #: Modules whose rules/summaries were actually (re)computed.
-        self.modules_analyzed = 0
-        #: Modules fully replayed from the incremental cache.
-        self.cache_hits = 0
-        self.import_sccs = 0
-        self.call_sccs = 0
-        self.functions = 0
-        self.summaries_computed = 0
-        self.wall_ms = 0.0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        if not self.modules_total:
-            return 0.0
-        return self.cache_hits / float(self.modules_total)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "modules_total": self.modules_total,
-            "modules_analyzed": self.modules_analyzed,
-            "cache_hits": self.cache_hits,
-            "cache_hit_rate": round(self.cache_hit_rate, 4),
-            "import_sccs": self.import_sccs,
-            "call_sccs": self.call_sccs,
-            "functions": self.functions,
-            "summaries_computed": self.summaries_computed,
-            "wall_ms": round(self.wall_ms, 2),
-        }
-
-    def render(self) -> str:
-        return (
-            "gupcheck stats: %d/%d module(s) analyzed, %d cache hit(s) "
-            "(%.0f%%), %d import SCC(s), %d call SCC(s), %d function(s), "
-            "%d summaries computed, %.1f ms"
-            % (self.modules_analyzed, self.modules_total,
-               self.cache_hits, 100.0 * self.cache_hit_rate,
-               self.import_sccs, self.call_sccs, self.functions,
-               self.summaries_computed, self.wall_ms)
-        )
-
-
 class Report:
     """Aggregated result of an analysis run."""
 
-    def __init__(self, rules: Sequence[Rule]) -> None:
+    def __init__(self, rules: Sequence[Rule], project: "Project") -> None:
         self.rule_names = [rule.name for rule in rules]
+        #: The whole-program IR the findings were computed from —
+        #: what the ``--effects`` / ``--growth`` artefacts read.
+        self.project = project
         self.files_scanned = 0
         #: Active violations (error-severity ones fail the analysis).
         self.violations: List[Violation] = []
         #: Violations silenced by a justified suppression comment.
         self.suppressed: List[Violation] = []
-        #: Known findings accepted into the baseline file (reported,
-        #: never gating — the gradual-adoption ratchet).
-        self.baselined: List[Violation] = []
         #: (path, message) pairs for files that could not be parsed.
         self.errors: List[Tuple[str, str]] = []
         #: relpath -> filesystem path, for SARIF artifact URIs.
         self.paths: Dict[str, str] = {}
-        #: Populated when the analyzer is asked to collect stats.
-        self.stats: Optional[AnalysisStats] = None
 
     @property
     def failing(self) -> List[Violation]:
@@ -367,35 +292,19 @@ class Report:
     def ok(self) -> bool:
         return not self.failing and not self.errors
 
-    def apply_baseline(self, fingerprints: Iterable[str]) -> None:
-        """Move active violations whose fingerprint is accepted by the
-        baseline into :attr:`baselined`."""
-        accepted = set(fingerprints)
-        keep: List[Violation] = []
-        for violation in self.violations:
-            if violation.fingerprint() in accepted:
-                self.baselined.append(violation)
-            else:
-                keep.append(violation)
-        self.violations = keep
-
     def to_dict(self) -> Dict[str, object]:
-        data: Dict[str, object] = {
+        return {
             "gupcheck": 2,
             "ok": self.ok,
             "files_scanned": self.files_scanned,
             "rules": list(self.rule_names),
             "violations": [v.to_dict() for v in self.violations],
             "suppressed": [v.to_dict() for v in self.suppressed],
-            "baselined": [v.to_dict() for v in self.baselined],
             "errors": [
                 {"path": path, "message": message}
                 for path, message in self.errors
             ],
         }
-        if self.stats is not None:
-            data["stats"] = self.stats.to_dict()
-        return data
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -420,22 +329,33 @@ class Analyzer:
     def analyze_module(
         self, module: ModuleInfo
     ) -> Tuple[List[Violation], List[Violation]]:
-        """(active, suppressed) violations for one module."""
+        """(active, suppressed) violations of the per-module rules
+        for one module."""
+        active, suppressed = self._split(module, [
+            violation
+            for rule in self.rules if rule.applies_to(module.relpath)
+            for violation in rule.check(module)
+        ])
+        active.sort(key=_report_order)
+        suppressed.sort(key=_report_order)
+        return active, suppressed
+
+    def _split(
+        self, module: ModuleInfo, raw: List[Violation]
+    ) -> Tuple[List[Violation], List[Violation]]:
+        """Partition *raw* findings into (active, suppressed) by the
+        module's justified suppressions; the suppression audit's own
+        findings join the active ones."""
         active: List[Violation] = []
         suppressed: List[Violation] = []
-        for rule in self.rules:
-            if not rule.applies_to(module.relpath):
-                continue
-            for violation in rule.check(module):
-                supp = module.suppression_for(rule.name, violation.line)
-                if supp is not None and supp.justification:
-                    violation.justification = supp.justification
-                    suppressed.append(violation)
-                else:
-                    active.append(violation)
+        for violation in raw:
+            supp = module.suppression_for(violation.rule, violation.line)
+            if supp is not None and supp.justification:
+                violation.justification = supp.justification
+                suppressed.append(violation)
+            else:
+                active.append(violation)
         active.extend(self._audit_suppressions(module))
-        active.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-        suppressed.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
         return active, suppressed
 
     def _audit_suppressions(self, module: ModuleInfo) -> List[Violation]:
@@ -466,192 +386,81 @@ class Analyzer:
     # -- trees --------------------------------------------------------------
 
     def discover(self, paths: Iterable[str]) -> List[str]:
-        """Python files under *paths* (directories walked recursively)."""
+        """Python files under *paths* (directories walked
+        recursively), each once however the arguments overlap."""
         import os
 
-        files: List[str] = []
+        files: Dict[str, None] = {}
         for path in paths:
             if os.path.isdir(path):
-                files.extend(sorted(
+                found = sorted(
                     os.path.join(dirpath, filename)
                     for dirpath, dirnames, filenames in os.walk(path)
                     for filename in filenames
                     if filename.endswith(".py")
                     and "__pycache__" not in dirpath
-                ))
+                )
             else:
-                files.append(path)
-        return files
+                found = [path]
+            for filename in found:
+                files.setdefault(os.path.normpath(filename))
+        return list(files)
 
-    def analyze_paths(
-        self,
-        paths: Iterable[str],
-        cache: Optional["AnalysisCache"] = None,
-        collect_stats: bool = False,
-    ) -> Report:
-        """Run every rule over the trees/files in *paths*.
+    def analyze_paths(self, paths: Iterable[str]) -> Report:
+        """Run every rule over the trees/files in *paths* — the one
+        way gupcheck runs.
 
-        Two phases: per-module rules first (cacheable on each module's
-        own content hash), then whole-program :class:`ProjectRule`\\ s
-        over the project IR (cacheable on each module's *deep* hash —
-        own content + transitive import closure + the project interface
-        fingerprint). With *cache* set, unchanged modules replay their
-        stored findings instead of being re-analyzed.
+        Each file is parsed once, the modules become one
+        :class:`~repro.analysis.ir.project.Project` (kept on
+        :attr:`Report.project` for the artefact writers), and every
+        rule — per-module or whole-program — reports per module so
+        the suppression filter and audit apply uniformly.
         """
-        import time
+        from repro.analysis.ir.project import Project
 
-        start = time.perf_counter()
-        report = Report(self.rules)
-        if collect_stats or cache is not None:
-            report.stats = AnalysisStats()
-        stats = report.stats
-
+        files = self.discover(paths)
         modules: List[ModuleInfo] = []
-        for filename in self.discover(paths):
-            report.files_scanned += 1
+        errors: List[Tuple[str, str]] = []
+        for filename in files:
             try:
                 with open(filename, "r", encoding="utf-8") as handle:
                     source = handle.read()
-                module = ModuleInfo.from_source(
+                modules.append(ModuleInfo.from_source(
                     source, _relpath(filename), filename
-                )
+                ))
             except (OSError, SyntaxError, ValueError) as err:
-                report.errors.append((filename, str(err)))
-                continue
-            modules.append(module)
-            report.paths[module.relpath] = filename
-
-        module_rules = [
-            rule for rule in self.rules
-            if not isinstance(rule, ProjectRule)
-        ]
-        project_rules = [
-            rule for rule in self.rules if isinstance(rule, ProjectRule)
-        ]
-        analyzed: set = set()
-        raw_by_module: Dict[str, List[Violation]] = {}
-
-        # Phase 1: intra-module rules (keyed on each module's own sha).
-        for module in modules:
-            cached = (
-                cache.module_results(module.relpath, module.sha)
-                if cache is not None else None
-            )
-            if cached is not None:
-                raw = cached
-            else:
-                raw = []
-                for rule in module_rules:
-                    if rule.applies_to(module.relpath):
-                        raw.extend(rule.check(module))
-                analyzed.add(module.relpath)
-                if cache is not None:
-                    cache.store_module_results(
-                        module.relpath, module.sha, raw
-                    )
-            raw_by_module[module.relpath] = raw
-
-        # Phase 2: whole-program rules over the project IR.
-        if project_rules and modules:
-            self._run_project_rules(
-                modules, project_rules, raw_by_module, cache, analyzed,
-                stats,
-            )
-
-        # Suppression filtering + audit, uniformly over both phases.
-        for module in modules:
-            active: List[Violation] = []
-            suppressed: List[Violation] = []
-            for violation in raw_by_module.get(module.relpath, []):
-                supp = module.suppression_for(
-                    violation.rule, violation.line
-                )
-                if supp is not None and supp.justification:
-                    violation.justification = supp.justification
-                    suppressed.append(violation)
-                else:
-                    active.append(violation)
-            active.extend(self._audit_suppressions(module))
-            report.violations.extend(active)
-            report.suppressed.extend(suppressed)
-
-        report.violations.sort(
-            key=lambda v: (v.path, v.line, v.col, v.rule)
-        )
-        report.suppressed.sort(
-            key=lambda v: (v.path, v.line, v.col, v.rule)
-        )
-        if stats is not None:
-            stats.modules_total = len(modules)
-            stats.modules_analyzed = len(analyzed)
-            stats.cache_hits = len(modules) - len(analyzed)
-            stats.wall_ms = (time.perf_counter() - start) * 1000.0
-        return report
-
-    def _run_project_rules(
-        self,
-        modules: List[ModuleInfo],
-        project_rules: Sequence["ProjectRule"],
-        raw_by_module: Dict[str, List[Violation]],
-        cache: Optional["AnalysisCache"],
-        analyzed: set,
-        stats: Optional[AnalysisStats],
-    ) -> None:
-        from repro.analysis.ir.project import Project
+                errors.append((filename, str(err)))
 
         project = Project(modules)
-        cacheable_rules = [r for r in project_rules if r.cacheable]
-        global_rules = [r for r in project_rules if not r.cacheable]
-        dirty: List[ModuleInfo] = []
+        report = Report(self.rules, project)
+        report.files_scanned = len(files)
+        report.errors = errors
+        report.paths = {module.relpath: module.path for module in modules}
         for module in modules:
-            deep = project.deep_sha(module.relpath)
-            cached = (
-                cache.project_results(module.relpath, deep)
-                if cache is not None else None
-            )
-            if cached is not None:
-                violations, summaries = cached
-                project.taint.preload(summaries)
-                raw_by_module[module.relpath].extend(violations)
-            else:
-                dirty.append(module)
-        project.taint.compute(
-            [module.relpath for module in dirty]
-        )
-        for module in dirty:
-            violations: List[Violation] = []
-            for rule in cacheable_rules:
-                if rule.applies_to(module.relpath):
-                    violations.extend(
-                        rule.check_module(project, module)
-                    )
-            raw_by_module[module.relpath].extend(violations)
-            analyzed.add(module.relpath)
-            if cache is not None:
-                cache.store_project_results(
-                    module.relpath,
-                    project.deep_sha(module.relpath),
-                    violations,
-                    project.taint.summaries_for(module.relpath),
-                )
-        # Uncacheable rules (whole-program verdicts whose evidence
-        # crosses import cones) re-run over every module, and their
-        # findings are never stored or replayed.  They do not count
-        # as "analyzed" — the incremental contract (warm runs replay
-        # everything cacheable) is unchanged.
-        for module in modules:
-            for rule in global_rules:
-                if rule.applies_to(module.relpath):
-                    raw_by_module[module.relpath].extend(
-                        rule.check_module(project, module)
-                    )
-        if stats is not None:
-            stats.import_sccs = len(project.import_sccs)
-            stats.call_sccs = project.taint.call_scc_count
-            stats.functions = project.function_count
-            stats.summaries_computed = (
-                project.taint.summaries_computed
-            )
+            active, suppressed = self._split(module, [
+                violation
+                for rule in self.rules
+                if rule.applies_to(module.relpath)
+                for violation in _run_rule(rule, project, module)
+            ])
+            report.violations.extend(active)
+            report.suppressed.extend(suppressed)
+        report.violations.sort(key=_report_order)
+        report.suppressed.sort(key=_report_order)
+        return report
+
+
+def _report_order(violation: Violation) -> Tuple[str, int, int, str]:
+    return (violation.path, violation.line, violation.col,
+            violation.rule)
+
+
+def _run_rule(
+    rule: Rule, project: "Project", module: ModuleInfo
+) -> List[Violation]:
+    if isinstance(rule, ProjectRule):
+        return rule.check_module(project, module)
+    return rule.check(module)
 
 
 #: Path components the relpath computation anchors on. ``repro`` is the
@@ -682,20 +491,14 @@ def check_source(
     suppressions are **not** audited here (that is
     :meth:`Analyzer.analyze_module`'s job). A :class:`ProjectRule`
     sees a one-module project."""
-    module = ModuleInfo.from_source(source, relpath)
-    findings = []
-    if rule.applies_to(relpath):
-        if isinstance(rule, ProjectRule):
-            from repro.analysis.ir.project import Project
+    from repro.analysis.ir.project import Project
 
-            project = Project([module])
-            project.taint.compute([relpath])
-            raw = rule.check_module(project, module)
-        else:
-            raw = rule.check(module)
-        for violation in raw:
-            supp = module.suppression_for(rule.name, violation.line)
-            if supp is not None and supp.justification:
-                continue
+    module = ModuleInfo.from_source(source, relpath)
+    if not rule.applies_to(relpath):
+        return []
+    findings = []
+    for violation in _run_rule(rule, Project([module]), module):
+        supp = module.suppression_for(rule.name, violation.line)
+        if supp is None or not supp.justification:
             findings.append(violation)
     return findings

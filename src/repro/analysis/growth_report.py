@@ -14,9 +14,8 @@ call SCCs, sorted worklists).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List
 
-from repro.analysis.framework import ModuleInfo
 from repro.analysis.interproc.growth import VERDICTS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -31,19 +30,9 @@ GROWTH_FILENAME = ".gupcheck-growth.json"
 SCHEMA = "gupcheck-growth/1"
 
 
-def growth_payload(modules: Sequence[ModuleInfo]) -> Dict[str, Any]:
-    """Build the growth inventory for *modules* (already parsed).
-
-    Runs the full whole-program engine — verdict evidence crosses
-    module boundaries, so there is no incremental shortcut here."""
-    from repro.analysis.ir.project import Project
-
-    project = Project(list(modules))
-    return growth_payload_for(project)
-
-
-def growth_payload_for(project: "Project") -> Dict[str, Any]:
-    """The growth inventory for an already-built project."""
+def growth_payload(project: "Project") -> Dict[str, Any]:
+    """The growth inventory of *project*: every tracked container
+    with its verdict and evidence."""
     growth = project.growth
     owners: Dict[str, Any] = {}
     for qualname in sorted(growth.owners):

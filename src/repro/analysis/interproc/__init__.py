@@ -1,8 +1,8 @@
 """Summary-based interprocedural engines over the gupcheck IR.
 
 :mod:`~repro.analysis.interproc.summaries` defines the per-function
-:class:`~repro.analysis.interproc.summaries.Summary` — a small,
-JSON-serializable abstraction of one function: which labels (the
+:class:`~repro.analysis.interproc.summaries.Summary` — a small
+abstraction of one function: which labels (the
 profile-data source ``src`` or a parameter ``p<i>``) may reach its
 return value unsanitized, whether it *is* a shield sanitizer, and
 whether it transitively re-enters the simulator loop.
@@ -10,8 +10,7 @@ whether it transitively re-enters the simulator loop.
 :mod:`~repro.analysis.interproc.taint` runs the fixpoint: call-graph
 SCCs are processed callees-first, each function is evaluated against
 its callees' summaries, and cycles iterate until the (monotone)
-summaries stabilize.  Cached summaries from a previous run can be
-preloaded so only dirty SCCs are recomputed.
+summaries stabilize.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ gives transitive flows without re-walking callee bodies.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Tuple
+from typing import Any, FrozenSet, List, Tuple
 
 __all__ = ["SOURCE_LABEL", "Summary"]
 
@@ -114,42 +114,4 @@ class Summary:
             bits.append("effect=%s" % self.effect)
         return "<Summary %s %s>" % (
             self.qualname, " ".join(bits) or "clean",
-        )
-
-    # -- (de)serialization for the incremental cache -------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "relpath": self.relpath,
-            "returns_source": self.returns_source,
-            "param_flows": sorted(self.param_flows),
-            "sanitizes": self.sanitizes,
-            "guards": self.guards,
-            "tainted_return_lines": list(self.tainted_return_lines),
-            "egress_sends": [list(e) for e in self.egress_sends],
-            "reaches_sim_run": self.reaches_sim_run,
-            "effect": self.effect,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "Summary":
-        return cls(
-            qualname=str(raw["qualname"]),
-            relpath=str(raw["relpath"]),
-            returns_source=bool(raw.get("returns_source", False)),
-            param_flows=frozenset(
-                int(i) for i in raw.get("param_flows", ())
-            ),
-            sanitizes=bool(raw.get("sanitizes", False)),
-            guards=bool(raw.get("guards", False)),
-            tainted_return_lines=tuple(
-                int(n) for n in raw.get("tainted_return_lines", ())
-            ),
-            egress_sends=tuple(
-                (int(e[0]), int(e[1]), str(e[2]))
-                for e in raw.get("egress_sends", ())
-            ),
-            reaches_sim_run=bool(raw.get("reaches_sim_run", False)),
-            effect=str(raw.get("effect", "pure")),
         )

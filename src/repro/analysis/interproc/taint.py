@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import ast
 from typing import (
-    Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
+    Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
 )
 
 from repro.analysis.ir.callgraph import CallGraph, CallResolver
@@ -233,8 +233,7 @@ class TaintEngine:
         self.resolver = CallResolver(project)
         self._callgraph: Optional[CallGraph] = None
         self._summaries: Dict[str, Summary] = {}
-        #: Functions whose summary was (re)computed by :meth:`compute`.
-        self.summaries_computed = 0
+        self._solved = False
         self._ancestor_cache: Dict[str, FrozenSet[str]] = {}
         #: qualname -> (syntactic base effect, callee qualnames) —
         #: the resolution work is identical on every fixpoint pass,
@@ -251,53 +250,17 @@ class TaintEngine:
             )
         return self._callgraph
 
-    @property
-    def call_scc_count(self) -> int:
-        return len(self.callgraph.sccs)
-
-    def preload(self, summaries: Dict[str, Any]) -> None:
-        """Install cached summaries (``summaries_for`` round-trip)."""
-        for qualname, raw in summaries.items():
-            if isinstance(raw, Summary):
-                self._summaries[qualname] = raw
-            else:
-                self._summaries[qualname] = Summary.from_dict(raw)
-
-    def summaries_for(self, relpath: str) -> Dict[str, Any]:
-        """JSON-ready summaries of every function in *relpath*."""
-        module = self.project.by_relpath.get(relpath)
-        if module is None:
-            return {}
-        picked: Dict[str, Any] = {}
-        for fn in module.symbols.all_functions():
-            summary = self._summaries.get(fn.qualname)
-            if summary is not None:
-                picked[fn.qualname] = summary.to_dict()
-        return picked
-
     def summary_of(self, qualname: str) -> Optional[Summary]:
+        self.compute()
         return self._summaries.get(qualname)
 
-    def compute(self, dirty_relpaths: Sequence[str]) -> None:
-        """Fixpoint over the call graph, recomputing only SCCs that
-        contain a function from a dirty module (or that lack a
-        preloaded summary)."""
-        dirty_paths = set(dirty_relpaths)
-        graph = self.callgraph
-        for scc in graph.sccs:
-            needs = False
-            for qualname in scc:
-                fn = self.project.functions.get(qualname)
-                if fn is None:  # pragma: no cover - defensive
-                    continue
-                if (
-                    fn.relpath in dirty_paths
-                    or qualname not in self._summaries
-                ):
-                    needs = True
-                    break
-            if not needs:
-                continue
+    def compute(self) -> None:
+        """Fixpoint over the whole call graph, callees first — solved
+        once, on the first :meth:`summary_of` at the latest."""
+        if self._solved:
+            return
+        self._solved = True
+        for scc in self.callgraph.sccs:
             self._solve_scc(scc)
 
     # -- fixpoint -------------------------------------------------------
@@ -316,7 +279,6 @@ class TaintEngine:
                 if self._summaries.get(fn.qualname) != summary:
                     self._summaries[fn.qualname] = summary
                     changed = True
-                self.summaries_computed += 1
             if not changed:
                 break
 

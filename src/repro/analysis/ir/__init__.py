@@ -7,8 +7,8 @@ intermediate representation:
   (functions, classes with base/attribute typing, import aliases);
 * :mod:`~repro.analysis.ir.project` — the
   :class:`~repro.analysis.ir.project.Project`: dotted-name module map,
-  import graph with SCC condensation, per-module deep content hashes
-  (the incremental-cache key), and the project interface fingerprint;
+  import graph with SCC condensation, and the project class index
+  (bases, subclasses, interface dispatch);
 * :mod:`~repro.analysis.ir.callgraph` — call-site resolution (module
   functions, self/typed-receiver methods, adapter-interface dispatch
   over ``adapters/base`` subclasses) and the function-level call graph.

@@ -1,4 +1,4 @@
-"""Project-level IR: module map, import graph, SCCs, deep hashes.
+"""Project-level IR: module map, import graph, SCCs, class index.
 
 The :class:`Project` is the whole-program view the interprocedural
 engines run on.  It owns
@@ -7,21 +7,16 @@ engines run on.  It owns
   ``repro.core.server``);
 * the *project-internal* import graph and its Tarjan SCC
   condensation (dependencies-first topological order);
-* per-module **deep content hashes** — the incremental-cache key for
-  project-level rules: a module's deep sha covers its own source, the
-  transitive import closure's sources and the global *interface
-  fingerprint* (signatures only, never bodies), so editing a function
-  body only dirties the module's own SCC and its dependents;
 * a project class index: base-class resolution, subclass maps and
   adapter-style interface dispatch (``implementations_of``).
 
-The taint engine (:mod:`repro.analysis.interproc.taint`) is attached
-lazily via :attr:`Project.taint`.
+The taint engine (:mod:`repro.analysis.interproc.taint`) and the
+container-growth verdicts (:mod:`repro.analysis.interproc.growth`)
+are attached lazily via :attr:`Project.taint` / :attr:`Project.growth`.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import (
     TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List,
     Optional, Sequence, Set, Tuple,
@@ -98,13 +93,6 @@ class Project:
             sorted(self.modules),
             lambda name: sorted(self.modules[name].imports),
         )
-        self._scc_of: Dict[str, int] = {}
-        for index, scc in enumerate(self.import_sccs):
-            for name in scc:
-                self._scc_of[name] = index
-        self.interface_fingerprint = self._interface_fingerprint()
-        self._deep_sha: Dict[str, str] = {}
-        self._compute_deep_shas()
         # -- class / function index ---------------------------------
         self.classes: Dict[str, ClassInfo] = {}
         self.functions: Dict[str, FunctionInfo] = {}
@@ -173,50 +161,6 @@ class Project:
             if candidate in self.modules:
                 return candidate
         return None
-
-    # -- hashing --------------------------------------------------------
-
-    def _interface_fingerprint(self) -> str:
-        digest = hashlib.sha256()
-        for name in sorted(self.modules):
-            digest.update(name.encode("utf-8"))
-            for line in self.modules[name].symbols.interface_lines():
-                digest.update(b"\n")
-                digest.update(line.encode("utf-8"))
-            digest.update(b"\x00")
-        return digest.hexdigest()
-
-    def _compute_deep_shas(self) -> None:
-        """Per-module deep sha: own SCC sources + dep SCC hashes +
-        the project interface fingerprint.
-
-        Computed SCC-by-SCC in topological (deps-first) order so each
-        SCC hash folds in its dependency SCCs' hashes — a change
-        anywhere in the transitive closure changes the deep sha.
-        """
-        scc_hash: List[str] = []
-        for index, scc in enumerate(self.import_sccs):
-            digest = hashlib.sha256()
-            for name in scc:
-                digest.update(name.encode("utf-8"))
-                digest.update(self.modules[name].info.sha.encode())
-            dep_sccs = sorted({
-                self._scc_of[dep]
-                for name in scc
-                for dep in self.modules[name].imports
-                if self._scc_of[dep] != index
-            })
-            for dep in dep_sccs:
-                digest.update(scc_hash[dep].encode())
-            digest.update(self.interface_fingerprint.encode())
-            scc_hash.append(digest.hexdigest())
-            for name in scc:
-                self._deep_sha[name] = scc_hash[index]
-
-    def deep_sha(self, relpath: str) -> str:
-        """Incremental-cache key for project-level analysis results."""
-        module = self.by_relpath[relpath]
-        return self._deep_sha[module.name]
 
     # -- class index ----------------------------------------------------
 
@@ -304,12 +248,9 @@ class Project:
         return ordered
 
     @property
-    def function_count(self) -> int:
-        return len(self.functions)
-
-    @property
     def taint(self) -> "TaintEngine":
-        """Lazily constructed interprocedural taint engine."""
+        """The interprocedural taint/effects engine (its fixpoint
+        runs over the whole project on the first summary query)."""
         if self._taint is None:
             from repro.analysis.interproc.taint import TaintEngine
 

@@ -5,7 +5,7 @@ For every module the table records module-level functions, classes
 and the import alias map. Resolution to *project* entities (classes
 defined elsewhere, adapter subclass sets) happens at the
 :class:`~repro.analysis.ir.project.Project` level — this module is
-purely syntactic so it stays cheap and cacheable.
+purely syntactic so it stays cheap.
 """
 
 from __future__ import annotations
@@ -298,33 +298,6 @@ class ModuleSymbols:
         else:
             return None
         return "%s.%s" % (absolute, rest) if rest else absolute
-
-    def interface_lines(self) -> List[str]:
-        """Stable interface description for the project fingerprint
-        (names and signatures only — never bodies)."""
-        lines: List[str] = []
-        for fn in self.functions.values():
-            lines.append(self._fn_line(fn))
-        for cls in sorted(self.classes.values(),
-                          key=lambda c: c.qualname):
-            lines.append(
-                "%s(%s)" % (cls.qualname, ",".join(cls.base_refs))
-            )
-            for method in cls.methods.values():
-                lines.append(self._fn_line(method))
-        lines.sort()
-        return lines
-
-    @staticmethod
-    def _fn_line(fn: FunctionInfo) -> str:
-        annotated = [
-            "%s:%s" % (p, fn.param_annotations.get(p, ""))
-            for p in fn.params
-        ]
-        return "%s(%s)->%s" % (
-            fn.qualname, ",".join(annotated),
-            fn.return_annotation or "",
-        )
 
     def all_functions(self) -> List[FunctionInfo]:
         picked = list(self.functions.values())

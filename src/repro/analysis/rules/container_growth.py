@@ -16,12 +16,11 @@ declared-bound audit findings:
   violation — the declared-bound surface is audited exactly like
   suppressions, so it cannot silently rot.
 
-The rule is **uncacheable** (``cacheable = False``): a verdict's
-evidence can live outside the owning module's import cone (a helper
-in another module growing the field through a parameter, a subclass
-in a third module evicting it), so per-module deep-sha caching could
-replay a stale verdict.  The engine itself runs once per analysis on
-the shared project IR, so the re-check is cheap.
+A verdict's evidence can live outside the owning module's import
+cone (a helper in another module growing the field through a
+parameter, a subclass in a third module evicting it), which is why
+the verdicts are only meaningful over the whole tree.  The engine
+runs once per analysis on the shared project IR.
 """
 
 from __future__ import annotations
@@ -60,9 +59,6 @@ class ContainerGrowthRule(ProjectRule):
         "`# gupcheck: bounded[...]` declaration"
     )
     prefixes = ("repro/",)
-    #: Verdict evidence crosses module import cones (helpers,
-    #: subclasses), so per-module deep-sha caching is unsound here.
-    cacheable = False
 
     def check_module(self, project: "Project",
                      module: ModuleInfo) -> List[Violation]:

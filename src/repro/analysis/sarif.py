@@ -3,9 +3,9 @@
 Serializes a gupcheck :class:`~repro.analysis.framework.Report` as a
 Static Analysis Results Interchange Format log so GitHub code
 scanning renders findings inline on PRs.  Active violations become
-plain results; in-source-suppressed and baselined findings are
-emitted with a ``suppressions`` entry so the history stays visible
-without re-alerting.
+plain results; in-source-suppressed findings are emitted with a
+``suppressions`` entry so the history stays visible without
+re-alerting.
 """
 
 from __future__ import annotations
@@ -106,14 +106,6 @@ def to_sarif(
         results.append(
             _result(violation, rule_index, report.paths)
         )
-    for violation in report.baselined:
-        results.append(_result(
-            violation, rule_index, report.paths,
-            suppression={
-                "kind": "external",
-                "justification": "accepted in gupcheck baseline",
-            },
-        ))
     for violation in report.suppressed:
         results.append(_result(
             violation, rule_index, report.paths,

@@ -1240,8 +1240,11 @@ class TestReportSchema:
             rule_class.name for rule_class in ALL_RULES
         }
         assert data["suppressed"] == []
-        assert data["baselined"] == []
         assert data["errors"] == []
+        assert set(data) == {
+            "gupcheck", "ok", "files_scanned", "rules",
+            "violations", "suppressed", "errors",
+        }
         assert len(data["violations"]) >= 2
         for violation in data["violations"]:
             assert set(violation) == {

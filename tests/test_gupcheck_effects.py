@@ -3,9 +3,7 @@
 Covers the lattice itself, the interprocedural propagation (resolved
 calls join callee effects; callable *references* do not), the
 intrinsic patterns for unresolved calls, the ``sans-io-purity``
-project rule, the ``--effects`` CLI artifact, and the rules
-fingerprint that keeps the incremental cache honest when the
-analyzer itself changes.
+project rule and the ``--effects`` CLI artifact.
 """
 
 import json
@@ -14,13 +12,9 @@ import subprocess
 import sys
 import textwrap
 
-from repro.analysis.cache import (
-    AnalysisCache, CACHE_VERSION, rules_fingerprint,
-)
 from repro.analysis.effects_report import (
     EFFECTS_FILENAME, SCHEMA, effects_payload,
 )
-from repro.analysis.framework import ModuleInfo, Violation
 from repro.analysis.interproc.effects import (
     EFFECT_PURE,
     EFFECT_TRANSPORT,
@@ -30,7 +24,7 @@ from repro.analysis.interproc.effects import (
     join_effects,
 )
 from repro.analysis.ir.project import Project
-from repro.analysis.rules import SansIoPurityRule, default_rules
+from repro.analysis.rules import SansIoPurityRule
 
 REPO_ROOT = os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))
@@ -43,9 +37,7 @@ def dedent(source):
 
 
 def computed(sources):
-    proj = Project.from_sources(sources)
-    proj.taint.compute(dirty_relpaths=list(proj.by_relpath))
-    return proj
+    return Project.from_sources(sources)
 
 
 def effect_of(proj, qualname):
@@ -331,14 +323,8 @@ class TestSansIoPurityRule:
 # ---------------------------------------------------------------------------
 
 class TestEffectsPayload:
-    def modules(self, sources):
-        return [
-            ModuleInfo.from_source(source, relpath, relpath)
-            for relpath, source in sources.items()
-        ]
-
     def test_payload_shape_and_counts(self):
-        payload = effects_payload(self.modules({
+        payload = effects_payload(Project.from_sources({
             "repro/core/pure.py": "def f(n):\n    return n\n",
             "repro/util/wire.py": (
                 "def hop(network):\n"
@@ -358,7 +344,7 @@ class TestEffectsPayload:
         assert payload["boundary"]["clean"] is True
 
     def test_boundary_violation_is_reported(self):
-        payload = effects_payload(self.modules({
+        payload = effects_payload(Project.from_sources({
             "repro/core/engine.py": (
                 "def leak(network):\n"
                 "    return network.sample_hop('a', 'b', 1)\n"
@@ -422,74 +408,3 @@ class TestEffectsCli:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert (tmp_path / EFFECTS_FILENAME).exists()
-
-
-# ---------------------------------------------------------------------------
-# cache staleness: the rules fingerprint
-# ---------------------------------------------------------------------------
-
-class TestRulesFingerprint:
-    def test_fingerprint_depends_on_active_rule_set(self):
-        rules = default_rules()
-        full = rules_fingerprint(rules)
-        subset = rules_fingerprint(rules[:3])
-        assert full != subset
-        assert full == rules_fingerprint(list(rules))
-
-    def test_mismatched_fingerprint_discards_entries(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        cache = AnalysisCache(fingerprint="fp-v1")
-        cache.store_module_results(
-            "repro/m.py", "sha1",
-            [Violation("some-rule", "repro/m.py", 1, 0, "old")],
-        )
-        cache.save(path)
-
-        same = AnalysisCache.load(path, "fp-v1")
-        assert same.module_results("repro/m.py", "sha1") is not None
-
-        # The analyzer changed (new rule, edited rule, subset) but
-        # the module did not: stale findings must NOT replay.
-        changed = AnalysisCache.load(path, "fp-v2")
-        assert changed.module_results("repro/m.py", "sha1") is None
-
-    def test_version_field_still_guards(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps({
-            "gupcheck_cache": CACHE_VERSION + 1,
-            "rules_fingerprint": "fp-v1",
-            "modules": {"repro/m.py": {"sha": "sha1",
-                                       "violations": []}},
-            "project": {},
-        }), encoding="utf-8")
-        cache = AnalysisCache.load(str(path), "fp-v1")
-        assert cache.module_results("repro/m.py", "sha1") is None
-
-    def test_new_rule_invalidates_cache_end_to_end(self, tmp_path):
-        # The v2 staleness bug, end to end: warm cache + a changed
-        # rule set must re-analyze, not replay.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC_ROOT + os.pathsep + env.get(
-            "PYTHONPATH", ""
-        )
-        target = tmp_path / "repro" / "m.py"
-        target.parent.mkdir(parents=True)
-        target.write_text("VALUE = 1\n", encoding="utf-8")
-        cache = tmp_path / "cache.json"
-
-        def run(extra):
-            return subprocess.run(
-                [sys.executable, "-m", "repro.analysis",
-                 str(tmp_path), "--no-baseline",
-                 "--cache", str(cache), "--stats"] + extra,
-                capture_output=True, text=True, env=env,
-                cwd=REPO_ROOT,
-            )
-
-        warm = run([])
-        assert warm.returncode == 0
-        replay = run([])
-        assert "1 cache hit(s)" in replay.stderr
-        # Same file, different rule set: cold again.
-        narrowed = run(["--rules", "span-balance"])
-        assert "0 cache hit(s)" in narrowed.stderr

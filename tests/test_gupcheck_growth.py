@@ -4,9 +4,9 @@ Covers the verdict lattice fixture by fixture (bounded / evicting /
 unbounded / declared), the long-lived-root discovery and reachability
 closure, the helper-mediated interprocedural attribution, the
 declared-bound audit, the ``--growth`` CLI artifact and exit codes,
-the SARIF round-trip for a growth finding, the rules-fingerprint
-invalidation hook, and — on the real tree — the verdicts the issue
-pins (the ``parse_path`` memo is *evicting*, the tree is clean).
+the SARIF round-trip for a growth finding, and — on the real tree —
+the verdicts the issue pins (the ``parse_path`` memo is *evicting*,
+the tree is clean).
 """
 
 import json
@@ -19,8 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import Analyzer, default_rules
-from repro.analysis.cache import rules_fingerprint
-from repro.analysis.framework import ModuleInfo, _relpath
 from repro.analysis.growth_report import (
     GROWTH_FILENAME, SCHEMA, growth_payload,
 )
@@ -652,11 +650,7 @@ class TestEvictionMonotonicity:
 
 class TestGrowthPayload:
     def _payload(self, sources):
-        infos = [
-            ModuleInfo.from_source(src, rel)
-            for rel, src in sorted(sources.items())
-        ]
-        return growth_payload(infos)
+        return growth_payload(Project.from_sources(sources))
 
     def test_payload_shape(self):
         payload = self._payload(hub_fixture(
@@ -833,6 +827,30 @@ class TestGrowthCli:
         assert payload["schema"] == SCHEMA
         assert "growth inventory (stdout)" in proc.stderr
 
+    def test_growth_composes_with_effects_and_json(self, tmp_path):
+        # At the parent ``--growth G --effects E`` wrote only E and
+        # ``--growth G --json`` printed no JSON, both silently.
+        self._write(tmp_path, """
+            class WaveHub:
+                def __init__(self):
+                    self._queue = []
+        """)
+        growth = tmp_path / "growth.json"
+        effects = tmp_path / "effects.json"
+        proc = self.run_cli(
+            [str(tmp_path), "--growth", str(growth),
+             "--effects", str(effects), "--json"],
+            REPO_ROOT,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert json.loads(proc.stdout)["files_scanned"] == 1
+        assert json.loads(
+            growth.read_text(encoding="utf-8")
+        )["schema"] == SCHEMA
+        assert json.loads(
+            effects.read_text(encoding="utf-8")
+        )["boundary"]["clean"] is True
+
     def test_growth_exit_2_on_parse_error(self, tmp_path):
         self._write(tmp_path, """
             def broken(:
@@ -844,55 +862,19 @@ class TestGrowthCli:
 
 
 # ---------------------------------------------------------------------------
-# cache invalidation
-# ---------------------------------------------------------------------------
-
-class TestGrowthFingerprint:
-    def test_growth_engine_edit_changes_the_fingerprint(self):
-        """Editing the v4 engine (or rule) must invalidate the
-        incremental cache — the fingerprint hashes every ``.py`` in
-        the analysis package, growth files included."""
-        target = os.path.join(
-            SRC_ROOT, "repro", "analysis", "interproc", "growth.py",
-        )
-        rules = default_rules()
-        before = rules_fingerprint(rules)
-        with open(target, "a", encoding="utf-8") as handle:
-            handle.write("# fingerprint probe\n")
-        try:
-            after = rules_fingerprint(rules)
-        finally:
-            with open(target, "r", encoding="utf-8") as handle:
-                text = handle.read()
-            with open(target, "w", encoding="utf-8") as handle:
-                handle.write(
-                    text.replace("# fingerprint probe\n", "")
-                )
-        assert after != before
-        assert rules_fingerprint(rules) == before
-
-    def test_growth_rule_is_active_and_uncacheable(self):
-        rules = {rule.name: rule for rule in default_rules()}
-        rule = rules["container-growth"]
-        assert rule.cacheable is False
-
-
-# ---------------------------------------------------------------------------
 # the real tree
 # ---------------------------------------------------------------------------
 
 def _real_project():
-    analyzer = Analyzer([])
-    modules = []
-    for filename in analyzer.discover([SRC_ROOT]):
-        with open(filename, "r", encoding="utf-8") as handle:
-            modules.append(ModuleInfo.from_source(
-                handle.read(), _relpath(filename), filename
-            ))
-    return Project(modules)
+    return Analyzer([]).analyze_paths([SRC_ROOT]).project
 
 
 class TestRealTree:
+    def test_growth_rule_is_active(self):
+        assert "container-growth" in {
+            rule.name for rule in default_rules()
+        }
+
     def test_shipped_inventory_matches_the_tree(self):
         project = _real_project()
         growth = project.growth
@@ -905,6 +887,22 @@ class TestRealTree:
         assert shipped["schema"] == SCHEMA
         assert shipped["clean"] is True
         assert shipped["counts"] == counts
+        # Verdict by verdict, not just the tallies: two containers
+        # swapping verdicts leave the counts alone.
+        assert {
+            qualname: {
+                name: field["verdict"]
+                for name, field in owner["fields"].items()
+            }
+            for qualname, owner in shipped["owners"].items()
+        } == {
+            qualname: {
+                name: field.verdict
+                for name, field in owner.fields.items()
+            }
+            for qualname, owner in growth.owners.items()
+            if owner.fields
+        }
 
         # The verdicts the issue pins, by name.
         def verdict(owner, field):

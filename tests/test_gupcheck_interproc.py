@@ -2,23 +2,20 @@
 construction (adapter dispatch, SCC cycles), interprocedural taint
 summaries (sanitizer kill, guard idiom, transitive egress), the
 simulator soundness rules (sim-race, iter-order, handler-reentrancy),
-the incremental cache (invalidation on edit, <30%% re-analysis after a
-one-file change), SARIF output shape, and baseline round-trips."""
+SARIF output shape, and the one-run CLI (composing sinks, exit codes,
+the six-flag surface)."""
 
+import inspect
 import json
 import os
 import subprocess
 import sys
 import textwrap
 
-from repro.analysis import Analyzer, check_source, default_rules
-from repro.analysis.baseline import (
-    load_baseline,
-    render_baseline,
-    write_baseline,
+from repro.analysis import (
+    Analyzer, ModuleInfo, check_source, default_rules,
 )
-from repro.analysis.cache import AnalysisCache
-from repro.analysis.interproc.summaries import Summary
+from repro.analysis.__main__ import _build_parser, main
 from repro.analysis.ir.callgraph import CallGraph
 from repro.analysis.ir.project import (
     Project,
@@ -145,44 +142,6 @@ class TestProjectIR:
         cycles = [scc for scc in proj.import_sccs if len(scc) > 1]
         assert cycles == [("repro.a", "repro.b")]
 
-    def test_deep_sha_tracks_dependencies(self):
-        before = project().deep_sha("repro/services/mix.py")
-        changed = Project.from_sources({
-            "repro/adapters/base.py": ADAPTER_BASE,
-            "repro/adapters/hlr.py": ADAPTER_HLR.replace(
-                '"msisdn"', '"imsi"'
-            ),
-            "repro/services/mix.py": SERVICES,
-        })
-        assert changed.deep_sha("repro/services/mix.py") != before
-        # Its own source is unchanged, only the import closure moved.
-        assert (
-            changed.by_relpath["repro/services/mix.py"].info.sha
-            == project().by_relpath["repro/services/mix.py"].info.sha
-        )
-
-    def test_body_edit_does_not_dirty_unrelated_modules(self):
-        sources = {
-            "repro/a.py": "def f():\n    return 1\n",
-            "repro/b.py": "def g():\n    return 2\n",
-        }
-        before = Project.from_sources(sources).deep_sha("repro/b.py")
-        sources["repro/a.py"] = "def f():\n    return 99\n"
-        after = Project.from_sources(sources).deep_sha("repro/b.py")
-        assert after == before
-
-    def test_signature_edit_dirties_every_module(self):
-        # The global interface fingerprint folds into every deep sha:
-        # changing a *signature* anywhere invalidates the world.
-        sources = {
-            "repro/a.py": "def f():\n    return 1\n",
-            "repro/b.py": "def g():\n    return 2\n",
-        }
-        before = Project.from_sources(sources).deep_sha("repro/b.py")
-        sources["repro/a.py"] = "def f(x):\n    return 1\n"
-        after = Project.from_sources(sources).deep_sha("repro/b.py")
-        assert after != before
-
     def test_class_index_subclasses_and_dispatch(self):
         proj = project()
         subs = proj.subclasses_of("repro.adapters.base.GupAdapter")
@@ -260,7 +219,6 @@ class TestCallGraph:
 class TestSummaries:
     def test_adapter_read_taints_return(self):
         engine = project().taint
-        engine.compute(dirty_relpaths=list(project().by_relpath))
         summary = engine.summary_of(
             "repro.services.mix.LeakyService.lookup"
         )
@@ -271,7 +229,6 @@ class TestSummaries:
     def test_guard_call_kills_taint(self):
         proj = project()
         engine = proj.taint
-        engine.compute(dirty_relpaths=list(proj.by_relpath))
         summary = engine.summary_of(
             "repro.services.mix.SafeService.lookup"
         )
@@ -282,7 +239,6 @@ class TestSummaries:
     def test_transitive_egress_through_helper(self):
         proj = project()
         engine = proj.taint
-        engine.compute(dirty_relpaths=list(proj.by_relpath))
         helper = engine.summary_of("repro.services.mix.fetch_raw")
         assert helper is not None and helper.returns_source
         chained = engine.summary_of(
@@ -299,27 +255,10 @@ class TestSummaries:
             ),
         })
         engine = proj.taint
-        engine.compute(dirty_relpaths=["repro/m.py"])
         summary = engine.summary_of("repro.m.ident")
         assert summary is not None
         assert summary.param_flows == frozenset({0})
         assert not summary.returns_source
-
-    def test_summary_dict_round_trip(self):
-        original = Summary(
-            qualname="repro.m.f",
-            relpath="repro/m.py",
-            returns_source=True,
-            param_flows=frozenset({0, 2}),
-            sanitizes=False,
-            guards=True,
-            tainted_return_lines=(7, 12),
-            egress_sends=((9, 4, "send"),),
-            reaches_sim_run=True,
-        )
-        clone = Summary.from_dict(original.to_dict())
-        assert clone == original
-        assert hash(clone) == hash(original)
 
 
 # ---------------------------------------------------------------------------
@@ -675,121 +614,6 @@ class TestHandlerReentrancy:
 
 
 # ---------------------------------------------------------------------------
-# incremental cache
-# ---------------------------------------------------------------------------
-
-def write_fixture_tree(root, leaf_count=9):
-    """A base module + *leaf_count* independent services over it."""
-    pkg = root / "repro"
-    (pkg / "adapters").mkdir(parents=True)
-    (pkg / "services").mkdir(parents=True)
-    (pkg / "adapters" / "base.py").write_text(
-        ADAPTER_BASE, encoding="utf-8"
-    )
-    for index in range(leaf_count):
-        (pkg / "services" / ("svc%d.py" % index)).write_text(
-            dedent(
-                """
-                from repro.adapters.base import GupAdapter
-
-
-                class Pep%(i)d:
-                    def enforce(self, path, context):
-                        return True
-
-
-                class Service%(i)d:
-                    def __init__(self, adapter: GupAdapter):
-                        self.adapter = adapter
-                        self.pep = Pep%(i)d()
-
-                    def lookup(self, path, context):
-                        data = self.adapter.get(path)
-                        self.pep.enforce(path, context)
-                        return data
-                """
-            ) % {"i": index},
-            encoding="utf-8",
-        )
-
-
-class TestIncrementalCache:
-    def run(self, root, cache):
-        report = Analyzer().analyze_paths(
-            [str(root)], cache=cache, collect_stats=True
-        )
-        assert report.stats is not None
-        return report
-
-    def test_warm_cache_replays_everything(self, tmp_path):
-        write_fixture_tree(tmp_path)
-        cache = AnalysisCache()
-        cold = self.run(tmp_path, cache)
-        assert cold.stats.modules_analyzed == cold.stats.modules_total
-        warm = self.run(tmp_path, cache)
-        assert warm.stats.modules_analyzed == 0
-        assert warm.stats.cache_hit_rate == 1.0
-        assert warm.stats.summaries_computed == 0
-        # Replayed results match the cold run.
-        assert (
-            [str(v) for v in warm.violations]
-            == [str(v) for v in cold.violations]
-        )
-
-    def test_one_file_edit_reanalyzes_under_30_percent(self, tmp_path):
-        write_fixture_tree(tmp_path)
-        cache = AnalysisCache()
-        self.run(tmp_path, cache)
-        leaf = tmp_path / "repro" / "services" / "svc0.py"
-        leaf.write_text(
-            leaf.read_text(encoding="utf-8") + "\n# touched\n",
-            encoding="utf-8",
-        )
-        warm = self.run(tmp_path, cache)
-        ratio = (
-            warm.stats.modules_analyzed
-            / float(warm.stats.modules_total)
-        )
-        assert warm.stats.modules_analyzed >= 1
-        assert ratio < 0.30, warm.stats.render()
-
-    def test_dependency_edit_invalidates_dependents(self, tmp_path):
-        write_fixture_tree(tmp_path, leaf_count=3)
-        cache = AnalysisCache()
-        self.run(tmp_path, cache)
-        base = tmp_path / "repro" / "adapters" / "base.py"
-        base.write_text(
-            ADAPTER_BASE.replace(
-                "def export_user(self, user):",
-                "def export_user(self, user, depth=0):",
-            ),
-            encoding="utf-8",
-        )
-        warm = self.run(tmp_path, cache)
-        # Signature change in the shared base: every importer is dirty.
-        assert warm.stats.modules_analyzed == warm.stats.modules_total
-
-    def test_cache_file_round_trip(self, tmp_path):
-        write_fixture_tree(tmp_path, leaf_count=3)
-        cache_path = str(tmp_path / "cache.json")
-        cache = AnalysisCache()
-        self.run(tmp_path, cache)
-        cache.save(cache_path)
-        reloaded = AnalysisCache.load(cache_path)
-        warm = self.run(tmp_path, reloaded)
-        assert warm.stats.modules_analyzed == 0
-
-    def test_corrupt_cache_degrades_to_cold_run(self, tmp_path):
-        cache_path = str(tmp_path / "cache.json")
-        with open(cache_path, "w", encoding="utf-8") as handle:
-            handle.write("{not json")
-        cache = AnalysisCache.load(cache_path)
-        write_fixture_tree(tmp_path, leaf_count=2)
-        report = self.run(tmp_path, cache)
-        assert report.stats.modules_analyzed == report.stats.modules_total
-
-
-# ---------------------------------------------------------------------------
 # SARIF
 # ---------------------------------------------------------------------------
 
@@ -864,72 +688,16 @@ class TestSarif:
 
 
 # ---------------------------------------------------------------------------
-# baseline
+# CLI: exit codes, the composing sinks, the six-flag surface
 # ---------------------------------------------------------------------------
 
-class TestBaseline:
-    def dirty_tree(self, tmp_path):
-        bad = tmp_path / "repro" / "simnet" / "busy.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text(
-            "import time\n\n\ndef handler():\n"
-            "    time.sleep(1)\n    return time.time()\n",
-            encoding="utf-8",
-        )
+#: Every option PR 19 removed; argparse must reject each (exit 2).
+REMOVED_FLAGS = (
+    ["--stats"], ["--changed-only"], ["--changed-only", "HEAD"],
+    ["--cache", "c.json"], ["--no-cache"], ["--baseline", "b.json"],
+    ["--no-baseline"], ["--write-baseline"],
+)
 
-    def test_round_trip_accepts_current_findings(self, tmp_path):
-        self.dirty_tree(tmp_path)
-        report = Analyzer().analyze_paths([str(tmp_path)])
-        assert report.failing
-        baseline_path = str(tmp_path / "baseline.json")
-        count = write_baseline(baseline_path, report)
-        assert count == len(report.violations)
-
-        fresh = Analyzer().analyze_paths([str(tmp_path)])
-        fresh.apply_baseline(load_baseline(baseline_path))
-        assert not fresh.failing
-        assert fresh.violations == []
-        assert len(fresh.baselined) == count
-
-    def test_new_findings_still_fail_over_a_baseline(self, tmp_path):
-        self.dirty_tree(tmp_path)
-        report = Analyzer().analyze_paths([str(tmp_path)])
-        baseline_path = str(tmp_path / "baseline.json")
-        write_baseline(baseline_path, report)
-
-        worse = tmp_path / "repro" / "simnet" / "worse.py"
-        worse.write_text(
-            "import time\n\n\ndef other():\n    return time.time()\n",
-            encoding="utf-8",
-        )
-        fresh = Analyzer().analyze_paths([str(tmp_path)])
-        fresh.apply_baseline(load_baseline(baseline_path))
-        assert fresh.failing
-        assert all(
-            v.path == "repro/simnet/worse.py" for v in fresh.violations
-        )
-
-    def test_render_is_idempotent(self, tmp_path):
-        self.dirty_tree(tmp_path)
-        report = Analyzer().analyze_paths([str(tmp_path)])
-        baseline_path = str(tmp_path / "baseline.json")
-        write_baseline(baseline_path, report)
-        rebaselined = Analyzer().analyze_paths([str(tmp_path)])
-        rebaselined.apply_baseline(load_baseline(baseline_path))
-        assert render_baseline(rebaselined) == render_baseline(report)
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(str(tmp_path / "nope.json")) == []
-
-    def test_shipped_baseline_is_empty_for_src(self):
-        shipped = os.path.join(REPO_ROOT, ".gupcheck-baseline.json")
-        assert os.path.exists(shipped)
-        assert load_baseline(shipped) == []
-
-
-# ---------------------------------------------------------------------------
-# CLI: exit codes, --changed-only, --stats, --sarif
-# ---------------------------------------------------------------------------
 
 class TestCli:
     def run_cli(self, args, cwd):
@@ -942,37 +710,53 @@ class TestCli:
             capture_output=True, text=True, env=env, cwd=str(cwd),
         )
 
+    def tree(self, tmp_path):
+        """A two-module tree with one suppressed finding, a tracked
+        container and a sans-io function — something for every sink."""
+        core = tmp_path / "repro" / "core"
+        core.mkdir(parents=True)
+        (tmp_path / "repro" / "workloads").mkdir()
+        (core / "hub.py").write_text(dedent(
+            """
+            class WaveHub:
+                def __init__(self):
+                    self._queue = []
+
+                def size(self):
+                    return len(self._queue)
+            """
+        ), encoding="utf-8")
+        (tmp_path / "repro" / "workloads" / "clock.py").write_text(
+            "import time\n\n\ndef stamp():\n"
+            "    return time.time()  "
+            "# gupcheck: ignore[determinism] -- fixture\n",
+            encoding="utf-8",
+        )
+        return str(tmp_path / "repro")
+
     def test_exit_1_on_violations(self, tmp_path):
         bad = tmp_path / "repro" / "simnet" / "busy.py"
         bad.parent.mkdir(parents=True)
         bad.write_text(
             "import time\nNOW = time.time()\n", encoding="utf-8"
         )
-        proc = self.run_cli(
-            ["--no-cache", "--no-baseline", str(tmp_path)], REPO_ROOT
-        )
+        proc = self.run_cli([str(tmp_path)], REPO_ROOT)
         assert proc.returncode == 1, proc.stdout + proc.stderr
 
     def test_exit_2_on_parse_error(self, tmp_path):
         bad = tmp_path / "repro" / "broken.py"
         bad.parent.mkdir(parents=True)
         bad.write_text("def (:\n", encoding="utf-8")
-        proc = self.run_cli(
-            ["--no-cache", "--no-baseline", str(tmp_path)], REPO_ROOT
-        )
+        proc = self.run_cli([str(tmp_path)], REPO_ROOT)
         assert proc.returncode == 2, proc.stdout + proc.stderr
 
-    def test_exit_0_clean_with_stats(self, tmp_path):
+    def test_exit_0_clean(self, tmp_path):
         ok = tmp_path / "repro" / "ok.py"
         ok.parent.mkdir(parents=True)
         ok.write_text("VALUE = 1\n", encoding="utf-8")
-        proc = self.run_cli(
-            ["--no-cache", "--no-baseline", "--stats", str(tmp_path)],
-            REPO_ROOT,
-        )
+        proc = self.run_cli([str(tmp_path)], REPO_ROOT)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "gupcheck stats:" in proc.stderr
-        assert "module(s) analyzed" in proc.stderr
+        assert proc.stderr == ""
 
     def test_sarif_file_output(self, tmp_path):
         ok = tmp_path / "repro" / "ok.py"
@@ -980,32 +764,147 @@ class TestCli:
         ok.write_text("VALUE = 1\n", encoding="utf-8")
         out = tmp_path / "out.sarif"
         proc = self.run_cli(
-            ["--no-cache", "--no-baseline", "--sarif", str(out),
-             str(tmp_path / "repro")],
+            ["--sarif", str(out), str(tmp_path / "repro")],
             REPO_ROOT,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         parsed = json.loads(out.read_text(encoding="utf-8"))
         assert parsed["version"] == "2.1.0"
 
-    def test_changed_only_without_git_falls_back(self, tmp_path):
-        ok = tmp_path / "repro" / "ok.py"
-        ok.parent.mkdir(parents=True)
-        ok.write_text("VALUE = 1\n", encoding="utf-8")
-        # Run *inside* tmp_path (not a git repo): the CLI warns and
-        # falls back to a full scan rather than erroring out.
-        proc = self.run_cli(
-            ["--no-cache", "--no-baseline", "--changed-only", "HEAD",
-             "repro"],
-            tmp_path,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+    def test_all_four_sinks_compose_in_one_invocation(
+        self, tmp_path, capsys
+    ):
+        root = self.tree(tmp_path)
+        alone = {}
+        for flag in ("--sarif", "--effects", "--growth"):
+            alone[flag] = tmp_path / ("alone" + flag.strip("-"))
+            assert main([root, flag, str(alone[flag])]) == 0
+        capsys.readouterr()
+        assert main([root, "--json"]) == 0
+        json_alone = capsys.readouterr().out
 
-    def test_changed_only_clean_when_nothing_changed(self):
-        proc = self.run_cli(
-            ["--no-cache", "--no-baseline", "--changed-only", "HEAD",
-             "does-not-exist-anywhere"],
-            REPO_ROOT,
+        together = {
+            flag: tmp_path / ("together" + flag.strip("-"))
+            for flag in alone
+        }
+        argv = [root, "--json"]
+        for flag, path in together.items():
+            argv += [flag, str(path)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == json_alone
+        assert json.loads(captured.out)["suppressed"]
+        for flag in alone:
+            assert together[flag].read_bytes() \
+                == alone[flag].read_bytes(), flag
+        # The artefact notes moved off the JSON stream.
+        assert "effects map" in captured.err
+        assert "growth inventory" in captured.err
+
+    def test_sinks_do_not_change_the_exit_code(self, tmp_path):
+        root = self.tree(tmp_path)
+        assert main([root, "--effects", str(tmp_path / "e"),
+                     "--growth", str(tmp_path / "g")]) == 0
+        hub = tmp_path / "repro" / "core" / "hub.py"
+        hub.write_text(
+            hub.read_text(encoding="utf-8")
+            + "\n    def push(self, item):\n"
+              "        self._queue.append(item)\n",
+            encoding="utf-8",
         )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "no python files changed" in proc.stdout
+        # Unbounded now — and exit 1 with or without the sink, because
+        # the verdict is the run's container-growth finding.
+        assert main([root]) == 1
+        assert main([root, "--growth", str(tmp_path / "g")]) == 1
+        assert main([root, "--rules", "determinism",
+                     "--growth", str(tmp_path / "g")]) == 0
+        assert json.loads(
+            (tmp_path / "g").read_text(encoding="utf-8")
+        )["clean"] is False
+
+    def test_two_sinks_cannot_share_stdout(self, tmp_path):
+        root = self.tree(tmp_path)
+        proc = self.run_cli(
+            [root, "--json", "--growth", "-"], REPO_ROOT
+        )
+        assert proc.returncode == 2
+        assert "--json and --growth" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_unwritable_sink_is_exit_2_and_the_rest_still_land(
+        self, tmp_path
+    ):
+        root = self.tree(tmp_path)
+        out = tmp_path / "g.json"
+        assert main([
+            root, "--effects", str(tmp_path / "no" / "such" / "e"),
+            "--growth", str(out),
+        ]) == 2
+        assert json.loads(out.read_text(encoding="utf-8"))["clean"]
+
+    def test_overlapping_paths_scan_each_file_once(self, tmp_path):
+        root = self.tree(tmp_path)
+        once = Analyzer().analyze_paths([root])
+        twice = Analyzer().analyze_paths([
+            root, os.path.join(root, "core"),
+            os.path.join(root, "core", "hub.py"),
+            os.path.join(root, ".", "workloads", "clock.py"),
+        ])
+        assert once.files_scanned == twice.files_scanned == 2
+        assert twice.to_dict() == once.to_dict()
+
+    def test_removed_flags_exit_2_through_argparse(self, tmp_path):
+        root = self.tree(tmp_path)
+        for flags in REMOVED_FLAGS:
+            proc = self.run_cli(flags + [root], REPO_ROOT)
+            assert proc.returncode == 2, flags
+            assert "usage:" in proc.stderr, flags
+
+    def test_one_invocation_parses_each_file_once(
+        self, tmp_path, monkeypatch
+    ):
+        root = self.tree(tmp_path)
+        parsed, projects = [], []
+        from_source = ModuleInfo.from_source.__func__
+        project_init = Project.__init__
+
+        def counting_from_source(cls, source, relpath, path=None):
+            parsed.append(relpath)
+            return from_source(cls, source, relpath, path)
+
+        def counting_init(self, infos):
+            projects.append(len(infos))
+            project_init(self, infos)
+
+        monkeypatch.setattr(
+            ModuleInfo, "from_source",
+            classmethod(counting_from_source),
+        )
+        monkeypatch.setattr(Project, "__init__", counting_init)
+        assert main([
+            root, "--json",
+            "--sarif", str(tmp_path / "s"),
+            "--effects", str(tmp_path / "e"),
+            "--growth", str(tmp_path / "g"),
+        ]) == 0
+        assert sorted(parsed) == [
+            "repro/core/hub.py", "repro/workloads/clock.py",
+        ]
+        assert projects == [2]
+        # ... and that one parse fed all three file sinks.
+        assert all((tmp_path / name).exists() for name in "seg")
+
+    def test_surface_is_six_flags_and_one_parameter(self):
+        options = sorted(
+            option
+            for action in _build_parser()._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        )
+        assert options == [
+            "--effects", "--growth", "--json", "--list-rules",
+            "--rules", "--sarif",
+        ]
+        assert list(
+            inspect.signature(Analyzer.analyze_paths).parameters
+        ) == ["self", "paths"]
