@@ -17,6 +17,10 @@ Two claims to measure, one per test:
   per-segment breakdown (hop vs compute vs wait vs timeout) must add
   up to the trace's elapsed time.
 
+The CLI adds a third, wall-clock check: ``start()+finish()`` on a
+recorder *at its retention cap* — where a long-lived server lives —
+must cost about what it costs on an empty one.
+
 Artifacts: ``results/e18_trace.json`` (Chrome trace-event JSON of the
 degraded query — load it in ``chrome://tracing`` / Perfetto) and
 ``results/e18_metrics.json`` (registry snapshot). Run standalone with
@@ -37,12 +41,14 @@ if __name__ == "__main__":  # CLI use without an installed package
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.obs import (  # noqa: E402
+    SpanRecorder,
     reconcile,
     to_chrome_trace,
     to_json_snapshot,
     write_chrome_trace,
     write_json_snapshot,
 )
+from repro.obs.wallclock import WallClock  # noqa: E402
 from repro.workloads.reference import (  # noqa: E402
     BOOK,
     GOLDEN_STREAMS,
@@ -59,6 +65,13 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 #: Leaf span names charged by the Trace layer.
 SEGMENTS = ("hop", "compute", "wait")
+
+#: ``start()+finish()`` pairs per timing round, and rounds (best of).
+CAP_PAIRS = 1_000
+CAP_ROUNDS = 5
+#: A span on a full recorder may cost at most this many times one on
+#: an empty recorder (the list-rebuilding eviction was ~1000x).
+CAP_RATIO_GATE = 3.0
 
 
 def load_golden() -> Dict[str, List]:
@@ -166,6 +179,32 @@ def run_degraded_artifacts(
             if name.startswith("net.") and value
         }
     return summary
+
+
+def _span_pair_us(recorder: SpanRecorder) -> float:
+    clock = WallClock()
+    for i in range(CAP_PAIRS):
+        recorder.finish(recorder.start("probe", float(i)), float(i))
+    return clock.now_ms() * 1000.0 / CAP_PAIRS
+
+
+def run_span_cost_at_cap() -> Dict[str, float]:
+    """us per ``start()+finish()`` on an empty recorder and on one
+    filled to ``max_spans`` (every further start evicts), best of
+    :data:`CAP_ROUNDS` rounds each."""
+    full = SpanRecorder()
+    while len(full) < full.max_spans:
+        full.leaf("fill", 0.0, 0.0)
+    empty_us = min(
+        _span_pair_us(SpanRecorder()) for _ in range(CAP_ROUNDS)
+    )
+    at_cap_us = min(_span_pair_us(full) for _ in range(CAP_ROUNDS))
+    return {
+        "max_spans": full.max_spans,
+        "empty_us": empty_us,
+        "at_cap_us": at_cap_us,
+        "ratio": at_cap_us / empty_us,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +318,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             degraded["elapsed_ms"], degraded["spans"],
             degraded["open_spans"], degraded["mismatches"],
             "OK" if tree_ok else "FAILED",
+        )
+    )
+    cap = run_span_cost_at_cap()
+    cap_ok = cap["ratio"] <= CAP_RATIO_GATE
+    failures += 0 if cap_ok else 1
+    print(
+        "span at the cap (%d): %.2f us vs %.2f us empty, "
+        "ratio %.2f (gate <= %.1f) -> %s" % (
+            cap["max_spans"], cap["at_cap_us"], cap["empty_us"],
+            cap["ratio"], CAP_RATIO_GATE, "OK" if cap_ok else "FAILED",
         )
     )
     if not args.smoke:

@@ -27,7 +27,8 @@ Design constraints, in order:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "DEFAULT_MAX_SPANS", "Span", "SpanEvent", "SpanRecorder",
@@ -91,8 +92,9 @@ class Span:
         self.start_ms = start_ms
         self.end_ms: Optional[float] = None
         self.attrs: Dict[str, object] = dict(attrs) if attrs else {}
-        # gupcheck: bounded[span-lifetime] -- grows only while open; retention is the recorder cap
-        self.events: List[SpanEvent] = []
+        #: The shared empty tuple until the first :meth:`event` — most
+        #: retained spans never get one, and readers only iterate.
+        self.events: Sequence[SpanEvent] = ()
 
     # -- mutation ----------------------------------------------------------
 
@@ -107,7 +109,11 @@ class Span:
         attrs: Optional[Dict[str, object]] = None,
     ) -> SpanEvent:
         ev = SpanEvent(name, at_ms, attrs)
-        self.events.append(ev)
+        if self.events:
+            self.events.append(ev)
+        else:
+            # gupcheck: bounded[span-lifetime] -- grows only while open; retention is the recorder cap
+            self.events = [ev]
         return ev
 
     # -- reading -----------------------------------------------------------
@@ -151,7 +157,8 @@ class SpanRecorder:
     def __init__(self, max_spans: int = DEFAULT_MAX_SPANS) -> None:
         if max_spans <= 0:
             raise ValueError("max_spans must be positive")
-        self.spans: List[Span] = []
+        #: Creation order, oldest first — eviction works from the head.
+        self.spans: Deque[Span] = deque()
         #: Retention cap: starting a span past it evicts the oldest
         #: *finished* spans. Open spans are never evicted — they are
         #: still being written to and ``open_spans`` must see them.
@@ -203,23 +210,22 @@ class SpanRecorder:
 
     def _evict(self) -> None:
         """Drop the oldest *finished* spans down to ``max_spans``.
-        When more than ``max_spans`` spans are simultaneously open
-        the list can exceed the cap — open spans are never dropped,
-        and every one of them is finished (or leaked, which the
-        span-balance rule catches) in bounded time."""
-        overflow = len(self.spans) - self.max_spans
-        doomed: set = set()
-        for span in self.spans:
-            if len(doomed) >= overflow:
-                break
-            if span.finished:
-                doomed.add(span.span_id)
-        if not doomed:
-            return
-        self.spans = [
-            s for s in self.spans if s.span_id not in doomed
-        ]
-        self.dropped += len(doomed)
+        The head goes while it is finished; behind an open head, the
+        first finished span past the open prefix goes — the cost is
+        the number of open spans at the head, never the length of
+        the recorder. When more than ``max_spans`` spans are
+        simultaneously open the deque can exceed the cap — open spans
+        are never dropped, and every one of them is finished (or
+        leaked, which the span-balance rule catches) in bounded
+        time."""
+        spans = self.spans
+        index = 0  # everything before it is open
+        while len(spans) > self.max_spans and index < len(spans):
+            if spans[index].end_ms is None:
+                index += 1
+            else:
+                del spans[index]
+                self.dropped += 1
 
     def finish(self, span: Span, end_ms: float) -> Span:
         if span.end_ms is not None:
@@ -284,7 +290,7 @@ class SpanRecorder:
     def clear(self) -> None:
         """Drop recorded spans (id counters keep running, so ids stay
         unique across a benchmark's phases)."""
-        del self.spans[:]
+        self.spans.clear()
 
     def trace_ids(self) -> List[int]:
         seen: Dict[int, None] = {}

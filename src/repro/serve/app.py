@@ -45,10 +45,18 @@ from repro.workloads import SyntheticAdapter
 __all__ = [
     "App",
     "AppServer",
+    "SERVE_MAX_SPANS",
     "ServeWorld",
     "build_demo_world",
     "create_app",
 ]
+
+#: Retention of the recorder a :class:`ServeWorld` creates for itself:
+#: roughly the last 4-8 k requests. A memory budget (~400 B a span),
+#: not a speed knob — eviction is O(1) at any cap, and nothing in the
+#: server reads further back. The simulator's ``DEFAULT_MAX_SPANS`` is
+#: sized to hold a whole experiment instead.
+SERVE_MAX_SPANS = 16_384
 
 
 class ServeWorld:
@@ -75,7 +83,8 @@ class ServeWorld:
         self.bus = bus
         self.clock = clock if clock is not None else WallClock()
         self.recorder = (
-            recorder if recorder is not None else SpanRecorder()
+            recorder if recorder is not None
+            else SpanRecorder(max_spans=SERVE_MAX_SPANS)
         )
         self.metrics = (
             metrics if metrics is not None else MetricsRegistry()

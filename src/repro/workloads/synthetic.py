@@ -24,6 +24,12 @@ from repro.adapters.base import GupAdapter
 
 __all__ = ["SyntheticAdapter", "ZipfSampler", "spread_users"]
 
+#: Users whose exported tree one adapter memoizes (LRU). A whole-user
+#: tree is tens of KB, so the memo is a memory budget: a uniform
+#: workload never re-reads a user before it would have been evicted
+#: at any affordable size, and a skewed one lives in its head.
+EXPORT_MEMO_USERS = 32
+
 
 class SyntheticAdapter(GupAdapter):
     """A GUP-enabled store whose profiles are generated, not stored."""
@@ -54,7 +60,9 @@ class SyntheticAdapter(GupAdapter):
         #: Safe because :meth:`GupAdapter.get` projects the view
         #: through :func:`~repro.pxml.evaluate.extract`, which copies —
         #: the cached tree is never handed to callers for mutation.
-        #: Invalidated on any add/remove/write for the user.
+        #: Invalidated on any add/remove/write for the user; holds the
+        #: :data:`EXPORT_MEMO_USERS` most recently exported users,
+        #: least recent first.
         self._export_cache: Optional[Dict[str, PNode]] = (
             {} if memoize_exports else None
         )
@@ -116,8 +124,9 @@ class SyntheticAdapter(GupAdapter):
         if components is None:
             return None
         if self._export_cache is not None:
-            cached = self._export_cache.get(user_id)
+            cached = self._export_cache.pop(user_id, None)
             if cached is not None:
+                self._export_cache[user_id] = cached
                 return cached
         root = self._user_root(user_id)
         # CRC32, not hash(): string hash() is randomized per process
@@ -139,6 +148,8 @@ class SyntheticAdapter(GupAdapter):
             builder = getattr(self, "_build_" + component.replace("-", "_"))
             root.append(builder(user_id, rng))
         if self._export_cache is not None:
+            if len(self._export_cache) >= EXPORT_MEMO_USERS:
+                del self._export_cache[next(iter(self._export_cache))]
             self._export_cache[user_id] = root
         return root
 

@@ -3,28 +3,35 @@
 Every fix the resource-bound analysis drove — the recording
 listener's record window, the span recorder's retention cap, the
 provenance ledger window, the coverage replication-log window, the
-subscription hub's delivery list and poller state, and the
-``parse_path`` memo's clear-when-full cap — gets a test that fills
-past the bound and asserts the container stays capped (and that the
-truncation is *accounted*, never silent).
+subscription hub's delivery list and poller state, the
+``parse_path`` memo's clear-when-full cap and the synthetic adapter's
+export memo — gets a test that fills past the bound and asserts the
+container stays capped (and that the truncation is *accounted*, never
+silent). The span recorder's eviction is also priced: element visits
+per ``start()`` are counted, not timed.
 """
 
 import math
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.access import RequestContext
 from repro.bus.listeners import RecordingListener
 from repro.bus.log import ChangeRecord
-from repro.core import SubscriptionHub
+from repro.core import GupsterServer, SubscriptionHub
 from repro.core.coverage import CoverageError, CoverageMap
 from repro.core.provenance import ProvenanceTracker
 from repro.core.subscription import Delivery
 from repro.obs.spans import SpanRecorder
+from repro.pxml import PNode
 from repro.pxml.path import (
     _PARSE_CACHE, _PARSE_CACHE_MAX, parse_path,
 )
-from repro.workloads import build_converged_world
+from repro.serve.app import SERVE_MAX_SPANS, ServeWorld
+from repro.workloads import SyntheticAdapter, build_converged_world
+from repro.workloads.synthetic import EXPORT_MEMO_USERS
 
 
 def records(n, start=1):
@@ -113,6 +120,186 @@ class TestSpanRecorderRetention:
     def test_cap_must_be_positive(self):
         with pytest.raises(ValueError):
             SpanRecorder(max_spans=0)
+
+
+class CountingDeque(deque):
+    """Counts every element the recorder reads, by index or by
+    iteration — the price of an eviction, independent of the host."""
+
+    visits = 0
+
+    def __getitem__(self, index):
+        self.visits += 1
+        return super().__getitem__(index)
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.visits += 1
+            yield item
+
+
+def visits_per_call(recorder, calls, record):
+    """Swap a counting deque in, call ``record(at_ms)`` *calls* times,
+    return the distinct per-call visit counts. The recorder must keep
+    the very deque it was given: a rebuild is a different object."""
+    counted = recorder.spans = CountingDeque(recorder.spans)
+    seen = set()
+    for i in range(calls):
+        before = counted.visits
+        record(float(i))
+        seen.add(counted.visits - before)
+    assert recorder.spans is counted
+    return seen
+
+
+class TestSpanRecorderEvictionCost:
+    @pytest.mark.parametrize("cap", [1_000, 100_000])
+    def test_start_at_the_cap_does_not_depend_on_the_cap(self, cap):
+        recorder = SpanRecorder(max_spans=cap)
+        while len(recorder) < recorder.max_spans:
+            recorder.leaf("fill", 0.0, 0.0)
+        seen = visits_per_call(
+            recorder, 10_000,
+            lambda at: recorder.finish(
+                recorder.start("req", at), at + 0.5
+            ),
+        )
+        assert seen == {1}  # the finished head, nothing behind it
+        assert len(recorder) == cap
+        assert recorder.dropped == 10_000
+
+    def test_open_head_costs_the_open_prefix_not_the_recorder(self):
+        recorder = SpanRecorder(max_spans=100)
+        root = recorder.start("query", 0.0)
+        seen = visits_per_call(
+            recorder, 10_000,
+            lambda at: recorder.leaf(
+                "hop", at, at + 0.5, parent_id=root.span_id
+            ),
+        )
+        assert max(seen) <= 1 + 1  # the open prefix, plus the victim
+        assert recorder.spans[0] is root
+        assert root in recorder.open_spans()
+        assert len(recorder) == 100
+        assert recorder.dropped == 10_001 - 100
+
+
+class RebuildingRecorder(SpanRecorder):
+    """The oracle: the list-rebuilding eviction this recorder shipped
+    with before the deque, kept verbatim."""
+
+    __slots__ = ()
+
+    def _evict(self):
+        overflow = len(self.spans) - self.max_spans
+        doomed = set()
+        for span in self.spans:
+            if len(doomed) >= overflow:
+                break
+            if span.finished:
+                doomed.add(span.span_id)
+        if not doomed:
+            return
+        self.spans = [
+            s for s in self.spans if s.span_id not in doomed
+        ]
+        self.dropped += len(doomed)
+
+
+class TestSpanRecorderMatchesTheRebuildingOracle:
+    @given(
+        cap=st.integers(min_value=1, max_value=6),
+        ops=st.lists(
+            st.one_of(
+                st.just(("start", 0)),
+                st.just(("leaf", 0)),
+                st.tuples(st.just("finish"), st.integers(0, 7)),
+            ),
+            max_size=60,
+        ),
+    )
+    @settings(max_examples=300)
+    def test_same_survivors_same_order_same_dropped(self, cap, ops):
+        recorders = (SpanRecorder(cap), RebuildingRecorder(cap))
+        open_spans = ([], [])
+        for step, (op, pick) in enumerate(ops):
+            at = float(step)
+            for recorder, opened in zip(recorders, open_spans):
+                if op == "start":
+                    opened.append(recorder.start("s", at))
+                elif op == "leaf":
+                    recorder.leaf("l", at, at)
+                elif opened:
+                    recorder.finish(
+                        opened.pop(pick % len(opened)), at
+                    )
+            ours, oracle = recorders
+            assert [s.span_id for s in ours] == [
+                s.span_id for s in oracle
+            ]
+            assert ours.dropped == oracle.dropped
+
+
+class TestServeRecorderBudget:
+    def test_default_recorder_is_sized_for_a_server(self):
+        assert ServeWorld(
+            GupsterServer("gupster")
+        ).recorder.max_spans == SERVE_MAX_SPANS
+        mine = SpanRecorder(max_spans=7)
+        assert ServeWorld(
+            GupsterServer("gupster"), recorder=mine
+        ).recorder is mine
+
+
+def synthetic_store(n_users, memoize_exports=True):
+    adapter = SyntheticAdapter(
+        "gup.x", book_entries=4, memoize_exports=memoize_exports
+    )
+    users = ["u%03d" % i for i in range(n_users)]
+    for user in users:
+        adapter.add_user(user, ["address-book", "presence"])
+    return adapter, users
+
+
+class TestExportMemoBound:
+    def test_cap_holds_and_the_hot_user_survives(self):
+        memo, users = synthetic_store(EXPORT_MEMO_USERS * 3)
+        hot = users[0]
+        tree = memo.export_user(hot)
+        for user in users[1:]:
+            memo.export_user(user)
+            assert memo.export_user(hot) is tree
+            assert len(memo._export_cache) <= EXPORT_MEMO_USERS
+        assert len(memo._export_cache) == EXPORT_MEMO_USERS
+        # Least recently exported went first; the newest are held.
+        assert users[1] not in memo._export_cache
+        assert users[-1] in memo._export_cache
+
+    def test_a_write_drops_the_entry(self):
+        memo, users = synthetic_store(3)
+        hot = users[0]
+        stale = memo.export_user(hot)
+        fragment = PNode("presence")
+        fragment.append(PNode("status", text="written"))
+        memo.apply_component(hot, "presence", fragment)
+        assert hot not in memo._export_cache
+        fresh = memo.export_user(hot)
+        assert fresh is not stale
+        assert "written" in fresh.serialize()
+        memo.remove_user(hot)
+        assert hot not in memo._export_cache
+
+    def test_exports_equal_the_unmemoized_adapter(self):
+        memo, users = synthetic_store(EXPORT_MEMO_USERS * 2)
+        plain, _users = synthetic_store(
+            EXPORT_MEMO_USERS * 2, memoize_exports=False
+        )
+        # There and back: the way back starts on hits and ends on
+        # re-builds of users the way there evicted.
+        for user in users + users[::-1]:
+            assert memo.export_user(user).serialize() == (
+                plain.export_user(user).serialize()
+            )
 
 
 class TestProvenanceLedgerWindow:
