@@ -100,7 +100,7 @@ def run_celebrity_bus(
     pep = PolicyEnforcementPoint(repository)
     bus = ChangeBus(sim, network, "gupster")
     listeners: List[SubscriberListener] = []
-    sink = lambda value, changed_at, now: None  # noqa: E731
+    sink = lambda record, now: None  # noqa: E731
     for index in range(subscribers):
         node = "fan-%06d" % index
         network.add_node(node, region="internet")

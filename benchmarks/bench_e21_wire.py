@@ -63,7 +63,6 @@ from repro.sansio import (  # noqa: E402
 )
 from repro.serve import (  # noqa: E402
     AppServer,
-    FaultPlan,
     WallTransport,
     create_app,
 )
@@ -344,18 +343,15 @@ GATE_DROPS = ((("gupster", "gup.alpha.com"), 2),)
 def equivalence_gate() -> Dict[str, object]:
     retry_policy = RetryPolicy(max_attempts=2, base_backoff_ms=10.0)
 
+    # Twin worlds, one fault description: each driver consults its own
+    # Network (a FaultState), armed by the same loop.
     network, sim_server, sim_engine = build_sim_world(retry_policy)
-    for node in GATE_FAILED:
-        network.fail(node)
-    for (a, b), count in GATE_DROPS:
-        network.force_drops(a, b, count)
-
-    faults = FaultPlan()
-    for node in GATE_FAILED:
-        faults.fail(node)
-    for (a, b), count in GATE_DROPS:
-        faults.force_drops(a, b, count)
-    _, wall_server, wall_engine = build_sim_world(retry_policy)
+    faults, wall_server, wall_engine = build_sim_world(retry_policy)
+    for state in (network, faults):
+        for node in GATE_FAILED:
+            state.fail(node)
+        for (a, b), count in GATE_DROPS:
+            state.force_drops(a, b, count)
     transport = WallTransport(wall_server.adapters, faults=faults)
 
     def decide(runner, engine, pattern, path, now):

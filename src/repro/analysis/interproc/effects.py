@@ -21,8 +21,9 @@ code is still this function's lexical responsibility) may do::
 **Axioms** draw the boundary the propagation cannot see past:
 everything under ``repro/simnet/`` is the harness, so its internals
 are classified by decree rather than by body — ``Network``'s
-hop-sampling and fault-injection surface (and ``simnet/faults.py``)
-are ``transport``; the rest (Simulator, Trace, spans, bookkeeping)
+hop sampling and ``simnet/faults.py`` (``FaultState``, the fault
+surface a Network inherits, and ``FaultSchedule``) are
+``transport``; the rest (Simulator, Trace, spans, bookkeeping)
 is ``virtual-time``.  Without the Trace axiom the whole query engine
 would collapse into ``transport`` merely for *charging* the cost
 ledger (``Trace.hop`` internally samples the wire today) — the
@@ -79,13 +80,13 @@ def join_effects(left: str, right: str) -> str:
 
 # -- axioms ----------------------------------------------------------------
 
-#: ``Network`` methods that touch the simulated wire (sampling a hop
-#: consumes deterministic randomness; fault injection mutates link
-#: state).  Everything else on Network is topology bookkeeping.
+#: ``Network`` methods that touch the simulated wire: sampling a hop
+#: consumes deterministic randomness, and ``fail``/``restore`` are its
+#: two overrides of the fault surface.  The surface itself is one
+#: class, ``FaultState``, decreed with its module (``_FAULTS_MODULE``);
+#: everything else on Network is topology bookkeeping.
 _NETWORK_TRANSPORT: FrozenSet[str] = frozenset({
-    "sample_hop", "fail", "restore", "set_loss", "clear_loss",
-    "force_drops", "set_latency_factor", "clear_latency_factor",
-    "_should_drop",
+    "sample_hop", "fail", "restore",
 })
 
 _SIMNET_PREFIX = "repro/simnet/"

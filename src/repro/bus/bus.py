@@ -306,7 +306,7 @@ class ChangeBus:
                 cursors.update(advanced)
                 continue
             if listener.node is not None \
-                    and self.network.node(listener.node).failed:
+                    and self.network.is_failed(listener.node):
                 # Down at flush: deliver nothing, move no cursor. The
                 # backlog replays whole once the node is back.
                 self.delivery_failures += 1

@@ -37,9 +37,9 @@ __all__ = [
 #: every bench, finite so an always-on recorder cannot grow forever.
 DEFAULT_MAX_RECORDS = 65536
 
-#: Called with (value, changed_at, delivered_at) for each permitted
-#: delta reaching the subscriber.
-DeliveryCallback = Callable[[str, float, float], None]
+#: Called with (record, delivered_at) for each permitted delta
+#: reaching the subscriber.
+DeliveryCallback = Callable[[ChangeRecord, float], None]
 #: Called with the withheld record when the shield denies a delta.
 WithheldCallback = Callable[[ChangeRecord], None]
 
@@ -64,7 +64,7 @@ class SubscriberListener(BusListener):
     def __init__(
         self,
         name: str,
-        node: str,
+        node: Optional[str],
         pep: PolicyEnforcementPoint,
         request: Union[str, Path],
         watch_path: str,
@@ -115,7 +115,7 @@ class SubscriberListener(BusListener):
                 memo[key] = decision
             if decision.permit:
                 self.delivered += 1
-                self._on_delivery(record.value, record.at, now)
+                self._on_delivery(record, now)
             else:
                 self.withheld += 1
                 if self._on_withheld is not None:

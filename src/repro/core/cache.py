@@ -156,15 +156,10 @@ class ComponentCache:
         world registry), migrating current counts — wired up by
         :class:`~repro.core.query.QueryExecutor` so one snapshot/export
         covers net.*, cache.* and health.*."""
-        if registry is self.metrics:
-            return
-        previous = self.metrics
-        self.metrics = registry
-        self._register_instruments()
-        for suffix, _help in self.COUNTER_FIELDS:
-            carried = previous.counter("cache." + suffix).value
-            if carried:
-                registry.counter("cache." + suffix).inc(carried)
+        registry.adopt(
+            self,
+            ("cache." + suffix for suffix, _help in self.COUNTER_FIELDS),
+        )
 
     def _key(
         self, path: Union[str, Path], scope: str

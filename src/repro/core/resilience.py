@@ -157,15 +157,7 @@ class EndpointHealth:
     def bind_registry(self, registry: MetricsRegistry) -> None:
         """Re-home onto a shared world registry, migrating totals
         (see :meth:`repro.core.cache.ComponentCache.bind_registry`)."""
-        if registry is self.metrics:
-            return
-        previous = self.metrics
-        self.metrics = registry
-        self._register_instruments()
-        for name in ("health.successes", "health.failures"):
-            carried = previous.counter(name).value
-            if carried:
-                registry.counter(name).inc(carried)
+        registry.adopt(self, ("health.successes", "health.failures"))
 
     def failure(self, endpoint: str) -> None:
         self._failures[endpoint] = self._failures.get(endpoint, 0) + 1

@@ -105,14 +105,9 @@ class GupsterServer:
         shared registry, migrating current counts — called by
         :class:`~repro.core.query.QueryExecutor` when the server is
         wired to a network."""
-        if registry is not self.metrics:
-            previous = self.metrics
-            self.metrics = registry
-            self._register_instruments()
-            for metric, _help in self.COUNTER_FIELDS:
-                carried = previous.counter(metric).value
-                if carried:
-                    registry.counter(metric).inc(carried)
+        registry.adopt(
+            self, (metric for metric, _help in self.COUNTER_FIELDS)
+        )
         if self.cache is not None:
             self.cache.bind_registry(registry)
 

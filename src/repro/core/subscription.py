@@ -40,7 +40,12 @@ import math
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.errors import AccessDeniedError, GupsterError, NetworkError
-from repro.bus import ChangeBus, PushForwarder, SubscriberListener
+from repro.bus import (
+    ChangeBus,
+    ChangeRecord,
+    PushForwarder,
+    SubscriberListener,
+)
 from repro.obs.metrics import CounterView
 from repro.pxml import Path, parse_path
 from repro.pxml.evaluate import evaluate_values
@@ -352,10 +357,10 @@ class SubscriptionHub:
             )
         self._subscriber_seq += 1
 
-        def on_delivery(
-            value: str, changed_at: float, now: float
-        ) -> None:
-            self._record_delivery(Delivery("bus", value, changed_at, now))
+        def on_delivery(record: ChangeRecord, now: float) -> None:
+            self._record_delivery(
+                Delivery("bus", record.value, record.at, now)
+            )
 
         def on_withheld(_record: object) -> None:
             self.push_withheld += 1

@@ -22,7 +22,10 @@ the old counters keeps working unchanged.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple,
+    Union,
+)
 
 __all__ = [
     "Counter",
@@ -269,6 +272,12 @@ class CounterView:
         self._registry(obj).counter(self._metric).set(value)
 
 
+class _Instrumented(Protocol):  # pragma: no cover - what adopt() asks
+    metrics: "MetricsRegistry"
+
+    def _register_instruments(self) -> None: ...
+
+
 class MetricsRegistry:
     """Name → instrument, with get-or-create semantics.
 
@@ -326,6 +335,21 @@ class MetricsRegistry:
         )
         assert isinstance(instrument, Histogram)
         return instrument
+
+    def adopt(self, owner: _Instrumented, counters: Iterable[str]) -> None:
+        """Re-home *owner* onto this registry — the whole of an
+        owner's ``bind_registry``: swap its ``metrics``, have it
+        re-register its instruments here, carry over the non-zero
+        totals of its *counters*. A no-op when it already lives here."""
+        previous = owner.metrics
+        if previous is self:
+            return
+        owner.metrics = self
+        owner._register_instruments()
+        for name in counters:
+            carried = previous.counter(name).value
+            if carried:
+                self.counter(name).inc(carried)
 
     # -- introspection ------------------------------------------------------
 

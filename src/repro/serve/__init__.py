@@ -5,8 +5,8 @@ patterns pure programs over typed I/O intents; this package is the
 second consumer of those programs — a wall-clock asyncio front end
 that serves them over real sockets:
 
-* :mod:`~repro.serve.transport` — the async intent driver + fault plan
-  mirroring the simulated network's impairments;
+* :mod:`~repro.serve.transport` — the async intent driver (faults are
+  the simulated network's own :class:`~repro.simnet.FaultState`);
 * :mod:`~repro.serve.http` — a minimal stdlib HTTP/1.1 layer;
 * :mod:`~repro.serve.status` — the deliberate error → HTTP status map;
 * :mod:`~repro.serve.middleware` — error/span/metrics/admission onion;
@@ -32,7 +32,7 @@ from repro.serve.http import HttpServer, Request, Response
 from repro.serve.jobs import BackgroundJobs
 from repro.serve.middleware import RequestPipeline, context_from_headers
 from repro.serve.status import status_for
-from repro.serve.transport import FaultPlan, WallTransport
+from repro.serve.transport import WallTransport
 
 __all__ = [
     "AdmissionGate",
@@ -40,7 +40,6 @@ __all__ = [
     "App",
     "AppServer",
     "BackgroundJobs",
-    "FaultPlan",
     "HttpServer",
     "Request",
     "RequestPipeline",

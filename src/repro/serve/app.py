@@ -38,8 +38,8 @@ from repro.serve.routers import (
     QueryRouter,
     SubscriptionRouter,
 )
-from repro.serve.transport import FaultPlan, WallTransport
-from repro.simnet import Network, Simulator
+from repro.serve.transport import WallTransport
+from repro.simnet import FaultState, Network, Simulator
 from repro.workloads import SyntheticAdapter
 
 __all__ = [
@@ -70,8 +70,7 @@ class ServeWorld:
         network: Optional[Network] = None,
         bus: Optional[ChangeBus] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        faults: Optional[FaultPlan] = None,
-        time_scale: float = 0.0,
+        faults: Optional[FaultState] = None,
         clock: Optional[Clock] = None,
         recorder: Optional[SpanRecorder] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -97,7 +96,6 @@ class ServeWorld:
         self.engine = SansIoQueryEngine(self.host)
         self.transport = WallTransport(
             server.adapters,
-            time_scale=time_scale,
             faults=faults,
             recorder=self.recorder,
             clock=self.clock,
@@ -115,8 +113,7 @@ def build_demo_world(
     ttl_ms: float = 60_000.0,
     stale_grace_ms: float = 120_000.0,
     with_bus: bool = True,
-    time_scale: float = 0.0,
-    faults: Optional[FaultPlan] = None,
+    faults: Optional[FaultState] = None,
     retry_policy: Optional[RetryPolicy] = None,
 ) -> ServeWorld:
     """The split address-book world (bench_e16 shape): personal slice
@@ -172,7 +169,6 @@ def build_demo_world(
         bus=bus,
         retry_policy=retry_policy,
         faults=faults,
-        time_scale=time_scale,
     )
 
 

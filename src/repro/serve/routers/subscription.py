@@ -1,14 +1,21 @@
 """``/v1/subscriptions`` — change-bus subscriptions over HTTP.
 
 HTTP is pull-shaped, the bus is push-shaped; the bridge is a
-server-side :class:`~repro.bus.RecordingListener` per subscription:
+server-side :class:`~repro.bus.SubscriberListener` per subscription,
+which holds what the shield let through until the subscriber polls:
 
 * ``POST /v1/subscriptions`` body ``{"watch_path": "..."}`` attaches a
-  listener (cursor starts at the log head — changes from now on) and
-  returns its id;
+  listener under the caller's identity headers (cursor starts at the
+  log head — changes from now on) and returns its id; a requester the
+  privacy shield denies gets 403 and no listener;
 * ``GET /v1/subscriptions/<id>`` drains the records delivered since
   the last poll;
 * ``DELETE /v1/subscriptions/<id>`` detaches it.
+
+The shield holds per **delivery**: every delta is re-checked under the
+subscriber's context (the bus's one gate,
+``SubscriberListener._deliver_records``), so a revocation stops the
+stream by the next wave; what it withholds is counted, never kept.
 
 The subscription count is bounded (``max_subscriptions``) — each one
 holds a bus cursor and a retention window, and an HTTP client that
@@ -19,11 +26,22 @@ caller the table is full.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, List
 
-from repro.bus import RecordingListener
-from repro.errors import UnsupportedPathError, ValidationError
+from repro.access import RequestContext
+from repro.bus import ChangeBus, ChangeRecord, SubscriberListener
+from repro.bus.bus import ShieldMemo
+from repro.bus.listeners import DEFAULT_MAX_RECORDS
+from repro.core.server import GupsterServer
+from repro.errors import (
+    AccessDeniedError,
+    UnsupportedPathError,
+    ValidationError,
+)
+from repro.pxml import Path, parse_path
+from repro.seqlog import trim_oldest
 from repro.serve.http import Request, Response
+from repro.serve.middleware import context_from_headers
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.app import ServeWorld
@@ -31,25 +49,56 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["SubscriptionRouter"]
 
 
-class _Subscription:
-    __slots__ = ("sub_id", "watch_path", "listener", "drained")
+class _HttpSubscriber(SubscriberListener):
+    """The subscriber behind one HTTP subscription: in-process (no
+    wire), watching a path *prefix*, keeping each permitted record
+    until the next poll (newest ``DEFAULT_MAX_RECORDS``; ``missed``
+    counts what the window lost). The per-delta shield is the
+    inherited one; a world that runs with the shield off
+    (``enforce_policies=False``) skips it, as its query path does."""
 
     def __init__(
-        self, sub_id: int, watch_path: str, listener: RecordingListener
+        self,
+        sub_id: int,
+        server: GupsterServer,
+        request: Path,
+        context: RequestContext,
     ) -> None:
+        super().__init__(
+            "http-sub-%d" % sub_id, None, server.pep, request,
+            str(request), context, on_delivery=self._keep,
+        )
         self.sub_id = sub_id
-        self.watch_path = watch_path
-        self.listener = listener
-        #: How many of ``listener.received`` earlier polls consumed.
-        self.drained = 0
+        self._server = server
+        self.pending: List[ChangeRecord] = []
+        self.missed = 0
+
+    def wants(self, record: ChangeRecord) -> bool:
+        return record.path.startswith(self.watch_path)
+
+    def deliver(
+        self,
+        records: List[ChangeRecord],
+        now: float,
+        bus: ChangeBus,
+        memo: ShieldMemo,
+    ) -> None:
+        if self._server.enforce_policies:
+            super().deliver(records, now, bus, memo)
+        else:
+            self.pending.extend(records)
+        self.missed += trim_oldest(DEFAULT_MAX_RECORDS, self.pending)
+
+    def _keep(self, record: ChangeRecord, now: float) -> None:
+        self.pending.append(record)
 
 
 class SubscriptionRouter:
     """CRUD for change-bus subscriptions plus delivery polling.
 
-    Holds a bounded table of live subscriptions; each maps a
-    subscriber identity to a bus cursor whose deliveries are drained
-    by the background jobs and collected via ``GET .../deliveries``.
+    Holds a bounded table of live subscriptions; each is a bus
+    listener under one subscriber's identity, fed by the background
+    bus drain and emptied by ``GET /v1/subscriptions/<id>``.
     """
 
     def __init__(
@@ -58,7 +107,7 @@ class SubscriptionRouter:
         self.world = world
         self.max_subscriptions = max_subscriptions
         self._ids = itertools.count(1)
-        self._table: Dict[int, _Subscription] = {}
+        self._table: Dict[int, _HttpSubscriber] = {}
 
     # -- dispatch -----------------------------------------------------------
 
@@ -110,6 +159,17 @@ class SubscriptionRouter:
             raise ValidationError(
                 "subscribe body needs a 'watch_path'"
             )
+        path = parse_path(watch_path)
+        context = context_from_headers(request)
+        server = self.world.server
+        if (
+            server.enforce_policies
+            and not server.pep.enforce(path, context).permit
+        ):
+            raise AccessDeniedError(
+                "privacy shield denies a subscription to %s for %s"
+                % (path, context.requester)
+            )
         if len(self._table) >= self.max_subscriptions:
             return Response.json(
                 {
@@ -119,31 +179,25 @@ class SubscriptionRouter:
                 },
                 status=429,
             )
-        sub_id = next(self._ids)
-        listener = _WatchingListener(
-            "http-sub-%d" % sub_id, watch_path
-        )
-        self.world.bus.attach(listener)
-        self._table[sub_id] = _Subscription(
-            sub_id, watch_path, listener
-        )
+        sub = _HttpSubscriber(next(self._ids), server, path, context)
+        self.world.bus.attach(sub)
+        self._table[sub.sub_id] = sub
         return Response.json(
-            {"id": sub_id, "watch_path": watch_path}, status=201
+            {"id": sub.sub_id, "watch_path": sub.watch_path},
+            status=201,
         )
 
-    def _poll(self, sub: _Subscription) -> Response:
-        listener = sub.listener
-        # The retention window may have evicted records an earlier
-        # poll never saw; surface that as `missed`, not silence.
-        evicted = listener.dropped
-        start = max(0, sub.drained - evicted)
-        fresh = listener.received[start:]
-        missed = max(0, evicted - sub.drained)
-        sub.drained = evicted + len(listener.received)
+    def _poll(self, sub: _HttpSubscriber) -> Response:
+        # All three are "since the last poll": what arrived, what the
+        # retention window evicted unseen, what the shield withheld.
+        fresh, sub.pending = sub.pending, []
+        missed, sub.missed = sub.missed, 0
+        withheld, sub.withheld = sub.withheld, 0
         return Response.json({
             "id": sub.sub_id,
             "watch_path": sub.watch_path,
             "missed": missed,
+            "withheld": withheld,
             "deliveries": [
                 {
                     "seq": record.seq,
@@ -156,26 +210,11 @@ class SubscriptionRouter:
             ],
         })
 
-    def _cancel(self, sub: _Subscription) -> Response:
+    def _cancel(self, sub: _HttpSubscriber) -> Response:
         assert self.world.bus is not None
-        self.world.bus.detach(sub.listener)
+        self.world.bus.detach(sub)
         del self._table[sub.sub_id]
         return Response.json({"id": sub.sub_id, "cancelled": True})
 
     def active_count(self) -> int:
         return len(self._table)
-
-
-class _WatchingListener(RecordingListener):
-    """A recording listener that only wants records under its watch
-    path (plain string-prefix containment — the bus's own subscriber
-    listeners do full shield enforcement; the HTTP bridge filters,
-    the poller's shield check happened at subscribe time)."""
-
-    def __init__(self, name: str, watch_path: str) -> None:
-        super().__init__(name, node=None)
-        self.watch_path = watch_path
-
-    def wants(self, record: object) -> bool:
-        path = getattr(record, "path", "")
-        return path.startswith(self.watch_path)

@@ -3,7 +3,7 @@ converged-network latency/byte-accounting model every benchmark uses,
 and the seedable fault-injection layer (E16)."""
 
 from repro.simnet.engine import Simulator, Timer
-from repro.simnet.faults import FaultSchedule
+from repro.simnet.faults import FaultSchedule, FaultState
 from repro.simnet.network import (
     DEFAULT_BANDWIDTH_BPMS,
     LinkSpec,
@@ -21,6 +21,7 @@ __all__ = [
     "LinkSpec",
     "Trace",
     "FaultSchedule",
+    "FaultState",
     "ResilienceCounters",
     "DEFAULT_BANDWIDTH_BPMS",
 ]

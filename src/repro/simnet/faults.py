@@ -3,14 +3,23 @@
 The paper's requirement 13 calls the public internet "the weakest
 link", and Section 5.1 argues the mirrored meta-data constellation by
 its behaviour *under failure* — yet a simulator that never fails
-anything can only measure the sunny day. This module scripts failures
-against virtual time so experiment E16 (availability under churn) is
-exactly reproducible:
+anything can only measure the sunny day.
+
+:class:`FaultState` is what is broken right now — the one fault model
+both drivers consult. A :class:`~repro.simnet.Network` is one (it adds
+topology); :class:`repro.serve.WallTransport` takes a bare one. Each
+asks :meth:`FaultState.verdict` per message and charges the refusal in
+its own currency: virtual milliseconds and ``net.*`` counters there, a
+scheduler yield and ``serve.send_failures`` here.
+
+:class:`FaultSchedule` scripts changes to that state against virtual
+time so experiment E16 (availability under churn) is exactly
+reproducible:
 
 * **node flaps** — a node goes down at one instant and comes back at
   another, optionally on a periodic schedule;
 * **link packet loss** — a per-link drop probability (seeded, drawn
-  from the network's dedicated loss RNG) or a deterministic "drop the
+  from the state's dedicated loss RNG) or a deterministic "drop the
   next N messages" directive for tests;
 * **latency spikes** — a multiplicative congestion factor on every hop
   touching a node, for a bounded window.
@@ -27,12 +36,129 @@ numbers need scripted, repeatable faults.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple,
+)
 
+from repro.errors import (
+    NetworkError,
+    NodeUnreachableError,
+    PacketLossError,
+)
 from repro.simnet.engine import Simulator
-from repro.simnet.network import Network
 
-__all__ = ["FaultSchedule"]
+if TYPE_CHECKING:  # pragma: no cover - Network subclasses FaultState
+    from repro.simnet.network import Network
+
+__all__ = ["FaultSchedule", "FaultState"]
+
+
+class FaultState:
+    """Failed nodes and link impairments — the one fault model.
+
+    No topology: any name may be failed or impaired (a
+    :class:`~repro.simnet.Network` adds the unknown-node check). With
+    nothing injected the loss RNG is never consulted, so un-faulted
+    runs reproduce the historical latency streams bit for bit."""
+
+    def __init__(self, seed: int = 2003) -> None:
+        # gupcheck: bounded[topology] -- holds node names only; the world is fixed per run
+        self._failed: Set[str] = set()
+        #: Per-link packet-loss probability (symmetric).
+        self._loss: Dict[Tuple[str, str], float] = {}
+        #: Deterministic forced drops: next N messages on a link are
+        #: lost (one budget per link, keyed by the sorted pair).
+        self._forced_drops: Dict[Tuple[str, str], int] = {}
+        #: Per-node latency multipliers (congestion spikes).
+        self._latency_factors: Dict[str, float] = {}
+        # A dedicated RNG for loss decisions so injecting loss on one
+        # link does not perturb the jitter stream of other links.
+        self._loss_rng = random.Random(seed ^ 0x5EED)
+
+    def fail(self, name: str) -> None:
+        self._failed.add(name)
+
+    def restore(self, name: str) -> None:
+        self._failed.discard(name)
+
+    def is_failed(self, name: str) -> bool:
+        return name in self._failed
+
+    def set_loss(self, a: str, b: str, rate: float) -> None:
+        """Symmetric per-link packet-loss probability in [0, 1]."""
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError("loss rate must be within [0, 1]")
+        if rate == 0.0:
+            self._loss.pop((a, b), None)
+            self._loss.pop((b, a), None)
+        else:
+            self._loss[(a, b)] = rate
+            self._loss[(b, a)] = rate
+
+    def clear_loss(self, a: str, b: str) -> None:
+        self.set_loss(a, b, 0.0)
+
+    def force_drops(self, a: str, b: str, count: int = 1) -> None:
+        """Deterministically drop the next *count* messages on the
+        link, in either direction (one shared budget) — the building
+        block for reproducible transient-failure tests."""
+        if count < 0:
+            raise ValueError("drop count must be >= 0")
+        key = (a, b) if a <= b else (b, a)
+        if count == 0:
+            self._forced_drops.pop(key, None)
+        else:
+            self._forced_drops[key] = count
+
+    def set_latency_factor(self, name: str, factor: float) -> None:
+        """Multiply propagation + transfer latency of every hop
+        touching node *name* (congestion spike). Factor 1.0 clears."""
+        if factor <= 0:
+            raise ValueError("latency factor must be positive")
+        if factor == 1.0:
+            self._latency_factors.pop(name, None)
+        else:
+            self._latency_factors[name] = factor
+
+    def clear_latency_factor(self, name: str) -> None:
+        self.set_latency_factor(name, 1.0)
+
+    def _should_drop(self, src: str, dst: str) -> bool:
+        """Consume one loss decision for a message src→dst. Only
+        consults the loss RNG when a loss rate is configured for the
+        link, so un-faulted runs draw exactly the historical random
+        stream."""
+        link = (src, dst) if src <= dst else (dst, src)
+        forced = self._forced_drops.get(link, 0)
+        if forced > 0:
+            if forced == 1:
+                del self._forced_drops[link]
+            else:
+                self._forced_drops[link] = forced - 1
+            return True
+        rate = self._loss.get((src, dst))
+        if rate:
+            return self._loss_rng.random() < rate
+        return False
+
+    def verdict(
+        self, src: str, dst: str
+    ) -> Optional[Tuple[NetworkError, bool]]:
+        """Decide one message src→dst: ``None`` delivers it, else (the
+        error to raise, whether the sender only learns of it by
+        waiting out failure detection). The order is written here and
+        nowhere else — a down source wins over a down target wins over
+        a drop, and only a message that gets as far as the link
+        consumes a drop decision."""
+        if src in self._failed:
+            return NodeUnreachableError("source %r is down" % src), False
+        if dst in self._failed:
+            return NodeUnreachableError("node %r is down" % dst), True
+        if self._should_drop(src, dst):
+            return PacketLossError(
+                "message %s -> %s lost" % (src, dst)
+            ), True
+        return None
 
 
 class FaultSchedule:

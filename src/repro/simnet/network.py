@@ -12,21 +12,15 @@ with :meth:`Trace.fork`/:meth:`Trace.join` (elapsed time is the max of
 the branches, bytes are the sum — the standard latency/throughput
 split).
 
-Failures: a failed node refuses hops with
-:class:`~repro.errors.NodeUnreachableError` after a configurable detect
-timeout is charged, which is how the availability experiments (E6/E16)
-measure the cost of retrying against a mirror. The fault-injection
-layer (:mod:`repro.simnet.faults`) additionally drives three *link*
-impairments hooked here:
-
-* **packet loss** — a per-link loss rate (or a deterministic forced
-  drop) makes a hop time out with
-  :class:`~repro.errors.PacketLossError`, a *transient* failure that
-  retry policies treat differently from a hard-down node;
-* **latency spikes** — a per-node multiplicative factor on propagation
-  + transfer time (congestion);
-* **node flaps** — plain :meth:`Network.fail`/:meth:`Network.restore`
-  scheduled at virtual instants.
+Failures: what is broken lives in :class:`~repro.simnet.faults.FaultState`,
+which a :class:`Network` inherits — failed nodes, per-link packet loss
+and forced drops, per-node latency spikes. :meth:`Trace.hop` asks its
+``verdict`` per message and charges the refusal here: a down target or
+a lost packet costs the configurable detect timeout before
+:class:`~repro.errors.NodeUnreachableError` (hard down) or
+:class:`~repro.errors.PacketLossError` (*transient* — retry policies
+treat it differently) is raised, which is how the availability
+experiments (E6/E16) measure the cost of retrying against a mirror.
 
 Resilience observability: every trace carries retry/failover/timeout/
 stale-serve/degraded counters, and the network aggregates the same
@@ -69,6 +63,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import NodeUnreachableError, PacketLossError
 from repro.obs.metrics import CounterView, MetricsRegistry
 from repro.obs.spans import Span, SpanRecorder
+from repro.simnet.faults import FaultState
 
 __all__ = [
     "NetworkNode",
@@ -88,7 +83,7 @@ DEFAULT_DETECT_TIMEOUT_MS = 200.0
 class NetworkNode:
     """A named participant of the converged network."""
 
-    __slots__ = ("name", "region", "processing_ms", "failed")
+    __slots__ = ("name", "region", "processing_ms")
 
     def __init__(
         self, name: str, region: str = "core", processing_ms: float = 0.1
@@ -97,11 +92,9 @@ class NetworkNode:
         self.region = region
         #: Fixed per-message handling cost at this node.
         self.processing_ms = processing_ms
-        self.failed = False
 
     def __repr__(self) -> str:
-        status = " FAILED" if self.failed else ""
-        return "<Node %s (%s)%s>" % (self.name, self.region, status)
+        return "<Node %s (%s)>" % (self.name, self.region)
 
 
 class LinkSpec:
@@ -187,10 +180,13 @@ class ResilienceCounters:
         return "<ResilienceCounters %s>" % self.as_dict()
 
 
-class Network:
-    """The simulated converged network."""
+class Network(FaultState):
+    """The simulated converged network: topology and latency model on
+    top of the fault state it inherits (``fail``/``set_loss``/
+    ``force_drops``/… are :class:`~repro.simnet.faults.FaultState`'s)."""
 
     def __init__(self, seed: int = 2003):
+        super().__init__(seed)
         # gupcheck: bounded[topology] -- one entry per declared node; the world is fixed per run
         self._nodes: Dict[str, NetworkNode] = {}
         # gupcheck: bounded[topology] -- two entries per declared link; link() overwrites a pair
@@ -201,17 +197,6 @@ class Network:
         )
         self._rng = random.Random(seed)
         self.detect_timeout_ms = DEFAULT_DETECT_TIMEOUT_MS
-        #: Per-link packet-loss probability (symmetric, set via
-        #: :meth:`set_loss`). Empty ⇒ the loss RNG is never consulted,
-        #: so un-faulted runs reproduce the historical latency streams.
-        self._loss: Dict[Tuple[str, str], float] = {}
-        #: Deterministic forced drops: next N hops on a link are lost.
-        self._forced_drops: Dict[Tuple[str, str], int] = {}
-        #: Per-node latency multipliers (congestion spikes).
-        self._latency_factors: Dict[str, float] = {}
-        # A dedicated RNG for loss decisions so injecting loss on one
-        # link does not perturb the jitter stream of other links.
-        self._loss_rng = random.Random(seed ^ 0x5EED)
         #: The metric registry every instrument in this world shares
         #: (net.* counters here; cache.*, health.*, … are registered by
         #: the components a benchmark wires to this network).
@@ -280,69 +265,15 @@ class Network:
             spec = LinkSpec(20.0, 5.0)
         return spec
 
-    # -- failures and impairments -------------------------------------------
+    # -- failures -------------------------------------------------------------
 
     def fail(self, name: str) -> None:
-        self.node(name).failed = True
+        self.node(name)  # unknown nodes cannot fail
+        super().fail(name)
 
     def restore(self, name: str) -> None:
-        self.node(name).failed = False
-
-    def set_loss(self, a: str, b: str, rate: float) -> None:
-        """Symmetric per-link packet-loss probability in [0, 1]."""
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("loss rate must be within [0, 1]")
-        if rate == 0.0:
-            self._loss.pop((a, b), None)
-            self._loss.pop((b, a), None)
-        else:
-            self._loss[(a, b)] = rate
-            self._loss[(b, a)] = rate
-
-    def clear_loss(self, a: str, b: str) -> None:
-        self.set_loss(a, b, 0.0)
-
-    def force_drops(self, a: str, b: str, count: int = 1) -> None:
-        """Deterministically drop the next *count* hops on the link,
-        in either direction (one shared budget) — the building block
-        for reproducible transient-failure tests."""
-        if count < 0:
-            raise ValueError("drop count must be >= 0")
-        key = (a, b) if a <= b else (b, a)
-        if count == 0:
-            self._forced_drops.pop(key, None)
-        else:
-            self._forced_drops[key] = count
-
-    def set_latency_factor(self, name: str, factor: float) -> None:
-        """Multiply propagation + transfer latency of every hop
-        touching node *name* (congestion spike). Factor 1.0 clears."""
-        if factor <= 0:
-            raise ValueError("latency factor must be positive")
-        if factor == 1.0:
-            self._latency_factors.pop(name, None)
-        else:
-            self._latency_factors[name] = factor
-
-    def clear_latency_factor(self, name: str) -> None:
-        self.set_latency_factor(name, 1.0)
-
-    def _should_drop(self, src: str, dst: str) -> bool:
-        """Consume one loss decision for a hop src→dst. Only consults
-        the loss RNG when a loss rate is configured for the link, so
-        un-faulted runs draw exactly the historical random stream."""
-        link = (src, dst) if src <= dst else (dst, src)
-        forced = self._forced_drops.get(link, 0)
-        if forced > 0:
-            if forced == 1:
-                del self._forced_drops[link]
-            else:
-                self._forced_drops[link] = forced - 1
-            return True
-        rate = self._loss.get((src, dst))
-        if rate:
-            return self._loss_rng.random() < rate
-        return False
+        self.node(name)
+        super().restore(name)
 
     # -- measurement ---------------------------------------------------------
 
@@ -609,30 +540,25 @@ class Trace:
     def _hop(
         self, src: str, dst: str, nbytes: int, note: str = ""
     ) -> None:
-        target = self._network.node(dst)
-        source = self._network.node(src)
-        if source.failed:
-            raise NodeUnreachableError("source %r is down" % src)
-        if target.failed:
-            self.elapsed_ms += self._network.detect_timeout_ms
-            self.timeouts_charged += 1
-            self._network.counters.timeouts += 1
-            self.log.append(
-                "%s -> %s: FAILED (timeout charged)" % (src, dst)
-            )
-            raise NodeUnreachableError("node %r is down" % dst)
-        if self._network._should_drop(src, dst):
-            self.elapsed_ms += self._network.detect_timeout_ms
-            self.timeouts_charged += 1
-            self._network.counters.timeouts += 1
-            self._network.counters.loss_drops += 1
-            self.log.append(
-                "%s -> %s: LOST (timeout charged)" % (src, dst)
-            )
-            raise PacketLossError(
-                "message %s -> %s lost" % (src, dst)
-            )
-        latency = self._network.sample_hop(src, dst, nbytes)
+        network = self._network
+        network.node(dst)
+        network.node(src)
+        refusal = network.verdict(src, dst)
+        if refusal is not None:
+            error, timed_out = refusal
+            if timed_out:
+                self.elapsed_ms += network.detect_timeout_ms
+                self.timeouts_charged += 1
+                network.counters.timeouts += 1
+                lost = isinstance(error, PacketLossError)
+                if lost:
+                    network.counters.loss_drops += 1
+                self.log.append(
+                    "%s -> %s: %s (timeout charged)"
+                    % (src, dst, "LOST" if lost else "FAILED")
+                )
+            raise error
+        latency = network.sample_hop(src, dst, nbytes)
         self.elapsed_ms += latency
         self.bytes_total += nbytes
         self.hops += 1

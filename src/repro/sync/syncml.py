@@ -158,15 +158,10 @@ class SyncSession:
     def bind_registry(self, registry: MetricsRegistry) -> None:
         """Re-home onto a shared world registry, migrating totals
         (see :meth:`repro.core.cache.ComponentCache.bind_registry`)."""
-        if registry is self.metrics:
-            return
-        previous = self.metrics
-        self.metrics = registry
-        self._register_instruments()
-        for suffix, _help in self.COUNTER_FIELDS:
-            carried = previous.counter("sync." + suffix).value
-            if carried:
-                registry.counter("sync." + suffix).inc(carried)
+        registry.adopt(
+            self,
+            ("sync." + suffix for suffix, _help in self.COUNTER_FIELDS),
+        )
 
     def _tally(self, report: SyncReport) -> None:
         """Fold one run's :class:`SyncReport` into the lifetime

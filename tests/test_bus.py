@@ -375,7 +375,7 @@ class TestListeners:
             "sub", "client-1", pep,
             request=PATH, watch_path=PATH,
             context=RequestContext("mom", relationship="family"),
-            on_delivery=lambda value, at, now: delivered.append(value),
+            on_delivery=lambda record, now: delivered.append(record.value),
         )
         bus.attach(listener)
         # Three deltas in one wave: one enforce, memo covers the rest.
@@ -398,7 +398,7 @@ class TestListeners:
             "sub", "client-1", pep,
             request=PATH, watch_path=PATH,
             context=RequestContext("stranger"),
-            on_delivery=lambda value, at, now: delivered.append(value),
+            on_delivery=lambda record, now: delivered.append(record.value),
             on_withheld=lambda record: withheld.append(record.value),
         )
         bus.attach(listener)

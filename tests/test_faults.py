@@ -1,10 +1,19 @@
 """Tests for the fault-injection layer (simnet.faults + network
-impairments)."""
+impairments), and the pins that keep it the only fault model."""
+
+import ast
+import asyncio
+import inspect
+import pathlib
 
 import pytest
 
 from repro.errors import NodeUnreachableError, PacketLossError
-from repro.simnet import FaultSchedule, Network, Simulator
+from repro.sansio import Send
+from repro.serve import ServeWorld, WallTransport, build_demo_world
+from repro.simnet import FaultSchedule, FaultState, Network, Simulator
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 def topology(seed=11):
@@ -114,7 +123,7 @@ class TestFaultSchedule:
         observed = []
 
         def probe():
-            observed.append((sim.now, net.node("store").failed))
+            observed.append((sim.now, net.is_failed("store")))
 
         for when in (50.0, 150.0, 250.0):
             sim.schedule(when, probe)
@@ -142,7 +151,7 @@ class TestFaultSchedule:
         assert cycles == 3
         sim.run()
         assert sched.applied() == 6  # three down/up pairs
-        assert not net.node("store").failed
+        assert not net.is_failed("store")
         with pytest.raises(ValueError):
             sched.flap_every("store", period=10.0, downtime=10.0)
 
@@ -219,4 +228,101 @@ class TestFaultSchedule:
         sched = FaultSchedule(sim, net)
         sched.down("store", at=100.0)  # already in the past
         sim.run()
-        assert net.node("store").failed
+        assert net.is_failed("store")
+
+
+# ---------------------------------------------------------------------------
+# one fault model, two drivers
+# ---------------------------------------------------------------------------
+
+def sim_driver():
+    """(fault state, send) on the virtual-time side."""
+    net = topology()
+    return net, lambda src, dst: net.trace().hop(src, dst, 10)
+
+
+def wall_send(transport):
+    def send(src, dst):
+        def program():
+            yield Send(src, dst, 10, "probe")
+        asyncio.run(transport.run(program()))
+
+    return send
+
+
+def wall_driver():
+    """(fault state, send) on the asyncio side."""
+    faults = FaultState()
+    return faults, wall_send(WallTransport({}, faults=faults))
+
+
+@pytest.mark.parametrize("driver", [sim_driver, wall_driver])
+def test_both_drivers_decide_in_the_same_order(driver):
+    """Source down wins over target down wins over a drop, and a send
+    that never reaches the link leaves the drop budget alone."""
+    faults, send = driver()
+    faults.fail("gupster")
+    faults.fail("store")
+    faults.force_drops("gupster", "store", 1)
+    with pytest.raises(NodeUnreachableError, match="source 'gupster'"):
+        send("gupster", "store")
+    faults.restore("gupster")
+    with pytest.raises(NodeUnreachableError, match="node 'store'"):
+        send("gupster", "store")
+    faults.restore("store")
+    with pytest.raises(PacketLossError):  # the budget is still whole
+        send("gupster", "store")
+    send("gupster", "store")
+
+
+def test_wall_driver_honours_link_loss():
+    faults = FaultState()
+    transport = WallTransport({}, faults=faults)
+    send = wall_send(transport)
+    faults.set_loss("gupster", "store", 1.0)
+    with pytest.raises(PacketLossError):
+        send("store", "gupster")
+    failures = transport.metrics.counter("serve.send_failures")
+    assert failures.value == 1
+    faults.clear_loss("gupster", "store")
+    send("store", "gupster")
+    assert failures.value == 1
+
+
+def test_the_wall_driver_has_no_latency_knobs():
+    assert list(inspect.signature(WallTransport.__init__).parameters) == [
+        "self", "adapters", "faults", "recorder", "clock", "metrics",
+    ]
+    for factory in (ServeWorld.__init__, build_demo_world):
+        assert "time_scale" not in inspect.signature(factory).parameters
+
+
+def test_fault_state_is_the_only_fault_model():
+    """One class defines ``force_drops``; the drop budget, the failed
+    set and the down/lost verdicts are touched nowhere else."""
+    definers = []
+    for module in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(module.read_text())
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(
+                isinstance(node, ast.FunctionDef)
+                and node.name == "force_drops"
+                for node in cls.body
+            ):
+                definers.append(cls.name)
+        if module.name == "faults.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in (
+                    "_forced_drops", "_failed", "_should_drop",
+                ), "%s:%d reaches into the fault state (%s)" % (
+                    module.name, node.lineno, node.attr,
+                )
+            if isinstance(node, ast.Constant):
+                assert node.value not in (
+                    "source %r is down", "node %r is down",
+                ), "%s:%d words its own verdict" % (
+                    module.name, node.lineno,
+                )
+    assert definers == ["FaultState"]

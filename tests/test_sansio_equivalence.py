@@ -2,7 +2,7 @@
 deliverable).
 
 One sans-io program, two drivers: :class:`SimnetDriver` (virtual
-time) and :class:`WallTransport` (asyncio, ``time_scale=0``). For any
+time) and :class:`WallTransport` (asyncio). For any
 request trace and any fault schedule, both drivers must walk the
 program through the *same* decision sequence — same values, same
 shield outcomes, same degraded parts, same error classes. Hypothesis
@@ -41,8 +41,8 @@ from repro.sansio import (
     StandaloneQueryHost,
     decision_of,
 )
-from repro.serve import FaultPlan, WallTransport
-from repro.simnet import Network
+from repro.serve import WallTransport
+from repro.simnet import FaultState, Network
 from repro.simnet.driver import SimnetDriver
 from repro.workloads import SyntheticAdapter
 from repro.workloads.reference import MDM_NODES, build_mdm_world
@@ -95,6 +95,15 @@ def build_mdms(retry_policy):
     return mdm_network, dict(zip(MDM_PATTERNS, mdms))
 
 
+def arm(faults_of, failed, drops):
+    """The one fault description, applied the one way: *faults_of*
+    maps a node to the :class:`FaultState` that decides its links."""
+    for node in failed:
+        faults_of(node).fail(node)
+    for (a, b), count in drops.items():
+        faults_of(b).force_drops(a, b, count)
+
+
 def build_sim_side(failed, drops, retry_policy):
     network = Network(seed=16)
     network.add_node(SERVER, region="core")
@@ -103,14 +112,10 @@ def build_sim_side(failed, drops, retry_policy):
     network.add_node("gup.beta.com", region="core")
     network.add_node("gup.corp.com", region="enterprise")
     mdm_network, mdms = build_mdms(retry_policy)
-
-    def world_of(node):
-        return mdm_network if node in MDM_NODES else network
-
-    for node in failed:
-        world_of(node).fail(node)
-    for (a, b), count in drops.items():
-        world_of(b).force_drops(a, b, count)
+    arm(
+        lambda node: mdm_network if node in MDM_NODES else network,
+        failed, drops,
+    )
     server = build_server()
     host = StandaloneQueryHost(
         server, server_node=SERVER, retry_policy=retry_policy
@@ -126,11 +131,8 @@ def build_sim_side(failed, drops, retry_policy):
 
 
 def build_wall_side(failed, drops, retry_policy):
-    faults = FaultPlan()
-    for node in failed:
-        faults.fail(node)
-    for (a, b), count in drops.items():
-        faults.force_drops(a, b, count)
+    faults = FaultState()
+    arm(lambda node: faults, failed, drops)
     server = build_server()
     host = StandaloneQueryHost(
         server, server_node=SERVER, retry_policy=retry_policy
@@ -274,39 +276,3 @@ def test_sim_and_wall_drivers_agree(requests, faults):
         )
 
     assert sim_decisions == wall_decisions
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    requests=requests_strategy,
-    slow=st.dictionaries(
-        st.sampled_from(DROPPABLE_LINKS),
-        st.floats(min_value=1.0, max_value=50.0),
-        max_size=2,
-    ),
-)
-def test_slow_links_never_change_decisions(requests, slow):
-    """Wall-side latency faults (slow replies) change *timing*, never
-    values: the decisions match a fault-free sim baseline."""
-    retry_policy = RetryPolicy(max_attempts=2, base_backoff_ms=10.0)
-    sim_side = build_sim_side(set(), {}, retry_policy)
-    faults = FaultPlan()
-    for (a, b), extra in slow.items():
-        faults.slow_link(a, b, extra)
-    server = build_server()
-    host = StandaloneQueryHost(
-        server, server_node=SERVER, retry_policy=retry_policy
-    )
-    wall_side = (
-        wall_runner(server, faults), SansIoQueryEngine(host),
-        build_mdms(retry_policy)[1],
-    )
-
-    for index, (pattern, path) in enumerate(requests):
-        context = RequestContext("app")
-        now = float(index) * 1000.0
-        sim_record = run_request(pattern, path, context, now, *sim_side)
-        wall_record = run_request(pattern, path, context, now, *wall_side)
-        assert sim_record == wall_record
-        assert sim_record.get("ok", True)
-        assert not sim_record.get("retries")

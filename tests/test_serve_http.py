@@ -1,5 +1,5 @@
 """The asyncio serving layer: HTTP parsing, the app surface, admission
-control, the wall transport's fault plan, wall spans, background
+control, the wall transport under faults, wall spans, background
 jobs. All async paths run through ``asyncio.run`` inside sync tests
 (the container ships no pytest-asyncio)."""
 
@@ -8,15 +8,16 @@ import json
 
 import pytest
 
+from repro.access import PolicyRule, relationship_in
 from repro.errors import NodeUnreachableError, PacketLossError
 from repro.obs import SpanRecorder
 from repro.obs.wallclock import ManualClock, WallSpanScope
+from repro.pxml import parse
 from repro.sansio import Compute, Fork, Send, SpanClose, SpanOpen
 from repro.serve import (
     AdmissionGate,
     AdmissionRejected,
     AppServer,
-    FaultPlan,
     Request,
     RequestPipeline,
     Response,
@@ -29,6 +30,7 @@ from repro.serve.http import (
     read_request,
     write_response,
 )
+from repro.simnet import FaultState
 
 BOOK = "/user[@id='u1']/address-book"
 PERSONAL = BOOK + "/item[@type='personal']"
@@ -279,6 +281,72 @@ class TestAppRoutes:
         assert get_json(cancelled)["cancelled"] is True
         assert gone.status == 404
 
+    def test_subscriptions_hold_the_privacy_shield(self):
+        """On a policy-enforcing world the route is shielded like every
+        other egress: denied at subscribe, re-checked per delivery."""
+        world = build_demo_world()
+        server = world.server
+        server.enforce_policies = True
+        rules = server.policy_repository
+        rules.store(PolicyRule(
+            "u1", BOOK, "permit", relationship_in("family"),
+            rule_id="family-book",
+        ))
+        app = create_app(world=world)
+        family = {"x-requester": "mom", "x-relationship": "family"}
+        subscribe = json.dumps({"watch_path": BOOK}).encode()
+
+        def fragment(name):
+            return (
+                "<address-book><item type='personal'><entry name='%s'>"
+                "<phone number='3'/></entry></item></address-book>"
+                % name
+            )
+
+        async def write(name):
+            response = await app.handle(Request(
+                "POST", "/v1/provision", headers=PROVISION_HEADERS,
+                body=json.dumps(
+                    {"path": BOOK, "fragment": fragment(name)}
+                ).encode(),
+            ))
+            assert response.status == 201
+            app.jobs.drain_bus_once()
+
+        async def go():
+            stranger = await app.handle(Request(
+                "POST", "/v1/subscriptions", body=subscribe,
+                headers={"x-requester": "eve"},
+            ))
+            created = await app.handle(Request(
+                "POST", "/v1/subscriptions", body=subscribe,
+                headers=family,
+            ))
+            poll = Request(
+                "GET",
+                "/v1/subscriptions/%d" % get_json(created)["id"],
+            )
+            await write("before")
+            first = await app.handle(poll)
+            rules.remove("u1", "family-book")
+            await write("after")
+            second = await app.handle(poll)
+            return stranger, first, second
+
+        stranger, first, second = run(go())
+        assert stranger.status == 403
+        assert get_json(stranger)["error"] == "access-denied"
+        assert app.subscriptions.active_count() == 1
+        assert len(world.bus.listeners) == 2  # the cache + mom
+        first, second = get_json(first), get_json(second)
+        assert [d["value"] for d in first["deliveries"]] == [
+            parse(fragment("before")).serialize()
+        ]
+        assert first["withheld"] == 0
+        assert second["deliveries"] == []
+        assert second["withheld"] == 1
+        assert b"after" not in json.dumps(second).encode()
+
     def test_metrics_endpoint_prometheus_text(self):
         app = create_app()
         async def go():
@@ -292,7 +360,7 @@ class TestAppRoutes:
         assert "server_resolves" in text
 
     def test_failed_store_degrades_not_500(self):
-        faults = FaultPlan()
+        faults = FaultState()
         faults.fail("gup.corp.com")
         app = create_app(world=build_demo_world(faults=faults))
         response = run(app.handle(Request(
@@ -305,7 +373,7 @@ class TestAppRoutes:
         ]
 
     def test_all_stores_down_is_503(self):
-        faults = FaultPlan()
+        faults = FaultState()
         for store in (
             "gup.alpha.com", "gup.beta.com", "gup.corp.com",
         ):
@@ -405,7 +473,7 @@ class TestAdmission:
 
 
 # ---------------------------------------------------------------------------
-# WallTransport faults mirror Network semantics
+# WallTransport under a FaultState
 # ---------------------------------------------------------------------------
 
 class TestWallTransportFaults:
@@ -414,7 +482,7 @@ class TestWallTransportFaults:
         return run(transport.run(program))
 
     def test_source_down_raises_immediately(self):
-        faults = FaultPlan()
+        faults = FaultState()
         faults.fail("a")
         def program():
             yield Send("a", "b", 10, "x")
@@ -422,7 +490,7 @@ class TestWallTransportFaults:
             self._run_program(program(), faults)
 
     def test_target_down_message(self):
-        faults = FaultPlan()
+        faults = FaultState()
         faults.fail("b")
         def program():
             yield Send("a", "b", 10, "x")
@@ -430,7 +498,7 @@ class TestWallTransportFaults:
             self._run_program(program(), faults)
 
     def test_forced_drop_budget_shared_both_directions(self):
-        faults = FaultPlan()
+        faults = FaultState()
         faults.force_drops("a", "b", 1)
         seen = []
         def program():
@@ -445,7 +513,7 @@ class TestWallTransportFaults:
         assert len(seen) == 1
 
     def test_fork_runs_all_legs_and_captures(self):
-        faults = FaultPlan()
+        faults = FaultState()
         faults.fail("store-2")
         def leg(store):
             yield Send("server", store, 10, "probe")
@@ -462,7 +530,7 @@ class TestWallTransportFaults:
         assert outcomes[2].value == "store-3"
 
     def test_restore_heals(self):
-        faults = FaultPlan()
+        faults = FaultState()
         faults.fail("b")
         faults.restore("b")
         def program():
