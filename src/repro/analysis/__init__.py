@@ -19,15 +19,14 @@ rule                      invariant protected
                           sanitizer
 ``determinism``           simulated components use the virtual clock and an
                           injected seeded ``random.Random`` — never wall-clock
-                          time or the shared module-level ``random`` state
+                          time or the shared module-level ``random`` state;
+                          simnet event handlers never sleep or block on I/O
 ``layering``              ``core``/``services`` speak to native stores only
                           through ``repro.adapters``
 ``exception-totality``    pxml parsers raise only GUP error types, and never
                           swallow them with bare/overbroad ``except``
 ``cache-key-scope``       component-cache reads/writes carry the requester
                           scope (regression guard for the PR 1 shield bypass)
-``sim-blocking``          no wall-clock sleeps or blocking I/O inside simnet
-                          event handlers
 ``sim-race``              two callbacks scheduled at the same virtual
                           timestamp never mutate the same attribute
 ``iter-order``            unordered ``set`` iteration never feeds event

@@ -12,9 +12,8 @@ code is still this function's lexical responsibility) may do::
   the I/O-*intent* layer: code here records what I/O would cost
   without performing any.
 * ``transport`` — samples the simulated wire itself
-  (``network.sample_hop``, fault injection).  Under the sans-io
-  refactor (ROADMAP item 2) this is exactly the code a real
-  transport replaces.
+  (``network.sample_hop``, fault injection): exactly the code the
+  asyncio wire driver (``repro.serve.transport``) replaces.
 * ``wall-io`` — real-world I/O (files, sockets, wall clocks).  The
   simulation must never reach it; CLIs and benches may.
 
@@ -26,9 +25,9 @@ surface a Network inherits, and ``FaultSchedule``) are
 ``transport``; the rest (Simulator, Trace, spans, bookkeeping)
 is ``virtual-time``.  Without the Trace axiom the whole query engine
 would collapse into ``transport`` merely for *charging* the cost
-ledger (``Trace.hop`` internally samples the wire today) — the
-ledger is the intent abstraction the refactor keeps, so it anchors
-the ``virtual-time`` tier.
+ledger (``Trace.hop`` internally samples the wire) — the ledger is
+the intent abstraction both drivers share, so it anchors the
+``virtual-time`` tier.
 
 **Propagation** is callee-joining over resolved calls, deps-first
 over call SCCs like every other summary bit.  Two deliberate
@@ -53,10 +52,12 @@ __all__ = [
     "EFFECT_TRANSPORT",
     "EFFECT_VIRTUAL_TIME",
     "EFFECT_WALL_IO",
+    "WALL_CLOCK_CALLS",
     "axiom_effect",
     "intrinsic_call_effect",
     "intrinsic_read_effect",
     "join_effects",
+    "reads_wall_clock",
 ]
 
 EFFECT_PURE = "pure"
@@ -109,16 +110,22 @@ def axiom_effect(fn: FunctionInfo) -> Optional[str]:
 #: Bare names that perform real I/O wherever they appear.
 _WALL_NAMES: FrozenSet[str] = frozenset({"open", "print", "input"})
 
-#: ``<time-ish>.<attr>`` reads the wall clock / blocks the thread.
-_TIME_ATTRS: FrozenSet[str] = frozenset({
-    "time", "sleep", "monotonic", "perf_counter", "process_time",
-    "time_ns", "monotonic_ns", "perf_counter_ns",
+#: ``<receiver>.<attr>`` calls that read the host's wall clock, keyed
+#: by the receiver's last dotted segment — the one vocabulary the
+#: effect map and the ``determinism`` rule share.
+WALL_CLOCK_CALLS: FrozenSet[str] = frozenset({
+    "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
+    "time.perf_counter", "time.perf_counter_ns", "time.process_time",
+    "time.localtime", "time.gmtime",
+    "datetime.now", "datetime.utcnow", "datetime.today", "date.today",
 })
 
-#: ``datetime.now()`` family.
-_DATETIME_ATTRS: FrozenSet[str] = frozenset(
-    {"now", "utcnow", "today"}
-)
+
+def reads_wall_clock(receiver: str, attr: str) -> bool:
+    """Is ``<receiver>.<attr>(...)`` a :data:`WALL_CLOCK_CALLS` read?"""
+    tail = receiver.rsplit(".", 1)[-1]
+    return "%s.%s" % (tail, attr) in WALL_CLOCK_CALLS
+
 
 #: Exact dotted-path segments that mark a receiver performing real
 #: I/O (segment match, not substring — ``self._requests.append`` must
@@ -158,11 +165,9 @@ def intrinsic_call_effect(call: ast.Call) -> str:
     if func.attr == "sample_hop":
         # Any hop sampling is the wire, whoever holds the network.
         return EFFECT_TRANSPORT
-    if func.attr in _TIME_ATTRS and (
-        receiver == "time" or receiver.endswith(".time")
+    if reads_wall_clock(receiver, func.attr) or (
+        func.attr == "sleep" and receiver.rsplit(".", 1)[-1] == "time"
     ):
-        return EFFECT_WALL_IO
-    if func.attr in _DATETIME_ATTRS and "datetime" in receiver:
         return EFFECT_WALL_IO
     if any(
         segment in _WALL_RECEIVER_SEGMENTS

@@ -41,10 +41,12 @@ attributes — attribute type inference and container annotations
 
 Grow/shrink sites are found intraprocedurally on ``self.attr`` /
 ``obj.attr`` receivers (resolved through the call-graph's receiver
-typing), and **interprocedurally** through per-function parameter
-summaries propagated callees-first over the call SCCs: a helper that
-``heappush``-es into its parameter turns ``helper(self._heap)`` into
-a grow site attributed to ``_heap`` at the call line.
+typing), and **interprocedurally** through the parameter sets of the
+taint engine's one :class:`~repro.analysis.interproc.summaries.Summary`
+(``grown_params`` / ``shrunk_params``, solved in the same call-SCC
+fixpoint as every other summary bit): a helper that ``heappush``-es
+into its parameter turns ``helper(self._heap)`` into a grow site
+attributed to ``_heap`` at the call line.
 
 The analyzer's own package (``repro/analysis/``) is exempt: gupcheck
 is a run-to-completion batch tool whose caches die with the process —
@@ -56,7 +58,7 @@ from __future__ import annotations
 import ast
 import re
 from typing import (
-    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set,
+    TYPE_CHECKING, Dict, List, Optional, Sequence, Set,
     Tuple,
 )
 
@@ -71,14 +73,17 @@ __all__ = [
     "BOUNDED_RE",
     "Declaration",
     "ContainerField",
+    "GROW_METHODS",
     "GrowthAnalysis",
     "Owner",
+    "SHRINK_METHODS",
     "Site",
     "VERDICTS",
     "VERDICT_BOUNDED",
     "VERDICT_DECLARED",
     "VERDICT_EVICTING",
     "VERDICT_UNBOUNDED",
+    "container_intrinsic",
 ]
 
 VERDICT_BOUNDED = "bounded"
@@ -116,13 +121,13 @@ _LISTENER_BASES = frozenset({"BusListener"})
 _INSTRUMENT_CLASSES = frozenset({"Counter", "Gauge", "Histogram"})
 
 #: Mutator method names that add elements.
-_GROW_METHODS = frozenset({
+GROW_METHODS = frozenset({
     "add", "append", "appendleft", "extend", "extendleft",
     "insert", "setdefault", "update",
 })
 
 #: Mutator method names that remove elements.
-_SHRINK_METHODS = frozenset({
+SHRINK_METHODS = frozenset({
     "clear", "discard", "pop", "popitem", "popleft", "remove",
 })
 
@@ -133,6 +138,18 @@ _INTRINSICS = {
     "heappop": ("shrink", 0),
     "heapify": (None, 0),
 }
+
+
+def container_intrinsic(
+    func: ast.expr,
+) -> Optional[Tuple[Optional[str], int]]:
+    """``(effect, argument position)`` when *func* names a heap
+    intrinsic (``heapq.heappush`` and friends), else ``None``."""
+    ref = dotted_ref(func)
+    if ref is None:
+        return None
+    return _INTRINSICS.get(ref.split(".")[-1])
+
 
 #: Container constructor name -> kind.
 _CONSTRUCTOR_KINDS = {
@@ -149,9 +166,6 @@ _CONSTRUCTOR_KINDS = {
 #: process-lifetime by design and out of scope for the service
 #: contract this engine checks.
 _EXEMPT_PREFIXES = ("repro/analysis/",)
-
-#: Fixpoint safety valve for parameter summaries inside a call SCC.
-_MAX_SCC_PASSES = 16
 
 #: Package ``__init__`` re-exports followed to reach a class's definition.
 _MAX_REEXPORT_HOPS = 4
@@ -362,20 +376,6 @@ def _annotation_class_names(expr: Optional[ast.expr]) -> Set[str]:
     return names
 
 
-class _ParamSummary:
-    """Which parameters (by index) a function grows or shrinks."""
-
-    __slots__ = ("grows", "shrinks")
-
-    def __init__(self) -> None:
-        self.grows: Set[int] = set()
-        self.shrinks: Set[int] = set()
-
-    def key(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        return (tuple(sorted(self.grows)),
-                tuple(sorted(self.shrinks)))
-
-
 class GrowthAnalysis:
     """Whole-program container-growth verdicts over a Project."""
 
@@ -393,7 +393,6 @@ class GrowthAnalysis:
         self._globals: Dict[str, Tuple[str, str]] = {}
         self._scan_declarations()
         self._collect_owners()
-        self._summaries = self._compute_param_summaries()
         self._collect_sites()
         self._attach_declarations()
         self._compute_verdicts()
@@ -545,7 +544,7 @@ class GrowthAnalysis:
                         raw.add(ref)
             elif isinstance(node, ast.Call) and isinstance(
                 node.func, ast.Attribute
-            ) and node.func.attr in _GROW_METHODS:
+            ) and node.func.attr in GROW_METHODS:
                 # self.x.append(SomeClass(...)) stores an element.
                 for arg in node.args:
                     if isinstance(arg, ast.Call):
@@ -650,131 +649,6 @@ class GrowthAnalysis:
                     module.name, name,
                 )
 
-    # -- interprocedural parameter summaries ----------------------------
-
-    def _compute_param_summaries(self) -> Dict[str, _ParamSummary]:
-        summaries: Dict[str, _ParamSummary] = {}
-        for scc in self.graph.sccs:
-            members = [
-                q for q in scc
-                if q in self.project.functions
-                and self.eligible(self.project.functions[q].relpath)
-            ]
-            for qualname in members:
-                summaries[qualname] = _ParamSummary()
-            for _ in range(_MAX_SCC_PASSES):
-                changed = False
-                for qualname in members:
-                    fn = self.project.functions[qualname]
-                    fresh = self._summarize_params(fn, summaries)
-                    if fresh.key() != summaries[qualname].key():
-                        summaries[qualname] = fresh
-                        changed = True
-                if not changed:
-                    break
-        return summaries
-
-    def _summarize_params(
-        self, fn: FunctionInfo,
-        summaries: Dict[str, _ParamSummary],
-    ) -> _ParamSummary:
-        summary = _ParamSummary()
-        index_of = {name: i for i, name in enumerate(fn.params)}
-        aliases: Dict[str, int] = dict(index_of)
-
-        def param_index(expr: ast.expr) -> Optional[int]:
-            if isinstance(expr, ast.Name):
-                return aliases.get(expr.id)
-            return None
-
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name):
-                    source = param_index(node.value)
-                    if source is not None:
-                        aliases[target.id] = source
-                    else:
-                        aliases.pop(target.id, None)
-                elif isinstance(target, ast.Subscript):
-                    idx = param_index(target.value)
-                    if idx is not None:
-                        summary.grows.add(idx)
-            elif isinstance(node, ast.AugAssign):
-                idx = param_index(node.target)
-                if idx is not None:
-                    summary.grows.add(idx)
-            elif isinstance(node, ast.Delete):
-                for target in node.targets:
-                    if isinstance(target, ast.Subscript):
-                        idx = param_index(target.value)
-                        if idx is not None:
-                            summary.shrinks.add(idx)
-            elif isinstance(node, ast.Call):
-                self._summarize_call(
-                    node, fn, param_index, summary, summaries,
-                )
-        return summary
-
-    def _summarize_call(
-        self,
-        call: ast.Call,
-        fn: FunctionInfo,
-        param_index: "Callable[[ast.expr], Optional[int]]",
-        summary: _ParamSummary,
-        summaries: Dict[str, _ParamSummary],
-    ) -> None:
-        func = call.func
-        if isinstance(func, ast.Attribute):
-            idx = param_index(func.value)
-            if idx is not None:
-                if func.attr in _GROW_METHODS:
-                    summary.grows.add(idx)
-                elif func.attr in _SHRINK_METHODS:
-                    summary.shrinks.add(idx)
-                return
-        intrinsic = self._intrinsic_for(func)
-        if intrinsic is not None:
-            effect, arg_pos = intrinsic
-            if effect is not None and len(call.args) > arg_pos:
-                idx = param_index(call.args[arg_pos])
-                if idx is not None:
-                    if effect == "grow":
-                        summary.grows.add(idx)
-                    else:
-                        summary.shrinks.add(idx)
-            return
-        # Propagate through project callees: passing a parameter at a
-        # position the callee grows/shrinks grows/shrinks it here too.
-        resolution = self.resolver.resolve(call, fn)
-        if not resolution.targets:
-            return
-        offset = 1 if (
-            isinstance(func, ast.Attribute)
-            and not resolution.is_constructor
-        ) else 0
-        for position, arg in enumerate(call.args):
-            idx = param_index(arg)
-            if idx is None:
-                continue
-            for target in resolution.targets:
-                callee = summaries.get(target.qualname)
-                if callee is None:
-                    continue
-                if position + offset in callee.grows:
-                    summary.grows.add(idx)
-                if position + offset in callee.shrinks:
-                    summary.shrinks.add(idx)
-
-    @staticmethod
-    def _intrinsic_for(
-        func: ast.expr,
-    ) -> Optional[Tuple[Optional[str], int]]:
-        ref = dotted_ref(func)
-        if ref is None:
-            return None
-        return _INTRINSICS.get(ref.split(".")[-1])
-
     # -- site discovery -------------------------------------------------
 
     def _collect_sites(self) -> None:
@@ -875,9 +749,6 @@ class GrowthAnalysis:
             field.grow_sites.append(site)
         else:
             field.shrink_sites.append(site)
-
-    def summary_for(self, qualname: str) -> Optional[_ParamSummary]:
-        return self._summaries.get(qualname)
 
     # -- verdicts -------------------------------------------------------
 
@@ -1149,17 +1020,17 @@ class _SiteFinder:
                 key = self._field_of(receiver)
             if key is not None:
                 op_prefix = "value-" if inner else ""
-                if func.attr in _GROW_METHODS:
+                if func.attr in GROW_METHODS:
                     self._record(
                         call, "grow", op_prefix + func.attr, key,
                     )
                     return
-                if func.attr in _SHRINK_METHODS:
+                if func.attr in SHRINK_METHODS:
                     self._record(
                         call, "shrink", op_prefix + func.attr, key,
                     )
                     return
-        intrinsic = GrowthAnalysis._intrinsic_for(func)
+        intrinsic = container_intrinsic(func)
         if intrinsic is not None:
             effect, arg_pos = intrinsic
             if effect is not None and len(call.args) > arg_pos:
@@ -1192,15 +1063,17 @@ class _SiteFinder:
             if key is None:
                 continue
             for target in resolution.targets:
-                summary = self.analysis.summary_for(target.qualname)
+                summary = self.analysis.project.taint.summary_of(
+                    target.qualname
+                )
                 if summary is None:
                     continue
-                if position + offset in summary.grows:
+                if position + offset in summary.grown_params:
                     self._record(
                         call, "grow", "helper", key,
                         via=target.qualname,
                     )
-                if position + offset in summary.shrinks:
+                if position + offset in summary.shrunk_params:
                     self._record(
                         call, "shrink", "helper", key,
                         via=target.qualname,

@@ -25,7 +25,8 @@ class Summary:
     __slots__ = ("qualname", "relpath", "returns_source",
                  "param_flows", "sanitizes", "guards",
                  "tainted_return_lines", "egress_sends",
-                 "reaches_sim_run", "effect")
+                 "reaches_sim_run", "effect", "grown_params",
+                 "shrunk_params")
 
     def __init__(
         self,
@@ -39,6 +40,8 @@ class Summary:
         egress_sends: Tuple[Tuple[int, int, str], ...] = (),
         reaches_sim_run: bool = False,
         effect: str = "pure",
+        grown_params: FrozenSet[int] = frozenset(),
+        shrunk_params: FrozenSet[int] = frozenset(),
     ) -> None:
         self.qualname = qualname
         self.relpath = relpath
@@ -67,6 +70,11 @@ class Summary:
         #: every resolved callee (see
         #: :mod:`repro.analysis.interproc.effects`).
         self.effect = effect
+        #: Parameter indices whose container the function (or a
+        #: callee it hands them to) grows / shrinks in place — the
+        #: helper attribution of :mod:`repro.analysis.interproc.growth`.
+        self.grown_params = grown_params
+        self.shrunk_params = shrunk_params
 
     # -- equality drives the fixpoint ----------------------------------
 
@@ -75,6 +83,7 @@ class Summary:
             self.returns_source, self.param_flows, self.sanitizes,
             self.guards, self.tainted_return_lines,
             self.egress_sends, self.reaches_sim_run, self.effect,
+            self.grown_params, self.shrunk_params,
         )
 
     def __eq__(self, other: object) -> bool:

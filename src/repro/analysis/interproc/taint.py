@@ -59,10 +59,13 @@ from __future__ import annotations
 
 import ast
 from typing import (
-    Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
+    Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence,
+    Set, Tuple,
 )
 
-from repro.analysis.ir.callgraph import CallGraph, CallResolver
+from repro.analysis.ir.callgraph import (
+    CallGraph, CallResolver, Resolution,
+)
 from repro.analysis.ir.project import Project
 from repro.analysis.ir.symbols import FunctionInfo, dotted_ref
 from repro.analysis.interproc.effects import (
@@ -72,6 +75,11 @@ from repro.analysis.interproc.effects import (
     intrinsic_read_effect,
     join_effects,
 )
+from repro.analysis.interproc.growth import (
+    GROW_METHODS,
+    SHRINK_METHODS,
+    container_intrinsic,
+)
 from repro.analysis.interproc.summaries import SOURCE_LABEL, Summary
 
 __all__ = [
@@ -80,6 +88,7 @@ __all__ = [
     "INTENT_SOURCES",
     "SEND_SINKS",
     "SIM_RUN_METHODS",
+    "SIM_SCHEDULERS",
     "SOURCE_METHODS",
     "TaintEngine",
     "takes_request_context",
@@ -137,6 +146,9 @@ EGRESS_MODELS: Dict[str, Tuple[FrozenSet[str], FrozenSet[str]]] = {
 #: Methods that (re-)enter the discrete-event loop when invoked on a
 #: simulator receiver.
 SIM_RUN_METHODS = frozenset({"run", "step", "advance"})
+
+#: Methods that hand a callback to the simulator's event queue.
+SIM_SCHEDULERS = frozenset({"schedule", "schedule_at", "every"})
 
 #: In-place container mutations that bind argument taint into the
 #: receiver variable (``fragments.append(raw)`` taints ``fragments``).
@@ -225,6 +237,54 @@ class _Frame:
             labels.discard(SOURCE_LABEL)
 
 
+class _Plan(NamedTuple):
+    """The per-function syntactic facts the fixpoint composes."""
+
+    effect: str
+    effect_callees: Tuple[str, ...]
+    #: ``"grow"`` / ``"shrink"`` -> parameter indices the body itself
+    #: mutates in place.
+    mutated: Dict[str, Set[int]]
+    #: ``(callee qualname, callee parameter index, own parameter
+    #: index)`` for each parameter passed on to a project callee.
+    param_edges: Tuple[Tuple[str, int, int], ...]
+
+
+def _call_mutations(
+    call: ast.Call,
+    resolution: Resolution,
+    aliases: Dict[str, int],
+    mark: Callable[[Optional[str], ast.expr], None],
+) -> List[Tuple[str, int, int]]:
+    """Record what *call* does to the caller's parameters in place
+    through *mark*; return the ``(callee, position, parameter)``
+    edges for parameters it passes on to project code."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+            and func.value.id in aliases:
+        mark(
+            "grow" if func.attr in GROW_METHODS
+            else "shrink" if func.attr in SHRINK_METHODS else None,
+            func.value,
+        )
+        return []
+    intrinsic = container_intrinsic(func)
+    if intrinsic is not None:
+        op, position = intrinsic
+        if len(call.args) > position:
+            mark(op, call.args[position])
+        return []
+    offset = 1 if (
+        isinstance(func, ast.Attribute) and not resolution.is_constructor
+    ) else 0
+    return [
+        (callee.qualname, position + offset, aliases[arg.id])
+        for position, arg in enumerate(call.args)
+        if isinstance(arg, ast.Name) and arg.id in aliases
+        for callee in resolution.targets
+    ]
+
+
 class TaintEngine:
     """Summary computation + fixpoint over one :class:`Project`."""
 
@@ -235,10 +295,9 @@ class TaintEngine:
         self._summaries: Dict[str, Summary] = {}
         self._solved = False
         self._ancestor_cache: Dict[str, FrozenSet[str]] = {}
-        #: qualname -> (syntactic base effect, callee qualnames) —
-        #: the resolution work is identical on every fixpoint pass,
-        #: so it is done once per function.
-        self._effect_plans: Dict[str, Tuple[str, Tuple[str, ...]]] = {}
+        #: qualname -> :meth:`_plan` — the resolution work is identical
+        #: on every fixpoint pass, so it is done once per function.
+        self._plans: Dict[str, _Plan] = {}
 
     # -- public API (contract with the framework) -----------------------
 
@@ -285,6 +344,7 @@ class TaintEngine:
     # -- per-function analysis ------------------------------------------
 
     def _summarize(self, fn: FunctionInfo) -> Summary:
+        plan = self._plan(fn)
         payload, sinks = _egress_model(fn)
         env: Dict[str, Set[str]] = {
             name: {"p%d" % index}
@@ -324,7 +384,9 @@ class TaintEngine:
             tainted_return_lines=tuple(sorted(set(tainted_lines))),
             egress_sends=tuple(frame.sends),
             reaches_sim_run=self._reaches_sim_run(fn),
-            effect=self._effect_of(fn),
+            effect=self._effect_of(fn, plan),
+            grown_params=self._mutated_params(plan, "grow"),
+            shrunk_params=self._mutated_params(plan, "shrink"),
         )
 
     # -- statements -----------------------------------------------------
@@ -705,9 +767,9 @@ class TaintEngine:
             )
         )
 
-    # -- effect inference -----------------------------------------------
+    # -- effect and parameter-mutation inference -------------------------
 
-    def _effect_of(self, fn: FunctionInfo) -> str:
+    def _effect_of(self, fn: FunctionInfo, plan: _Plan) -> str:
         """Join of the function's own intrinsic effects and its
         resolved callees' summary effects (axioms trump bodies).
         Monotone in the callee summaries, so the enclosing SCC
@@ -716,50 +778,85 @@ class TaintEngine:
         decreed = axiom_effect(fn)
         if decreed is not None:
             return decreed
-        base, callees = self._effect_plan(fn)
-        effect = base
-        for qualname in callees:
+        effect = plan.effect
+        for qualname in plan.effect_callees:
             summary = self._summaries.get(qualname)
             if summary is not None:
                 effect = join_effects(effect, summary.effect)
         return effect
 
-    def _effect_plan(
-        self, fn: FunctionInfo
-    ) -> Tuple[str, Tuple[str, ...]]:
-        """The per-function syntactic half of effect inference: the
-        join of intrinsic/axiom effects visible in the body, plus the
-        non-axiom project callees whose summaries must be joined in.
-        Nested ``def`` bodies are included — deferred work belongs to
-        the frame that lexically contains it — while passing a
-        callable *reference* contributes nothing."""
-        plan = self._effect_plans.get(fn.qualname)
+    def _mutated_params(self, plan: _Plan, op: str) -> FrozenSet[int]:
+        """The parameters the body grows (*op* ``"grow"``) or shrinks
+        itself, plus those it hands to a callee parameter whose
+        summary does — monotone, like :meth:`_effect_of`."""
+        mutated = set(plan.mutated[op])
+        for qualname, position, index in plan.param_edges:
+            summary = self._summaries.get(qualname)
+            if summary is not None and position in (
+                summary.grown_params if op == "grow"
+                else summary.shrunk_params
+            ):
+                mutated.add(index)
+        return frozenset(mutated)
+
+    def _plan(self, fn: FunctionInfo) -> _Plan:
+        """The syntactic half of effect and parameter-mutation
+        inference, from one walk of the body: the join of the
+        intrinsic/axiom effects visible in it plus the non-axiom
+        callees to join in, and the parameters (or local aliases of
+        one) mutated in place plus those passed on to a callee.
+        Nested ``def`` bodies count — deferred work belongs to the
+        frame that lexically contains it — while passing a callable
+        *reference* contributes nothing."""
+        plan = self._plans.get(fn.qualname)
         if plan is not None:
             return plan
-        base = EFFECT_PURE
+        effect = EFFECT_PURE
         callees: Set[str] = set()
+        mutated: Dict[str, Set[int]] = {"grow": set(), "shrink": set()}
+        edges: List[Tuple[str, int, int]] = []
+        aliases = {name: index for index, name in enumerate(fn.params)}
+
+        def mark(op: Optional[str], expr: ast.expr) -> None:
+            if op is not None and isinstance(expr, ast.Name) \
+                    and expr.id in aliases:
+                mutated[op].add(aliases[expr.id])
+
         for node in ast.walk(fn.node):
             if isinstance(node, ast.Attribute):
-                base = join_effects(
-                    base, intrinsic_read_effect(node)
-                )
-                continue
-            if not isinstance(node, ast.Call):
-                continue
-            resolution = self.resolver.resolve(node, fn)
-            if resolution.targets:
-                for target in resolution.targets:
-                    decreed = axiom_effect(target)
-                    if decreed is not None:
-                        base = join_effects(base, decreed)
+                effect = join_effects(effect, intrinsic_read_effect(node))
+            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target, value = node.targets[0], node.value
+                if isinstance(target, ast.Name):
+                    if isinstance(value, ast.Name) and value.id in aliases:
+                        aliases[target.id] = aliases[value.id]
                     else:
-                        callees.add(target.qualname)
-            else:
-                base = join_effects(
-                    base, intrinsic_call_effect(node)
-                )
-        plan = (base, tuple(sorted(callees)))
-        self._effect_plans[fn.qualname] = plan
+                        aliases.pop(target.id, None)
+                elif isinstance(target, ast.Subscript):
+                    mark("grow", target.value)
+            elif isinstance(node, ast.AugAssign):
+                mark("grow", node.target)
+            elif isinstance(node, ast.Delete):
+                for target in node.targets:
+                    if isinstance(target, ast.Subscript):
+                        mark("shrink", target.value)
+            elif isinstance(node, ast.Call):
+                resolution = self.resolver.resolve(node, fn)
+                for callee in resolution.targets:
+                    decreed = axiom_effect(callee)
+                    if decreed is not None:
+                        effect = join_effects(effect, decreed)
+                    else:
+                        callees.add(callee.qualname)
+                if not resolution.targets:
+                    effect = join_effects(
+                        effect, intrinsic_call_effect(node)
+                    )
+                edges.extend(_call_mutations(
+                    node, resolution, aliases, mark
+                ))
+        plan = _Plan(effect, tuple(sorted(callees)), mutated, tuple(edges))
+        self._plans[fn.qualname] = plan
         return plan
 
     # -- simulator re-entrancy ------------------------------------------

@@ -27,7 +27,6 @@ from repro.analysis.rules.layering import LayeringRule
 from repro.analysis.rules.memo_confinement import MemoConfinementRule
 from repro.analysis.rules.sans_io import SansIoPurityRule
 from repro.analysis.rules.shield_egress import ShieldEgressRule
-from repro.analysis.rules.sim_blocking import SimBlockingRule
 from repro.analysis.rules.sim_race import SimRaceRule
 from repro.analysis.rules.span_balance import SpanBalanceRule
 
@@ -38,7 +37,6 @@ ALL_RULES = (
     LayeringRule,
     ExceptionTotalityRule,
     CacheKeyScopeRule,
-    SimBlockingRule,
     SimRaceRule,
     IterOrderRule,
     HandlerReentrancyRule,
@@ -62,7 +60,6 @@ __all__ = [
     "MemoConfinementRule",
     "SansIoPurityRule",
     "ShieldEgressRule",
-    "SimBlockingRule",
     "SimRaceRule",
     "SpanBalanceRule",
     "default_rules",

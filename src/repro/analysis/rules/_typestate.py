@@ -21,13 +21,21 @@ leak on an unreachable path is not a leak.
 from __future__ import annotations
 
 import ast
-from typing import Any, Iterator, List, Optional
+from typing import Any, Iterator, List, Optional, Set
 
 from repro.analysis.cfg import build_cfg
 from repro.analysis.dataflow import solve
 from repro.analysis.framework import ModuleInfo, Rule, Violation
 
-__all__ = ["TypestateMachine", "TypestateRule", "scopes_of"]
+__all__ = ["TypestateMachine", "TypestateRule", "names_in", "scopes_of"]
+
+
+def names_in(node: ast.AST) -> Set[str]:
+    """Every bare name read or bound anywhere under *node*."""
+    return {
+        child.id for child in ast.walk(node)
+        if isinstance(child, ast.Name)
+    }
 
 
 def scopes_of(tree: ast.Module) -> Iterator[ast.AST]:

@@ -37,6 +37,7 @@ from repro.analysis.framework import ModuleInfo, Violation
 from repro.analysis.rules._typestate import (
     TypestateMachine,
     TypestateRule,
+    names_in,
 )
 
 __all__ = ["CursorLifecycleRule"]
@@ -76,13 +77,6 @@ def _busish(node: ast.AST) -> bool:
         or name.endswith("_bus") or name.endswith("_log")
         or name.endswith("_logs")
     )
-
-
-def _names_in(node: ast.AST) -> Set[str]:
-    return {
-        child.id for child in ast.walk(node)
-        if isinstance(child, ast.Name)
-    }
 
 
 def _calls_in(stmt: ast.stmt) -> List[ast.Call]:
@@ -183,9 +177,9 @@ class _CursorMachine(TypestateMachine):
                 continue
             used: Set[str] = set()
             for arg in call.args:
-                used |= _names_in(arg)
+                used |= names_in(arg)
             for keyword in call.keywords:
-                used |= _names_in(keyword.value)
+                used |= names_in(keyword.value)
             for name in sorted(used):
                 if state.get(name) == _STALE:
                     found.append(_RULE.violation(

@@ -21,15 +21,14 @@ from typing import TYPE_CHECKING, List, Optional
 from repro.analysis.framework import (
     ModuleInfo, ProjectRule, Violation,
 )
-from repro.analysis.interproc.taint import SIM_RUN_METHODS
+from repro.analysis.interproc.taint import (
+    SIM_RUN_METHODS, SIM_SCHEDULERS,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.interproc.taint import TaintEngine
     from repro.analysis.ir.project import Project
     from repro.analysis.ir.symbols import FunctionInfo
-
-#: Scheduling entry points on the simulator.
-_SCHEDULERS = frozenset({"schedule", "schedule_at", "every"})
 
 __all__ = ["HandlerReentrancyRule"]
 
@@ -60,7 +59,7 @@ class HandlerReentrancyRule(ProjectRule):
                 func = node.func
                 if not (
                     isinstance(func, ast.Attribute)
-                    and func.attr in _SCHEDULERS
+                    and func.attr in SIM_SCHEDULERS
                     and engine.sim_receiver(func.value, fn)
                 ):
                     continue

@@ -22,6 +22,7 @@ import ast
 from typing import List, Optional, Set
 
 from repro.analysis.framework import ModuleInfo, Rule, Violation
+from repro.analysis.interproc.taint import SIM_SCHEDULERS
 
 __all__ = ["IterOrderRule"]
 
@@ -30,7 +31,6 @@ _SET_METHODS = frozenset({
     "union", "intersection", "difference",
     "symmetric_difference", "copy",
 })
-_SCHEDULERS = frozenset({"schedule", "schedule_at", "every"})
 _ASSEMBLERS = frozenset({"append", "extend", "add", "insert"})
 
 
@@ -124,7 +124,7 @@ def _feeds_order_sensitive(body: List[ast.stmt]) -> bool:
             if isinstance(node, ast.Call) and isinstance(
                 node.func, ast.Attribute
             ):
-                if node.func.attr in _SCHEDULERS:
+                if node.func.attr in SIM_SCHEDULERS:
                     return True
                 if node.func.attr in _ASSEMBLERS:
                     return True

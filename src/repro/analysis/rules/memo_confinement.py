@@ -46,6 +46,7 @@ from repro.analysis.framework import ModuleInfo, Violation
 from repro.analysis.rules._typestate import (
     TypestateMachine,
     TypestateRule,
+    names_in,
 )
 
 __all__ = ["MemoConfinementRule"]
@@ -73,13 +74,6 @@ def _annotation_is_memo(annotation: Optional[ast.AST]) -> bool:
         ):
             return True
     return False
-
-
-def _names_in(node: ast.AST) -> Set[str]:
-    return {
-        child.id for child in ast.walk(node)
-        if isinstance(child, ast.Name)
-    }
 
 
 def _scoped_source(value: ast.expr, state: _State) -> Optional[str]:
@@ -150,15 +144,15 @@ class _MemoMachine(TypestateMachine):
             return new
         if isinstance(stmt, (ast.For, ast.AsyncFor)):
             # Iterating a root yields scoped decisions/keys.
-            iter_names = _names_in(stmt.iter)
+            iter_names = names_in(stmt.iter)
             if any(state.get(n) == _ROOT for n in iter_names):
                 new = dict(state)
-                for name in _names_in(stmt.target):
+                for name in names_in(stmt.target):
                     new[name] = _DERIVED
                 return new
             return state
         if isinstance(stmt, ast.Delete):
-            dropped = _names_in(stmt)
+            dropped = names_in(stmt)
             if dropped & set(state):
                 return {
                     name: mark for name, mark in state.items()
@@ -178,7 +172,7 @@ class _MemoMachine(TypestateMachine):
         if isinstance(stmt, (ast.Assign, ast.AugAssign)):
             value_marks = {
                 state[name]
-                for name in _names_in(stmt.value)
+                for name in names_in(stmt.value)
                 if name in state
             }
             if not value_marks:

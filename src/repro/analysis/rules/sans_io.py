@@ -1,10 +1,10 @@
 """sans-io-purity — the protocol core stays off the wire.
 
-ROADMAP item 2 refactors the query engine sans-io style: protocol
-logic yields I/O *intents* and a driver (simnet today, a real
-transport tomorrow) performs them.  That refactor is only tractable
-if the boundary is real — so this rule pins it, machine-checked, on
-every run:
+The query engine is sans-io: protocol logic yields I/O *intents* and
+a driver performs them — ``repro.simnet`` in virtual time,
+``repro.serve``'s asyncio transport on the wall clock.  Two drivers
+can share one engine only while the boundary is real — so this rule
+pins it, machine-checked, on every run:
 
     every function in ``repro/core/``, ``repro/pxml/`` and
     ``repro/sansio/`` (and the pure replay structures
@@ -16,8 +16,8 @@ every run:
 without sampling the wire.  ``transport`` (direct
 ``network.sample_hop`` / fault injection, however many calls deep)
 and ``wall-io`` (real clocks, files, sockets) mean protocol logic
-has grown a driver dependency that the refactor would have to
-untangle; cheaper to keep it out now.  Effects come from the
+has grown a dependency on one driver that the other cannot honour.
+Effects come from the
 interprocedural summary fixpoint
 (:mod:`repro.analysis.interproc.effects`), so a violation names the
 function whose *transitive* behaviour crosses the line — the fix is

@@ -22,10 +22,9 @@ import itertools
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.framework import ModuleInfo, Rule, Violation
+from repro.analysis.interproc.taint import SIM_SCHEDULERS
 
 __all__ = ["SimRaceRule"]
-
-_SCHEDULERS = frozenset({"schedule", "schedule_at", "every"})
 
 #: Method calls that mutate their receiver in place.
 _MUTATORS = frozenset({
@@ -112,7 +111,7 @@ class SimRaceRule(Rule):
                 if not (
                     isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _SCHEDULERS
+                    and node.func.attr in SIM_SCHEDULERS
                     and _sim_ish(node.func.value)
                     and node.args
                 ):

@@ -9,7 +9,7 @@ from repro.core.mdm import (
     HierarchicalMdm,
     UserDistributedMdm,
 )
-from repro.core.query import BatchItemResult, QueryBatch, QueryExecutor
+from repro.core.query import QueryBatch, QueryExecutor
 from repro.core.referral import Referral, ReferralPart
 from repro.core.resilience import (
     EndpointHealth,
@@ -33,7 +33,6 @@ __all__ = [
     "GupsterServer",
     "QueryExecutor",
     "QueryBatch",
-    "BatchItemResult",
     "RetryPolicy", "EndpointHealth", "PartStatus",
     "CentralizedMdm", "UserDistributedMdm", "HierarchicalMdm",
     "SubscriptionHub", "Delivery",

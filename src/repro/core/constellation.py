@@ -35,7 +35,7 @@ from repro.core.resilience import RetryPolicy
 from repro.core.server import GupsterServer
 from repro.sansio.intents import Program, Send
 from repro.simnet import Network
-from repro.simnet.driver import SimnetDriver
+from repro.simnet import driver as simnet_driver  # a module: see repro/sansio/__init__.py
 from repro.adapters.base import GupAdapter
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -111,7 +111,7 @@ class MirrorConstellation:
         messages/bytes to *trace* when given."""
         round_ = self._gossip_round()
         if trace is not None:
-            return SimnetDriver({}).run(round_, trace)
+            return simnet_driver.SimnetDriver({}).run(round_, trace)
         try:  # uncharged (E14's background gossip): skip the Sends
             while True:
                 next(round_)
@@ -205,7 +205,7 @@ class MirrorConstellation:
         lookup = Lookup(client, now, RetryPolicy.none(), None, outcomes)
         order = sorted(self.mirror_nodes, key=lambda node: node != prefer)
         trace = self.network.trace()
-        answered = SimnetDriver({}).run(lookup.with_retry(
+        answered = simnet_driver.SimnetDriver({}).run(lookup.with_retry(
             order, items, lambda node: lookup.round_trip(
                 node, items, self.servers[node].resolve
             ),

@@ -48,7 +48,7 @@ from repro.sansio.intents import (
     Compute, Fork, Mark, Program, Send, Sleep, SpanClose, SpanOpen,
 )
 from repro.simnet import Network
-from repro.simnet.driver import SimnetDriver
+from repro.simnet import driver as simnet_driver  # a module: see repro/sansio/__init__.py
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.simnet import Trace
@@ -267,7 +267,7 @@ class _MdmTopology:
                 client, now, self.retry_policy, self.health, outcomes,
                 hints or {},
             )
-            SimnetDriver({}).run(self.program(lookup, items), trace)
+            simnet_driver.SimnetDriver({}).run(self.program(lookup, items), trace)
         return outcomes, trace
 
     def resolve(

@@ -46,15 +46,15 @@ from repro.access import RequestContext
 from repro.core.host import QueryHost
 from repro.core.resilience import EndpointHealth, RetryPolicy
 from repro.core.server import GupsterServer
-from repro.sansio.engine import BatchItemResult, SansIoQueryEngine
+from repro.sansio import engine as sansio_engine  # a module: see repro/sansio/__init__.py
 from repro.sansio.intents import Program
 from repro.simnet import Network, Trace
-from repro.simnet.driver import SimnetDriver
+from repro.simnet import driver as simnet_driver  # a module: see repro/sansio/__init__.py
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.core.provenance import ProvenanceTracker, SourceAnnotator
 
-__all__ = ["BatchItemResult", "QueryBatch", "QueryExecutor"]
+__all__ = ["QueryBatch", "QueryExecutor"]
 
 
 class QueryExecutor(QueryHost):
@@ -80,7 +80,7 @@ class QueryExecutor(QueryHost):
             annotator,
         )
         self.network = network
-        self._engine = SansIoQueryEngine(self)
+        self._engine = sansio_engine.SansIoQueryEngine(self)
         # Re-home every instrument onto the network's world registry so
         # one snapshot/export covers net.*, cache.*, health.* and
         # server.* (E18).
@@ -91,7 +91,7 @@ class QueryExecutor(QueryHost):
         """Drive *program* over the simulated network on a fresh
         trace; returns (the program's outcome, the trace)."""
         trace = self.network.trace()
-        driver = SimnetDriver(self.server.adapters)
+        driver = simnet_driver.SimnetDriver(self.server.adapters)
         return driver.run(program, trace), trace
 
     # -- patterns ------------------------------------------------------------------
@@ -199,7 +199,7 @@ class QueryExecutor(QueryHost):
         contexts: Sequence[RequestContext],
         now: float = 0.0,
         use_cache: bool = False,
-    ) -> Tuple[List[BatchItemResult], Trace]:
+    ) -> Tuple[List[sansio_engine.BatchItemResult], Trace]:
         """Run many queries as one batched round-trip pipeline.
 
         Semantics are pinned by ``tests/test_batch_equivalence.py``:
@@ -302,7 +302,7 @@ class QueryBatch:
 
     def execute(
         self, now: float = 0.0
-    ) -> Tuple[List[BatchItemResult], Trace]:
+    ) -> Tuple[List[sansio_engine.BatchItemResult], Trace]:
         """Run every queued query; the batch stays reusable (items are
         consumed)."""
         if not self._requests:

@@ -6,13 +6,13 @@ makes both sides converge on a shared fixpoint per mapped attribute.
 DESIGN.md §4.10 gives the state machine; the load-bearing invariants:
 
 **Three-way resolution.** For each dirty (user, attribute) pair the
-reconciler compares the GUP value, the foreign value, and ``_base`` —
-the value both sides agreed on after the last successful sync. Only
-one side moved -> copy it across, no conflict. Both moved -> the
-conflict policy produces an explicit winner, ledgered with who won
-and why, before either store is touched. Values equal -> just advance
-the base; **no write happens**, which is what makes a fixpoint a
-fixpoint (zero oscillation: a converged pair generates no traffic).
+reconciler compares both sides with ``_base``, the value and newest
+authored instant of the last agreement. A side moved if its value or
+its instant did (re-authoring the base value is a move). One side
+moved -> copy it across. Both moved -> the conflict policy picks an
+explicit winner, ledgered with who won and why, before either store
+is touched. Values equal -> just advance the base; **no write**, so
+a fixpoint stays a fixpoint (a converged pair generates no traffic).
 
 **Echo suppression via origin-tagged provenance.** Every write the
 reconciler makes carries its sync tag. Outbound: foreign journal
@@ -80,7 +80,7 @@ ACK_BYTES = 32
 WRITE_OVERHEAD_BYTES = 96
 
 #: Sentinel meaning "no base value agreed yet" in three-way terms.
-_NO_BASE = None
+_NO_BASE = (None, 0.0)
 
 
 class RejectedObject:
@@ -306,9 +306,9 @@ class Reconciler:
             relationship="third-party",
             purpose="provision",
         )
-        #: (user, suffix) -> last value both sides agreed on.
+        #: (user, suffix) -> (value, newest authored instant) both sides agreed on.
         # gupcheck: bounded[dataset] -- one entry per federated (user, attribute); overwritten in place
-        self._base: Dict[Tuple[str, str], str] = {}
+        self._base: Dict[Tuple[str, str], Tuple[str, float]] = {}
         #: Pairs awaiting resolution; drained every round.
         # gupcheck: bounded[drained] -- cleared at the top of every sync round
         self._dirty: Set[Tuple[str, str]] = set()
@@ -592,7 +592,7 @@ class Reconciler:
             # Converged: advance the base, write nothing. This branch
             # is why a fixpoint stays a fixpoint.
             if gup_value is not None:
-                self._base[key] = gup_value
+                self._base[key] = (gup_value, max(gup_at, foreign_at))
             self.queue.note_success(user_id, suffix)
             return
         try:
@@ -618,7 +618,7 @@ class Reconciler:
         """The three-way decision for one differing pair. Values are
         unequal and at least one side holds one."""
         key = (user_id, entry.gup_suffix)
-        base = self._base.get(key, _NO_BASE)
+        base, base_at = self._base.get(key, _NO_BASE)
         if entry.direction == "out":
             # GUP authoritative: push our value (foreign drift on an
             # out-attribute is overwritten, never imported).
@@ -626,7 +626,7 @@ class Reconciler:
                 user_id, entry, gup_value, gup_at,
                 self.foreign_context, trace,
             ):
-                self._base[key] = gup_value
+                self._base[key] = (gup_value, gup_at)
             return
         if entry.direction == "in":
             # Foreign authoritative: pull its value back over any
@@ -634,33 +634,33 @@ class Reconciler:
             # stands until one appears.
             if foreign_value is not None:
                 self._pull_in(user_id, entry, foreign_value, foreign_at)
-                self._base[key] = foreign_value
+                self._base[key] = (foreign_value, foreign_at)
             return
         # direction == "both": genuine three-way merge against base.
         if gup_value is None:
             assert foreign_value is not None
             self._pull_in(user_id, entry, foreign_value, foreign_at)
-            self._base[key] = foreign_value
+            self._base[key] = (foreign_value, foreign_at)
             return
         if foreign_value is None:
             if self._push_out(
                 user_id, entry, gup_value, gup_at,
                 self.foreign_context, trace,
             ):
-                self._base[key] = gup_value
+                self._base[key] = (gup_value, gup_at)
             return
-        if base == gup_value:
+        if base == gup_value and gup_at <= base_at:
             # Only foreign moved since the last agreement.
             self._pull_in(user_id, entry, foreign_value, foreign_at)
-            self._base[key] = foreign_value
+            self._base[key] = (foreign_value, foreign_at)
             return
-        if base == foreign_value:
-            # Only GUP moved.
+        if base == foreign_value and foreign_at <= base_at:
+            # Only GUP moved (foreign has not re-authored the base since).
             if self._push_out(
                 user_id, entry, gup_value, gup_at,
                 self.foreign_context, trace,
             ):
-                self._base[key] = gup_value
+                self._base[key] = (gup_value, gup_at)
             return
         # Both sides moved (or no base yet): a real conflict.
         resolution = self.policy.resolve(
@@ -679,13 +679,13 @@ class Reconciler:
                 user_id, entry, resolution.value, resolution.at,
                 self.foreign_context, trace,
             ):
-                self._base[key] = resolution.value
+                self._base[key] = (resolution.value, resolution.at)
         elif resolution.winner == "foreign":
             self.conflict_foreign_wins += 1
             self._pull_in(
                 user_id, entry, resolution.value, resolution.at
             )
-            self._base[key] = resolution.value
+            self._base[key] = (resolution.value, resolution.at)
         else:  # merge: both sides receive the combined value.
             self.conflict_merges += 1
             sent = True
@@ -699,7 +699,7 @@ class Reconciler:
                     user_id, entry, resolution.value, resolution.at
                 )
             if sent:
-                self._base[key] = resolution.value
+                self._base[key] = (resolution.value, resolution.at)
 
     # -- the two write paths --------------------------------------------------
 

@@ -1,12 +1,13 @@
 """Sans-io protocol core: the query patterns as generator programs
 yielding typed I/O intents, driven either by the virtual-time simnet
-harness or by the real asyncio transport."""
+harness or by the real asyncio transport.
 
-# Load order: importing any repro.core submodule runs the repro.core
-# package, whose query module imports this package's engine — and the
-# engine imports core submodules. Finishing repro.core first means the
-# engine is never half-initialised when core.query asks for its names.
-import repro.core  # noqa: F401
+The engine imports ``repro.core`` submodules, and ``repro.core``'s
+query, MDM and constellation modules drive this package's programs.
+Those three import the engine and ``repro.simnet.driver`` as
+*modules* (``from repro.sansio import engine``), never by name, so
+any of the three packages can be imported first: whichever is, the
+other two are still loading when those lines run."""
 
 from repro.sansio.intents import (
     MARK_KINDS,

@@ -7,7 +7,7 @@ no-loss/no-dup across poison -> crash -> replay.
 import string
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.access import (
     PolicyEnforcementPoint,
@@ -180,6 +180,13 @@ def assert_converged(gup, foreign, last_gup, last_foreign, last_any,
 class TestConvergenceProperties:
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     @given(ops=op_sequences())
+    # A-B-A: the pair agrees on 'a', GUP writes 'aa', foreign re-writes
+    # 'a' 1 ms later. lww must keep the later foreign write.
+    @example(ops=[
+        ("gup", 1, "u1", "self/email", "a"),
+        ("gup", 300, "u1", "self/email", "aa"),
+        ("foreign", 1, "u1", "self/email", "a"),
+    ])
     @settings(max_examples=25, deadline=None)
     def test_interleavings_with_crashes_reach_a_fixpoint(
         self, policy, ops
@@ -234,6 +241,32 @@ class TestConvergenceProperties:
         before = (gup.writes, foreign.writes)
         sim.run(until=sim.now + 10 * INTERVAL)
         assert (gup.writes, foreign.writes) == before
+
+
+@pytest.mark.parametrize("rewriter", ("foreign", "gup"))
+def test_rewriting_the_agreed_value_is_a_move(rewriter):
+    """After both sides agree on 'a', one side writes 'aa' and the
+    other re-authors 'a' 1 ms later. Holding the base value is not
+    "did not move": the re-write is the later authored instant, so it
+    is a conflict and lww keeps it on both sides."""
+    sim, _bus, gup, foreign, rec = make_world(policy="lww")
+    gup.write("u1", "self/email", "a")
+    sim.run(until=300)
+    assert read_value(foreign.read, "u1", "mail") == "a"
+    writes = {
+        "gup": lambda value: gup.write("u1", "self/email", value),
+        "foreign": lambda value: foreign.write("u1", "mail", value),
+    }
+    mover = "gup" if rewriter == "foreign" else "foreign"
+    writes[mover]("aa")
+    sim.run(until=301)
+    writes[rewriter]("a")
+    sim.run(until=2000)
+    assert read_value(gup.read, "u1", "self/email") == "a"
+    assert read_value(foreign.read, "u1", "mail") == "a"
+    assert rec.conflicts == 1
+    won = (rec.conflict_gup_wins, rec.conflict_foreign_wins)
+    assert won == ((0, 1) if rewriter == "foreign" else (1, 0))
 
 
 class TestRejectQueueProperties:

@@ -30,7 +30,6 @@ from repro.analysis.rules import (
     ExceptionTotalityRule,
     LayeringRule,
     ShieldEgressRule,
-    SimBlockingRule,
     SpanBalanceRule,
 )
 
@@ -47,7 +46,9 @@ def dedent(source):
 # ---------------------------------------------------------------------------
 
 class TestDeterminismRule:
-    RELPATH = "repro/simnet/fixture.py"
+    # Outside simnet, so the blocking-import bans (TestSimBlockingRule)
+    # stay out of the clock/RNG counts.
+    RELPATH = "repro/core/fixture.py"
 
     def test_flags_wall_clock_time(self):
         found = check_source(
@@ -442,7 +443,7 @@ class TestCacheKeyScopeRule:
 
 
 # ---------------------------------------------------------------------------
-# sim-blocking
+# determinism inside simnet: no sleeps, no blocking I/O
 # ---------------------------------------------------------------------------
 
 class TestSimBlockingRule:
@@ -450,7 +451,7 @@ class TestSimBlockingRule:
 
     def test_flags_time_sleep(self):
         found = check_source(
-            SimBlockingRule(),
+            DeterminismRule(),
             dedent("""
                 import time
 
@@ -464,7 +465,7 @@ class TestSimBlockingRule:
 
     def test_flags_blocking_io(self):
         found = check_source(
-            SimBlockingRule(),
+            DeterminismRule(),
             dedent("""
                 def handler(path):
                     with open(path) as handle:
@@ -476,7 +477,7 @@ class TestSimBlockingRule:
 
     def test_flags_socket_import(self):
         found = check_source(
-            SimBlockingRule(),
+            DeterminismRule(),
             "import socket\n",
             self.RELPATH,
         )
@@ -484,7 +485,7 @@ class TestSimBlockingRule:
 
     def test_allows_virtual_time(self):
         found = check_source(
-            SimBlockingRule(),
+            DeterminismRule(),
             dedent("""
                 def handler(sim, callback):
                     sim.schedule(25.0, callback)
@@ -496,7 +497,7 @@ class TestSimBlockingRule:
 
     def test_out_of_scope_module_not_checked(self):
         found = check_source(
-            SimBlockingRule(),
+            DeterminismRule(),
             "import time\n",
             "repro/workloads/fixture.py",
         )
@@ -504,10 +505,10 @@ class TestSimBlockingRule:
 
     def test_suppression(self):
         found = check_source(
-            SimBlockingRule(),
+            DeterminismRule(),
             dedent("""
                 def snapshot(path):
-                    # gupcheck: ignore[sim-blocking] -- debug dump, not an event handler
+                    # gupcheck: ignore[determinism] -- debug dump, not an event handler
                     return open(path)
             """),
             self.RELPATH,
@@ -1172,7 +1173,7 @@ class TestSuppressionAudit:
         # `--rules X` must not turn every other rule's suppressions
         # into "unknown rule" findings: the vocabulary is the
         # registry, and an inactive rule's suppression is not audited.
-        subset = Analyzer(rules=[SimBlockingRule()])
+        subset = Analyzer(rules=[LayeringRule()])
         module = ModuleInfo.from_source(dedent("""
             x = 1  # gupcheck: ignore[determinism] -- inactive here
             y = 2  # gupcheck: ignore[nonsense] -- still a typo
@@ -1209,7 +1210,7 @@ class TestSuppressionAudit:
             import time
 
             def bench():
-                # gupcheck: ignore[sim-blocking] -- wrong rule on purpose
+                # gupcheck: ignore[sim-race] -- wrong rule on purpose
                 return time.time()
         """)
         assert "determinism" in [v.rule for v in active]
@@ -1255,7 +1256,7 @@ class TestReportSchema:
             assert violation["severity"] in ("error", "warning")
             assert violation["path"] == "repro/simnet/busy.py"
         rules_hit = {v["rule"] for v in data["violations"]}
-        assert {"determinism", "sim-blocking"} <= rules_hit
+        assert "determinism" in rules_hit
 
     def test_unparseable_file_reported_not_crashing(self, tmp_path):
         broken = tmp_path / "repro" / "core" / "broken.py"
