@@ -5,7 +5,8 @@ would save this extra work").
 
 Runs a 60-second simulation with presence changes every ~8 seconds and
 compares: delivery latency, messages on the wire, and privacy-shield
-policy checks, for polling at several intervals vs native push.
+policy checks, for polling at several intervals vs push over the
+change bus (one wave plus one hop per change).
 """
 
 from repro.access import RequestContext
@@ -33,13 +34,7 @@ def run_mode(mode, interval_ms=None):
             interval_ms=interval_ms, until=RUN_MS,
         )
     else:
-        hub.start_push(
-            "client-app", PRESENCE, STATUS, ctx,
-            watch_hook=lambda cb: world.presence.watch(
-                "arnaud", lambda u, s, n: cb(s)
-            ),
-            store_node="gup.spcs.com",
-        )
+        hub.start_push("client-app", PRESENCE, STATUS, ctx)
     for when, status in zip(CHANGE_TIMES, STATUSES):
         def change(status=status):
             hub.note_change(STATUS, status)
@@ -50,9 +45,7 @@ def run_mode(mode, interval_ms=None):
         "poll @%ds" % (interval_ms / 1000) if mode == "poll" else "push"
     )
     deliveries = hub.deliveries_for(mode)
-    messages = (
-        hub.poll_messages if mode == "poll" else hub.push_messages
-    )
+    messages = hub.poll_messages if mode == "poll" else hub.bus.messages
     checks = world.server.pep.enforced - checks_before
     return (
         label,
@@ -84,9 +77,11 @@ def test_e12_poll_vs_push(benchmark, report):
         rows,
         notes=(
             "Polling trades latency against message volume and pays "
-            "one policy check per poll; push delivers every change in "
-            "two hops, re-checking the shield per delivery (one check "
-            "at subscribe time plus one per forwarded change)."
+            "one policy check per poll; push rides the change bus and "
+            "delivers every change one wave (50 ms) plus one hop "
+            "after it happened, re-checking the shield per delivery "
+            "(one check at subscribe time plus one per delivered "
+            "change)."
         ),
     )
     by_mode = {row[0]: row for row in rows}
@@ -95,8 +90,10 @@ def test_e12_poll_vs_push(benchmark, report):
     poll_slow = by_mode["poll @15s"]
     # Push delivers every change, fastest, with one subscribe-time
     # check plus one per-delivery re-check (the E20 revocation fix) —
-    # still far below polling's one check per tick.
+    # still far below polling's one check per tick. The changes are
+    # seconds apart, so each rides its own wave: one round trip each.
     assert push[1] == len(CHANGE_TIMES)
+    assert push[4] == 2 * len(CHANGE_TIMES)
     assert push[5] == 1 + len(CHANGE_TIMES)
     assert push[5] < poll_fast[5]
     assert push[2] < poll_fast[2]

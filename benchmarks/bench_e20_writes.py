@@ -390,7 +390,7 @@ def run_revocation_probe() -> Dict[str, object]:
     hub = SubscriptionHub(
         world.sim, world.network, world.server, world.executor
     )
-    hub.start_push_bus(
+    hub.start_push(
         "client-app",
         "/user[@id='arnaud']/presence",
         "/user/presence/status",
@@ -415,7 +415,7 @@ def run_revocation_probe() -> Dict[str, object]:
         ),
     )
     world.sim.run(until=30_000)
-    delivered = [d.value for d in hub.deliveries_for("bus")]
+    delivered = [d.value for d in hub.deliveries_for("push")]
     return {
         "changes": len(statuses),
         "delivered_before_revocation": len(delivered),

@@ -8,8 +8,7 @@ without a ``scope=`` quietly recreates the shield bypass: the entry
 lands in the anonymous scope and leaks to whoever asks next. This rule
 makes that bug structurally impossible to reintroduce in ``core/``,
 ``services/``, ``tests/`` and ``benchmarks/``: every
-``get``/``get_stale``/``put`` — and their E19 batch counterparts
-``get_many``/``put_many`` — on a cache-like receiver must pass an
+``get``/``get_stale``/``put`` on a cache-like receiver must pass an
 explicit, non-empty ``scope``.
 
 ``invalidate``/``clear`` are deliberately exempt — update triggers must
@@ -26,14 +25,8 @@ from repro.analysis.framework import ModuleInfo, Rule, Violation
 __all__ = ["CacheKeyScopeRule"]
 
 #: Method name -> 0-based positional index where ``scope`` lives, so a
-#: positional pass-through also satisfies the rule. ``get_many`` /
-#: ``put_many`` are the E19 batch-path counterparts: one unscoped bulk
-#: call would leak a whole batch at once, so they carry the same
-#: obligation.
-_SCOPED_METHODS = {
-    "get": 2, "get_stale": 2, "put": 4,
-    "get_many": 2, "put_many": 2,
-}
+#: positional pass-through also satisfies the rule.
+_SCOPED_METHODS = {"get": 2, "get_stale": 2, "put": 4}
 
 
 def _receiver_parts(expr: ast.expr) -> List[str]:

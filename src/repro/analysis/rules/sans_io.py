@@ -22,7 +22,8 @@ interprocedural summary fixpoint
 (:mod:`repro.analysis.interproc.effects`), so a violation names the
 function whose *transitive* behaviour crosses the line — the fix is
 to move the wire code behind an injected callback or into
-``bus``/``simnet``, as PR 7 did for the legacy ``start_push`` path.
+``bus``/``simnet``, the way ``SubscriptionHub.start_push`` leaves
+every wire hop to the change bus.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ wave only across identical (path, requester) pairs.
 
 from repro.bus.log import ChangeLog, ChangeRecord
 from repro.bus.bus import BusListener, ChangeBus, DEFAULT_WAVE_MS
-from repro.bus.push import PUSH_PAYLOAD_BYTES, PushForwarder
 from repro.bus.listeners import (
     CacheInvalidationListener,
     MirrorRefreshListener,
@@ -33,8 +32,6 @@ __all__ = [
     "ChangeBus",
     "BusListener",
     "DEFAULT_WAVE_MS",
-    "PUSH_PAYLOAD_BYTES",
-    "PushForwarder",
     "SubscriberListener",
     "CacheInvalidationListener",
     "MirrorRefreshListener",

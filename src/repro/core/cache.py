@@ -53,7 +53,7 @@ retained to cover an outage were the first ones evicted during it.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.obs.metrics import CounterView, MetricsRegistry
 from repro.pxml import PNode, Path, parse_path
@@ -266,34 +266,6 @@ class ComponentCache:
             self.default_ttl_ms if ttl_ms is None else ttl_ms,
         )
         self.insertions += 1
-
-    # -- batch counterparts (E19) -------------------------------------------
-
-    def get_many(
-        self,
-        paths: Sequence[Union[str, Path]],
-        now: float,
-        scope: str = "",
-    ) -> List[Optional[PNode]]:
-        """Batched :meth:`get`: one fresh probe per path, same
-        counters, same LRU touches, same single requester *scope* —
-        a batch belongs to one requester, so one scope covers it.
-        Exists so the batch path has a first-class scoped entry point
-        (the ``cache-key-scope`` rule audits it like ``get``)."""
-        return [self.get(path, now, scope=scope) for path in paths]
-
-    def put_many(
-        self,
-        entries: Sequence[Tuple[Union[str, Path], PNode]],
-        now: float,
-        scope: str = "",
-        ttl_ms: Optional[float] = None,
-    ) -> None:
-        """Batched :meth:`put` of ``(path, fragment)`` pairs under one
-        requester *scope* (bulk warm/prefill after a batched
-        fetch)."""
-        for path, fragment in entries:
-            self.put(path, fragment, now, ttl_ms=ttl_ms, scope=scope)
 
     def sweep(self, now: float) -> int:
         """Drop every entry past TTL **and** stale grace (each counts

@@ -80,6 +80,8 @@ class MirrorConstellation:
         }
         #: (source, target) -> last revision target has seen of source.
         self._sync_marks: Dict[Tuple[str, str], int] = {}
+        #: store id -> the mirror it registered through (its home).
+        self._home: Dict[str, str] = {}
         self.replication_messages = 0
         self.replication_bytes = 0
 
@@ -93,6 +95,7 @@ class MirrorConstellation:
         registration spreads on the next replication round. All
         mirrors need the adapter handle for chaining-mode fetches."""
         count = self.servers[via].join(adapter)
+        self._home[adapter.store_id] = via
         for node, server in self.servers.items():
             if node != via:
                 server.adapters[adapter.store_id] = adapter
@@ -102,6 +105,7 @@ class MirrorConstellation:
         self, path: Union[str, Path], store_id: str, via: str
     ) -> None:
         self.servers[via].register_component(path, store_id)
+        self._home[store_id] = via
 
     # -- replication ------------------------------------------------------------
 
@@ -130,9 +134,7 @@ class MirrorConstellation:
                     changes = source_cov.changes_since(mark)
                     shipped = len(changes)
                 except ResyncRequiredError:
-                    changes, shipped = self._full_state(
-                        source_cov, self.servers[target].coverage
-                    )
+                    changes, shipped = self._full_state(source, target)
                 if changes:
                     payload = ENTRY_BYTES * shipped
                     yield Send(source, target, payload,
@@ -147,23 +149,26 @@ class MirrorConstellation:
                 )
         return applied_total
 
-    @staticmethod
     def _full_state(
-        source_cov: CoverageMap, target_cov: CoverageMap
+        self, source: str, target: str
     ) -> Tuple[List[Tuple[int, str, Path, str]], int]:
         """The resync fallback for a target behind the source's feed
-        window: the source ships every registration it holds, and for
-        each store the source knows the target drops what the source
-        no longer lists. Returns (feed, registrations shipped)."""
-        theirs = _held(source_cov)
+        window: the source ships every registration it holds, and the
+        transfer replaces the target's view of the stores whose home
+        is the source — the target drops what the source no longer
+        lists, even a store the source has forgotten entirely (its
+        last unregister may be in the lost gap). Stores homed
+        elsewhere are merged, never dropped. Returns (feed,
+        registrations shipped)."""
+        theirs = _held(self.servers[source].coverage)
         listed = set(theirs)
-        known = {store_id for store_id, _path in theirs}
         feed = [
             (0, "register", path, store_id) for store_id, path in theirs
         ] + [
             (0, "unregister", path, store_id)
-            for store_id, path in _held(target_cov)
-            if store_id in known and (store_id, path) not in listed
+            for store_id, path in _held(self.servers[target].coverage)
+            if self._home.get(store_id) == source
+            and (store_id, path) not in listed
         ]
         return feed, len(theirs)
 

@@ -7,23 +7,22 @@ our case, every polling request needs to be checked to enforce the
 end-user's privacy shield. Having the subscription handled by GUPster
 internally would save this extra work."
 
-:class:`SubscriptionHub` runs the strategies on the event simulator:
+:class:`SubscriptionHub` runs the two strategies on the event
+simulator:
 
 * **polling** — the client polls through GUPster at a fixed interval;
   every poll pays a policy check and the full fetch path, and change
   delivery latency averages half the interval.
-* **push** — the client subscribes once; GUPster hooks the store's
-  native change notification and forwards changes as they happen, each
-  delivery re-checked against the shield (far fewer checks than
-  polling — one per *change*, not one per *tick* — but never zero: a
-  revoked policy must stop deliveries, not ride a stale subscribe-time
-  decision forever).
-* **bus push** (E20) — the subscriber rides the change bus: deltas
-  coalesce into waves, one round trip per (listener, wave), with the
-  same per-delivery shield re-check memoized only within a wave.
+* **push** — the client subscribes once and rides the change bus
+  (E20): deltas coalesce into waves, one round trip per (listener,
+  wave), and every delta is re-checked against the shield (far fewer
+  checks than polling — one per *change*, not one per *tick* — but
+  never zero: a revoked policy must stop deliveries, not ride a stale
+  subscribe-time decision forever). The re-check is memoized only
+  within a wave.
 
 Experiment E12 reads the delivery records and counters; E20 drives
-the bus path at scale.
+the push path at scale.
 
 Accounting (E18 audit): the hub's counters are views over the
 network's shared :class:`~repro.obs.MetricsRegistry` (``sub.*``), and
@@ -37,15 +36,10 @@ counted in ``sub.latency_unknown`` — instead of the old fabricated
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.errors import AccessDeniedError, GupsterError, NetworkError
-from repro.bus import (
-    ChangeBus,
-    ChangeRecord,
-    PushForwarder,
-    SubscriberListener,
-)
+from repro.bus import ChangeBus, ChangeRecord, SubscriberListener
 from repro.obs.metrics import CounterView
 from repro.pxml import Path, parse_path
 from repro.pxml.evaluate import evaluate_values
@@ -90,17 +84,17 @@ class Delivery:
 class SubscriptionHub:
     """Runs polling and push subscriptions over the simulator.
 
-    The message/failure counters live in the network's shared metrics
-    registry under ``sub.*`` (the integer attributes are views), and
-    every recorded :class:`Delivery` with a known change instant also
-    lands its latency in the ``sub.delivery_latency_ms`` histogram.
+    The poll counters live in the network's shared metrics registry
+    under ``sub.*`` (the integer attributes are views); push messages
+    are the change bus's ``bus.messages``. Every recorded
+    :class:`Delivery` with a known change instant also lands its
+    latency in the ``sub.delivery_latency_ms`` histogram.
 
     Change bookkeeping is the change bus's log (E20): ``note_change``
-    appends, the poll path asks the log's latest-change index, and bus
+    appends, the poll path asks the log's latest-change index, and push
     subscribers replay from per-listener cursors."""
 
     poll_messages = CounterView("sub.poll_messages")
-    push_messages = CounterView("sub.push_messages")
     poll_failures = CounterView("sub.poll_failures")
     poll_denied = CounterView("sub.poll_denied")
     push_withheld = CounterView("sub.push_withheld")
@@ -134,10 +128,6 @@ class SubscriptionHub:
         self.metrics.counter(
             "sub.poll_messages",
             help="Network messages spent by polling subscriptions.",
-        )
-        self.metrics.counter(
-            "sub.push_messages",
-            help="Network messages spent by push subscriptions.",
         )
         # Polls that failed on network/coverage errors (requirement
         # 13: a flaky store must not kill the polling loop — the next
@@ -284,72 +274,16 @@ class SubscriptionHub:
         request: Union[str, Path],
         value_path: str,
         context: RequestContext,
-        watch_hook: Callable[[Callable[[str], None]], None],
-        store_node: str,
-    ) -> None:
-        """Subscribe once; *watch_hook* is called with a callback that
-        the native store invokes on each change (e.g. wraps
-        ``PresenceServer.watch``). GUPster forwards changes to the
-        client as they arrive — each forwarded delivery re-checked
-        against the shield, so a revocation stops the stream (the
-        subscribe-time check alone would keep delivering forever).
-
-        The forwarding itself (two sampled hops) is the
-        :class:`~repro.bus.push.PushForwarder` driver's job; the hub
-        supplies only decisions — the shield gate, the counters, the
-        delivery record — keeping the wire off the core's call stack
-        (the sans-io boundary the analyzer pins)."""
-        path = parse_path(request)
-        # The subscribe-time check: a requester the shield rejects
-        # never even registers the watch.
-        decision = self.server.pep.enforce(path, context)
-        if not decision.permit:
-            raise AccessDeniedError(
-                "subscription denied for %s" % context.requester
-            )
-
-        def note(value: str) -> None:
-            self.note_change(value_path, value)
-
-        def gate() -> bool:
-            return self.server.pep.enforce(path, context).permit
-
-        def deliver(
-            value: str, changed_at: float, now: float
-        ) -> None:
-            self._record_delivery(
-                Delivery("push", value, changed_at, now)
-            )
-
-        def on_withheld() -> None:
-            self.push_withheld += 1
-
-        def on_message() -> None:
-            self.push_messages += 1
-
-        forwarder = PushForwarder(
-            self.sim, self.network,
-            store_node, self.executor.server_node, client,
-            note=note, gate=gate, deliver=deliver,
-            on_withheld=on_withheld, on_message=on_message,
-        )
-        watch_hook(forwarder.on_change)
-
-    # -- push over the change bus (E20) --------------------------------------------
-
-    def start_push_bus(
-        self,
-        client: str,
-        request: Union[str, Path],
-        value_path: str,
-        context: RequestContext,
     ) -> SubscriberListener:
         """Subscribe *client* to changes of *value_path* over the
         change bus: deltas coalesce into waves (one round trip per
         wave), every delta re-checks the shield under the subscriber's
-        context, and a crashed client resumes from its cursor. Returns
-        the attached listener (detach it to unsubscribe)."""
+        context — so a revocation stops the stream at the next wave —
+        and a crashed client resumes from its cursor. Returns the
+        attached listener (detach it to unsubscribe)."""
         path = parse_path(request)
+        # The subscribe-time check: a requester the shield rejects
+        # never even attaches a listener.
         decision = self.server.pep.enforce(path, context)
         if not decision.permit:
             raise AccessDeniedError(
@@ -359,7 +293,7 @@ class SubscriptionHub:
 
         def on_delivery(record: ChangeRecord, now: float) -> None:
             self._record_delivery(
-                Delivery("bus", record.value, record.at, now)
+                Delivery("push", record.value, record.at, now)
             )
 
         def on_withheld(_record: object) -> None:

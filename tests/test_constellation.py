@@ -181,6 +181,42 @@ class TestReplication:
         target = constellation.server_at("mdm.1").coverage
         assert target.stores_for(first) == ["local"]
 
+    def test_full_state_resync_drops_a_store_the_source_forgot(self):
+        # s2's only registration is unregistered at its home mirror
+        # and the unregister falls out of the feed window, so mdm.0
+        # no longer lists s2 at all. The full-state transfer must
+        # still take s2 off mdm.1: it replaces mdm.1's view of the
+        # stores that registered through mdm.0.
+        network = Network(seed=21)
+        mirrors = ["mdm.0", "mdm.1"]
+        for mirror in mirrors:
+            network.add_node(mirror, region="core")
+        constellation = MirrorConstellation(
+            network, mirrors,
+            make_server=lambda name: GupsterServer(
+                name, enforce_policies=False,
+                coverage=CoverageMap(max_changelog=2),
+            ),
+        )
+        gone = "/user[@id='u0']/presence"
+        constellation.register_component(gone, "s2", via="mdm.0")
+        constellation.register_component(gone, "local", via="mdm.1")
+        constellation.replicate()
+        constellation.replicate()
+        target = constellation.server_at("mdm.1").coverage
+        assert target.stores_for(gone) == ["local", "s2"]
+        source = constellation.server_at("mdm.0").coverage
+        seen = source.revision
+        source.unregister(gone, "s2")
+        for i in range(1, 4):
+            source.register("/user[@id='u%d']/presence" % i, "s")
+        with pytest.raises(ResyncRequiredError):
+            source.changes_since(seen)
+        constellation.replicate()
+        constellation.replicate()
+        assert constellation.consistent()
+        assert target.stores_for(gone) == ["local"]
+
 
 class TestReads:
     def test_failover_read(self):

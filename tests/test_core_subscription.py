@@ -107,38 +107,39 @@ class TestPolling:
         assert math.isnan(hub.mean_latency("poll"))
 
 
+def bridge(world, hub):
+    # Publish the native presence notification on the change bus, the
+    # way an E20 store publishes its writes.
+    world.presence.watch(
+        "arnaud",
+        lambda u, s, n: hub.note_change(STATUS, s, user_id=u),
+    )
+
+
 class TestPush:
     def test_push_delivers_fast(self):
         world, hub = make_hub()
-        hub.start_push(
-            "client-app", PRESENCE, STATUS, family_ctx(),
-            watch_hook=lambda cb: world.presence.watch(
-                "arnaud", lambda u, s, n: cb(s)
-            ),
-            store_node="gup.spcs.com",
-        )
+        hub.start_push("client-app", PRESENCE, STATUS, family_ctx())
+        bridge(world, hub)
         world.sim.schedule(
             3_500, lambda: world.presence.set_status("arnaud", "busy")
         )
         world.sim.run(until=10_000)
         deliveries = hub.deliveries_for("push")
         assert len(deliveries) == 1
-        # Two hops, not half a polling interval.
+        # One wave plus one hop, not half a polling interval.
         assert deliveries[0].latency_ms < 200
 
     def test_push_checks_shield_per_delivery(self):
-        # One subscribe-time check plus one re-check per forwarded
+        # One subscribe-time check plus one re-check per delivered
         # change — still far fewer than polling's one per tick, but
-        # never a stale subscribe-time decision riding forever.
+        # never a stale subscribe-time decision riding forever. The
+        # changes sit more than one wave apart, so the wave memo
+        # shares no decision between them.
         world, hub = make_hub()
         before = world.server.pep.enforced
-        hub.start_push(
-            "client-app", PRESENCE, STATUS, family_ctx(),
-            watch_hook=lambda cb: world.presence.watch(
-                "arnaud", lambda u, s, n: cb(s)
-            ),
-            store_node="gup.spcs.com",
-        )
+        hub.start_push("client-app", PRESENCE, STATUS, family_ctx())
+        bridge(world, hub)
         for t in (1000, 2000, 3000):
             world.sim.schedule(
                 t,
@@ -148,48 +149,9 @@ class TestPush:
             )
         world.sim.run(until=5_000)
         delivered = len(hub.deliveries_for("push"))
-        assert delivered >= 2
+        assert delivered == 3
         assert world.server.pep.enforced - before == 1 + delivered
         assert hub.push_withheld == 0
-
-    def test_revocation_stops_push(self):
-        # The headline E20 regression: before the per-delivery
-        # re-check, a policy revoked after subscription kept
-        # delivering forever.
-        world, hub = make_hub()
-        hub.start_push(
-            "client-app", PRESENCE, STATUS, family_ctx(),
-            watch_hook=lambda cb: world.presence.watch(
-                "arnaud", lambda u, s, n: cb(s)
-            ),
-            store_node="gup.spcs.com",
-        )
-        world.sim.schedule(
-            1_000, lambda: world.presence.set_status("arnaud", "busy")
-        )
-        world.sim.schedule(
-            2_000,
-            lambda: world.server.revoke_policy(
-                "arnaud", "arnaud-boss-family-presence"
-            ),
-        )
-        world.sim.schedule(
-            3_000, lambda: world.presence.set_status("arnaud", "away")
-        )
-        world.sim.run(until=5_000)
-        deliveries = hub.deliveries_for("push")
-        assert [d.value for d in deliveries] == ["busy"]
-        assert hub.push_withheld == 1
-
-    def test_push_subscription_denied(self):
-        world, hub = make_hub()
-        with pytest.raises(AccessDeniedError):
-            hub.start_push(
-                "client-app", PRESENCE, STATUS,
-                RequestContext("telemarketer"),
-                watch_hook=lambda cb: None,
-                store_node="gup.spcs.com",
-            )
 
     def test_mean_latency_nan_when_empty(self):
         import math
@@ -198,25 +160,17 @@ class TestPush:
 
 
 class TestBusPush:
-    def watch(self, world, hub):
-        # Bridge the native presence notification onto the bus, the
-        # way an E20 store publishes its writes.
-        world.presence.watch(
-            "arnaud",
-            lambda u, s, n: hub.note_change(STATUS, s, user_id=u),
-        )
-
     def test_bus_push_delivers_coalesced(self):
         world, hub = make_hub()
-        hub.start_push_bus("client-app", PRESENCE, STATUS, family_ctx())
-        self.watch(world, hub)
+        hub.start_push("client-app", PRESENCE, STATUS, family_ctx())
+        bridge(world, hub)
         for t, status in ((1_000, "busy"), (1_010, "away")):
             world.sim.schedule(
                 t,
                 lambda s=status: world.presence.set_status("arnaud", s),
             )
         world.sim.run(until=5_000)
-        deliveries = hub.deliveries_for("bus")
+        deliveries = hub.deliveries_for("push")
         # Both changes land in ONE wave: one round trip, two deltas.
         assert [d.value for d in deliveries] == ["busy", "away"]
         assert hub.bus.waves == 1
@@ -228,8 +182,8 @@ class TestBusPush:
     def test_bus_push_shield_checked_per_delivery(self):
         world, hub = make_hub()
         before = world.server.pep.enforced
-        hub.start_push_bus("client-app", PRESENCE, STATUS, family_ctx())
-        self.watch(world, hub)
+        hub.start_push("client-app", PRESENCE, STATUS, family_ctx())
+        bridge(world, hub)
         for t, status in (
             (1_000, "busy"), (1_010, "away"), (2_000, "offline"),
         ):
@@ -238,7 +192,7 @@ class TestBusPush:
                 lambda s=status: world.presence.set_status("arnaud", s),
             )
         world.sim.run(until=10_000)
-        assert len(hub.deliveries_for("bus")) == 3
+        assert len(hub.deliveries_for("push")) == 3
         # 1 subscribe + one re-check per delivered delta; the wave
         # memo only collapses identical (path, requester) pairs, and
         # every delta here is a distinct delivery instant or wave.
@@ -247,8 +201,8 @@ class TestBusPush:
 
     def test_bus_revocation_stops_next_wave(self):
         world, hub = make_hub()
-        hub.start_push_bus("client-app", PRESENCE, STATUS, family_ctx())
-        self.watch(world, hub)
+        hub.start_push("client-app", PRESENCE, STATUS, family_ctx())
+        bridge(world, hub)
         world.sim.schedule(
             1_000, lambda: world.presence.set_status("arnaud", "busy")
         )
@@ -262,7 +216,7 @@ class TestBusPush:
             3_000, lambda: world.presence.set_status("arnaud", "away")
         )
         world.sim.run(until=10_000)
-        assert [d.value for d in hub.deliveries_for("bus")] == ["busy"]
+        assert [d.value for d in hub.deliveries_for("push")] == ["busy"]
         assert hub.push_withheld == 1
         # The cursor advanced past the withheld record: it is not
         # retried on later waves.
@@ -275,15 +229,15 @@ class TestBusPush:
     def test_bus_subscription_denied(self):
         _world, hub = make_hub()
         with pytest.raises(AccessDeniedError):
-            hub.start_push_bus(
+            hub.start_push(
                 "client-app", PRESENCE, STATUS,
                 RequestContext("telemarketer"),
             )
 
     def test_bus_subscriber_crash_resumes_from_cursor(self):
         world, hub = make_hub()
-        hub.start_push_bus("client-app", PRESENCE, STATUS, family_ctx())
-        self.watch(world, hub)
+        hub.start_push("client-app", PRESENCE, STATUS, family_ctx())
+        bridge(world, hub)
         world.sim.schedule(
             1_000, lambda: world.presence.set_status("arnaud", "busy")
         )
@@ -297,12 +251,12 @@ class TestBusPush:
             4_000, lambda: world.presence.set_status("arnaud", "offline")
         )
         world.sim.run(until=6_000)
-        assert [d.value for d in hub.deliveries_for("bus")] == ["busy"]
+        assert [d.value for d in hub.deliveries_for("push")] == ["busy"]
         assert hub.bus.delivery_failures >= 1
         world.network.restore("client-app")
         assert hub.bus.kick()
         world.sim.run(until=10_000)
         # The backlog replays whole: nothing lost, nothing repeated.
-        assert [d.value for d in hub.deliveries_for("bus")] == [
+        assert [d.value for d in hub.deliveries_for("push")] == [
             "busy", "away", "offline",
         ]

@@ -284,7 +284,7 @@ class TestSansIoPurityRule:
         rule = SansIoPurityRule()
         assert rule.applies_to("repro/bus/log.py")
         assert not rule.applies_to("repro/bus/bus.py")
-        assert not rule.applies_to("repro/bus/push.py")
+        assert not rule.applies_to("repro/bus/listeners.py")
         assert rule.applies_to("repro/core/query.py")
         assert rule.applies_to("repro/pxml/parse.py")
 
