@@ -400,6 +400,87 @@ MUTANTS: List[Dict[str, str]] = [
         ),
         "new": "",
     },
+    # A second mutant for each rule whose first one was also a tier-1
+    # kill, aimed at a bug tier-1 does not exercise: a rule that still
+    # kills nothing uniquely has not earned its lines.
+    {
+        "name": "fed_round_reenters_sim",
+        "bug_class": "a sync round drains the event loop from inside "
+                     "its own scheduled tick",
+        "relpath": "repro/federation/reconciler.py",
+        "old": "        self.rounds += 1\n",
+        "new": (
+            "        self.rounds += 1\n"
+            "        self.sim.run(until=self.sim.now)\n"
+        ),
+    },
+    {
+        "name": "cache_put_ttl_unscoped",
+        "bug_class": "a per-component-TTL cache write without the "
+                     "requester scope",
+        "relpath": "repro/core/server.py",
+        "old": (
+            "            self.cache.put(parsed, fragment, now, "
+            "ttl_ms=ttl, scope=scope)\n"
+        ),
+        "new": "            self.cache.put(parsed, fragment, now, ttl_ms=ttl)\n",
+    },
+    {
+        "name": "schema_bad_occurrence_valueerror",
+        "bug_class": "a schema declaration raises a bare ValueError "
+                     "past `except ReproError`",
+        "relpath": "repro/pxml/schema.py",
+        "old": '            raise SchemaError("bad occurrence %r" % occurs)\n',
+        "new": '            raise ValueError("bad occurrence %r" % occurs)\n',
+    },
+    {
+        "name": "fed_retry_recurrence_same_tick",
+        "bug_class": "reject retries get their own recurrence at the "
+                     "sync interval, tied with the round on `_dirty`",
+        "relpath": "repro/federation/reconciler.py",
+        "old": (
+            "        self._timer = self.sim.every(self.interval_ms, "
+            "self.sync_round)\n"
+        ),
+        "new": (
+            "        self._timer = self.sim.every(self.interval_ms, "
+            "self.sync_round)\n"
+            "        self.sim.every(self.interval_ms, self._retry_due)\n"
+        ),
+    },
+    {
+        "name": "batch_stale_raw_cache",
+        "bug_class": "a batch item's stale serve probes the raw cache, "
+                     "not the shielded facade",
+        "relpath": "repro/sansio/engine.py",
+        "old": (
+            "                stale = host.server.cache_stale_lookup("
+            "path, context, now)\n"
+        ),
+        "new": (
+            "                stale = host.server.cache.get_stale("
+            "path, now, scope=context.cache_scope())\n"
+        ),
+    },
+    {
+        "name": "engine_debug_print",
+        "bug_class": "a debug print left in a sans-io program (stdout "
+                     "I/O on every cache miss)",
+        "relpath": "repro/sansio/engine.py",
+        "old": '        yield SpanSet("cache", "miss")\n',
+        "new": (
+            '        yield SpanSet("cache", "miss")\n'
+            '        print("cache miss", path)\n'
+        ),
+    },
+    {
+        "name": "latency_factor_never_cleared",
+        "bug_class": "clearing a latency spike stores the neutral "
+                     "factor instead of dropping the entry",
+        "relpath": "repro/simnet/faults.py",
+        "old": "            self._latency_factors.pop(name, None)\n",
+        "new": "            self._latency_factors[name] = factor\n",
+    },
 ]
 
 Finding = Tuple[str, str, str]
