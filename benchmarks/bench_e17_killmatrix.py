@@ -175,17 +175,13 @@ MUTANTS: List[Dict[str, str]] = [
         "relpath": "repro/simnet/engine.py",
         "old": (
             "            self.now = when\n"
-            "            callback(*args)\n"
-            "            self._processed += 1\n"
-            "            return True\n"
+            "            self._dispatching = True\n"
         ),
         "new": (
             "            self.now = when\n"
             "            import time\n"
             "            time.sleep(0.0)\n"
-            "            callback(*args)\n"
-            "            self._processed += 1\n"
-            "            return True\n"
+            "            self._dispatching = True\n"
         ),
     },
     {

@@ -39,6 +39,8 @@ from typing import Dict, List, Optional, Tuple
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if __name__ == "__main__":  # CLI use without an installed package
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+if REPO_ROOT not in sys.path:  # the stream oracle lives in tests/data/
+    sys.path.insert(0, REPO_ROOT)
 
 from repro.obs import (  # noqa: E402
     SpanRecorder,
@@ -49,7 +51,7 @@ from repro.obs import (  # noqa: E402
     write_json_snapshot,
 )
 from repro.obs.wallclock import WallClock  # noqa: E402
-from repro.workloads.reference import (  # noqa: E402
+from tests.data.reference import (  # noqa: E402
     BOOK,
     GOLDEN_STREAMS,
     build_split_world,

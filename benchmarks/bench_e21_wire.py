@@ -56,11 +56,8 @@ from repro.core import (  # noqa: E402
     UserDistributedMdm,
 )
 from repro.pxml import parse, parse_path  # noqa: E402
-from repro.sansio import (  # noqa: E402
-    SansIoQueryEngine,
-    StandaloneQueryHost,
-    decision_of,
-)
+from repro.core.host import QueryHost  # noqa: E402
+from repro.sansio import SansIoQueryEngine, decision_of  # noqa: E402
 from repro.serve import (  # noqa: E402
     AppServer,
     WallTransport,
@@ -129,7 +126,7 @@ def build_sim_world(retry_policy: Optional[RetryPolicy] = None):
     server.register_component(PERSONAL, "gup.alpha.com")
     server.register_component(PERSONAL, "gup.beta.com")
     server.register_component(CORPORATE, "gup.corp.com")
-    host = StandaloneQueryHost(
+    host = QueryHost(
         server, server_node="gupster", retry_policy=retry_policy
     )
     return network, server, SansIoQueryEngine(host)

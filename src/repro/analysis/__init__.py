@@ -25,15 +25,24 @@ rule                      invariant protected
                           through ``repro.adapters``
 ``exception-totality``    pxml parsers raise only GUP error types, and never
                           swallow them with bare/overbroad ``except``
-``cache-key-scope``       component-cache reads/writes carry the requester
-                          scope (regression guard for the PR 1 shield bypass)
 ``sim-race``              two callbacks scheduled at the same virtual
                           timestamp never mutate the same attribute
 ``iter-order``            unordered ``set`` iteration never feeds event
                           scheduling or result assembly (warning)
-``handler-reentrancy``    scheduled callbacks never re-enter
-                          ``Simulator.run/step/advance`` (whole-program)
+``span-balance``          every span handle is entered via ``with`` or
+                          finished on every path
+``cursor-lifecycle``      a bus replay cursor is re-read after the log moves
+``memo-confinement``      a wave's ``ShieldMemo`` never outlives the wave
+``sans-io-purity``        the sans-io core infers as pure or virtual-time
+``container-growth``      every long-lived container is bounded, evicting or
+                          declared
 ========================  ====================================================
+
+Two invariants are enforced by the code rather than by a rule: the
+component cache requires a non-empty ``scope`` keyword on every
+``get``/``get_stale``/``put``, and the simulator raises
+``RuntimeError`` when ``step``/``run`` is called from inside a
+dispatched callback.
 
 Run it over the source tree — one invocation parses every file once,
 analyses the whole tree and writes every requested artefact from that

@@ -20,7 +20,9 @@ Exit-code contract (stable for CI):
   suppressed findings are reported but do not gate);
 * ``1`` — violations: at least one active error-severity finding
   (a tainted sans-io boundary and an unbounded container are the
-  ``sans-io-purity`` / ``container-growth`` findings of the run);
+  ``sans-io-purity`` / ``container-growth`` findings of the run; an
+  unscoped cache call and a re-entrant simulator call are not
+  findings, they raise when the code runs);
 * ``2`` — analysis error: unparseable files, unwritable artefact
   destinations, usage errors.
 """

@@ -464,8 +464,8 @@ def _run_rule(
 
 
 #: Path components the relpath computation anchors on. ``repro`` is the
-#: library; ``tests`` and ``benchmarks`` joined the scanned surface in
-#: PR 3 (determinism + cache-key-scope coverage there).
+#: library; ``tests`` and ``benchmarks`` are scanned too (determinism
+#: covers them).
 _ANCHORS = ("repro", "tests", "benchmarks")
 
 

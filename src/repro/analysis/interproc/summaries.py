@@ -25,8 +25,7 @@ class Summary:
     __slots__ = ("qualname", "relpath", "returns_source",
                  "param_flows", "sanitizes", "guards",
                  "tainted_return_lines", "egress_sends",
-                 "reaches_sim_run", "effect", "grown_params",
-                 "shrunk_params")
+                 "effect", "grown_params", "shrunk_params")
 
     def __init__(
         self,
@@ -38,7 +37,6 @@ class Summary:
         guards: bool = False,
         tainted_return_lines: Tuple[int, ...] = (),
         egress_sends: Tuple[Tuple[int, int, str], ...] = (),
-        reaches_sim_run: bool = False,
         effect: str = "pure",
         grown_params: FrozenSet[int] = frozenset(),
         shrunk_params: FrozenSet[int] = frozenset(),
@@ -63,8 +61,6 @@ class Summary:
         #: ``(line, col, sink-name)`` of ``src``-tainted arguments
         #: handed to network-style send sinks inside this function.
         self.egress_sends = egress_sends
-        #: Function transitively calls ``Simulator.run/step/advance``.
-        self.reaches_sim_run = reaches_sim_run
         #: Inferred effect tier: ``pure`` < ``virtual-time`` <
         #: ``transport`` < ``wall-io`` — the join over the body and
         #: every resolved callee (see
@@ -82,7 +78,7 @@ class Summary:
         return (
             self.returns_source, self.param_flows, self.sanitizes,
             self.guards, self.tainted_return_lines,
-            self.egress_sends, self.reaches_sim_run, self.effect,
+            self.egress_sends, self.effect,
             self.grown_params, self.shrunk_params,
         )
 
@@ -117,8 +113,6 @@ class Summary:
             bits.append("sanitizes")
         if self.guards:
             bits.append("guards")
-        if self.reaches_sim_run:
-            bits.append("reaches-sim-run")
         if self.effect != "pure":
             bits.append("effect=%s" % self.effect)
         return "<Summary %s %s>" % (

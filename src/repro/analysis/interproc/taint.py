@@ -87,7 +87,6 @@ __all__ = [
     "EGRESS_MODELS",
     "INTENT_SOURCES",
     "SEND_SINKS",
-    "SIM_RUN_METHODS",
     "SIM_SCHEDULERS",
     "SOURCE_METHODS",
     "TaintEngine",
@@ -142,10 +141,6 @@ EGRESS_MODELS: Dict[str, Tuple[FrozenSet[str], FrozenSet[str]]] = {
         frozenset({"write", "write_attr"}),
     ),
 }
-
-#: Methods that (re-)enter the discrete-event loop when invoked on a
-#: simulator receiver.
-SIM_RUN_METHODS = frozenset({"run", "step", "advance"})
 
 #: Methods that hand a callback to the simulator's event queue.
 SIM_SCHEDULERS = frozenset({"schedule", "schedule_at", "every"})
@@ -383,7 +378,6 @@ class TaintEngine:
             ),
             tainted_return_lines=tuple(sorted(set(tainted_lines))),
             egress_sends=tuple(frame.sends),
-            reaches_sim_run=self._reaches_sim_run(fn),
             effect=self._effect_of(fn, plan),
             grown_params=self._mutated_params(plan, "grow"),
             shrunk_params=self._mutated_params(plan, "shrink"),
@@ -454,9 +448,8 @@ class TaintEngine:
                 if isinstance(child, ast.expr):
                     self._eval(child, frame, fn)
         # Nested defs/classes: their *returns* are not this
-        # function's returns; call effects are covered by
-        # ``_reaches_sim_run`` (which walks everything) and by the
-        # call graph's nested-call attribution.
+        # function's returns; call effects are covered by the call
+        # graph's nested-call attribution.
 
     def _bind(self, target: ast.expr, taint: Set[str],
               frame: _Frame) -> None:
@@ -858,32 +851,3 @@ class TaintEngine:
         plan = _Plan(effect, tuple(sorted(callees)), mutated, tuple(edges))
         self._plans[fn.qualname] = plan
         return plan
-
-    # -- simulator re-entrancy ------------------------------------------
-
-    def _reaches_sim_run(self, fn: FunctionInfo) -> bool:
-        for node in ast.walk(fn.node):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in SIM_RUN_METHODS
-                and self.sim_receiver(func.value, fn)
-            ):
-                return True
-            for target in self.resolver.resolve(node, fn).targets:
-                summary = self._summaries.get(target.qualname)
-                if summary is not None and summary.reaches_sim_run:
-                    return True
-        return False
-
-    def sim_receiver(self, expr: ast.expr,
-                     fn: FunctionInfo) -> bool:
-        """Does *expr* look like (or resolve to) a Simulator?"""
-        qualname = self.resolver.receiver_class(expr, fn)
-        if qualname is not None:
-            return qualname.rsplit(".", 1)[-1] == "Simulator"
-        receiver = dotted_ref(expr) or ""
-        tail = receiver.rsplit(".", 1)[-1].lower()
-        return tail in ("sim", "simulator") or tail.endswith("_sim")

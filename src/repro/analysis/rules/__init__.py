@@ -2,7 +2,7 @@
 
 Intra-module rules see one :class:`~repro.analysis.framework.ModuleInfo`
 at a time; whole-program rules (``shield-egress``,
-``handler-reentrancy``, ...) subclass
+``sans-io-purity``, ...) subclass
 :class:`~repro.analysis.framework.ProjectRule` and run on the
 project IR with interprocedural taint summaries.
 """
@@ -12,16 +12,12 @@ from __future__ import annotations
 from typing import List
 
 from repro.analysis.framework import Rule
-from repro.analysis.rules.cache_scope import CacheKeyScopeRule
 from repro.analysis.rules.container_growth import (
     ContainerGrowthRule,
 )
 from repro.analysis.rules.cursor_lifecycle import CursorLifecycleRule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.exceptions import ExceptionTotalityRule
-from repro.analysis.rules.handler_reentrancy import (
-    HandlerReentrancyRule,
-)
 from repro.analysis.rules.iter_order import IterOrderRule
 from repro.analysis.rules.layering import LayeringRule
 from repro.analysis.rules.memo_confinement import MemoConfinementRule
@@ -36,10 +32,8 @@ ALL_RULES = (
     DeterminismRule,
     LayeringRule,
     ExceptionTotalityRule,
-    CacheKeyScopeRule,
     SimRaceRule,
     IterOrderRule,
-    HandlerReentrancyRule,
     SpanBalanceRule,
     CursorLifecycleRule,
     MemoConfinementRule,
@@ -49,12 +43,10 @@ ALL_RULES = (
 
 __all__ = [
     "ALL_RULES",
-    "CacheKeyScopeRule",
     "ContainerGrowthRule",
     "CursorLifecycleRule",
     "DeterminismRule",
     "ExceptionTotalityRule",
-    "HandlerReentrancyRule",
     "IterOrderRule",
     "LayeringRule",
     "MemoConfinementRule",

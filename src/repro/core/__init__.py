@@ -9,7 +9,7 @@ from repro.core.mdm import (
     HierarchicalMdm,
     UserDistributedMdm,
 )
-from repro.core.query import QueryBatch, QueryExecutor
+from repro.core.query import QueryExecutor
 from repro.core.referral import Referral, ReferralPart
 from repro.core.resilience import (
     EndpointHealth,
@@ -32,7 +32,6 @@ __all__ = [
     "ComponentCache",
     "GupsterServer",
     "QueryExecutor",
-    "QueryBatch",
     "RetryPolicy", "EndpointHealth", "PartStatus",
     "CentralizedMdm", "UserDistributedMdm", "HierarchicalMdm",
     "SubscriptionHub", "Delivery",

@@ -21,7 +21,11 @@ served to requester B (who is only permitted the personal items).
 Keying by (path, scope) — where the scope is derived from the request
 context's identity/relationship — makes a cache hit possible only for
 a requester whose permitted slice produced the entry in the first
-place. Invalidation ignores scopes: an update stales every slice.
+place. The scope is a required keyword of :meth:`get`,
+:meth:`get_stale` and :meth:`put`, and an empty one raises
+``ValueError``: an unscoped call fails loudly instead of landing in a
+slice every requester shares. Invalidation ignores scopes: an update
+stales every slice.
 
 Serve-stale-on-failure (requirement 13, E16): with a positive
 ``stale_grace_ms`` the cache retains expired entries for that long,
@@ -164,17 +168,23 @@ class ComponentCache:
     def _key(
         self, path: Union[str, Path], scope: str
     ) -> Tuple[Path, str]:
+        if not scope:
+            raise ValueError(
+                "cache traffic needs the requester scope "
+                "(context.cache_scope())"
+            )
         return (parse_path(path), scope)
 
     def get(
         self,
         path: Union[str, Path],
         now: float,
-        scope: str = "",
+        *,
+        scope: str,
     ) -> Optional[PNode]:
         """Fresh cached fragment for *path* within *scope*, or None."""
-        self.gets += 1
         key = self._key(path, scope)
+        self.gets += 1
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -200,7 +210,8 @@ class ComponentCache:
         self,
         path: Union[str, Path],
         now: float,
-        scope: str = "",
+        *,
+        scope: str,
         max_stale_ms: Optional[float] = None,
     ) -> Optional[PNode]:
         """Last-known fragment even if expired — the serve-stale-on-
@@ -239,7 +250,8 @@ class ComponentCache:
         fragment: PNode,
         now: float,
         ttl_ms: Optional[float] = None,
-        scope: str = "",
+        *,
+        scope: str,
     ) -> None:
         key = self._key(path, scope)
         previous = self._entries.pop(key, None)

@@ -54,7 +54,7 @@ from repro.simnet import driver as simnet_driver  # a module: see repro/sansio/_
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.core.provenance import ProvenanceTracker, SourceAnnotator
 
-__all__ = ["QueryBatch", "QueryExecutor"]
+__all__ = ["QueryExecutor"]
 
 
 class QueryExecutor(QueryHost):
@@ -255,61 +255,3 @@ class QueryExecutor(QueryHost):
             client, path, fragment, context, now
         ))
         return trace
-
-
-class QueryBatch:
-    """Collects outstanding queries and executes them in one pipeline.
-
-    The builder face of :meth:`QueryExecutor.execute_batch`: callers
-    accumulate ``(request, context)`` pairs — each under its **own**
-    requester context, so per-item shield decisions and cache scopes
-    are preserved — then :meth:`execute` runs them as one batched
-    round-trip plan and returns the per-item
-    :class:`BatchItemResult` list (in add order) plus the shared
-    :class:`~repro.simnet.Trace`.
-
-    ::
-
-        batch = QueryBatch(executor, "client", use_cache=True)
-        for path, ctx in wanted:
-            batch.add(path, ctx)
-        results, trace = batch.execute(now=now)
-    """
-
-    def __init__(
-        self,
-        executor: QueryExecutor,
-        client: str,
-        use_cache: bool = False,
-    ) -> None:
-        self.executor = executor
-        self.client = client
-        self.use_cache = use_cache
-        self._requests: List[Union[str, Path]] = []
-        self._contexts: List[RequestContext] = []
-
-    def add(
-        self, request: Union[str, Path], context: RequestContext
-    ) -> int:
-        """Queue one query under its own context; returns its index in
-        the eventual result list."""
-        self._requests.append(request)
-        self._contexts.append(context)
-        return len(self._requests) - 1
-
-    def __len__(self) -> int:
-        return len(self._requests)
-
-    def execute(
-        self, now: float = 0.0
-    ) -> Tuple[List[sansio_engine.BatchItemResult], Trace]:
-        """Run every queued query; the batch stays reusable (items are
-        consumed)."""
-        if not self._requests:
-            raise ValueError("nothing batched — add() some queries first")
-        requests, self._requests = self._requests, []
-        contexts, self._contexts = self._contexts, []
-        return self.executor.execute_batch(
-            self.client, requests, contexts,
-            now=now, use_cache=self.use_cache,
-        )

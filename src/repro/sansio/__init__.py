@@ -30,7 +30,6 @@ from repro.sansio.intents import (
 from repro.sansio.engine import (
     QueryOutcome,
     SansIoQueryEngine,
-    StandaloneQueryHost,
     decision_of,
 )
 
@@ -53,6 +52,5 @@ __all__ = [
     "leg_values",
     "QueryOutcome",
     "SansIoQueryEngine",
-    "StandaloneQueryHost",
     "decision_of",
 ]

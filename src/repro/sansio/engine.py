@@ -66,12 +66,8 @@ __all__ = [
     "BatchItemResult",
     "QueryOutcome",
     "SansIoQueryEngine",
-    "StandaloneQueryHost",
     "decision_of",
 ]
-
-#: The host under the name drivers without an executor construct it by.
-StandaloneQueryHost = QueryHost
 
 #: The Fork capture set of degradable fan-outs: a dead store, a lost
 #: message, or an uncovered part degrades that *part*; anything else

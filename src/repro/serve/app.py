@@ -21,6 +21,7 @@ import asyncio
 from typing import Optional, Tuple
 
 from repro.core.cache import ComponentCache
+from repro.core.host import QueryHost
 from repro.core.resilience import RetryPolicy
 from repro.core.server import GupsterServer
 from repro.bus import CacheInvalidationListener, ChangeBus
@@ -28,7 +29,7 @@ from repro.obs.export import to_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecorder
 from repro.obs.wallclock import Clock, WallClock
-from repro.sansio.engine import SansIoQueryEngine, StandaloneQueryHost
+from repro.sansio.engine import SansIoQueryEngine
 from repro.serve.admission import AdmissionGate
 from repro.serve.http import HttpServer, Request, Response
 from repro.serve.jobs import BackgroundJobs
@@ -89,7 +90,7 @@ class ServeWorld:
             metrics if metrics is not None else MetricsRegistry()
         )
         server.bind_registry(self.metrics)
-        self.host = StandaloneQueryHost(
+        self.host = QueryHost(
             server, retry_policy=retry_policy
         )
         self.host.health.bind_registry(self.metrics)

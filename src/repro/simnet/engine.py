@@ -14,6 +14,11 @@ at which point the heap is compacted in one pass. Compaction preserves
 the (when, sequence) total order, so execution order — and therefore
 every simulated measurement — is unchanged by when (or whether) a
 compaction happens.
+
+The engine is not re-entrant: :meth:`Simulator.step` and
+:meth:`Simulator.run` raise ``RuntimeError`` when called from inside a
+dispatched callback. A nested drain would pop the heap under a frame
+that still holds the old clock, so it fails at the call instead.
 """
 
 from __future__ import annotations
@@ -64,6 +69,8 @@ class Simulator:
         #: Cancelled entries still physically present in the heap.
         self._cancelled = 0
         self._compactions = 0
+        #: True while step() runs a callback (re-entry guard).
+        self._dispatching = False
 
     def schedule(
         self, delay: float, callback: Callable, *args: Any
@@ -145,8 +152,16 @@ class Simulator:
 
     # -- execution ----------------------------------------------------------
 
+    def _refuse_reentry(self, method: str) -> None:
+        if self._dispatching:
+            raise RuntimeError(
+                "Simulator.%s() called from inside a dispatched "
+                "callback: the engine is not re-entrant" % method
+            )
+
     def step(self) -> bool:
         """Execute the next pending event. Returns False when idle."""
+        self._refuse_reentry("step")
         while self._heap:
             when, _seq, timer, callback, args = heapq.heappop(self._heap)
             timer._live = False
@@ -154,7 +169,11 @@ class Simulator:
                 self._cancelled -= 1
                 continue
             self.now = when
-            callback(*args)
+            self._dispatching = True
+            try:
+                callback(*args)
+            finally:
+                self._dispatching = False
             self._processed += 1
             return True
         return False
@@ -164,6 +183,7 @@ class Simulator:
 
         With *until* set, the clock is left exactly at *until* even if
         the last event fired earlier (so measurements line up)."""
+        self._refuse_reentry("run")
         while self._heap:
             when = self._heap[0][0]
             if until is not None and when > until:

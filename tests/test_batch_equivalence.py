@@ -23,7 +23,7 @@ so loss dice land on different messages — the contract (documented on
 import random
 
 from repro.access import PolicyRule, RequestContext, relationship_in
-from repro.core import ComponentCache, GupsterServer, QueryBatch, QueryExecutor
+from repro.core import ComponentCache, GupsterServer, QueryExecutor
 from repro.errors import ReproError
 from repro.simnet import Network
 from repro.workloads import SyntheticAdapter
@@ -329,33 +329,7 @@ class TestFaultEquivalence:
         assert observed[1][0] == "error:PartialResultError"
 
 
-class TestQueryBatchApi:
-    def test_batch_matches_direct_execute(self):
-        network, _server, executor = build_world()
-        batch = QueryBatch(executor, "client")
-        for request in (BOOK, PERSONAL, PRESENCE):
-            batch.add(request, STRANGER)
-        assert len(batch) == 3
-        results, trace = batch.execute()
-        assert len(batch) == 0  # consumed
-        network2, _server2, executor2 = build_world()
-        direct, _trace2 = executor2.execute_batch(
-            "client",
-            [BOOK, PERSONAL, PRESENCE],
-            [STRANGER, STRANGER, STRANGER],
-        )
-        assert [
-            item.fragment.serialize() for item in results
-        ] == [item.fragment.serialize() for item in direct]
-        assert trace.elapsed_ms > 0
-
-    def test_empty_batch_rejected(self):
-        _network, _server, executor = build_world()
-        import pytest
-
-        with pytest.raises(ValueError):
-            QueryBatch(executor, "client").execute()
-
+class TestExecuteBatchApi:
     def test_parse_error_is_captured_not_raised(self):
         _network, _server, executor = build_world()
         results, _trace = executor.execute_batch(

@@ -9,7 +9,7 @@ from repro.pxml import PNode
 
 PATH = "/user[@id='arnaud']/presence"
 #: Requester scope for the cache-mechanics tests: a single
-#: implicit requester, made explicit for cache-key-scope.
+#: requester (the cache requires a non-empty scope on every call).
 SCOPE = "hss.test|self"
 
 
@@ -139,3 +139,41 @@ class TestComponentCache:
         assert len(cache) == 1
         cache.clear()
         assert len(cache) == 0
+
+
+class TestRequiredScope:
+    """Every keyed cache call names its requester: a missing scope is
+    a TypeError, an empty one a ValueError, and neither touches an
+    entry or a counter."""
+
+    CALLS = {
+        "get": lambda: ((PATH, 1.0), {}),
+        "get_stale": lambda: ((PATH, 1.0), {}),
+        "put": lambda: ((PATH, fragment(), 1.0), {"ttl_ms": 50.0}),
+    }
+
+    def cache(self):
+        cache = ComponentCache(stale_grace_ms=1e9)
+        cache.put(PATH, fragment(), now=0, scope=SCOPE)
+        return cache
+
+    @pytest.mark.parametrize("method", sorted(CALLS))
+    def test_missing_scope_is_a_type_error(self, method):
+        cache = self.cache()
+        args, kwargs = self.CALLS[method]()
+        with pytest.raises(TypeError):
+            getattr(cache, method)(*args, **kwargs)
+        with pytest.raises(TypeError):
+            # Positional scope is refused too: it must be spelled out.
+            getattr(cache, method)(*args, SCOPE, **kwargs)
+
+    @pytest.mark.parametrize("method", sorted(CALLS))
+    def test_empty_scope_is_a_value_error(self, method):
+        cache = self.cache()
+        before = cache.counter_snapshot()
+        args, kwargs = self.CALLS[method]()
+        with pytest.raises(ValueError, match="requester scope"):
+            getattr(cache, method)(*args, scope="", **kwargs)
+        assert cache.counter_snapshot() == before
+        assert cache.check_invariants() == []
+        assert cache.get(PATH, now=1.0, scope=SCOPE) is not None

@@ -25,7 +25,6 @@ from repro.analysis.framework import (
     ModuleInfo,
 )
 from repro.analysis.rules import (
-    CacheKeyScopeRule,
     DeterminismRule,
     ExceptionTotalityRule,
     LayeringRule,
@@ -303,105 +302,6 @@ class TestExceptionTotalityRule:
                 def parse(text):
                     # gupcheck: ignore[exception-totality] -- stdlib contract
                     raise KeyError(text)
-            """),
-            self.RELPATH,
-        )
-        assert found == []
-
-
-# ---------------------------------------------------------------------------
-# cache-key-scope
-# ---------------------------------------------------------------------------
-
-class TestCacheKeyScopeRule:
-    RELPATH = "repro/core/fixture.py"
-
-    def test_flags_unscoped_put(self):
-        found = check_source(
-            CacheKeyScopeRule(),
-            dedent("""
-                def fill(cache, path, fragment, now):
-                    cache.put(path, fragment, now)
-            """),
-            self.RELPATH,
-        )
-        assert len(found) == 1
-        assert "shield bypass" in found[0].message
-
-    def test_flags_unscoped_get_and_get_stale(self):
-        found = check_source(
-            CacheKeyScopeRule(),
-            dedent("""
-                def probe(self, path, now):
-                    hit = self.cache.get(path, now)
-                    corpse = self.cache.get_stale(path, now)
-                    return hit or corpse
-            """),
-            self.RELPATH,
-        )
-        assert len(found) == 2
-
-    def test_flags_empty_scope_constant(self):
-        found = check_source(
-            CacheKeyScopeRule(),
-            dedent("""
-                def fill(cache, path, fragment, now):
-                    cache.put(path, fragment, now, scope="")
-            """),
-            self.RELPATH,
-        )
-        assert len(found) == 1
-        assert "empty scope" in found[0].message
-
-    def test_allows_scoped_calls(self):
-        found = check_source(
-            CacheKeyScopeRule(),
-            dedent("""
-                def fill(self, path, fragment, context, now):
-                    self.cache.put(
-                        path, fragment, now,
-                        scope=context.cache_scope(),
-                    )
-                    return self.cache.get(
-                        path, now, scope=context.cache_scope()
-                    )
-            """),
-            self.RELPATH,
-        )
-        assert found == []
-
-    def test_allows_positional_scope(self):
-        found = check_source(
-            CacheKeyScopeRule(),
-            dedent("""
-                def probe(cache, path, now, scope):
-                    return cache.get(path, now, scope)
-            """),
-            self.RELPATH,
-        )
-        assert found == []
-
-    def test_ignores_non_cache_receivers_and_invalidate(self):
-        found = check_source(
-            CacheKeyScopeRule(),
-            dedent("""
-                def misc(self, mapping, key, cache, path):
-                    value = mapping.get(key)
-                    adapter = self.adapters.get(key)
-                    cache.invalidate(path)
-                    return value, adapter
-            """),
-            self.RELPATH,
-        )
-        assert found == []
-
-    def test_suppression(self):
-        found = check_source(
-            CacheKeyScopeRule(),
-            dedent("""
-                def warm(cache, path, fragment, now):
-                    # gupcheck: ignore[cache-key-scope] -- admin warmup, pre-shield
-                    cache.put(path, fragment, now)
             """),
             self.RELPATH,
         )

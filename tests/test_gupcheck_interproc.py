@@ -1,7 +1,7 @@
 """gupcheck v2 (whole-program) tests: project IR + call graph
 construction (adapter dispatch, SCC cycles), interprocedural taint
 summaries (sanitizer kill, guard idiom, transitive egress), the
-simulator soundness rules (sim-race, iter-order, handler-reentrancy),
+simulator soundness rules (sim-race, iter-order),
 SARIF output shape, and the one-run CLI (composing sinks, exit codes,
 the six-flag surface)."""
 
@@ -23,7 +23,6 @@ from repro.analysis.ir.project import (
     tarjan_sccs,
 )
 from repro.analysis.rules import (
-    HandlerReentrancyRule,
     IterOrderRule,
     ShieldEgressRule,
     SimRaceRule,
@@ -546,71 +545,6 @@ class TestIterOrder:
             """
         ), "repro/simnet/fixture.py")
         assert found == []
-
-
-class TestHandlerReentrancy:
-    def analyze(self, tmp_path, source):
-        target = tmp_path / "repro" / "simnet" / "pump.py"
-        target.parent.mkdir(parents=True)
-        target.write_text(source, encoding="utf-8")
-        report = Analyzer().analyze_paths([str(tmp_path)])
-        return [
-            v for v in report.violations
-            if v.rule == HandlerReentrancyRule.name
-        ]
-
-    def test_callback_reentering_run_flagged(self, tmp_path):
-        hits = self.analyze(tmp_path, dedent(
-            """
-            class Pump:
-                def __init__(self, sim):
-                    self.sim = sim
-
-                def drain(self):
-                    self.sim.run()
-
-                def arm(self):
-                    self.sim.schedule_at(1.0, self.drain)
-            """
-        ))
-        assert len(hits) == 1
-        assert "drain" in hits[0].message
-
-    def test_transitive_reentry_flagged(self, tmp_path):
-        hits = self.analyze(tmp_path, dedent(
-            """
-            class Pump:
-                def __init__(self, sim):
-                    self.sim = sim
-
-                def deep(self):
-                    self.sim.step()
-
-                def middle(self):
-                    self.deep()
-
-                def arm(self):
-                    self.sim.schedule_at(1.0, self.middle)
-            """
-        ))
-        assert len(hits) == 1
-
-    def test_benign_callback_clean(self, tmp_path):
-        hits = self.analyze(tmp_path, dedent(
-            """
-            class Pump:
-                def __init__(self, sim):
-                    self.sim = sim
-                    self.ticks = 0
-
-                def tick(self):
-                    self.ticks += 1
-
-                def arm(self):
-                    self.sim.schedule_at(1.0, self.tick)
-            """
-        ))
-        assert hits == []
 
 
 # ---------------------------------------------------------------------------

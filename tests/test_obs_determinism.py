@@ -14,7 +14,7 @@ import os
 import pytest
 
 from repro.obs import reconcile, to_chrome_trace
-from repro.workloads.reference import (
+from tests.data.reference import (
     GOLDEN_STREAMS,
     e16_degraded_query,
     reference_streams,

@@ -11,8 +11,8 @@ from repro.simnet import Network
 PATH = "/user[@id='u1']/presence"
 OTHER = "/user[@id='u2']/presence"
 THIRD = "/user[@id='u3']/presence"
-#: One implicit requester for the counter-mechanics tests, made
-#: explicit for cache-key-scope.
+#: One requester for the counter-mechanics tests (the cache requires
+#: a non-empty scope on every call).
 SCOPE = "audit.test|self"
 
 

@@ -16,6 +16,7 @@ from repro.core import (
     RetryPolicy,
 )
 from repro.core.coverage import CoverageMap
+from repro.core.host import QueryHost
 from repro.errors import (
     CoverageError,
     NodeUnreachableError,
@@ -33,7 +34,6 @@ from repro.sansio import (
     Send,
     SpanClose,
     SpanOpen,
-    StandaloneQueryHost,
     decision_of,
     leg_values,
 )
@@ -252,7 +252,7 @@ class TestEngineMatchesExecutor:
         )
 
         network_b, server_b, _ = build_world()
-        host = StandaloneQueryHost(server_b, server_node="gupster")
+        host = QueryHost(server_b, server_node="gupster")
         engine = SansIoQueryEngine(host)
         trace_b = network_b.trace()
         outcome = SimnetDriver(server_b.adapters).run(
@@ -268,7 +268,7 @@ class TestEngineMatchesExecutor:
 
     def test_cached_hit_disposition(self):
         network, server, _ = build_world()
-        host = StandaloneQueryHost(server, server_node="gupster")
+        host = QueryHost(server, server_node="gupster")
         engine = SansIoQueryEngine(host)
         first = SimnetDriver(server.adapters).run(
             engine.cached("client", parse_path(BOOK), ctx(), 0.0),

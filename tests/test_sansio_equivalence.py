@@ -36,16 +36,13 @@ from repro.access import RequestContext
 from repro.core import ComponentCache, GupsterServer, RetryPolicy
 from repro.core.mdm import Lookup
 from repro.pxml import parse_path
-from repro.sansio import (
-    SansIoQueryEngine,
-    StandaloneQueryHost,
-    decision_of,
-)
+from repro.core.host import QueryHost
+from repro.sansio import SansIoQueryEngine, decision_of
 from repro.serve import WallTransport
 from repro.simnet import FaultState, Network
 from repro.simnet.driver import SimnetDriver
 from repro.workloads import SyntheticAdapter
-from repro.workloads.reference import MDM_NODES, build_mdm_world
+from tests.data.reference import MDM_NODES, build_mdm_world
 
 BOOK = "/user[@id='u1']/address-book"
 PERSONAL = BOOK + "/item[@type='personal']"
@@ -117,7 +114,7 @@ def build_sim_side(failed, drops, retry_policy):
         failed, drops,
     )
     server = build_server()
-    host = StandaloneQueryHost(
+    host = QueryHost(
         server, server_node=SERVER, retry_policy=retry_policy
     )
 
@@ -134,7 +131,7 @@ def build_wall_side(failed, drops, retry_policy):
     faults = FaultState()
     arm(lambda node: faults, failed, drops)
     server = build_server()
-    host = StandaloneQueryHost(
+    host = QueryHost(
         server, server_node=SERVER, retry_policy=retry_policy
     )
     engine = SansIoQueryEngine(host)

@@ -178,6 +178,50 @@ class TestSimulator:
         assert sim.processed == 1
 
 
+class TestNoReentry:
+    """A callback that drives the loop it runs in fails at the call,
+    and the simulator carries on from where the raise left it."""
+
+    REENTRIES = {
+        "step": lambda sim: sim.step(),
+        "run": lambda sim: sim.run(),
+        "run_until_now": lambda sim: sim.run(until=sim.now),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REENTRIES))
+    def test_reentry_raises_and_the_loop_stays_usable(self, name):
+        sim = Simulator()
+        fired = []
+        sim.schedule(5, fired.append, 5)
+        sim.schedule(10, self.REENTRIES[name], sim)
+        sim.schedule(20, fired.append, 20)
+        with pytest.raises(RuntimeError, match="not re-entrant"):
+            sim.run()
+        assert (sim.now, sim.processed, fired) == (10, 1, [5])
+        assert sim.pending == 1
+        sim.run()
+        assert (sim.now, sim.processed, fired) == (20, 2, [5, 20])
+
+    def test_reentry_from_a_recurrence_raises(self):
+        sim = Simulator()
+        sim.every(10, lambda: sim.run(until=sim.now), until=30)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert (sim.now, sim.processed) == (10, 0)
+
+    def test_a_failing_callback_releases_the_guard(self):
+        sim = Simulator()
+        sim.schedule(1, lambda: 1 / 0)
+        sim.schedule(2, lambda: None)
+        sim.schedule(3, sim.step)
+        with pytest.raises(ZeroDivisionError):
+            sim.step()
+        assert sim.step() is True
+        with pytest.raises(RuntimeError):
+            sim.step()
+        assert (sim.now, sim.processed, sim.pending) == (3, 1, 0)
+
+
 def small_network():
     net = Network(seed=7)
     net.add_node("gupster", region="core")
