@@ -477,6 +477,21 @@ MUTANTS: List[Dict[str, str]] = [
         "old": "            self._latency_factors.pop(name, None)\n",
         "new": "            self._latency_factors[name] = factor\n",
     },
+    {
+        "name": "engine_failover_span_leak",
+        "bug_class": "a sans-io program fails over to the next store "
+                     "with the failed store's span still open",
+        "relpath": "repro/sansio/engine.py",
+        "old": (
+            "                except TRANSIENT_ERRORS as err:\n"
+            "                    yield SpanClose()\n"
+            "                    last_error = err\n"
+        ),
+        "new": (
+            "                except TRANSIENT_ERRORS as err:\n"
+            "                    last_error = err\n"
+        ),
+    },
 ]
 
 Finding = Tuple[str, str, str]
