@@ -128,13 +128,14 @@ MUTANTS: List[Dict[str, str]] = [
         "bug_class": "bus delivery forwards deltas without the shield",
         "relpath": "repro/bus/listeners.py",
         "old": (
-            "            if decision is None:\n"
-            "                decision = self._pep.enforce("
-            "self._request, context)\n"
-            "                memo[key] = decision\n"
+            "        decision = self._pep.enforce(self._request, context)\n"
+            "        for record in records:\n"
             "            if decision.permit:\n"
         ),
-        "new": "            if True:\n",
+        "new": (
+            "        for record in records:\n"
+            "            if True:\n"
+        ),
     },
     {
         "name": "fed_no_enforce",
@@ -265,11 +266,11 @@ MUTANTS: List[Dict[str, str]] = [
                      "schedules hand-overs in hash order",
         "relpath": "repro/bus/bus.py",
         "old": (
-            "        memo: ShieldMemo = {}\n"
+            "        self.waves += 1\n"
             "        for listener in self._listeners:\n"
         ),
         "new": (
-            "        memo: ShieldMemo = {}\n"
+            "        self.waves += 1\n"
             "        for listener in set(self._listeners):\n"
         ),
     },
@@ -278,10 +279,10 @@ MUTANTS: List[Dict[str, str]] = [
         "bug_class": "a scheduled wave hand-over re-enters the event "
                      "loop",
         "relpath": "repro/bus/bus.py",
-        "old": "        listener.deliver(batch, self.sim.now, self, memo)\n",
+        "old": "        listener.deliver(batch, self.sim.now)\n",
         "new": (
             "        self.sim.step()\n"
-            "        listener.deliver(batch, self.sim.now, self, memo)\n"
+            "        listener.deliver(batch, self.sim.now)\n"
         ),
     },
     {
@@ -358,31 +359,18 @@ MUTANTS: List[Dict[str, str]] = [
         ),
     },
     {
-        "name": "wave_memo_returned",
-        "bug_class": "the wave's ShieldMemo is returned to whoever "
-                     "ran the flush",
-        "relpath": "repro/bus/bus.py",
+        "name": "subscriber_decision_outlives_delivery",
+        "bug_class": "a subscriber keeps its shield decision across "
+                     "deliveries (a revocation never takes effect)",
+        "relpath": "repro/bus/listeners.py",
         "old": (
-            "        self._compact()\n"
-            "\n"
-            "    def _hand_over(\n"
+            "        decision = self._pep.enforce(self._request, context)\n"
         ),
         "new": (
-            "        self._compact()\n"
-            "        return memo\n"
-            "\n"
-            "    def _hand_over(\n"
-        ),
-    },
-    {
-        "name": "wave_memo_outlives_wave",
-        "bug_class": "one ShieldMemo kept on the bus and reused by "
-                     "every wave (decisions survive a revocation)",
-        "relpath": "repro/bus/bus.py",
-        "old": "        memo: ShieldMemo = {}\n",
-        "new": (
-            '        memo: ShieldMemo = getattr(self, "_memo", {})\n'
-            "        self._memo = memo\n"
+            '        decision = getattr(self, "_decision", None)\n'
+            "        if decision is None:\n"
+            "            decision = self._pep.enforce(self._request, context)\n"
+            "            self._decision = decision\n"
         ),
     },
     {

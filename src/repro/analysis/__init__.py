@@ -29,20 +29,19 @@ rule                      invariant protected
                           timestamp never mutate the same attribute
 ``iter-order``            unordered ``set`` iteration never feeds event
                           scheduling or result assembly (warning)
-``span-balance``          every span handle is entered via ``with`` or
-                          finished on every path
-``cursor-lifecycle``      a bus replay cursor is re-read after the log moves
-``memo-confinement``      a wave's ``ShieldMemo`` never outlives the wave
 ``sans-io-purity``        the sans-io core infers as pure or virtual-time
 ``container-growth``      every long-lived container is bounded, evicting or
                           declared
 ========================  ====================================================
 
-Two invariants are enforced by the code rather than by a rule: the
+Four invariants are enforced by the code rather than by a rule: the
 component cache requires a non-empty ``scope`` keyword on every
-``get``/``get_stale``/``put``, and the simulator raises
-``RuntimeError`` when ``step``/``run`` is called from inside a
-dispatched callback.
+``get``/``get_stale``/``put``; the simulator raises ``RuntimeError``
+when ``step``/``run`` is called from inside a dispatched callback;
+``Trace.span`` opens its span when called and the simnet driver
+raises ``RuntimeError`` when a program returns with a span still open;
+bus listeners are handed records only, so replay cursors and shield
+decisions never leave the bus or the delivery that made them.
 
 Run it over the source tree — one invocation parses every file once,
 analyses the whole tree and writes every requested artefact from that

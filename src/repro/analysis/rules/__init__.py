@@ -15,16 +15,13 @@ from repro.analysis.framework import Rule
 from repro.analysis.rules.container_growth import (
     ContainerGrowthRule,
 )
-from repro.analysis.rules.cursor_lifecycle import CursorLifecycleRule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.exceptions import ExceptionTotalityRule
 from repro.analysis.rules.iter_order import IterOrderRule
 from repro.analysis.rules.layering import LayeringRule
-from repro.analysis.rules.memo_confinement import MemoConfinementRule
 from repro.analysis.rules.sans_io import SansIoPurityRule
 from repro.analysis.rules.shield_egress import ShieldEgressRule
 from repro.analysis.rules.sim_race import SimRaceRule
-from repro.analysis.rules.span_balance import SpanBalanceRule
 
 #: Rule classes in report order.
 ALL_RULES = (
@@ -34,9 +31,6 @@ ALL_RULES = (
     ExceptionTotalityRule,
     SimRaceRule,
     IterOrderRule,
-    SpanBalanceRule,
-    CursorLifecycleRule,
-    MemoConfinementRule,
     SansIoPurityRule,
     ContainerGrowthRule,
 )
@@ -44,16 +38,13 @@ ALL_RULES = (
 __all__ = [
     "ALL_RULES",
     "ContainerGrowthRule",
-    "CursorLifecycleRule",
     "DeterminismRule",
     "ExceptionTotalityRule",
     "IterOrderRule",
     "LayeringRule",
-    "MemoConfinementRule",
     "SansIoPurityRule",
     "ShieldEgressRule",
     "SimRaceRule",
-    "SpanBalanceRule",
     "default_rules",
 ]
 

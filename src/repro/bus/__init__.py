@@ -11,10 +11,11 @@ mirroring the E19 batch wave model — and per-listener replay cursors
 so a listener that was down or slow resumes from where it stopped
 instead of losing changes.
 
-The privacy-shield invariant holds per **delivery**, never per batch:
+The privacy-shield invariant holds per **delivery**:
 :class:`~repro.bus.listeners.SubscriberListener` re-checks
-``pep.enforce`` for every coalesced delta, memoized within a single
-wave only across identical (path, requester) pairs.
+``pep.enforce`` under its own context on every delivery, and the
+decision dies with the delivery. Listeners are handed records only —
+cursors and compaction stay inside the bus.
 """
 
 from repro.bus.log import ChangeLog, ChangeRecord

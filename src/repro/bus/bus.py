@@ -32,18 +32,13 @@ node — both deterministic.
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
-)
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.bus.log import ChangeLog, ChangeRecord
 from repro.obs.metrics import CounterView
 from repro.simnet import Network, Simulator
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.access import Decision
-
-__all__ = ["BusListener", "ChangeBus", "DEFAULT_WAVE_MS", "ShieldMemo"]
+__all__ = ["BusListener", "ChangeBus", "DEFAULT_WAVE_MS"]
 
 #: How long appended changes pool before a wave flushes them.
 DEFAULT_WAVE_MS = 50.0
@@ -58,11 +53,6 @@ ACK_BYTES = 32
 #: Shard key used when no router is bound (single logical store).
 DEFAULT_SHARD = "main"
 
-#: Per-wave privacy-shield memo: identical (request, delta path,
-#: requester, relationship, purpose) tuples within ONE wave share a
-#: decision; the memo dies with the wave.
-ShieldMemo = Dict[Tuple[str, str, str, str, str], "Decision"]
-
 
 class BusListener:
     """Base class for bus consumers.
@@ -70,7 +60,8 @@ class BusListener:
     ``node`` names the simnet endpoint the wave delivery travels to
     (one round trip per wave is charged); ``None`` marks an in-process
     listener (cache invalidation at the origin, mirror refresh) whose
-    deliveries cost no wire."""
+    deliveries cost no wire. A delivery hands over records only: the
+    cursors and the logs stay inside the bus."""
 
     def __init__(self, name: str, node: Optional[str] = None) -> None:
         self.name = name
@@ -81,13 +72,7 @@ class BusListener:
         advance past filtered records either way."""
         return True
 
-    def deliver(
-        self,
-        records: List[ChangeRecord],
-        now: float,
-        bus: "ChangeBus",
-        memo: ShieldMemo,
-    ) -> None:
+    def deliver(self, records: List[ChangeRecord], now: float) -> None:
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -237,10 +222,6 @@ class ChangeBus:
         del self._cursors[listener.name]
         self._last_arrival.pop(listener.name, None)
 
-    def cursor(self, listener_name: str) -> Dict[str, int]:
-        """A copy of one listener's per-shard cursors."""
-        return dict(self._cursors[listener_name])
-
     def pending_for(self, listener: BusListener) -> int:
         """Records logged past *listener*'s cursors — O(shards)."""
         cursors = self._cursors[listener.name]
@@ -283,7 +264,6 @@ class ChangeBus:
         into a single delivery (one round trip), then compact."""
         self._wave_armed = False
         self.waves += 1
-        memo: ShieldMemo = {}
         for listener in self._listeners:
             cursors = self._cursors[listener.name]
             batch: List[ChangeRecord] = []
@@ -314,7 +294,7 @@ class ChangeBus:
             cursors.update(advanced)
             batch.sort(key=lambda r: (r.at, r.shard, r.seq))
             if listener.node is None:
-                self._hand_over(listener, batch, memo)
+                self._hand_over(listener, batch)
             else:
                 payload = WAVE_OVERHEAD_BYTES + sum(
                     record.byte_size() for record in batch
@@ -338,17 +318,14 @@ class ChangeBus:
                 self._last_arrival[listener.name] = arrival
                 self.sim.schedule(
                     arrival - self.sim.now,
-                    self._hand_over, listener, batch, memo,
+                    self._hand_over, listener, batch,
                 )
         self._compact()
 
     def _hand_over(
-        self,
-        listener: BusListener,
-        batch: List[ChangeRecord],
-        memo: ShieldMemo,
+        self, listener: BusListener, batch: List[ChangeRecord]
     ) -> None:
-        listener.deliver(batch, self.sim.now, self, memo)
+        listener.deliver(batch, self.sim.now)
         self.deliveries += 1
         self.records_delivered += len(batch)
 

@@ -1,13 +1,14 @@
 """Bus consumers: subscriber fan-out, cache invalidation, mirror sync.
 
 :class:`SubscriberListener` is the egress listener — profile values
-leave the system toward a requester here, so **every** delta re-checks
-``pep.enforce`` under the subscriber's own context before it is
-forwarded (the per-delivery shield invariant; see DESIGN.md §4.6).
-Within one wave, identical (request, path, requester) pairs share the
-decision through the wave memo the bus hands in — the memo never
-outlives its wave, so a revocation always takes effect by the next
-wave at the latest.
+leave the system toward a requester here, so **every** delivery
+re-checks ``pep.enforce`` under the subscriber's own context before a
+delta is forwarded (the per-delivery shield invariant; see DESIGN.md
+§4.6).
+Every record of one delivery shares the subscriber's request and
+context, so one decision covers the delivery; the decision dies with
+it, so a revocation always takes effect by the next wave at the
+latest.
 
 The in-process listeners (``node=None`` — no wire charged) coalesce
 write-path housekeeping: one cache-invalidation sweep per wave over
@@ -19,8 +20,8 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Protocol, Union
 
-from repro.access import Decision, PolicyEnforcementPoint, RequestContext
-from repro.bus.bus import BusListener, ChangeBus, ShieldMemo
+from repro.access import PolicyEnforcementPoint, RequestContext
+from repro.bus.bus import BusListener
 from repro.bus.log import ChangeRecord
 from repro.pxml import Path, parse_path
 from repro.seqlog import trim_oldest
@@ -55,11 +56,9 @@ class _Replicable(Protocol):  # pragma: no cover - typing only
 class SubscriberListener(BusListener):
     """Shield-checked push fan-out to one subscriber.
 
-    ``wants`` filters to the watched value path; delivery re-enforces
-    the subscription request path for every delta under the
-    subscriber's context (memoized only within the current wave on
-    identical pairs), forwarding permitted values and reporting
-    withheld ones."""
+    ``wants`` filters to the watched value path; each delivery
+    re-enforces the subscription request path under the subscriber's
+    context, forwarding permitted values and reporting withheld ones."""
 
     def __init__(
         self,
@@ -75,7 +74,6 @@ class SubscriberListener(BusListener):
         super().__init__(name, node)
         self._pep = pep
         self._request = parse_path(request)
-        self._request_key = str(self._request)
         self.watch_path = watch_path
         self._context = context
         self._on_delivery = on_delivery
@@ -86,33 +84,20 @@ class SubscriberListener(BusListener):
     def wants(self, record: ChangeRecord) -> bool:
         return record.path == self.watch_path
 
-    def deliver(
-        self,
-        records: List[ChangeRecord],
-        now: float,
-        bus: ChangeBus,
-        memo: ShieldMemo,
-    ) -> None:
-        self._deliver_records(records, now, memo, self._context)
+    def deliver(self, records: List[ChangeRecord], now: float) -> None:
+        self._deliver_records(records, now, self._context)
 
     def _deliver_records(
         self,
         records: List[ChangeRecord],
         now: float,
-        memo: ShieldMemo,
         context: RequestContext,
     ) -> None:
-        """Forward each delta — shield first, per delivery, never per
-        batch."""
+        """Forward each delta — shield first, once per delivery: the
+        decision depends on the request and context, never on the
+        record."""
+        decision = self._pep.enforce(self._request, context)
         for record in records:
-            key = (
-                self._request_key, record.path, context.requester,
-                context.relationship, context.purpose,
-            )
-            decision: Optional[Decision] = memo.get(key)
-            if decision is None:
-                decision = self._pep.enforce(self._request, context)
-                memo[key] = decision
             if decision.permit:
                 self.delivered += 1
                 self._on_delivery(record, now)
@@ -134,13 +119,7 @@ class CacheInvalidationListener(BusListener):
         self.invalidated_paths = 0
         self.coalesced = 0
 
-    def deliver(
-        self,
-        records: List[ChangeRecord],
-        now: float,
-        bus: ChangeBus,
-        memo: ShieldMemo,
-    ) -> None:
+    def deliver(self, records: List[ChangeRecord], now: float) -> None:
         distinct: List[str] = []
         seen = set()
         for record in records:
@@ -164,13 +143,7 @@ class MirrorRefreshListener(BusListener):
         self.refreshes = 0
         self.replicated = 0
 
-    def deliver(
-        self,
-        records: List[ChangeRecord],
-        now: float,
-        bus: ChangeBus,
-        memo: ShieldMemo,
-    ) -> None:
+    def deliver(self, records: List[ChangeRecord], now: float) -> None:
         self.refreshes += 1
         self.replicated += self.constellation.replicate()
 
@@ -196,13 +169,7 @@ class RecordingListener(BusListener):
         #: Records evicted by the retention cap.
         self.dropped = 0
 
-    def deliver(
-        self,
-        records: List[ChangeRecord],
-        now: float,
-        bus: ChangeBus,
-        memo: ShieldMemo,
-    ) -> None:
+    def deliver(self, records: List[ChangeRecord], now: float) -> None:
         self.received.extend(records)
         self.delivered_at.extend(now for _ in records)
         self.dropped += trim_oldest(

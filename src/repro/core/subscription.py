@@ -18,8 +18,8 @@ simulator:
   wave), and every delta is re-checked against the shield (far fewer
   checks than polling — one per *change*, not one per *tick* — but
   never zero: a revoked policy must stop deliveries, not ride a stale
-  subscribe-time decision forever). The re-check is memoized only
-  within a wave.
+  subscribe-time decision forever). One re-check covers one
+  delivery.
 
 Experiment E12 reads the delivery records and counters; E20 drives
 the push path at scale.

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List
 
-from repro.bus.bus import BusListener, ChangeBus, ShieldMemo
+from repro.bus.bus import BusListener
 from repro.bus.log import ChangeRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,13 +44,7 @@ class FederationListener(BusListener):
     def wants(self, record: ChangeRecord) -> bool:
         return self.reconciler.maps_record(record)
 
-    def deliver(
-        self,
-        records: List[ChangeRecord],
-        now: float,
-        bus: ChangeBus,
-        memo: ShieldMemo,
-    ) -> None:
+    def deliver(self, records: List[ChangeRecord], now: float) -> None:
         for record in records:
             self.routed += 1
             self.reconciler.note_gup_delta(record)

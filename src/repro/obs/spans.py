@@ -64,8 +64,8 @@ class SpanEvent:
 class Span:
     """One named interval of virtual time, with parentage and bag-of
     attributes. ``end_ms`` stays ``None`` until the span is finished;
-    the span-balance gupcheck rule exists to make "never finished"
-    a lint error rather than a silent hole in the export."""
+    ``open_spans()`` reports one never finished, and the simnet driver
+    refuses a program that returns with a span still open."""
 
     __slots__ = (
         "name", "span_id", "parent_id", "trace_id", "tid",
@@ -216,8 +216,7 @@ class SpanRecorder:
         the recorder. When more than ``max_spans`` spans are
         simultaneously open the deque can exceed the cap — open spans
         are never dropped, and every one of them is finished (or
-        leaked, which the span-balance rule catches) in bounded
-        time."""
+        leaked, which ``open_spans`` reports) in bounded time."""
         spans = self.spans
         index = 0  # everything before it is open
         while len(spans) > self.max_spans and index < len(spans):

@@ -12,8 +12,8 @@ which holds what the shield let through until the subscriber polls:
   the last poll;
 * ``DELETE /v1/subscriptions/<id>`` detaches it.
 
-The shield holds per **delivery**: every delta is re-checked under the
-subscriber's context (the bus's one gate,
+The shield holds per **delivery**: every delivery is re-checked under
+the subscriber's context (the bus's one gate,
 ``SubscriberListener._deliver_records``), so a revocation stops the
 stream by the next wave; what it withholds is counted, never kept.
 
@@ -29,8 +29,7 @@ import itertools
 from typing import TYPE_CHECKING, Dict, List
 
 from repro.access import RequestContext
-from repro.bus import ChangeBus, ChangeRecord, SubscriberListener
-from repro.bus.bus import ShieldMemo
+from repro.bus import ChangeRecord, SubscriberListener
 from repro.bus.listeners import DEFAULT_MAX_RECORDS
 from repro.core.server import GupsterServer
 from repro.errors import (
@@ -76,15 +75,9 @@ class _HttpSubscriber(SubscriberListener):
     def wants(self, record: ChangeRecord) -> bool:
         return record.path.startswith(self.watch_path)
 
-    def deliver(
-        self,
-        records: List[ChangeRecord],
-        now: float,
-        bus: ChangeBus,
-        memo: ShieldMemo,
-    ) -> None:
+    def deliver(self, records: List[ChangeRecord], now: float) -> None:
         if self._server.enforce_policies:
-            super().deliver(records, now, bus, memo)
+            super().deliver(records, now)
         else:
             self.pending.extend(records)
         self.missed += trim_oldest(DEFAULT_MAX_RECORDS, self.pending)

@@ -58,34 +58,46 @@ class SimnetDriver:
 
     def run(self, program: Program, trace: Trace) -> Any:
         """Drive *program* to completion on *trace*; returns the
-        program's return value. Exceptions the program does not handle
-        propagate, with any spans it left open closed first (the
-        sans-io equivalent of unwinding ``with`` blocks)."""
+        program's return value. Spans the program left open are closed
+        first either way (the sans-io equivalent of unwinding ``with``
+        blocks); exceptions the program does not handle then propagate,
+        and a program that *returned* with a span open raises
+        ``RuntimeError`` — with observability on or off, since the
+        driver tracks span handles either way."""
         spans: _SpanStack = []
         try:
-            to_send: Any = None
-            to_throw: Optional[BaseException] = None
-            while True:
-                try:
-                    if to_throw is not None:
-                        error, to_throw = to_throw, None
-                        intent = program.throw(error)
-                    else:
-                        intent = program.send(to_send)
-                except StopIteration as stop:
-                    return stop.value
-                to_send = None
-                try:
-                    to_send = self._perform(intent, trace, spans)
-                except Exception as err:
-                    to_throw = err
-        except BaseException:
+            result = self._drive(program, trace, spans)
+        finally:
+            leaked = len(spans)
             while spans:
                 handle, _span = spans.pop()
                 handle.__exit__(None, None, None)
-            raise
-        finally:
             program.close()
+        if leaked:
+            raise RuntimeError(
+                "program returned with %d open span(s)" % leaked
+            )
+        return result
+
+    def _drive(
+        self, program: Program, trace: Trace, spans: _SpanStack
+    ) -> Any:
+        to_send: Any = None
+        to_throw: Optional[BaseException] = None
+        while True:
+            try:
+                if to_throw is not None:
+                    error, to_throw = to_throw, None
+                    intent = program.throw(error)
+                else:
+                    intent = program.send(to_send)
+            except StopIteration as stop:
+                return stop.value
+            to_send = None
+            try:
+                to_send = self._perform(intent, trace, spans)
+            except Exception as err:
+                to_throw = err
 
     def _perform(
         self, intent: Intent, trace: Trace, spans: _SpanStack

@@ -342,12 +342,13 @@ _NULL_SPAN = _NullSpanHandle()
 
 
 class _SpanHandle:
-    """Context manager opening a named span on a recording trace. The
-    span starts at ``__enter__`` and finishes at ``__exit__`` — at the
+    """A named span on a recording trace, opened when ``trace.span``
+    is called and finished when the ``with`` block exits — at the
     trace's *virtual* now both times — so its duration is exactly the
-    sum of the charges made inside the ``with`` block."""
+    sum of the charges made inside the block. A handle never entered
+    is an open span, and ``open_spans()`` reports it."""
 
-    __slots__ = ("_trace", "_name", "_attrs", "_span")
+    __slots__ = ("_trace", "_span")
 
     def __init__(
         self,
@@ -355,33 +356,27 @@ class _SpanHandle:
         name: str,
         attrs: Optional[Dict[str, object]],
     ) -> None:
-        self._trace = trace
-        self._name = name
-        self._attrs = attrs
-        self._span: Optional[Span] = None
-
-    def __enter__(self) -> Span:
-        trace = self._trace
         rec = trace._rec
         assert rec is not None
-        top = trace._stack[-1]
+        self._trace = trace
         self._span = rec.start(
-            self._name,
+            name,
             trace._now,
-            parent_id=top.span_id,
+            parent_id=trace._stack[-1].span_id,
             trace_id=trace.trace_id,
             tid=trace.tid,
-            attrs=self._attrs,
+            attrs=attrs,
         )
         trace._stack.append(self._span)
+
+    def __enter__(self) -> Span:
         return self._span
 
     def __exit__(self, *exc: object) -> bool:
         trace = self._trace
         span = self._span
         rec = trace._rec
-        if span is None or rec is None:  # pragma: no cover - misuse
-            return False
+        assert rec is not None
         stack = trace._stack
         # Pop back to (and including) this span; tolerate an inner
         # span leaked by a misbehaving caller rather than corrupting
@@ -496,9 +491,10 @@ class Trace:
             root.end_ms = end
 
     def span(self, name: str, **attrs: object):
-        """Open a named child span covering the charges made inside
-        the returned context manager (store id, requester scope, retry
-        number… go in ``attrs``). Free when observability is off."""
+        """Open a named child span now; the returned context manager
+        finishes it, so it covers the charges made inside the ``with``
+        block (store id, requester scope, retry number… go in
+        ``attrs``). Free when observability is off."""
         if self._rec is None:
             return _NULL_SPAN
         return _SpanHandle(self, name, attrs if attrs else None)

@@ -378,16 +378,59 @@ class TestListeners:
             on_delivery=lambda record, now: delivered.append(record.value),
         )
         bus.attach(listener)
-        # Three deltas in one wave: one enforce, memo covers the rest.
+        # Three deltas in one wave: one delivery, one enforce.
         for i in range(3):
             sim.schedule(i * 1.0, lambda i=i: bus.append(PATH, "v%d" % i))
         sim.run(until=1_000)
         assert delivered == ["v0", "v1", "v2"]
         assert pep.enforced == 1
-        # A later wave must re-check: the memo died with its wave.
+        # A later wave must re-check: the decision died with its
+        # delivery.
         sim.schedule(0, lambda: bus.append(PATH, "v3"))
         sim.run(until=2_000)
         assert pep.enforced == 2
+
+    def test_subscribers_differing_only_in_hour_decide_apart(self):
+        # The boss may read presence during working hours only. Two
+        # in-process subscribers share requester, relationship and
+        # purpose and differ in the hour; a decision shared between
+        # them within the wave would hand the night one the value.
+        from repro.access import (
+            PolicyEnforcementPoint,
+            PolicyRepository,
+            PolicyRule,
+            RequestContext,
+            all_of,
+            relationship_in,
+            working_hours,
+        )
+        sim, _network, bus = make_world()
+        repo = PolicyRepository()
+        repo.store(PolicyRule(
+            "u", PATH, "permit",
+            all_of(relationship_in("boss"), working_hours()),
+        ))
+        pep = PolicyEnforcementPoint(repo)
+        received = {"day": [], "night": []}
+        listeners = {}
+        for name, hour in (("day", 10), ("night", 23)):
+            listeners[name] = SubscriberListener(
+                name, None, pep,
+                request=PATH, watch_path=PATH,
+                context=RequestContext(
+                    "boss", relationship="boss", purpose="subscribe",
+                    hour=hour,
+                ),
+                on_delivery=lambda record, now, name=name: (
+                    received[name].append(record.value)
+                ),
+            )
+            bus.attach(listeners[name])
+        sim.schedule(0, lambda: bus.append(PATH, "in a meeting"))
+        sim.run(until=1_000)
+        assert bus.waves == 1
+        assert received == {"day": ["in a meeting"], "night": []}
+        assert listeners["night"].withheld == 1
 
     def test_subscriber_withholds_on_denial(self):
         from repro.access import RequestContext

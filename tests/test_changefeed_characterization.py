@@ -347,7 +347,7 @@ def audit_window_scenario():
         records = [
             log.append(float(wave), "/p", "v", "u") for _ in range(2)
         ]
-        listener.deliver(records, float(wave), bus=None, memo=None)
+        listener.deliver(records, float(wave))
         waves.append({
             "received": [r.seq for r in listener.received],
             "delivered_at": list(listener.delivered_at),

@@ -134,8 +134,7 @@ class TestPush:
         # One subscribe-time check plus one re-check per delivered
         # change — still far fewer than polling's one per tick, but
         # never a stale subscribe-time decision riding forever. The
-        # changes sit more than one wave apart, so the wave memo
-        # shares no decision between them.
+        # changes sit more than one wave apart: three deliveries.
         world, hub = make_hub()
         before = world.server.pep.enforced
         hub.start_push("client-app", PRESENCE, STATUS, family_ctx())
@@ -193,11 +192,9 @@ class TestBusPush:
             )
         world.sim.run(until=10_000)
         assert len(hub.deliveries_for("push")) == 3
-        # 1 subscribe + one re-check per delivered delta; the wave
-        # memo only collapses identical (path, requester) pairs, and
-        # every delta here is a distinct delivery instant or wave.
-        assert world.server.pep.enforced - before >= 1 + 2
-        assert world.server.pep.enforced - before <= 1 + 3
+        # 1 subscribe + one re-check per delivery: the first two
+        # deltas share a wave, the third rides its own.
+        assert world.server.pep.enforced - before == 1 + 2
 
     def test_bus_revocation_stops_next_wave(self):
         world, hub = make_hub()

@@ -204,3 +204,20 @@ class TestLdapBackedFederation:
         # The directory entry stayed exactly as it was (rollback).
         entry = self.server.entry("uid=u1,o=corp")
         assert entry.values("displayname") == []
+
+
+class TestRoundSpans:
+    def test_failed_polls_leave_no_open_span(self):
+        # corp-ad is down for a second: every journal poll in that
+        # window fails and returns early. Each round's spans must
+        # still close, or the recorder fills with open ones.
+        sim, network, gup, foreign, rec, prov = make_world(["self/name"])
+        recorder = network.enable_observability()
+        sim.schedule(1000, lambda: network.fail("corp-ad"))
+        sim.schedule(2000, lambda: network.restore("corp-ad"))
+        gup.write(USER, "self/name", "User One")
+        sim.run(until=5000)
+        assert rec.poll_failures >= 1
+        assert any(span.name == "fed.round" for span in recorder.spans)
+        assert recorder.open_spans() == []
+        assert foreign.read(USER, "displayName")[0] == "User One"

@@ -49,10 +49,7 @@ class TestRecordingListenerWindow:
     def test_sustained_load_stays_at_the_cap(self):
         listener = RecordingListener("tap", max_records=8)
         for wave in range(5):
-            listener.deliver(
-                records(4, start=1 + wave * 4), float(wave),
-                bus=None, memo=None,
-            )
+            listener.deliver(records(4, start=1 + wave * 4), float(wave))
         assert len(listener.received) == 8
         assert len(listener.delivered_at) == 8
         assert listener.dropped == 12
@@ -63,13 +60,13 @@ class TestRecordingListenerWindow:
 
     def test_lists_stay_in_lockstep(self):
         listener = RecordingListener("tap", max_records=3)
-        listener.deliver(records(5), 7.0, bus=None, memo=None)
+        listener.deliver(records(5), 7.0)
         assert len(listener.received) == len(listener.delivered_at)
         assert listener.delivered_at == [7.0, 7.0, 7.0]
 
     def test_under_the_cap_nothing_is_dropped(self):
         listener = RecordingListener("tap")
-        listener.deliver(records(10), 1.0, bus=None, memo=None)
+        listener.deliver(records(10), 1.0)
         assert len(listener.received) == 10
         assert listener.dropped == 0
 
@@ -104,7 +101,9 @@ class TestSpanRecorderRetention:
 
     def test_all_open_spans_may_exceed_the_cap(self):
         # Eviction never drops an open span, even over the cap —
-        # span-balance guarantees they finish in bounded time.
+        # `with` blocks and the simnet driver's refusal of a program
+        # that returns with a span open make them finish in bounded
+        # time.
         recorder = SpanRecorder(max_spans=2)
         spans = [recorder.start("s%d" % i, float(i)) for i in range(5)]
         assert len(recorder.spans) == 5

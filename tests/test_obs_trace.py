@@ -118,6 +118,22 @@ def test_named_span_nests_charges_and_reconciles():
     assert reconcile(rec, trace.trace_id) == []
 
 
+def test_span_opens_when_called_and_an_unentered_handle_stays_open():
+    network = world()
+    rec = network.enable_observability()
+    trace = network.trace()
+    handle = trace.span("fed.poll")
+    trace.hop("a", "b", 1250)
+    (open_span,) = rec.open_spans()
+    assert open_span.name == "fed.poll"
+    # The charge made after the call already nests under it.
+    assert [s.name for s in rec.children_of(open_span)] == ["hop"]
+    with handle as span:
+        assert span is open_span
+    assert rec.open_spans() == []
+    assert span.duration_ms == pytest.approx(11.0)
+
+
 def test_resilience_notes_become_events():
     network = world()
     rec = network.enable_observability()

@@ -238,6 +238,28 @@ class TestSimnetDriver:
         with pytest.raises(IndexError):
             SimnetDriver({}).run(program(), trace)
 
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_program_returning_with_an_open_span_is_refused(
+        self, observed
+    ):
+        network, _ = self._trace()
+        recorder = network.enable_observability() if observed else None
+        driver = SimnetDriver({})
+        def leaky():
+            yield SpanOpen("fetch.store")
+            yield Compute(1.0, "work")
+            return "leaked"
+        with pytest.raises(RuntimeError, match="1 open span"):
+            driver.run(leaky(), network.trace())
+        if recorder is not None:
+            assert recorder.open_spans() == []
+        # The refusal is per program: the same driver runs the next.
+        def balanced():
+            yield SpanOpen("fetch.store")
+            yield SpanClose()
+            return "ok"
+        assert driver.run(balanced(), network.trace()) == "ok"
+
 
 # ---------------------------------------------------------------------------
 # Engine over simnet ≡ the executor facade

@@ -8,7 +8,12 @@ import json
 
 import pytest
 
-from repro.access import PolicyRule, relationship_in
+from repro.access import (
+    PolicyRule,
+    all_of,
+    relationship_in,
+    working_hours,
+)
 from repro.errors import NodeUnreachableError, PacketLossError
 from repro.obs import SpanRecorder
 from repro.obs.wallclock import ManualClock, WallSpanScope
@@ -346,6 +351,65 @@ class TestAppRoutes:
         assert second["deliveries"] == []
         assert second["withheld"] == 1
         assert b"after" not in json.dumps(second).encode()
+
+    def test_subscriptions_differing_only_in_hour_decide_apart(self):
+        """Two subscriptions whose contexts differ only in ``X-Hour``:
+        once the boss may read the book during working hours only, a
+        write reaches the day subscriber and is withheld from the
+        night one — no decision is shared between them."""
+        world = build_demo_world()
+        server = world.server
+        server.enforce_policies = True
+        rules = server.policy_repository
+        rules.store(PolicyRule(
+            "u1", BOOK, "permit", relationship_in("boss"),
+            rule_id="boss-book",
+        ))
+        app = create_app(world=world)
+        subscribe = json.dumps({"watch_path": BOOK}).encode()
+        fragment = (
+            "<address-book><item type='personal'>"
+            "<entry name='late'><phone number='3'/></entry></item>"
+            "</address-book>"
+        )
+
+        async def go():
+            polls = {}
+            for name, hour in (("day", "10"), ("night", "23")):
+                created = await app.handle(Request(
+                    "POST", "/v1/subscriptions", body=subscribe,
+                    headers={
+                        "x-requester": "boss", "x-relationship": "boss",
+                        "x-purpose": "subscribe", "x-hour": hour,
+                    },
+                ))
+                assert created.status == 201
+                polls[name] = Request(
+                    "GET",
+                    "/v1/subscriptions/%d" % get_json(created)["id"],
+                )
+            rules.remove("u1", "boss-book")
+            rules.store(PolicyRule(
+                "u1", BOOK, "permit",
+                all_of(relationship_in("boss"), working_hours()),
+                rule_id="boss-book-office",
+            ))
+            written = await app.handle(Request(
+                "POST", "/v1/provision", headers=PROVISION_HEADERS,
+                body=json.dumps({"path": BOOK, "fragment": fragment}).encode(),
+            ))
+            assert written.status == 201
+            app.jobs.drain_bus_once()
+            return {
+                name: get_json(await app.handle(poll))
+                for name, poll in polls.items()
+            }
+
+        polled = run(go())
+        assert (len(polled["day"]["deliveries"]),
+                polled["day"]["withheld"]) == (1, 0)
+        assert (len(polled["night"]["deliveries"]),
+                polled["night"]["withheld"]) == (0, 1)
 
     def test_metrics_endpoint_prometheus_text(self):
         app = create_app()
