@@ -75,12 +75,52 @@ def doc_paths(draw):
     return Path(tuple(steps))
 
 
+def ancestry(root, target):
+    """The chain from *root* down to *target*, found top-down."""
+    stack = [(root, [root])]
+    while stack:
+        node, chain = stack.pop()
+        if node is target:
+            return chain
+        stack.extend((child, chain + [child]) for child in node.children)
+    raise AssertionError("%r is not in the tree" % (target,))
+
+
+def pruned_extract(root, path):
+    """``extract`` as it was when nodes linked to their parent: mark
+    the selected nodes and their ancestors, then prune everything
+    else. Ancestry comes from :func:`ancestry` instead of the link."""
+    matches = evaluate(root, path.element_path())
+    if not matches:
+        return None
+    keep = {id(node) for node in matches}
+    spine = {
+        id(ancestor)
+        for node in matches
+        for ancestor in ancestry(root, node)[:-1]
+    }
+
+    def prune(node):
+        if id(node) in keep:
+            return node.copy()
+        if id(node) not in spine:
+            return None
+        pruned = PNode(node.tag, dict(node.attrs))
+        for child in node.children:
+            kept = prune(child)
+            if kept is not None:
+                pruned.append(kept)
+        return pruned
+
+    return prune(root)
+
+
 class TestEvaluationProperties:
     @given(documents(), doc_paths())
     @settings(max_examples=300)
     def test_selected_nodes_match_every_step(self, doc, path):
         for node in evaluate(doc, path):
-            chain = node.path_from_root()
+            chain = ancestry(doc, node)
             assert len(chain) == path.depth
             for step, element in zip(path.steps, chain):
                 assert step.matches(element.tag, element.attrs)
@@ -132,3 +172,15 @@ class TestEvaluationProperties:
         }
         for node in evaluate(doc, path):
             assert id(node) in prefix_ids
+
+    @given(documents(), doc_paths())
+    @settings(max_examples=500)
+    def test_extract_matches_the_pruning_oracle(self, doc, path):
+        """Same nodes, same order, same spine as the prune-by-marks
+        projection."""
+        fragment = extract(doc, path)
+        expected = pruned_extract(doc, path)
+        if expected is None:
+            assert fragment is None
+        else:
+            assert fragment.serialize() == expected.serialize()

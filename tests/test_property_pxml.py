@@ -43,6 +43,17 @@ attr_values = st.text(
 )
 
 
+def ancestry(root, target):
+    """The chain from *root* down to *target*, found top-down."""
+    stack = [(root, [root])]
+    while stack:
+        node, chain = stack.pop()
+        if node is target:
+            return chain
+        stack.extend((child, chain + [child]) for child in node.children)
+    raise AssertionError("%r is not in the tree" % (target,))
+
+
 @st.composite
 def pnode_trees(draw, depth=3):
     tag = draw(tag_names)
@@ -184,7 +195,7 @@ class TestContainmentProperties:
             for node in inner_nodes:
                 assert any(
                     id(ancestor) in outer_nodes
-                    for ancestor in node.path_from_root()
+                    for ancestor in ancestry(tree, node)
                 )
 
 
