@@ -84,7 +84,7 @@ def test_e13_origin_and_redistribution(benchmark, report):
         book = fragment.child("address-book")
         origin_rows = [
             (item.attrs["id"], item.attrs.get("type", "?"),
-             annotator.origin_of(item) or "?")
+             annotator.origin_of(fragment, item) or "?")
             for item in book.children
         ]
         # Redistribution: the corporate source only permits
@@ -114,7 +114,7 @@ def test_e13_origin_and_redistribution(benchmark, report):
                 hour=11, weekday=1,
             )
             conflicts = annotator.redistribution_conflicts(
-                book, policies, ctx2
+                fragment, policies, ctx2
             )
             conflict_rows.append(
                 (requester, relationship, len(conflicts),

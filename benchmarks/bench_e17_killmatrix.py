@@ -480,6 +480,17 @@ MUTANTS: List[Dict[str, str]] = [
             "                    last_error = err\n"
         ),
     },
+    {
+        "name": "invalidate_skips_unkeyed",
+        "bug_class": "a write for one user leaves the cache entries "
+                     "whose path binds no user id",
+        "relpath": "repro/core/cache.py",
+        "old": (
+            "                *self._by_user.get(user, ()), "
+            "*self._by_user.get(None, ()),\n"
+        ),
+        "new": "                *self._by_user.get(user, ()),\n",
+    },
 ]
 
 Finding = Tuple[str, str, str]

@@ -17,9 +17,12 @@ Two claims to measure, one per test:
   per-segment breakdown (hop vs compute vs wait vs timeout) must add
   up to the trace's elapsed time.
 
-The CLI adds a third, wall-clock check: ``start()+finish()`` on a
-recorder *at its retention cap* — where a long-lived server lives —
-must cost about what it costs on an empty one.
+The CLI adds two checks on the serving process. ``start()+finish()``
+on a recorder *at its retention cap* — where a long-lived server
+lives — must cost about what it costs on an empty one. And the
+garbage row counts the cyclic objects each ``App.handle`` request
+leaves for the collector on the demo world, split into profile tree
+nodes (``PNode``, gated at 0: trees are acyclic) and everything else.
 
 Artifacts: ``results/e18_trace.json`` (Chrome trace-event JSON of the
 degraded query — load it in ``chrome://tracing`` / Perfetto) and
@@ -31,6 +34,8 @@ smoke gate (no pytest-benchmark required).
 from __future__ import annotations
 
 import argparse
+import asyncio
+import gc
 import json
 import os
 import sys
@@ -51,6 +56,8 @@ from repro.obs import (  # noqa: E402
     write_json_snapshot,
 )
 from repro.obs.wallclock import WallClock  # noqa: E402
+from repro.pxml import PNode  # noqa: E402
+from repro.serve import Request, create_app  # noqa: E402
 from tests.data.reference import (  # noqa: E402
     BOOK,
     GOLDEN_STREAMS,
@@ -74,6 +81,10 @@ CAP_ROUNDS = 5
 #: A span on a full recorder may cost at most this many times one on
 #: an empty recorder (the list-rebuilding eviction was ~1000x).
 CAP_RATIO_GATE = 3.0
+
+#: ``App.handle`` requests in the garbage probe: chaining reads, cached
+#: reads and self-provisions of the demo world's address book.
+GARBAGE_REQUESTS = 200
 
 
 def load_golden() -> Dict[str, List]:
@@ -209,6 +220,65 @@ def run_span_cost_at_cap() -> Dict[str, float]:
     }
 
 
+def _garbage_probe_requests(count: int) -> List[Request]:
+    book = "/user[@id='u1']/address-book"
+    requests = []
+    for index in range(count):
+        if index % 4 == 3:
+            fragment = (
+                "<address-book><item type='personal'><entry name='g%d'>"
+                "<phone number='%d'/></entry></item></address-book>"
+                % (index, index)
+            )
+            requests.append(Request(
+                "POST", "/v1/provision",
+                headers={"x-requester": "u1", "x-relationship": "self",
+                         "x-purpose": "provision"},
+                body=json.dumps({"path": book, "fragment": fragment})
+                .encode(),
+            ))
+        else:
+            requests.append(Request("GET", "/v1/query", params={
+                "path": book,
+                "pattern": "chaining" if index % 4 == 0 else "cached",
+            }))
+    return requests
+
+
+def run_request_garbage() -> Dict[str, float]:
+    """Cyclic objects reclaimed per ``App.handle`` request: the
+    collector off and ``DEBUG_SAVEALL`` on, one collection after
+    :data:`GARBAGE_REQUESTS` requests (bus drained after each)."""
+    app = create_app()
+    requests = _garbage_probe_requests(GARBAGE_REQUESTS)
+
+    async def serve() -> None:
+        for request in requests:
+            await app.handle(request)
+            app.jobs.drain_bus_once()
+
+    flags, enabled, kept = gc.get_debug(), gc.isenabled(), list(gc.garbage)
+    gc.disable()
+    try:
+        gc.collect()
+        del gc.garbage[:]
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        asyncio.run(serve())
+        gc.collect()
+        pnodes = sum(1 for obj in gc.garbage if isinstance(obj, PNode))
+        other = len(gc.garbage) - pnodes
+    finally:
+        gc.set_debug(flags)
+        gc.garbage[:] = kept
+        if enabled:
+            gc.enable()
+    return {
+        "requests": GARBAGE_REQUESTS,
+        "pnode_per_req": pnodes / float(GARBAGE_REQUESTS),
+        "other_per_req": other / float(GARBAGE_REQUESTS),
+    }
+
+
 # ---------------------------------------------------------------------------
 # pytest entry points
 # ---------------------------------------------------------------------------
@@ -330,6 +400,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         "ratio %.2f (gate <= %.1f) -> %s" % (
             cap["max_spans"], cap["at_cap_us"], cap["empty_us"],
             cap["ratio"], CAP_RATIO_GATE, "OK" if cap_ok else "FAILED",
+        )
+    )
+    garbage = run_request_garbage()
+    garbage_ok = garbage["pnode_per_req"] == 0
+    failures += 0 if garbage_ok else 1
+    print(
+        "cyclic garbage per request (%d App.handle, demo world): "
+        "PNode %.2f (gate 0), other %.2f -> %s" % (
+            garbage["requests"], garbage["pnode_per_req"],
+            garbage["other_per_req"], "OK" if garbage_ok else "FAILED",
         )
     )
     if not args.smoke:

@@ -70,7 +70,7 @@ def main() -> None:
     for item in book.children:
         print("   item %-3s (%-9s) <- %s"
               % (item.attrs["id"], item.attrs.get("type", "?"),
-                 annotator.origin_of(item)))
+                 annotator.origin_of(fragment, item)))
 
     # ---- redistribution check -----------------------------------------------
     print("\n3. Redistribution check — may the merged book go to mom?")
@@ -86,7 +86,7 @@ def main() -> None:
     }
     mom = RequestContext("mom", relationship="family")
     conflicts = annotator.redistribution_conflicts(
-        book, source_policies, mom
+        fragment, source_policies, mom
     )
     for location, source in conflicts:
         print("   BLOCKED: %s (source %s forbids family)"

@@ -951,6 +951,9 @@ class _SiteFinder:
     def _visit_assign(self, stmt: ast.Assign) -> None:
         self._scan_expr(stmt.value)
         for target in stmt.targets:
+            # ``self.x.setdefault(k, {})[j] = v``: the call inside the
+            # store target is a grow site of its own.
+            self._scan_expr(target)
             if isinstance(target, ast.Subscript):
                 key = self._field_of(target.value)
                 if key is not None:

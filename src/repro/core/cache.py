@@ -11,7 +11,11 @@ privacy scope)** with two freshness mechanisms experiment E7 compares:
 * **TTL** — entries expire after a fixed virtual-time lifetime;
 * **invalidation triggers** — ``invalidate(path)`` drops every cached
   entry overlapping an updated component (across *all* scopes),
-  eliminating staleness at the price of update-path signalling.
+  eliminating staleness at the price of update-path signalling. Entries
+  are indexed by the user id their path's first step binds, so a
+  trigger for one subscriber tests only that subscriber's entries and
+  the ones that bind no id: entries of another user cannot overlap
+  (``steps_compatible`` refuses two ``id`` values on one step).
 
 The privacy scope exists because a cache in front of the privacy
 shield is a hole in the shield: the server rewrites each request to
@@ -57,7 +61,7 @@ retained to cover an outage were the first ones evicted during it.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 from repro.obs.metrics import CounterView, MetricsRegistry
 from repro.pxml import PNode, Path, parse_path
@@ -136,6 +140,11 @@ class ComponentCache:
         self._entries: "OrderedDict[Tuple[Path, str], _Entry]" = (
             OrderedDict()
         )
+        #: ``key[0].user_id()`` -> that user's keys (None: the path's
+        #: first step binds no id); the candidates of an invalidation.
+        self._by_user: Dict[
+            Optional[str], Dict[Tuple[Path, str], None]
+        ] = {}
         #: Registry backing the counters (a private one until the
         #: cache is re-homed onto a shared world registry — see
         #: :meth:`bind_registry`).
@@ -175,6 +184,15 @@ class ComponentCache:
             )
         return (parse_path(path), scope)
 
+    def _drop(self, key: Tuple[Path, str]) -> _Entry:
+        """Remove *key*'s entry from the LRU and the user index."""
+        user = key[0].user_id()
+        bucket = self._by_user[user]
+        del bucket[key]
+        if not bucket:
+            del self._by_user[user]
+        return self._entries.pop(key)
+
     def get(
         self,
         path: Union[str, Path],
@@ -192,7 +210,7 @@ class ComponentCache:
         if not entry.fresh(now):
             if entry.staleness_ms(now) > self.stale_grace_ms:
                 # Beyond any stale grace: truly dead, drop it.
-                del self._entries[key]
+                self._drop(key)
                 self.expirations += 1
             else:
                 # Keep the corpse for get_stale — and LRU-touch it:
@@ -240,7 +258,7 @@ class ComponentCache:
             self._entries.move_to_end(key)
             self.stale_serves += 1
             return entry.fragment.copy()
-        del self._entries[key]
+        self._drop(key)
         self.expirations += 1
         return None
 
@@ -254,7 +272,7 @@ class ComponentCache:
         scope: str,
     ) -> None:
         key = self._key(path, scope)
-        previous = self._entries.pop(key, None)
+        previous = self._drop(key) if key in self._entries else None
         if previous is not None:
             # The replaced entry's terminal disposition: an expired
             # corpse finally refreshed is an *expiration* (the drift
@@ -265,7 +283,7 @@ class ComponentCache:
             else:
                 self.replacements += 1
         while len(self._entries) >= self.capacity:
-            _key, victim = self._entries.popitem(last=False)
+            victim = self._drop(next(iter(self._entries)))
             # An LRU sweep landing on an already-expired corpse is an
             # expiration, not capacity pressure.
             if not victim.fresh(now):
@@ -277,6 +295,7 @@ class ComponentCache:
             now,
             self.default_ttl_ms if ttl_ms is None else ttl_ms,
         )
+        self._by_user.setdefault(key[0].user_id(), {})[key] = None
         self.insertions += 1
 
     def sweep(self, now: float) -> int:
@@ -290,7 +309,7 @@ class ComponentCache:
             if entry.staleness_ms(now) > self.stale_grace_ms
         ]
         for key in doomed:
-            del self._entries[key]
+            self._drop(key)
         self.expirations += len(doomed)
         return len(doomed)
 
@@ -299,12 +318,18 @@ class ComponentCache:
         scope (the trigger fired when a component is updated). Returns
         entries dropped."""
         key = parse_path(path)
+        user = key.user_id()
+        candidates: Iterable[Tuple[Path, str]] = self._entries
+        if user is not None:
+            candidates = [
+                *self._by_user.get(user, ()), *self._by_user.get(None, ()),
+            ]
         doomed = [
-            cached for cached in self._entries
+            cached for cached in candidates
             if subtree_overlaps(cached[0], key)
         ]
         for cached in doomed:
-            del self._entries[cached]
+            self._drop(cached)
         self.invalidations += len(doomed)
         return len(doomed)
 
@@ -313,6 +338,7 @@ class ComponentCache:
         is a ``clear``)."""
         self.clears += len(self._entries)
         self._entries.clear()
+        self._by_user.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

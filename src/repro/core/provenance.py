@@ -164,21 +164,26 @@ class SourceAnnotator:
     ) -> None:
         """Record that every element of *fragment* came from
         *store_id* (called once per referral part, pre-merge)."""
-        for node in fragment.walk():
-            self._origins[node.location_path()] = store_id
+        for location, _node in fragment.walk_locations():
+            self._origins[location] = store_id
 
     def sources_of(self, fragment: PNode) -> Dict[str, str]:
         """Map each element location in (merged) *fragment* to its
-        origin store, where known."""
+        origin store, where known. Locations are read from
+        *fragment*'s root, so pass the whole fragment."""
         found = {}
-        for node in fragment.walk():
-            origin = self._origins.get(node.location_path())
+        for location, _node in fragment.walk_locations():
+            origin = self._origins.get(location)
             if origin is not None:
-                found[node.location_path()] = origin
+                found[location] = origin
         return found
 
-    def origin_of(self, node: PNode) -> Optional[str]:
-        return self._origins.get(node.location_path())
+    def origin_of(self, fragment: PNode, node: PNode) -> Optional[str]:
+        """Origin store of *node*, an element of *fragment*."""
+        for location, candidate in fragment.walk_locations():
+            if candidate is node:
+                return self._origins.get(location)
+        return None
 
     # -- the Section 7 redistribution question -----------------------------------
 
@@ -197,8 +202,7 @@ class SourceAnnotator:
         store's rules; returns (location, source store) pairs that no
         permit rule of the source allows."""
         conflicts = []
-        for node in fragment.walk():
-            location = node.location_path()
+        for location, _node in fragment.walk_locations():
             origin = self._origins.get(location)
             if origin is None:
                 continue

@@ -8,10 +8,10 @@ uses them to project permitted subtrees.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.pxml.node import PNode
-from repro.pxml.path import Path, parse_path
+from repro.pxml.path import Path, Step, parse_path
 
 __all__ = [
     "evaluate",
@@ -91,27 +91,27 @@ def extract(root: PNode, path: Union[str, Path]) -> Optional[PNode]:
     self-describing: a request for ``/user[@id='a']/address-book`` yields
     ``<user id='a'><address-book>...</address-book></user>``.
     """
-    parsed = parse_path(path)
-    matches = evaluate(root, parsed.element_path())
-    if not matches:
+    steps = parse_path(path).element_path().steps
+    if not steps[0].matches(root.tag, root.attrs):
         return None
-    keep = set()
-    spine = set()
-    for node in matches:
-        keep.add(id(node))
-        for ancestor in node.path_from_root()[:-1]:
-            spine.add(id(ancestor))
-    return _prune(root, keep, spine)
+    return _project(root, steps, 1)
 
 
-def _prune(node: PNode, keep: set, spine: set) -> Optional[PNode]:
-    if id(node) in keep:
+def _project(
+    node: PNode, steps: Tuple[Step, ...], depth: int
+) -> Optional[PNode]:
+    """*node* matched ``steps[:depth]``: copy it when that is the whole
+    path, else keep a bare spine node if some child survives."""
+    if depth == len(steps):
         return node.copy()
-    if id(node) not in spine:
-        return None
-    pruned = PNode(node.tag, dict(node.attrs))
+    step = steps[depth]
+    spine: Optional[PNode] = None
     for child in node.children:
-        kept = _prune(child, keep, spine)
+        if not step.matches(child.tag, child.attrs):
+            continue
+        kept = _project(child, steps, depth + 1)
         if kept is not None:
-            pruned.append(kept)
-    return pruned
+            if spine is None:
+                spine = PNode(node.tag, dict(node.attrs))
+            spine.append(kept)
+    return spine

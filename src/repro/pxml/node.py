@@ -11,8 +11,11 @@ Design notes
 * Text content and child elements are mutually exclusive (mixed content
   never occurs in profile data and excluding it keeps merge semantics
   clean).
-* Nodes know their parent, so subtree paths can be reconstructed — the
-  privacy shield uses this to narrow referrals to permitted subtrees.
+* Trees are acyclic: a node holds its children and nothing points
+  back up, so a discarded fragment is freed by reference counting
+  alone and never waits for the cyclic collector. Ancestry is computed
+  top-down — :meth:`PNode.walk_locations` yields every node with its
+  location path, and ``extract`` projects by descending a path's steps.
 * ``deep_equal`` ignores child *order* only when comparing keyed children
   via :func:`repro.pxml.merge.deep_union`; here equality is structural
   and ordered, which is the strictest (safe) default.
@@ -21,7 +24,7 @@ Design notes
 from __future__ import annotations
 
 from sys import intern as _intern
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ModelError
 
@@ -31,7 +34,7 @@ __all__ = ["PNode", "element"]
 class PNode:
     """One element of a profile document tree."""
 
-    __slots__ = ("tag", "attrs", "text", "children", "parent")
+    __slots__ = ("tag", "attrs", "text", "children")
 
     def __init__(
         self,
@@ -55,7 +58,6 @@ class PNode:
         )
         self.text: Optional[str] = text
         self.children: List[PNode] = []
-        self.parent: Optional[PNode] = None
         if children:
             for child in children:
                 self.append(child)
@@ -73,7 +75,6 @@ class PNode:
             raise ModelError(
                 "cannot add children to text element %r" % (self.tag,)
             )
-        child.parent = self
         self.children.append(child)
         return child
 
@@ -84,11 +85,8 @@ class PNode:
     def remove(self, child: "PNode") -> None:
         """Detach *child*; raises ValueError if it is not a child."""
         self.children.remove(child)
-        child.parent = None
 
     def replace_children(self, children: Iterable["PNode"]) -> None:
-        for old in self.children:
-            old.parent = None
         self.children = []
         self.extend(children)
 
@@ -122,37 +120,24 @@ class PNode:
             yield node
             stack.extend(reversed(node.children))
 
-    def root(self) -> "PNode":
-        node = self
-        while node.parent is not None:
-            node = node.parent
-        return node
-
-    def path_from_root(self) -> List["PNode"]:
-        """Ancestor chain from the document root down to this node."""
-        chain: List[PNode] = []
-        node: Optional[PNode] = self
-        while node is not None:
-            chain.append(node)
-            node = node.parent
-        chain.reverse()
-        return chain
-
-    def location_path(self) -> str:
-        """Absolute slash path of tags from the root to this node.
-
-        Predicates are added for ``id``/``type`` attributes when present,
-        so the result re-selects this node in most profile documents.
-        """
-        steps = []
-        for node in self.path_from_root():
-            step = node.tag
+    def walk_locations(self) -> Iterator[Tuple[str, "PNode"]]:
+        """Pre-order ``(location, node)`` pairs of the subtree rooted
+        here. A location is the absolute slash path of tags from this
+        node down; each step carries the first of its ``id``, ``type``
+        or ``name`` attributes as a predicate, so it re-selects the
+        node in most profile documents."""
+        stack = [("", self)]
+        while stack:
+            prefix, node = stack.pop()
+            location = prefix + "/" + node.tag
             for key in ("id", "type", "name"):
                 if key in node.attrs:
-                    step += "[@%s='%s']" % (key, node.attrs[key])
+                    location += "[@%s='%s']" % (key, node.attrs[key])
                     break
-            steps.append(step)
-        return "/" + "/".join(steps)
+            yield location, node
+            stack.extend(
+                (location, child) for child in reversed(node.children)
+            )
 
     # -- measurement ---------------------------------------------------------
 
@@ -174,7 +159,7 @@ class PNode:
     # -- copying / equality ---------------------------------------------------
 
     def copy(self) -> "PNode":
-        """Deep copy of this subtree (parent link of the copy is None)."""
+        """Deep copy of this subtree."""
         dup = PNode(self.tag, dict(self.attrs), self.text)
         for child in self.children:
             dup.append(child.copy())

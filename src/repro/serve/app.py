@@ -18,6 +18,7 @@ exercise referral fan-out, merging and degradation out of the box.
 from __future__ import annotations
 
 import asyncio
+import gc
 from typing import Optional, Tuple
 
 from repro.core.cache import ComponentCache
@@ -235,12 +236,17 @@ class AppServer:
         self.http = HttpServer(app.handle, host=host, port=port)
 
     async def start(self) -> Tuple[str, int]:
+        # Everything alive now is the long-lived world (stores,
+        # coverage, policies, warm cache, span recorder): freezing it
+        # keeps every later full collection from re-scanning it.
+        gc.freeze()
         self.app.jobs.start()
         return await self.http.start()
 
     async def stop(self) -> None:
         await self.app.jobs.stop()
         await self.http.stop()
+        gc.unfreeze()
 
 
 def create_app(

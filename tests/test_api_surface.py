@@ -158,4 +158,4 @@ class TestInfraSurface:
         store.add_user("u", ["presence"])
         view = store.export_user("u")
         annotator.annotate(view, "gup.s.com")
-        assert annotator.origin_of(view) == "gup.s.com"
+        assert annotator.origin_of(view, view) == "gup.s.com"

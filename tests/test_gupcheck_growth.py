@@ -199,6 +199,21 @@ class TestVerdicts:
         assert field.verdict == VERDICT_UNBOUNDED
         assert field.kind == "dict"
 
+    def test_grow_call_inside_a_store_target_grows(self):
+        # The call sits in the target of a subscript assignment, not
+        # in its value: it is still a grow site.
+        field = field_of(hub_fixture(
+            """
+            def __init__(self):
+                self._by_user = {}
+
+            def put(self, user, key):
+                self._by_user.setdefault(user, {})[key] = None
+            """
+        ), HUB, "_by_user")
+        assert field.verdict == VERDICT_UNBOUNDED
+        assert [s.op for s in field.grow_sites] == ["setdefault"]
+
     def test_module_level_clear_when_full_memo_is_evicting(self):
         # The parse_path shape: unguarded grow + guarded clear in the
         # same function.
@@ -933,6 +948,10 @@ class TestRealTree:
         ) == VERDICT_EVICTING
         assert verdict(
             "repro.core.provenance.ProvenanceTracker", "_records"
+        ) == VERDICT_EVICTING
+        # The cache's per-user index shrinks with every dropped entry.
+        assert verdict(
+            "repro.core.cache.ComponentCache", "_by_user"
         ) == VERDICT_EVICTING
         assert verdict(
             "repro.access.infrastructure.PolicyRepository", "_rules"

@@ -98,7 +98,7 @@ class TestSourceAnnotation:
         fragment = self.fetch_book()
         book = fragment.child("address-book")
         origins = {
-            item.attrs["type"]: self.annotator.origin_of(item)
+            item.attrs["type"]: self.annotator.origin_of(fragment, item)
             for item in book.children
         }
         assert origins["personal"] == "gup.yahoo.com"
@@ -133,7 +133,7 @@ class TestSourceAnnotation:
         ]
         mom = RequestContext("mom", relationship="family")
         conflicts = self.annotator.redistribution_conflicts(
-            fragment.child("address-book"),
+            fragment,
             {
                 "gup.lucent.com": lucent_rules,
                 "gup.yahoo.com": yahoo_rules,
@@ -147,7 +147,7 @@ class TestSourceAnnotation:
             "bob", relationship="co-worker", hour=11, weekday=1
         )
         conflicts = self.annotator.redistribution_conflicts(
-            fragment.child("address-book"),
+            fragment,
             {"gup.lucent.com": lucent_rules},
             coworker,
         )

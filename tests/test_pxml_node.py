@@ -30,11 +30,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PNode("a", text="x", children=[PNode("b")])
 
-    def test_append_sets_parent(self):
+    def test_append_returns_the_child(self):
         root = PNode("a")
         child = root.append(PNode("b"))
-        assert child.parent is root
         assert root.children == [child]
+
+    def test_nodes_hold_no_parent_link(self):
+        # Trees are acyclic: nothing points back up, so a discarded
+        # fragment is freed by reference counting alone.
+        assert PNode.__slots__ == ("tag", "attrs", "text", "children")
 
     def test_append_to_text_node_rejected(self):
         leaf = PNode("a", text="x")
@@ -51,19 +55,17 @@ class TestConstruction:
         assert node.tag == "user"
         assert node.children[0].tag == "presence"
 
-    def test_remove_detaches_parent(self):
+    def test_remove_detaches_the_child(self):
         root = PNode("a")
         child = root.append(PNode("b"))
         root.remove(child)
-        assert child.parent is None
         assert root.children == []
 
     def test_replace_children(self):
         root = PNode("a", children=[PNode("b"), PNode("c")])
         new = PNode("d")
         root.replace_children([new])
-        assert [c.tag for c in root.children] == ["d"]
-        assert new.parent is root
+        assert root.children == [new]
 
 
 class TestNavigation:
@@ -83,19 +85,23 @@ class TestNavigation:
         tags = [n.tag for n in root.walk()]
         assert tags == ["user", "address-book", "item", "name", "number"]
 
-    def test_root_and_chain(self):
+    def test_walk_locations_uses_id_predicates(self):
         root = build_sample()
-        leaf = root.child("address-book").children[0].child("name")
-        assert leaf.root() is root
-        chain = [n.tag for n in leaf.path_from_root()]
-        assert chain == ["user", "address-book", "item", "name"]
-
-    def test_location_path_uses_id_predicates(self):
-        root = build_sample()
-        item = root.child("address-book").children[0]
-        assert item.location_path() == (
-            "/user[@id='alice']/address-book/item[@id='1']"
+        assert [location for location, _node in root.walk_locations()] == [
+            "/user[@id='alice']",
+            "/user[@id='alice']/address-book",
+            "/user[@id='alice']/address-book/item[@id='1']",
+            "/user[@id='alice']/address-book/item[@id='1']/name",
+            "/user[@id='alice']/address-book/item[@id='1']/number[@type='cell']",
+        ]
+        assert [node for _location, node in root.walk_locations()] == list(
+            root.walk()
         )
+
+    def test_walk_locations_starts_at_the_receiver(self):
+        item = build_sample().child("address-book").children[0]
+        location, node = next(item.walk_locations())
+        assert (location, node) == ("/item[@id='1']", item)
 
     def test_get_attr_default(self):
         root = build_sample()
@@ -120,7 +126,6 @@ class TestCopyEquality:
     def test_copy_is_deep_and_detached(self):
         root = build_sample()
         dup = root.child("address-book").copy()
-        assert dup.parent is None
         assert dup.deep_equal(root.child("address-book"))
         dup.children[0].attrs["id"] = "99"
         assert root.child("address-book").children[0].attrs["id"] == "1"
