@@ -25,6 +25,10 @@ PROVISION_HEADERS = {
 }
 
 
+def run(coro):
+    return asyncio.run(coro)
+
+
 @pytest.fixture
 def saved_garbage():
     """Collector off, and every unreachable object a collection finds
@@ -104,6 +108,3 @@ def test_server_freezes_the_world_while_it_listens():
     assert frozen > 0
     assert after_stop == 0
 
-
-def run(coro):
-    return asyncio.run(coro)
