@@ -373,17 +373,6 @@ MUTANTS: List[Dict[str, str]] = [
             "            self._decision = decision\n"
         ),
     },
-    {
-        "name": "delivery_window_untrimmed",
-        "bug_class": "the hub's delivery audit window loses its trim",
-        "relpath": "repro/core/subscription.py",
-        "old": (
-            "        self.dropped_deliveries += trim_oldest(\n"
-            "            self.max_deliveries, self.deliveries\n"
-            "        )\n"
-        ),
-        "new": "",
-    },
     # A second mutant for each rule whose first one was also a tier-1
     # kill, aimed at a bug tier-1 does not exercise: a rule that still
     # kills nothing uniquely has not earned its lines.
@@ -458,14 +447,6 @@ MUTANTS: List[Dict[str, str]] = [
         ),
     },
     {
-        "name": "latency_factor_never_cleared",
-        "bug_class": "clearing a latency spike stores the neutral "
-                     "factor instead of dropping the entry",
-        "relpath": "repro/simnet/faults.py",
-        "old": "            self._latency_factors.pop(name, None)\n",
-        "new": "            self._latency_factors[name] = factor\n",
-    },
-    {
         "name": "engine_failover_span_leak",
         "bug_class": "a sans-io program fails over to the next store "
                      "with the failed store's span still open",
@@ -490,6 +471,50 @@ MUTANTS: List[Dict[str, str]] = [
             "*self._by_user.get(None, ()),\n"
         ),
         "new": "                *self._by_user.get(user, ()),\n",
+    },
+    # Leaks: state that grows with traffic, or outlives the operation
+    # that made it. The runtime side decides these: the soak in
+    # tests/test_soak.py (no container grows from N to 4N operations;
+    # quiescing hands the fault model, the bus cursors and the
+    # subscription table back at their boot size) and the caps in
+    # tests/test_growth_bounds.py.
+    {
+        "name": "delivery_window_untrimmed",
+        "bug_class": "the hub's delivery audit window loses its trim",
+        "relpath": "repro/core/subscription.py",
+        "old": (
+            "        self.dropped_deliveries += trim_oldest(\n"
+            "            self.max_deliveries, self.deliveries\n"
+            "        )\n"
+        ),
+        "new": "",
+    },
+    {
+        "name": "latency_factor_never_cleared",
+        "bug_class": "clearing a latency spike stores the neutral "
+                     "factor instead of dropping the entry",
+        "relpath": "repro/simnet/faults.py",
+        "old": "            self._latency_factors.pop(name, None)\n",
+        "new": "            self._latency_factors[name] = factor\n",
+    },
+    {
+        "name": "bus_detach_keeps_cursor",
+        "bug_class": "a detached listener's bus cursor is never "
+                     "dropped (one per HTTP subscribe/cancel)",
+        "relpath": "repro/bus/bus.py",
+        "old": "        del self._cursors[listener.name]\n",
+        "new": "",
+    },
+    {
+        "name": "cache_keeps_emptied_buckets",
+        "bug_class": "the cache's per-user index keeps a bucket after "
+                     "its last entry is dropped",
+        "relpath": "repro/core/cache.py",
+        "old": (
+            "        if not bucket:\n"
+            "            del self._by_user[user]\n"
+        ),
+        "new": "",
     },
 ]
 
