@@ -46,7 +46,8 @@ class PolicyRepository:
 
     def __init__(self, name: str = "prp"):
         self.name = name
-        # gupcheck: bounded[dataset] -- one bucket per owner with rules, one entry per rule; remove() pops both
+        # owner -> rule id -> rule; remove() pops the rule and an
+        # emptied owner bucket.
         self._rules: Dict[str, Dict[str, PolicyRule]] = {}
         #: (revision, op, owner, rule) per change.
         self._changelog: SeqLog[tuple] = SeqLog(DEFAULT_WINDOW)

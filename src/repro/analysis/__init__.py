@@ -30,8 +30,6 @@ rule                      invariant protected
 ``iter-order``            unordered ``set`` iteration never feeds event
                           scheduling or result assembly (warning)
 ``sans-io-purity``        the sans-io core infers as pure or virtual-time
-``container-growth``      every long-lived container is bounded, evicting or
-                          declared
 ========================  ====================================================
 
 Four invariants are enforced by the code rather than by a rule: the
@@ -42,6 +40,9 @@ when ``step``/``run`` is called from inside a dispatched callback;
 raises ``RuntimeError`` when a program returns with a span still open;
 bus listeners are handed records only, so replay cursors and shield
 decisions never leave the bus or the delivery that made them.
+Container growth is checked at runtime, not by a rule: the soak in
+``tests/test_soak.py`` fails when a container of the served world
+grows with traffic (DESIGN.md §4.8).
 
 Run it over the source tree — one invocation parses every file once,
 analyses the whole tree and writes every requested artefact from that
@@ -50,7 +51,7 @@ one result::
     PYTHONPATH=src python -m repro.analysis src/          # human output
     PYTHONPATH=src python -m repro.analysis --json src/   # machine output
     PYTHONPATH=src python -m repro.analysis src/ --sarif out.sarif \\
-        --effects .gupcheck-effects.json --growth .gupcheck-growth.json
+        --effects .gupcheck-effects.json
 
 A violation can be suppressed — with a mandatory justification — by a
 comment on (or immediately above) the offending line::

@@ -6,8 +6,7 @@ artefact flag is a *sink* of that one result —
 
 * ``--json``            the report, on stdout;
 * ``--sarif [PATH]``    the report as SARIF 2.1.0;
-* ``--effects [PATH]``  the per-function effect / sans-io boundary map;
-* ``--growth [PATH]``   the long-lived container inventory.
+* ``--effects [PATH]``  the per-function effect / sans-io boundary map.
 
 Sinks compose (each artefact is byte-identical to the one its flag
 writes alone) and never change the exit code; ``-`` as PATH means
@@ -19,10 +18,9 @@ Exit-code contract (stable for CI):
 * ``0`` — clean: no active error-severity findings (warnings and
   suppressed findings are reported but do not gate);
 * ``1`` — violations: at least one active error-severity finding
-  (a tainted sans-io boundary and an unbounded container are the
-  ``sans-io-purity`` / ``container-growth`` findings of the run; an
-  unscoped cache call and a re-entrant simulator call are not
-  findings, they raise when the code runs);
+  (a tainted sans-io boundary is the ``sans-io-purity`` finding of
+  the run; an unscoped cache call and a re-entrant simulator call are
+  not findings, they raise when the code runs);
 * ``2`` — analysis error: unparseable files, unwritable artefact
   destinations, usage errors.
 """
@@ -38,9 +36,6 @@ from repro.analysis.effects_report import (
     EFFECTS_FILENAME, effects_payload,
 )
 from repro.analysis.framework import Analyzer, Report
-from repro.analysis.growth_report import (
-    GROWTH_FILENAME, growth_payload,
-)
 from repro.analysis.rules import default_rules
 from repro.analysis.sarif import to_sarif_json
 
@@ -81,12 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "to PATH (default: %s; '-' for stdout)" % EFFECTS_FILENAME,
     )
     parser.add_argument(
-        "--growth", nargs="?", const=GROWTH_FILENAME,
-        default=None, metavar="PATH",
-        help="write the long-lived container inventory to PATH "
-             "(default: %s; '-' for stdout)" % GROWTH_FILENAME,
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="list available rules and exit",
     )
@@ -125,19 +114,6 @@ def _render_effects(report: Report) -> Tuple[str, Optional[str]]:
             len(payload["functions"]),
             "clean" if boundary["clean"]
             else "%d violation(s)" % len(boundary["violations"]),
-        )
-    )
-
-
-def _render_growth(report: Report) -> Tuple[str, Optional[str]]:
-    payload = growth_payload(report.project)
-    counts = payload["counts"]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n", (
-        "%d container(s): %d bounded, %d evicting, %d declared, "
-        "%d unbounded" % (
-            sum(counts.values()),
-            counts["bounded"], counts["evicting"],
-            counts["declared"], counts["unbounded"],
         )
     )
 
@@ -201,7 +177,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ("--sarif", options.sarif, "SARIF log",
          lambda report: (to_sarif_json(report, rules), None)),
         ("--effects", options.effects, "effects map", _render_effects),
-        ("--growth", options.growth, "growth inventory", _render_growth),
     ]
     sinks = [sink for sink in candidates if sink[1] is not None]
     on_stdout = [flag for flag, destination, _, _ in sinks

@@ -267,7 +267,7 @@ class Report:
     def __init__(self, rules: Sequence[Rule], project: "Project") -> None:
         self.rule_names = [rule.name for rule in rules]
         #: The whole-program IR the findings were computed from —
-        #: what the ``--effects`` / ``--growth`` artefacts read.
+        #: what the ``--effects`` artefact reads.
         self.project = project
         self.files_scanned = 0
         #: Active violations (error-severity ones fail the analysis).

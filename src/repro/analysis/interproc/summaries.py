@@ -25,7 +25,7 @@ class Summary:
     __slots__ = ("qualname", "relpath", "returns_source",
                  "param_flows", "sanitizes", "guards",
                  "tainted_return_lines", "egress_sends",
-                 "effect", "grown_params", "shrunk_params")
+                 "effect")
 
     def __init__(
         self,
@@ -38,8 +38,6 @@ class Summary:
         tainted_return_lines: Tuple[int, ...] = (),
         egress_sends: Tuple[Tuple[int, int, str], ...] = (),
         effect: str = "pure",
-        grown_params: FrozenSet[int] = frozenset(),
-        shrunk_params: FrozenSet[int] = frozenset(),
     ) -> None:
         self.qualname = qualname
         self.relpath = relpath
@@ -66,11 +64,6 @@ class Summary:
         #: every resolved callee (see
         #: :mod:`repro.analysis.interproc.effects`).
         self.effect = effect
-        #: Parameter indices whose container the function (or a
-        #: callee it hands them to) grows / shrinks in place — the
-        #: helper attribution of :mod:`repro.analysis.interproc.growth`.
-        self.grown_params = grown_params
-        self.shrunk_params = shrunk_params
 
     # -- equality drives the fixpoint ----------------------------------
 
@@ -79,7 +72,6 @@ class Summary:
             self.returns_source, self.param_flows, self.sanitizes,
             self.guards, self.tainted_return_lines,
             self.egress_sends, self.effect,
-            self.grown_params, self.shrunk_params,
         )
 
     def __eq__(self, other: object) -> bool:

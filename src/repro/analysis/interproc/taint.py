@@ -59,12 +59,12 @@ from __future__ import annotations
 
 import ast
 from typing import (
-    Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence,
+    Dict, FrozenSet, List, NamedTuple, Optional, Sequence,
     Set, Tuple,
 )
 
 from repro.analysis.ir.callgraph import (
-    CallGraph, CallResolver, Resolution,
+    CallGraph, CallResolver,
 )
 from repro.analysis.ir.project import Project
 from repro.analysis.ir.symbols import FunctionInfo, dotted_ref
@@ -74,11 +74,6 @@ from repro.analysis.interproc.effects import (
     intrinsic_call_effect,
     intrinsic_read_effect,
     join_effects,
-)
-from repro.analysis.interproc.growth import (
-    GROW_METHODS,
-    SHRINK_METHODS,
-    container_intrinsic,
 )
 from repro.analysis.interproc.summaries import SOURCE_LABEL, Summary
 
@@ -237,47 +232,6 @@ class _Plan(NamedTuple):
 
     effect: str
     effect_callees: Tuple[str, ...]
-    #: ``"grow"`` / ``"shrink"`` -> parameter indices the body itself
-    #: mutates in place.
-    mutated: Dict[str, Set[int]]
-    #: ``(callee qualname, callee parameter index, own parameter
-    #: index)`` for each parameter passed on to a project callee.
-    param_edges: Tuple[Tuple[str, int, int], ...]
-
-
-def _call_mutations(
-    call: ast.Call,
-    resolution: Resolution,
-    aliases: Dict[str, int],
-    mark: Callable[[Optional[str], ast.expr], None],
-) -> List[Tuple[str, int, int]]:
-    """Record what *call* does to the caller's parameters in place
-    through *mark*; return the ``(callee, position, parameter)``
-    edges for parameters it passes on to project code."""
-    func = call.func
-    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
-            and func.value.id in aliases:
-        mark(
-            "grow" if func.attr in GROW_METHODS
-            else "shrink" if func.attr in SHRINK_METHODS else None,
-            func.value,
-        )
-        return []
-    intrinsic = container_intrinsic(func)
-    if intrinsic is not None:
-        op, position = intrinsic
-        if len(call.args) > position:
-            mark(op, call.args[position])
-        return []
-    offset = 1 if (
-        isinstance(func, ast.Attribute) and not resolution.is_constructor
-    ) else 0
-    return [
-        (callee.qualname, position + offset, aliases[arg.id])
-        for position, arg in enumerate(call.args)
-        if isinstance(arg, ast.Name) and arg.id in aliases
-        for callee in resolution.targets
-    ]
 
 
 class TaintEngine:
@@ -379,8 +333,6 @@ class TaintEngine:
             tainted_return_lines=tuple(sorted(set(tainted_lines))),
             egress_sends=tuple(frame.sends),
             effect=self._effect_of(fn, plan),
-            grown_params=self._mutated_params(plan, "grow"),
-            shrunk_params=self._mutated_params(plan, "shrink"),
         )
 
     # -- statements -----------------------------------------------------
@@ -760,7 +712,7 @@ class TaintEngine:
             )
         )
 
-    # -- effect and parameter-mutation inference -------------------------
+    # -- effect inference ------------------------------------------------
 
     def _effect_of(self, fn: FunctionInfo, plan: _Plan) -> str:
         """Join of the function's own intrinsic effects and its
@@ -778,61 +730,21 @@ class TaintEngine:
                 effect = join_effects(effect, summary.effect)
         return effect
 
-    def _mutated_params(self, plan: _Plan, op: str) -> FrozenSet[int]:
-        """The parameters the body grows (*op* ``"grow"``) or shrinks
-        itself, plus those it hands to a callee parameter whose
-        summary does — monotone, like :meth:`_effect_of`."""
-        mutated = set(plan.mutated[op])
-        for qualname, position, index in plan.param_edges:
-            summary = self._summaries.get(qualname)
-            if summary is not None and position in (
-                summary.grown_params if op == "grow"
-                else summary.shrunk_params
-            ):
-                mutated.add(index)
-        return frozenset(mutated)
-
     def _plan(self, fn: FunctionInfo) -> _Plan:
-        """The syntactic half of effect and parameter-mutation
-        inference, from one walk of the body: the join of the
-        intrinsic/axiom effects visible in it plus the non-axiom
-        callees to join in, and the parameters (or local aliases of
-        one) mutated in place plus those passed on to a callee.
-        Nested ``def`` bodies count — deferred work belongs to the
-        frame that lexically contains it — while passing a callable
-        *reference* contributes nothing."""
+        """The syntactic half of effect inference, from one walk of
+        the body: the join of the intrinsic/axiom effects visible in
+        it plus the non-axiom callees to join in. Nested ``def``
+        bodies count — deferred work belongs to the frame that
+        lexically contains it — while passing a callable *reference*
+        contributes nothing."""
         plan = self._plans.get(fn.qualname)
         if plan is not None:
             return plan
         effect = EFFECT_PURE
         callees: Set[str] = set()
-        mutated: Dict[str, Set[int]] = {"grow": set(), "shrink": set()}
-        edges: List[Tuple[str, int, int]] = []
-        aliases = {name: index for index, name in enumerate(fn.params)}
-
-        def mark(op: Optional[str], expr: ast.expr) -> None:
-            if op is not None and isinstance(expr, ast.Name) \
-                    and expr.id in aliases:
-                mutated[op].add(aliases[expr.id])
-
         for node in ast.walk(fn.node):
             if isinstance(node, ast.Attribute):
                 effect = join_effects(effect, intrinsic_read_effect(node))
-            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target, value = node.targets[0], node.value
-                if isinstance(target, ast.Name):
-                    if isinstance(value, ast.Name) and value.id in aliases:
-                        aliases[target.id] = aliases[value.id]
-                    else:
-                        aliases.pop(target.id, None)
-                elif isinstance(target, ast.Subscript):
-                    mark("grow", target.value)
-            elif isinstance(node, ast.AugAssign):
-                mark("grow", node.target)
-            elif isinstance(node, ast.Delete):
-                for target in node.targets:
-                    if isinstance(target, ast.Subscript):
-                        mark("shrink", target.value)
             elif isinstance(node, ast.Call):
                 resolution = self.resolver.resolve(node, fn)
                 for callee in resolution.targets:
@@ -845,9 +757,6 @@ class TaintEngine:
                     effect = join_effects(
                         effect, intrinsic_call_effect(node)
                     )
-                edges.extend(_call_mutations(
-                    node, resolution, aliases, mark
-                ))
-        plan = _Plan(effect, tuple(sorted(callees)), mutated, tuple(edges))
+        plan = _Plan(effect, tuple(sorted(callees)))
         self._plans[fn.qualname] = plan
         return plan

@@ -10,9 +10,8 @@ engines run on.  It owns
 * a project class index: base-class resolution, subclass maps and
   adapter-style interface dispatch (``implementations_of``).
 
-The taint engine (:mod:`repro.analysis.interproc.taint`) and the
-container-growth verdicts (:mod:`repro.analysis.interproc.growth`)
-are attached lazily via :attr:`Project.taint` / :attr:`Project.growth`.
+The taint engine (:mod:`repro.analysis.interproc.taint`) is attached
+lazily via :attr:`Project.taint`.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from repro.analysis.ir.symbols import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.framework import ModuleInfo
-    from repro.analysis.interproc.growth import GrowthAnalysis
     from repro.analysis.interproc.taint import TaintEngine
 
 __all__ = [
@@ -109,7 +107,6 @@ class Project:
             if fn.is_method:
                 self._method_index.setdefault(fn.name, []).append(fn)
         self._taint: Optional["TaintEngine"] = None
-        self._growth: Optional["GrowthAnalysis"] = None
 
     # -- construction ---------------------------------------------------
 
@@ -256,17 +253,6 @@ class Project:
 
             self._taint = TaintEngine(self)
         return self._taint
-
-    @property
-    def growth(self) -> "GrowthAnalysis":
-        """Lazily computed whole-program container-growth verdicts."""
-        if self._growth is None:
-            from repro.analysis.interproc.growth import (
-                GrowthAnalysis,
-            )
-
-            self._growth = GrowthAnalysis(self)
-        return self._growth
 
 
 def tarjan_sccs(

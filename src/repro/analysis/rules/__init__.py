@@ -12,9 +12,6 @@ from __future__ import annotations
 from typing import List
 
 from repro.analysis.framework import Rule
-from repro.analysis.rules.container_growth import (
-    ContainerGrowthRule,
-)
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.exceptions import ExceptionTotalityRule
 from repro.analysis.rules.iter_order import IterOrderRule
@@ -32,12 +29,10 @@ ALL_RULES = (
     SimRaceRule,
     IterOrderRule,
     SansIoPurityRule,
-    ContainerGrowthRule,
 )
 
 __all__ = [
     "ALL_RULES",
-    "ContainerGrowthRule",
     "DeterminismRule",
     "ExceptionTotalityRule",
     "IterOrderRule",

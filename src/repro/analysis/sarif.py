@@ -26,12 +26,12 @@ SARIF_SCHEMA = (
     "master/Schemata/sarif-schema-2.1.0.json"
 )
 
-#: Major-bumped with the analysis engine: 4.x adds the
-#: interprocedural resource-bound analysis (container-growth, the
-#: verdict inventory and the declared-bound contract surface); 3.x
-#: added the CFG/typestate rules and effect inference. 4.1 changes
-#: rule ids: the two shield rules are one ``shield-egress``.
-_TOOL_VERSION = "4.1.0"
+#: Major-bumped with the analysis engine: 5.x drops the static
+#: resource-bound analysis (``container-growth``; leaks are decided at
+#: runtime by the soak test now); 3.x added the CFG/typestate rules
+#: and effect inference. 4.1 changed rule ids: the two shield rules
+#: are one ``shield-egress``.
+_TOOL_VERSION = "5.0.0"
 _FINGERPRINT_KEY = "gupcheckFingerprint/v1"
 
 

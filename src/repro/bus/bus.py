@@ -141,17 +141,16 @@ class ChangeBus:
             help="Change records retained across all shard logs.",
             fn=self._retained,
         ).bind(self._retained)
-        # gupcheck: bounded[shard-vocab] -- one log per shard id, fixed at wiring time
+        # One log per shard id; the shard set is fixed at wiring time.
         self._logs: Dict[str, ChangeLog] = {}
         self._router: Optional[Callable[[str], str]] = None
-        # gupcheck: bounded[attach-detach] -- one entry per attached listener; detach() removes it
+        # The three below hold one entry per attached listener;
+        # detach() drops it from each.
         self._listeners: List[BusListener] = []
         #: listener name -> shard -> last consumed sequence number.
-        # gupcheck: bounded[attach-detach] -- keyed by attached listener; detach() deletes the entry
         self._cursors: Dict[str, Dict[str, int]] = {}
         #: listener name -> virtual instant its latest in-flight
         #: delivery arrives (the FIFO-per-listener ordering floor).
-        # gupcheck: bounded[attach-detach] -- keyed by attached listener; detach() pops the entry
         self._last_arrival: Dict[str, float] = {}
         self._wave_armed = False
 

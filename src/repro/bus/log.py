@@ -70,7 +70,6 @@ class ChangeLog:
         self.shard_id = shard_id
         self._records: SeqLog[ChangeRecord] = SeqLog()
         #: path -> (value, at) of the *latest* change on that path.
-        # gupcheck: bounded[distinct-paths] -- one entry per changed profile path; updated in place
         self._latest: Dict[str, Tuple[str, float]] = {}
 
     # -- writing -------------------------------------------------------------

@@ -73,10 +73,9 @@ class CoverageMap:
         max_changelog: int = DEFAULT_WINDOW,
     ) -> None:
         #: user id -> coverage path -> ordered store ids
-        # gupcheck: bounded[enrollment] -- one entry per enrolled (user, component); unregister pops
+        # unregister() pops an entry, unregister_store() a whole store.
         self._by_user: Dict[str, Dict[Path, List[str]]] = {}
         #: store id -> set of (user, path) it registered (for leaving)
-        # gupcheck: bounded[enrollment] -- mirrors _by_user per store; unregister_store pops it
         self._by_store: Dict[str, Set[Tuple[str, Path]]] = {}
         self.registrations = 0
         self.lookups = 0

@@ -156,7 +156,6 @@ class SourceAnnotator:
 
     def __init__(self) -> None:
         #: (user, item location path) -> store id it came from
-        # gupcheck: bounded[dataset] -- keyed by location path; re-annotation overwrites in place
         self._origins: Dict[str, str] = {}
 
     def annotate(

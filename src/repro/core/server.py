@@ -88,7 +88,7 @@ class GupsterServer:
         #: store id -> adapter (needed for chaining/recruiting and for
         #: registration convenience; referral clients talk to stores
         #: directly and never touch this).
-        # gupcheck: bounded[store-topology] -- one adapter per joined store; leave() pops it
+        # leave() pops a store's adapter.
         self.adapters: Dict[str, GupAdapter] = {}
         # Counters (E2/E3 read these) — registry views since E18; a
         # private registry until :meth:`bind_registry` re-homes the

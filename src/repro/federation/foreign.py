@@ -122,14 +122,13 @@ class ForeignDirectory:
         self.max_journal = max_journal
         self.available = True
         #: (user, attr) -> (value, virtual timestamp of the change).
-        # gupcheck: bounded[dataset] -- one entry per (user, attribute); writes overwrite in place
         self._state: Dict[Tuple[str, str], Tuple[str, float]] = {}
         #: Incremental replay window, newest ``max_journal`` changes.
         self._journal: SeqLog[ForeignChange] = SeqLog(
             max_journal, ForeignResyncRequiredError
         )
         #: Users whose writes are currently rejected (poison hook).
-        # gupcheck: bounded[fault-hook] -- test/bench fault injection; clear_rejects() empties it
+        # clear_rejects() empties it.
         self._rejected: Set[str] = set()
         self.writes = 0
         self.reads = 0

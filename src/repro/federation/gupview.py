@@ -36,7 +36,6 @@ class GupAttributeStore:
         self.sim = sim
         self.bus = bus
         #: (user, gup suffix) -> (value, authored-at).
-        # gupcheck: bounded[dataset] -- one entry per (user, attribute); writes overwrite in place
         self._values: Dict[Tuple[str, str], Tuple[str, float]] = {}
         self.writes = 0
 

@@ -82,9 +82,7 @@ class MappingTable:
     """The reconciler's federation contract, indexed both ways."""
 
     def __init__(self, entries: Iterable[MappingEntry]) -> None:
-        # gupcheck: bounded[declared-table] -- one entry per declared mapping; filled once at construction
         self._by_suffix: Dict[str, MappingEntry] = {}
-        # gupcheck: bounded[declared-table] -- mirror index of the same declared mappings
         self._by_foreign: Dict[str, MappingEntry] = {}
         for entry in entries:
             if entry.gup_suffix in self._by_suffix:

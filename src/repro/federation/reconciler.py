@@ -93,7 +93,7 @@ class RejectedObject:
     def __init__(self, user_id: str) -> None:
         self.user_id = user_id
         #: GUP suffixes still awaiting a successful resolution.
-        # gupcheck: bounded[attr-vocab] -- suffixes come from the mapping table, a declared finite vocabulary
+        # Suffixes come from the mapping table, a finite vocabulary.
         self.pending: Set[str] = set()
         self.attempts = 0
         self.retry_at = 0.0
@@ -307,10 +307,8 @@ class Reconciler:
             purpose="provision",
         )
         #: (user, suffix) -> (value, newest authored instant) both sides agreed on.
-        # gupcheck: bounded[dataset] -- one entry per federated (user, attribute); overwritten in place
         self._base: Dict[Tuple[str, str], Tuple[str, float]] = {}
         #: Pairs awaiting resolution; drained every round.
-        # gupcheck: bounded[drained] -- cleared at the top of every sync round
         self._dirty: Set[Tuple[str, str]] = set()
         #: Inbound-write provenance: (user, suffix, value) -> refcount.
         #: Capped at max_tags, oldest-insertion evicted (counted); a

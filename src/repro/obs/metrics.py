@@ -287,7 +287,7 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        # gupcheck: bounded[metric-vocab] -- keyed by metric name; the vocabulary is static code
+        # Keyed by metric name; the names are static code.
         self._instruments: Dict[str, Instrument] = {}
 
     def _get_or_create(

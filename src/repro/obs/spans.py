@@ -112,7 +112,8 @@ class Span:
         if self.events:
             self.events.append(ev)
         else:
-            # gupcheck: bounded[span-lifetime] -- grows only while open; retention is the recorder cap
+            # Grows only while the span is open; the recorder caps
+            # how many spans it keeps.
             self.events = [ev]
         return ev
 

@@ -33,7 +33,7 @@ class SchemaAdjunct:
         self.name = name
         #: property -> list of (region path, value); order irrelevant,
         #: specificity (depth, predicate count) decides.
-        # gupcheck: bounded[schema-vocab] -- one per (property, region); attach() replaces a region
+        # attach() replaces a region's value: one per (property, region).
         self._entries: Dict[str, List[Tuple[Path, object]]] = {}
 
     def attach(

@@ -62,7 +62,6 @@ class Simulator:
         #: Pending events only: step() pops every entry it dispatches
         #: (the drain loop lives in the experiment harness, outside
         #: the analyzed tree), and cancelled entries compact at 50%.
-        # gupcheck: bounded[drained-by-run] -- step() pops dispatched entries; cancellations compact
         self._heap: List[Tuple[float, int, Timer, Callable, tuple]] = []
         self._sequence = 0
         self._processed = 0

@@ -62,7 +62,7 @@ class FaultState:
     runs reproduce the historical latency streams bit for bit."""
 
     def __init__(self, seed: int = 2003) -> None:
-        # gupcheck: bounded[topology] -- holds node names only; the world is fixed per run
+        # Node names only; the topology is fixed per run.
         self._failed: Set[str] = set()
         #: Per-link packet-loss probability (symmetric).
         self._loss: Dict[Tuple[str, str], float] = {}

@@ -187,11 +187,9 @@ class Network(FaultState):
 
     def __init__(self, seed: int = 2003):
         super().__init__(seed)
-        # gupcheck: bounded[topology] -- one entry per declared node; the world is fixed per run
+        # The topology below is fixed per run; link() overwrites a pair.
         self._nodes: Dict[str, NetworkNode] = {}
-        # gupcheck: bounded[topology] -- two entries per declared link; link() overwrites a pair
         self._links: Dict[Tuple[str, str], LinkSpec] = {}
-        # gupcheck: bounded[topology] -- keyed by region pair; region vocabulary is fixed per run
         self._region_links: Dict[Tuple[str, str], LinkSpec] = dict(
             DEFAULT_REGION_LATENCY
         )

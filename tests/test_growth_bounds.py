@@ -1,14 +1,16 @@
-"""Runtime regressions for the container bounds gupcheck v4 pinned.
+"""Runtime checks of the caps on long-lived containers.
 
-Every fix the resource-bound analysis drove — the recording
-listener's record window, the span recorder's retention cap, the
-provenance ledger window, the coverage replication-log window, the
-subscription hub's delivery list and poller state, the
-``parse_path`` memo's clear-when-full cap and the synthetic adapter's
-export memo — gets a test that fills past the bound and asserts the
-container stays capped (and that the truncation is *accounted*, never
-silent). The span recorder's eviction is also priced: element visits
-per ``start()`` are counted, not timed.
+Each capped container — the recording listener's record window, the
+span recorder's retention cap, the provenance ledger window, the
+coverage replication-log window, the subscription hub's delivery list
+and poller state, the ``parse_path`` memo's clear-when-full cap and
+the synthetic adapter's export memo — gets a test that fills past the
+bound and asserts the container stays capped (and that the truncation
+is *accounted*, never silent). The span recorder's eviction is also
+priced: element visits per ``start()`` are counted, not timed.
+
+These pin each cap alone; ``tests/test_soak.py`` checks that nothing
+in a served world grows with traffic.
 """
 
 import math

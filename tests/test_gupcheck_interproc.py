@@ -630,6 +630,7 @@ REMOVED_FLAGS = (
     ["--stats"], ["--changed-only"], ["--changed-only", "HEAD"],
     ["--cache", "c.json"], ["--no-cache"], ["--baseline", "b.json"],
     ["--no-baseline"], ["--write-baseline"],
+    ["--growth"], ["--growth", "g.json"],
 )
 
 
@@ -645,8 +646,8 @@ class TestCli:
         )
 
     def tree(self, tmp_path):
-        """A two-module tree with one suppressed finding, a tracked
-        container and a sans-io function — something for every sink."""
+        """A two-module tree with one suppressed finding and a sans-io
+        function — something for every sink."""
         core = tmp_path / "repro" / "core"
         core.mkdir(parents=True)
         (tmp_path / "repro" / "workloads").mkdir()
@@ -705,12 +706,12 @@ class TestCli:
         parsed = json.loads(out.read_text(encoding="utf-8"))
         assert parsed["version"] == "2.1.0"
 
-    def test_all_four_sinks_compose_in_one_invocation(
+    def test_all_three_sinks_compose_in_one_invocation(
         self, tmp_path, capsys
     ):
         root = self.tree(tmp_path)
         alone = {}
-        for flag in ("--sarif", "--effects", "--growth"):
+        for flag in ("--sarif", "--effects"):
             alone[flag] = tmp_path / ("alone" + flag.strip("-"))
             assert main([root, flag, str(alone[flag])]) == 0
         capsys.readouterr()
@@ -731,50 +732,53 @@ class TestCli:
         for flag in alone:
             assert together[flag].read_bytes() \
                 == alone[flag].read_bytes(), flag
-        # The artefact notes moved off the JSON stream.
+        # The artefact note moved off the JSON stream.
         assert "effects map" in captured.err
-        assert "growth inventory" in captured.err
 
     def test_sinks_do_not_change_the_exit_code(self, tmp_path):
         root = self.tree(tmp_path)
         assert main([root, "--effects", str(tmp_path / "e"),
-                     "--growth", str(tmp_path / "g")]) == 0
+                     "--sarif", str(tmp_path / "s")]) == 0
         hub = tmp_path / "repro" / "core" / "hub.py"
         hub.write_text(
-            hub.read_text(encoding="utf-8")
-            + "\n    def push(self, item):\n"
-              "        self._queue.append(item)\n",
+            "import time\n" + hub.read_text(encoding="utf-8")
+            + "\n    def stamp(self):\n"
+              "        return time.time()\n",
             encoding="utf-8",
         )
-        # Unbounded now — and exit 1 with or without the sink, because
-        # the verdict is the run's container-growth finding.
+        # A wall-clock read in the core now — exit 1 with or without
+        # the sinks, because it is the run's determinism finding.
         assert main([root]) == 1
-        assert main([root, "--growth", str(tmp_path / "g")]) == 1
-        assert main([root, "--rules", "determinism",
-                     "--growth", str(tmp_path / "g")]) == 0
+        assert main([root, "--effects", str(tmp_path / "e"),
+                     "--sarif", str(tmp_path / "s")]) == 1
+        assert main([root, "--rules", "layering",
+                     "--effects", str(tmp_path / "e")]) == 0
+        # The map is written from the same run, whatever the rules.
         assert json.loads(
-            (tmp_path / "g").read_text(encoding="utf-8")
-        )["clean"] is False
+            (tmp_path / "e").read_text(encoding="utf-8")
+        )["boundary"]["clean"] is False
 
     def test_two_sinks_cannot_share_stdout(self, tmp_path):
         root = self.tree(tmp_path)
         proc = self.run_cli(
-            [root, "--json", "--growth", "-"], REPO_ROOT
+            [root, "--json", "--effects", "-"], REPO_ROOT
         )
         assert proc.returncode == 2
-        assert "--json and --growth" in proc.stderr
+        assert "--json and --effects" in proc.stderr
         assert proc.stdout == ""
 
     def test_unwritable_sink_is_exit_2_and_the_rest_still_land(
         self, tmp_path
     ):
         root = self.tree(tmp_path)
-        out = tmp_path / "g.json"
+        out = tmp_path / "e.json"
         assert main([
-            root, "--effects", str(tmp_path / "no" / "such" / "e"),
-            "--growth", str(out),
+            root, "--sarif", str(tmp_path / "no" / "such" / "s"),
+            "--effects", str(out),
         ]) == 2
-        assert json.loads(out.read_text(encoding="utf-8"))["clean"]
+        assert json.loads(
+            out.read_text(encoding="utf-8")
+        )["boundary"]["clean"]
 
     def test_overlapping_paths_scan_each_file_once(self, tmp_path):
         root = self.tree(tmp_path)
@@ -819,16 +823,15 @@ class TestCli:
             root, "--json",
             "--sarif", str(tmp_path / "s"),
             "--effects", str(tmp_path / "e"),
-            "--growth", str(tmp_path / "g"),
         ]) == 0
         assert sorted(parsed) == [
             "repro/core/hub.py", "repro/workloads/clock.py",
         ]
         assert projects == [2]
-        # ... and that one parse fed all three file sinks.
-        assert all((tmp_path / name).exists() for name in "seg")
+        # ... and that one parse fed both file sinks.
+        assert all((tmp_path / name).exists() for name in "se")
 
-    def test_surface_is_six_flags_and_one_parameter(self):
+    def test_surface_is_five_flags_and_one_parameter(self):
         options = sorted(
             option
             for action in _build_parser()._actions
@@ -836,7 +839,7 @@ class TestCli:
             if option not in ("-h", "--help")
         )
         assert options == [
-            "--effects", "--growth", "--json", "--list-rules",
+            "--effects", "--json", "--list-rules",
             "--rules", "--sarif",
         ]
         assert list(
