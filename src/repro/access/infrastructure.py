@@ -46,8 +46,7 @@ class PolicyRepository:
 
     def __init__(self, name: str = "prp"):
         self.name = name
-        # owner -> rule id -> rule; remove() pops the rule and an
-        # emptied owner bucket.
+        # remove() also drops an owner's emptied bucket.
         self._rules: Dict[str, Dict[str, PolicyRule]] = {}
         #: (revision, op, owner, rule) per change.
         self._changelog: SeqLog[tuple] = SeqLog(DEFAULT_WINDOW)

@@ -61,8 +61,10 @@ from repro.simnet import FaultState, Network, Simulator
 W, N = 200, 500
 
 #: The tracemalloc net allowed between the walk at N and at 4N. The
-#: served world reads ~20-22 KB at N = 500 and N = 1 000 alike: the
-#: residue of caches and allocator pools, not a per-operation cost.
+#: served world reads 13-14 KB at N = 500 and 15-16 KB at N = 1 000,
+#: twice the operations: the residue of caches and allocator pools,
+#: not a per-operation cost. A cursor leaked per subscribe/cancel
+#: reads 55 KB at N = 500.
 NET_BYTES = 32 * 1024
 
 BOOK = "/user[@id='u1']/address-book"
