@@ -61,10 +61,10 @@ from repro.simnet import FaultState, Network, Simulator
 W, N = 200, 500
 
 #: The tracemalloc net allowed between the walk at N and at 4N. The
-#: served world reads 13-14 KB at N = 500 and 15-16 KB at N = 1 000,
+#: served world reads 8-13 KB at N = 500 and 14-17 KB at N = 1 000,
 #: twice the operations: the residue of caches and allocator pools,
 #: not a per-operation cost. A cursor leaked per subscribe/cancel
-#: reads 55 KB at N = 500.
+#: reads 54 KB at N = 500.
 NET_BYTES = 32 * 1024
 
 BOOK = "/user[@id='u1']/address-book"
@@ -213,9 +213,10 @@ class ServedSoak:
 
     def _request(self, step: int) -> Request:
         kind = step % 10
-        if kind in (0, 6):
+        if kind == 0:
+            # The book and its personal slice, cycle by cycle.
             return Request("GET", "/v1/query", params={
-                "path": BOOK if kind == 0 else PERSONAL,
+                "path": PERSONAL if step // 10 % 2 else BOOK,
                 "pattern": "chaining",
             })
         if kind in (1, 4):
