@@ -111,13 +111,13 @@ MUTANTS: List[Dict[str, str]] = [
                      "coverage map, bypassing the shielded resolve",
         "relpath": "repro/sansio/engine.py",
         "old": (
-            '                   "chained request")\n'
+            '                            "chained request")\n'
             "        yield Compute(host.RESOLVE_COMPUTE_MS, "
             '"rewrite+policy+sign")\n'
             "        referral = self._resolve_tracked(path, context, now)\n"
         ),
         "new": (
-            '                   "chained request")\n'
+            '                            "chained request")\n'
             "        yield Compute(host.RESOLVE_COMPUTE_MS, "
             '"rewrite+policy+sign")\n'
             "        referral = host.server.coverage.resolve(path)\n"
@@ -471,6 +471,28 @@ MUTANTS: List[Dict[str, str]] = [
             "*self._by_user.get(None, ()),\n"
         ),
         "new": "                *self._by_user.get(user, ()),\n",
+    },
+    # Served-path waste taken off the profile model: the clone that
+    # skips the constructor must still own its attrs, and a payload
+    # sized only when a driver asks must still be charged.
+    {
+        "name": "copy_shares_attrs",
+        "bug_class": "a cloned node shares its source's attrs dict",
+        "relpath": "repro/pxml/node.py",
+        "old": "        dup.attrs = dict(self.attrs)\n",
+        "new": "        dup.attrs = self.attrs\n",
+    },
+    {
+        "name": "send_ignores_payload",
+        "bug_class": "a Send's size leaves out its payload, so the "
+                     "simulator undercharges every sized message",
+        "relpath": "repro/sansio/intents.py",
+        "old": (
+            "        if self.payload is None:\n"
+            "            return self.fixed_bytes\n"
+            "        return self.fixed_bytes + self.payload.byte_size()\n"
+        ),
+        "new": "        return self.fixed_bytes\n",
     },
     # Leaks: state that grows with traffic, or outlives the operation
     # that made it. The runtime side decides these: the soak in

@@ -23,6 +23,12 @@ lives — must cost about what it costs on an empty one. And the
 garbage row counts the cyclic objects each ``App.handle`` request
 leaves for the collector on the demo world, split into profile tree
 nodes (``PNode``, gated at 0: trees are acyclic) and everything else.
+The pxml work row counts the profile-model calls each ``App.handle``
+request makes on a whole-profile world: ``byte_size`` (gated at 0: the
+wall transport never sizes a message), ``serialize`` (gated at <= 1:
+a response body is rendered once) and ``canonical_key`` (gated at 0:
+the parts of a whole-profile read are distinct components, never value
+twins).
 
 Artifacts: ``results/e18_trace.json`` (Chrome trace-event JSON of the
 degraded query — load it in ``chrome://tracing`` / Perfetto) and
@@ -58,6 +64,10 @@ from repro.obs import (  # noqa: E402
 from repro.obs.wallclock import WallClock  # noqa: E402
 from repro.pxml import PNode  # noqa: E402
 from repro.serve import Request, create_app  # noqa: E402
+from tests.data.profile_world import (  # noqa: E402
+    PROFILE,
+    build_profile_world,
+)
 from tests.data.reference import (  # noqa: E402
     BOOK,
     GOLDEN_STREAMS,
@@ -85,6 +95,19 @@ CAP_RATIO_GATE = 3.0
 #: ``App.handle`` requests in the garbage probe: chaining reads, cached
 #: reads and self-provisions of the demo world's address book.
 GARBAGE_REQUESTS = 200
+
+#: ``App.handle`` requests in the pxml work probe: whole-profile reads
+#: as family (chaining, cached), buddy and a denied stranger, and
+#: self-provisions of the address book, in rotation.
+PXML_WORK_REQUESTS = 200
+
+#: The profile-model methods the pxml work probe counts.
+PXML_WORK_COUNTED = (
+    (PNode, "byte_size"),
+    (RequestContext, "byte_size"),
+    (PNode, "serialize"),
+    (PNode, "canonical_key"),
+)
 
 
 def load_golden() -> Dict[str, List]:
@@ -279,6 +302,76 @@ def run_request_garbage() -> Dict[str, float]:
     }
 
 
+def _pxml_work_requests(count: int) -> List[Request]:
+    def read(requester: str, relationship: str, pattern: str) -> Request:
+        return Request(
+            "GET", "/v1/query",
+            headers={"x-requester": requester,
+                     "x-relationship": relationship},
+            params={"path": PROFILE, "pattern": pattern},
+        )
+
+    requests = []
+    for index in range(count):
+        kind = index % 5
+        if kind == 4:
+            fragment = (
+                "<address-book><item id='w%d'><name>Zoé &amp; %d</name>"
+                "</item></address-book>" % (index, index)
+            )
+            requests.append(Request(
+                "POST", "/v1/provision",
+                headers={"x-requester": "u1", "x-relationship": "self",
+                         "x-purpose": "provision"},
+                body=json.dumps({
+                    "path": PROFILE + "/address-book", "fragment": fragment,
+                }).encode(),
+            ))
+        else:
+            requests.append((
+                read("u2", "family", "chaining"),
+                read("u2", "family", "cached"),
+                read("u3", "buddy", "cached"),
+                read("u9", "third-party", "chaining"),
+            )[kind])
+    return requests
+
+
+def run_pxml_work() -> Dict[str, float]:
+    """Profile-model calls per ``App.handle`` request over
+    :data:`PXML_WORK_REQUESTS` requests on the whole-profile world."""
+    app = create_app(build_profile_world())
+    requests = _pxml_work_requests(PXML_WORK_REQUESTS)
+    calls = {"byte_size": 0, "serialize": 0, "canonical_key": 0}
+    originals = [
+        (owner, name, getattr(owner, name))
+        for owner, name in PXML_WORK_COUNTED
+    ]
+
+    def counting(name: str, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    async def serve() -> None:
+        for request in requests:
+            await app.handle(request)
+            app.jobs.drain_bus_once()
+
+    try:
+        for owner, name, original in originals:
+            setattr(owner, name, counting(name, original))
+        asyncio.run(serve())
+    finally:
+        for owner, name, original in originals:
+            setattr(owner, name, original)
+    result: Dict[str, float] = {"requests": PXML_WORK_REQUESTS}
+    for name, count in calls.items():
+        result["%s_per_req" % name] = count / float(PXML_WORK_REQUESTS)
+    return result
+
+
 # ---------------------------------------------------------------------------
 # pytest entry points
 # ---------------------------------------------------------------------------
@@ -410,6 +503,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         "PNode %.2f (gate 0), other %.2f -> %s" % (
             garbage["requests"], garbage["pnode_per_req"],
             garbage["other_per_req"], "OK" if garbage_ok else "FAILED",
+        )
+    )
+    work = run_pxml_work()
+    work_ok = (
+        work["byte_size_per_req"] == 0
+        and work["serialize_per_req"] <= 1
+        and work["canonical_key_per_req"] == 0
+    )
+    failures += 0 if work_ok else 1
+    print(
+        "pxml work per request (%d App.handle, whole-profile world): "
+        "byte_size %.2f (gate 0), serialize %.2f (gate <= 1), "
+        "canonical_key %.2f (gate 0) -> %s" % (
+            work["requests"], work["byte_size_per_req"],
+            work["serialize_per_req"], work["canonical_key_per_req"],
+            "OK" if work_ok else "FAILED",
         )
     )
     if not args.smoke:

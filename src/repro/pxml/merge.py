@@ -134,7 +134,11 @@ def merge_all(
     """Left fold of :func:`deep_union` over *fragments* (at least one)."""
     if not fragments:
         raise ModelError("merge_all needs at least one fragment")
-    merged = fragments[0].copy()
+    if len(fragments) == 1:
+        return fragments[0].copy()
+    # ``_merge_nodes`` builds a fresh tree and never mutates its
+    # inputs, so the first fragment needs no defensive copy.
+    merged = fragments[0]
     for fragment in fragments[1:]:
         merged = _merge_nodes(merged, fragment, keyspec, policy)
     return merged
@@ -226,13 +230,21 @@ def _merge_children(
     # Index right-side children by identity, and singleton tags by name.
     by_identity: Dict[tuple, int] = {}
     by_tag: Dict[str, List[int]] = {}
-    by_value: Dict[tuple, int] = {}
+    unkeyed: Dict[str, List[int]] = {}
     for index, node in enumerate(right):
         identity = keyspec.identity(node)
         if identity is not None:
             by_identity.setdefault(identity, index)
+        else:
+            unkeyed.setdefault(node.tag, []).append(index)
         by_tag.setdefault(node.tag, []).append(index)
-        by_value.setdefault(node.canonical_key(), index)
+    # Value index, per tag, built the first time a left child of that
+    # tag asks: nodes are equal by value only if their tags are, and a
+    # keyed right child is never the twin of an unkeyed left one (the
+    # same tag and attributes would key the left node too). So unkeyed
+    # components from different stores (an address book beside a
+    # calendar) are never canonicalized. First index wins.
+    by_value: Dict[str, Dict[tuple, int]] = {}
 
     for node in left:
         identity = keyspec.identity(node)
@@ -242,7 +254,12 @@ def _merge_children(
             if candidate not in consumed:
                 partner_index = candidate
         elif identity is None:
-            value_twin = by_value.get(node.canonical_key())
+            twins = by_value.get(node.tag)
+            if twins is None:
+                twins = by_value[node.tag] = {}
+                for index in unkeyed.get(node.tag, ()):
+                    twins.setdefault(right[index].canonical_key(), index)
+            value_twin = twins.get(node.canonical_key()) if twins else None
             if value_twin is not None and value_twin not in consumed:
                 partner_index = value_twin
             elif keyspec.key_attrs(node.tag) is None:

@@ -159,10 +159,17 @@ class PNode:
     # -- copying / equality ---------------------------------------------------
 
     def copy(self) -> "PNode":
-        """Deep copy of this subtree."""
-        dup = PNode(self.tag, dict(self.attrs), self.text)
-        for child in self.children:
-            dup.append(child.copy())
+        """Deep copy of this subtree: fresh nodes and ``attrs`` dicts.
+
+        The slots are filled directly instead of through ``__init__``:
+        a tag is validated and interned once, when its node is built,
+        and never reassigned, and a valid tree stays valid when cloned.
+        Public construction keeps every :class:`ModelError` check."""
+        dup = object.__new__(PNode)
+        dup.tag = self.tag
+        dup.attrs = dict(self.attrs)
+        dup.text = self.text
+        dup.children = [child.copy() for child in self.children]
         return dup
 
     def deep_equal(self, other: "PNode") -> bool:

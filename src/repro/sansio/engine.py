@@ -193,14 +193,15 @@ class SansIoQueryEngine:
 
     # -- shared pieces ------------------------------------------------------
 
-    def _request_bytes(
-        self, path: Path, context: RequestContext
-    ) -> int:
-        return (
-            len(str(path))
-            + context.byte_size()
-            + self.host.REQUEST_OVERHEAD_BYTES
-        )
+    def _request(
+        self, client: str, server_node: str, path: Path,
+        context: RequestContext, note: str,
+    ) -> Send:
+        """A request to GUPster: the path, with the shield context as
+        its sized payload."""
+        return Send(client, server_node,
+                    len(str(path)) + self.host.REQUEST_OVERHEAD_BYTES,
+                    note, context)
 
     def _resolve_tracked(
         self, path: Path, context: RequestContext, now: float
@@ -260,11 +261,8 @@ class SansIoQueryEngine:
             if not candidates:
                 break
             for index, store_id in enumerate(candidates):
-                query_bytes = (
-                    part.signed_query.byte_size()
-                    + host.REQUEST_OVERHEAD_BYTES
-                    if part.signed_query is not None
-                    else len(str(part.path)) + host.REQUEST_OVERHEAD_BYTES
+                query_bytes = host.REQUEST_OVERHEAD_BYTES + (
+                    len(str(part.path)) if part.signed_query is None else 0
                 )
                 try:
                     yield SpanOpen("fetch.store", {
@@ -272,7 +270,7 @@ class SansIoQueryEngine:
                         "sweep": sweep,
                     })
                     yield Send(origin, store_id, query_bytes,
-                               "query %s" % part.path)
+                               "query %s" % part.path, part.signed_query)
                     if part.signed_query is not None:
                         host.verifier.verify(part.signed_query, now)
                         yield Compute(
@@ -287,12 +285,11 @@ class SansIoQueryEngine:
                         and host.annotator is not None
                     ):
                         host.annotator.annotate(fragment, store_id)
-                    response_bytes = (
-                        fragment.byte_size()
-                        if fragment is not None else 32
-                    ) + host.REQUEST_OVERHEAD_BYTES
+                    response_bytes = host.REQUEST_OVERHEAD_BYTES + (
+                        32 if fragment is None else 0
+                    )
                     yield Send(store_id, origin, response_bytes,
-                               "fragment")
+                               "fragment", fragment)
                     yield SpanSet("status", "ok")
                     yield SpanClose()
                 except TRANSIENT_ERRORS as err:
@@ -376,14 +373,12 @@ class SansIoQueryEngine:
             "path": str(path), "scope": context.cache_scope(),
             "client": client,
         })
-        yield Send(client, server_node,
-                   self._request_bytes(path, context),
-                   "resolve request")
+        yield self._request(client, server_node, path, context,
+                            "resolve request")
         yield Compute(host.RESOLVE_COMPUTE_MS, "rewrite+policy+sign")
         referral = self._resolve_tracked(path, context, now)
-        yield Send(server_node, client,
-                   referral.byte_size() + host.REQUEST_OVERHEAD_BYTES,
-                   "referral")
+        yield Send(server_node, client, host.REQUEST_OVERHEAD_BYTES,
+                   "referral", referral)
         fragments: List[Optional[PNode]] = []
         if parallel and len(referral.parts) > 1:
             outcomes: List[LegOutcome] = yield Fork([
@@ -416,9 +411,8 @@ class SansIoQueryEngine:
             "path": str(path), "scope": context.cache_scope(),
             "client": client,
         })
-        yield Send(client, server_node,
-                   self._request_bytes(path, context),
-                   "chained request")
+        yield self._request(client, server_node, path, context,
+                            "chained request")
         yield Compute(host.RESOLVE_COMPUTE_MS, "rewrite+policy+sign")
         referral = self._resolve_tracked(path, context, now)
         fragments, statuses = yield from self.fetch_parts_degradable(
@@ -433,11 +427,11 @@ class SansIoQueryEngine:
             yield Mark("degraded", len(failed))
             yield SpanSet("degraded_parts", len(failed))
         merged = yield from self.merge_at(fragments, server_node)
-        response_bytes = (
-            merged.byte_size() if merged is not None else 32
-        ) + host.REQUEST_OVERHEAD_BYTES
+        response_bytes = host.REQUEST_OVERHEAD_BYTES + (
+            32 if merged is None else 0
+        )
         yield Send(server_node, client, response_bytes,
-                   "merged result")
+                   "merged result", merged)
         yield SpanClose()
         return QueryOutcome(merged, statuses=statuses)
 
@@ -457,17 +451,15 @@ class SansIoQueryEngine:
             "path": str(path), "scope": context.cache_scope(),
             "client": client,
         })
-        yield Send(client, server_node,
-                   self._request_bytes(path, context),
-                   "recruited request")
+        yield self._request(client, server_node, path, context,
+                            "recruited request")
         yield Compute(host.RESOLVE_COMPUTE_MS, "rewrite+policy+sign")
         referral = self._resolve_tracked(path, context, now)
         # Prefer a healthy recruit among the first part's choices.
         recruit = host.health.order(referral.parts[0].store_ids)[0]
         yield SpanSet("recruit", recruit)
-        yield Send(server_node, recruit,
-                   referral.byte_size() + host.REQUEST_OVERHEAD_BYTES,
-                   "migrate query plan")
+        yield Send(server_node, recruit, host.REQUEST_OVERHEAD_BYTES,
+                   "migrate query plan", referral)
         fragments: List[Optional[PNode]] = []
         # The recruit serves its own part locally...
         host.verifier.verify(referral.parts[0].signed_query, now)
@@ -485,10 +477,11 @@ class SansIoQueryEngine:
         ])
         fragments.extend(outcome.value[0] for outcome in outcomes)
         merged = yield from self.merge_at(fragments, recruit)
-        response_bytes = (
-            merged.byte_size() if merged is not None else 32
-        ) + host.REQUEST_OVERHEAD_BYTES
-        yield Send(recruit, client, response_bytes, "result to client")
+        response_bytes = host.REQUEST_OVERHEAD_BYTES + (
+            32 if merged is None else 0
+        )
+        yield Send(recruit, client, response_bytes, "result to client",
+                   merged)
         yield SpanClose()
         return QueryOutcome(merged)
 
@@ -530,17 +523,15 @@ class SansIoQueryEngine:
             "path": str(path), "scope": context.cache_scope(),
             "client": client,
         })
-        yield Send(client, server_node,
-                   self._request_bytes(path, context),
-                   "cached request")
+        yield self._request(client, server_node, path, context,
+                            "cached request")
         yield Compute(host.CACHE_COMPUTE_MS, "cache probe")
         cached = host.server.cache_lookup(path, context, now)
         if cached is not None:
             yield SpanSet("cache", "hit")
             yield Send(
-                server_node, client,
-                cached.byte_size() + host.REQUEST_OVERHEAD_BYTES,
-                "cache hit",
+                server_node, client, host.REQUEST_OVERHEAD_BYTES,
+                "cache hit", cached,
             )
             yield SpanClose()
             return QueryOutcome(cached, hit=True)
@@ -558,9 +549,8 @@ class SansIoQueryEngine:
                 yield Mark("stale_serve")
                 yield Mark("degraded", len(failed))
                 yield Send(
-                    server_node, client,
-                    stale.byte_size() + host.REQUEST_OVERHEAD_BYTES,
-                    "stale cache serve",
+                    server_node, client, host.REQUEST_OVERHEAD_BYTES,
+                    "stale cache serve", stale,
                 )
                 yield SpanClose()
                 return QueryOutcome(
@@ -581,11 +571,11 @@ class SansIoQueryEngine:
             # recover.
             if host.server.cache_store(path, merged, context, now):
                 yield Compute(host.CACHE_COMPUTE_MS, "cache fill")
-        response_bytes = (
-            merged.byte_size() if merged is not None else 32
-        ) + host.REQUEST_OVERHEAD_BYTES
+        response_bytes = host.REQUEST_OVERHEAD_BYTES + (
+            32 if merged is None else 0
+        )
         yield Send(server_node, client, response_bytes,
-                   "filled result")
+                   "filled result", merged)
         yield SpanClose()
         return QueryOutcome(merged, statuses=statuses)
 
@@ -928,9 +918,8 @@ class SansIoQueryEngine:
         )
         if content is None:
             content = PNode(component)
-        yield Send(client, store_id,
-                   content.byte_size() + host.REQUEST_OVERHEAD_BYTES,
-                   "write %s" % part.path)
+        yield Send(client, store_id, host.REQUEST_OVERHEAD_BYTES,
+                   "write %s" % part.path, content)
         if part.signed_query is not None:
             host.verifier.verify(part.signed_query, now)
             yield Compute(host.VERIFY_COMPUTE_MS, "verify")
@@ -954,8 +943,8 @@ class SansIoQueryEngine:
             "path": str(path), "scope": context.cache_scope(),
             "client": client,
         })
-        yield Send(client, server_node,
-                   self._request_bytes(path, context), "update resolve")
+        yield self._request(client, server_node, path, context,
+                            "update resolve")
         yield Compute(host.RESOLVE_COMPUTE_MS, "rewrite+policy+sign")
         referral = host.server.resolve_for_update(path, context, now)
         if host.provenance is not None:
@@ -965,9 +954,8 @@ class SansIoQueryEngine:
             host.provenance.record(
                 now, context, path, stores, "update", granted=True
             )
-        yield Send(server_node, client,
-                   referral.byte_size() + host.REQUEST_OVERHEAD_BYTES,
-                   "update referral")
+        yield Send(server_node, client, host.REQUEST_OVERHEAD_BYTES,
+                   "update referral", referral)
         # Wrap the new component state in a user document so each
         # store can be handed exactly its slice (a store registered
         # for item[@type='corporate'] must not receive — nor lose —

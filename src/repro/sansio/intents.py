@@ -18,8 +18,8 @@ The intent protocol, per type:
 =============  =======================================================
 intent         driver obligation
 =============  =======================================================
-``Send``       deliver one message ``src -> dst`` of ``nbytes``;
-               raise :class:`~repro.errors.NodeUnreachableError` /
+``Send``       deliver one message ``src -> dst`` of ``nbytes`` (read
+               only by a driver that models bytes); raise :class:`~repro.errors.NodeUnreachableError` /
                :class:`~repro.errors.PacketLossError` *into* the
                program when the wire fails
 ``Compute``    charge ``ms`` of processing at the current node
@@ -51,6 +51,7 @@ from typing import (
     Generator,
     List,
     Optional,
+    Protocol,
     Sequence,
     Tuple,
     Type,
@@ -96,18 +97,42 @@ class Intent:
     __slots__ = ()
 
 
-class Send(Intent):
-    """One message ``src -> dst`` carrying ``nbytes`` on the wire."""
+class Payload(Protocol):  # pragma: no cover - typing only
+    """A message body that knows its own wire size."""
 
-    __slots__ = ("src", "dst", "nbytes", "note")
+    def byte_size(self) -> int: ...
+
+
+class Send(Intent):
+    """One message ``src -> dst`` carrying ``nbytes`` on the wire: a
+    fixed part plus, when a *payload* rides along, its ``byte_size()``.
+
+    The payload is sized when a driver reads :attr:`nbytes` as it
+    performs the send. The simnet driver does, to charge the hop; the
+    wall transport never does, so the served path builds no size it
+    would throw away."""
+
+    __slots__ = ("src", "dst", "fixed_bytes", "note", "payload")
 
     def __init__(
-        self, src: str, dst: str, nbytes: int, note: str = ""
+        self,
+        src: str,
+        dst: str,
+        nbytes: int,
+        note: str = "",
+        payload: Optional[Payload] = None,
     ) -> None:
         self.src = src
         self.dst = dst
-        self.nbytes = nbytes
+        self.fixed_bytes = nbytes
         self.note = note
+        self.payload = payload
+
+    @property
+    def nbytes(self) -> int:
+        if self.payload is None:
+            return self.fixed_bytes
+        return self.fixed_bytes + self.payload.byte_size()
 
     def __repr__(self) -> str:
         return "<Send %s->%s %dB%s>" % (

@@ -1,22 +1,33 @@
 """What the profile object model costs on the served path, and what
 the simulator charges for it.
 
+The wall transport never reads a message's size, so serving a request
+sizes nothing: ``byte_size`` is never called, a response carrying a
+fragment serializes it once, and a whole-profile read, whose parts are
+distinct components, canonicalizes no subtree to look for value twins.
+
 ``Trace.bytes_total`` pins every engine pattern's wire volume on the
 simnet driver: the bytes a ``Send`` carries feed the virtual-time cost
 model, so where and when a message is sized must not change what it
 weighs.
 """
 
+import asyncio
+import collections
+import json
+
 import pytest
 
 from repro.access import RequestContext
 from repro.core import ComponentCache, GupsterServer
 from repro.core.host import QueryHost
-from repro.pxml import parse, parse_path
+from repro.pxml import PNode, parse, parse_path
 from repro.sansio import SansIoQueryEngine
+from repro.serve import Request, create_app
 from repro.simnet import Network
 from repro.simnet.driver import SimnetDriver
 from repro.workloads import SyntheticAdapter
+from tests.data.profile_world import PROFILE, build_profile_world
 
 BOOK = "/user[@id='u1']/address-book"
 PERSONAL = BOOK + "/item[@type='personal']"
@@ -124,3 +135,111 @@ PINNED_BYTES = {
 @pytest.mark.parametrize("pattern", sorted(PINNED_BYTES))
 def test_bytes_on_the_wire_are_pinned(pattern):
     assert pattern_bytes(pattern) == PINNED_BYTES[pattern]
+
+
+# ---------------------------------------------------------------------------
+# pxml work per served request
+# ---------------------------------------------------------------------------
+
+COUNTED = (
+    (PNode, "byte_size"),
+    (RequestContext, "byte_size"),
+    (PNode, "serialize"),
+    (PNode, "canonical_key"),
+)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """``Owner.method`` -> calls so far (recursive calls included)."""
+    counts = collections.Counter()
+    for owner, name in COUNTED:
+        key = "%s.%s" % (owner.__name__, name)
+
+        def counting(*args, _original=getattr(owner, name), _key=key,
+                     **kwargs):
+            counts[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    return counts
+
+
+def handle(app, calls, request):
+    """Serve *request*, drain the bus; returns (response, calls made)."""
+    before = dict(calls)
+    response = asyncio.run(app.handle(request))
+    app.jobs.drain_bus_once()
+    made = {
+        key: count - before.get(key, 0)
+        for key, count in calls.items()
+        if count != before.get(key, 0)
+    }
+    return response, made
+
+
+def query(path, pattern, headers=None):
+    return Request(
+        "GET", "/v1/query", headers=headers or {},
+        params={"path": path, "pattern": pattern},
+    )
+
+
+SELF = {"x-requester": "u1", "x-relationship": "self"}
+
+
+def test_demo_world_sizes_nothing_and_serializes_each_fragment_once(calls):
+    app = create_app()
+    provision = Request(
+        "POST", "/v1/provision",
+        headers=dict(SELF, **{"x-purpose": "provision"}),
+        body=json.dumps({"path": BOOK, "fragment": ENTRY}).encode(),
+    )
+    subscribe = Request(
+        "POST", "/v1/subscriptions",
+        headers=dict(SELF, **{"x-purpose": "subscribe"}),
+        body=json.dumps({"watch_path": BOOK}).encode(),
+    )
+    # (request, status, serialize calls): one per response carrying a
+    # fragment, one for the change record a provision appends.
+    steps = [
+        (query(BOOK, "chaining"), 200, 1),
+        (query(BOOK, "cached"), 200, 1),
+        (query(BOOK, "cached"), 200, 1),
+        (subscribe, 201, 0),
+        (provision, 201, 1),
+        (query(BOOK, "chaining"), 200, 1),
+        (query(BOOK, "cached"), 200, 1),
+        (Request("GET", "/v1/subscriptions/1"), 200, 0),
+    ]
+    bodies = []
+    for request, status, serializations in steps:
+        response, made = handle(app, calls, request)
+        assert response.status == status
+        assert made.get("PNode.byte_size", 0) == 0
+        assert made.get("RequestContext.byte_size", 0) == 0
+        assert made.get("PNode.serialize", 0) == serializations
+        bodies.append(json.loads(response.body))
+    assert [b.get("cache_hit") for b in bodies[1:3]] == [False, True]
+    assert "555" in bodies[5]["fragment"]
+    assert len(bodies[7]["deliveries"]) == 1
+
+
+@pytest.mark.parametrize("pattern", ["chaining", "cached"])
+def test_whole_profile_family_read_canonicalizes_nothing(calls, pattern):
+    app = create_app(build_profile_world())
+    family = {"x-requester": "u2", "x-relationship": "family"}
+    for expect_hit in ([False] if pattern == "chaining" else [False, True]):
+        response, made = handle(
+            app, calls, query(PROFILE, pattern, family)
+        )
+        assert response.status == 200
+        body = json.loads(response.body)
+        assert body.get("cache_hit") is expect_hit
+        fragment = parse(body["fragment"])
+        assert sorted(c.tag for c in fragment.children) == [
+            "address-book", "calendar", "presence",
+        ]
+        assert made.get("PNode.canonical_key", 0) == 0
+        assert made.get("PNode.byte_size", 0) == 0
+        assert made.get("PNode.serialize", 0) == 1
