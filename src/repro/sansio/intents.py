@@ -18,8 +18,8 @@ The intent protocol, per type:
 =============  =======================================================
 intent         driver obligation
 =============  =======================================================
-``Send``       deliver one message ``src -> dst`` of ``nbytes`` (read
-               only by a driver that models bytes); raise :class:`~repro.errors.NodeUnreachableError` /
+``Send``       deliver one message ``src -> dst`` of ``nbytes``;
+               raise :class:`~repro.errors.NodeUnreachableError` /
                :class:`~repro.errors.PacketLossError` *into* the
                program when the wire fails
 ``Compute``    charge ``ms`` of processing at the current node

@@ -19,44 +19,22 @@ import json
 import pytest
 
 from repro.access import RequestContext
-from repro.core import ComponentCache, GupsterServer
 from repro.core.host import QueryHost
 from repro.pxml import PNode, parse, parse_path
 from repro.sansio import SansIoQueryEngine
 from repro.serve import Request, create_app
-from repro.simnet import Network
 from repro.simnet.driver import SimnetDriver
-from repro.workloads import SyntheticAdapter
 from tests.data.profile_world import PROFILE, build_profile_world
+from tests.data.reference import BOOK, CORPORATE, PERSONAL, build_split_world
 
-BOOK = "/user[@id='u1']/address-book"
-PERSONAL = BOOK + "/item[@type='personal']"
-CORPORATE = BOOK + "/item[@type='corporate']"
 STORES = ("gup.alpha.com", "gup.beta.com", "gup.corp.com")
 
 
 def split_world():
-    """The split address-book world: the personal slice on alpha ∥
-    beta, the corporate slice on corp; a cache with a stale grace."""
-    network = Network(seed=16)
-    network.add_node("gupster", region="core")
-    network.add_node("client", region="internet")
-    for store_id, region in zip(STORES, ("internet", "core", "enterprise")):
-        network.add_node(store_id, region=region)
-    server = GupsterServer(
-        "gupster",
-        cache=ComponentCache(
-            capacity=16, default_ttl_ms=100.0, stale_grace_ms=1_000.0
-        ),
-        enforce_policies=False,
+    """The split address-book world, its cache given a stale grace."""
+    network, server, _executor = build_split_world(
+        ttl_ms=100.0, stale_grace_ms=1_000.0
     )
-    for store_id, seed in zip(STORES, (5, 5, 9)):
-        adapter = SyntheticAdapter(store_id, seed=seed)
-        adapter.add_user("u1", ["address-book"])
-        server.join(adapter, user_ids=[])
-    server.register_component(PERSONAL, "gup.alpha.com")
-    server.register_component(PERSONAL, "gup.beta.com")
-    server.register_component(CORPORATE, "gup.corp.com")
     engine = SansIoQueryEngine(QueryHost(server, server_node="gupster"))
     return network, server, engine
 
