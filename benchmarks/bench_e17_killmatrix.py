@@ -332,8 +332,8 @@ MUTANTS: List[Dict[str, str]] = [
             "        except (NetworkError, StoreError):\n"
             "            self.poll_failures += 1\n"
             "            return\n"
-            "        with poll as span:\n"
-            '            span.set("changes", len(changes))\n'
+            "        with poll:\n"
+            '            trace.scope.set("changes", len(changes))\n'
         ),
     },
     {
@@ -459,6 +459,27 @@ MUTANTS: List[Dict[str, str]] = [
         "new": (
             "                except TRANSIENT_ERRORS as err:\n"
             "                    last_error = err\n"
+        ),
+    },
+    {
+        "name": "wall_run_skips_unwind",
+        "bug_class": "the wall driver neither unwinds what a program "
+                     "left open nor refuses a program that returned "
+                     "with a span open",
+        "relpath": "repro/serve/transport.py",
+        "old": (
+            "        finally:\n"
+            "            leaked = scope.unwind(depth)\n"
+            "            program.close()\n"
+            "        if leaked:\n"
+            "            raise RuntimeError(\n"
+            '                "program returned with %d open span(s)" '
+            "% leaked\n"
+            "            )\n"
+        ),
+        "new": (
+            "        finally:\n"
+            "            program.close()\n"
         ),
     },
     {

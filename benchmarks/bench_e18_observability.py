@@ -28,7 +28,9 @@ request makes on a whole-profile world: ``byte_size`` (gated at 0: the
 wall transport never sizes a message), ``serialize`` (gated at <= 1:
 a response body is rendered once) and ``canonical_key`` (gated at 0:
 the parts of a whole-profile read are distinct components, never value
-twins).
+twins). The traces row counts the distinct trace ids among the spans
+each ``App.handle`` request records on the demo world (gated at
+exactly 1: the request's span tree and the engine's are one trace).
 
 Artifacts: ``results/e18_trace.json`` (Chrome trace-event JSON of the
 degraded query — load it in ``chrome://tracing`` / Perfetto) and
@@ -95,6 +97,10 @@ CAP_RATIO_GATE = 3.0
 #: ``App.handle`` requests in the garbage probe: chaining reads, cached
 #: reads and self-provisions of the demo world's address book.
 GARBAGE_REQUESTS = 200
+
+#: ``App.handle`` requests in the traces probe (the garbage probe's
+#: mix).
+TRACE_REQUESTS = 200
 
 #: ``App.handle`` requests in the pxml work probe: whole-profile reads
 #: as family (chaining, cached), buddy and a denied stranger, and
@@ -302,6 +308,30 @@ def run_request_garbage() -> Dict[str, float]:
     }
 
 
+def run_traces_per_request() -> Dict[str, float]:
+    """Distinct trace ids among the spans each ``App.handle`` request
+    records, over :data:`TRACE_REQUESTS` requests (bus drained after
+    each, outside the count)."""
+    app = create_app()
+    recorder = app.world.recorder
+    counts: List[int] = []
+
+    async def serve() -> None:
+        for request in _garbage_probe_requests(TRACE_REQUESTS):
+            recorder.clear()
+            await app.handle(request)
+            counts.append(len(recorder.trace_ids()))
+            app.jobs.drain_bus_once()
+
+    asyncio.run(serve())
+    return {
+        "requests": TRACE_REQUESTS,
+        "traces_per_req": sum(counts) / float(len(counts)),
+        "min": min(counts),
+        "max": max(counts),
+    }
+
+
 def _pxml_work_requests(count: int) -> List[Request]:
     def read(requester: str, relationship: str, pattern: str) -> Request:
         return Request(
@@ -503,6 +533,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         "PNode %.2f (gate 0), other %.2f -> %s" % (
             garbage["requests"], garbage["pnode_per_req"],
             garbage["other_per_req"], "OK" if garbage_ok else "FAILED",
+        )
+    )
+    traces = run_traces_per_request()
+    traces_ok = traces["min"] == traces["max"] == 1
+    failures += 0 if traces_ok else 1
+    print(
+        "traces per request (%d App.handle, demo world): %.2f "
+        "(gate == 1.00, min %d, max %d) -> %s" % (
+            traces["requests"], traces["traces_per_req"],
+            traces["min"], traces["max"], "OK" if traces_ok else "FAILED",
         )
     )
     work = run_pxml_work()

@@ -477,7 +477,7 @@ class Reconciler:
         with trace.span(
             "fed.round", node=self.node, foreign=self.foreign.name,
             policy=self.policy.name,
-        ) as span:
+        ):
             if self.queue.need_resync:
                 self.queue.need_resync = False
                 self.full_resync()
@@ -487,7 +487,7 @@ class Reconciler:
             self._dirty.clear()
             for user_id, suffix in work:
                 self._resolve_pair(user_id, suffix, trace)
-            span.set("pairs", len(work))
+            trace.scope.set("pairs", len(work))
         return len(work)
 
     def _import_journal(self, trace: Trace) -> None:

@@ -9,12 +9,12 @@ the *tree* of where a query's latency went, which the flat
 
 Design constraints, in order:
 
-1. **Never perturb the simulation.** Spans carry virtual timestamps
-   handed to them by the instrumented code; they never read any clock
-   themselves, never round, never allocate ids from anything
-   non-deterministic. With no recorder attached the instrumented code
-   must not even construct them (that is the ``Trace`` layer's job —
-   see the ``_rec is None`` fast paths).
+1. **Never perturb the simulation.** Spans carry the timestamps of
+   the :class:`Clock` their :class:`SpanScope` was given — a simnet
+   trace's virtual now, or a wall clock in the serving layer — and
+   never round or allocate ids from anything non-deterministic. With
+   no recorder attached no span is constructed; the scope only
+   counts depth.
 2. **Parallel branches are first-class.** The ``Trace.fork()/join()``
    cost model charges the *max* of branch elapsed times; spans mirror
    that with a ``fork_group`` attribute stamped on each branch's root
@@ -23,15 +23,21 @@ Design constraints, in order:
    of its children.
 3. **Cheap.** ``__slots__`` everywhere; attributes and events are
    created lazily.
+4. **Balanced by construction.** :class:`SpanScope` is the one span
+   stack both sans-io drivers and ``Trace.span`` use; each unwinds
+   to the depth it started at and refuses to return above it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Deque, Dict, Iterator, List, Optional, Protocol, Sequence, Tuple,
+)
 
 __all__ = [
-    "DEFAULT_MAX_SPANS", "Span", "SpanEvent", "SpanRecorder",
+    "Clock", "DEFAULT_MAX_SPANS", "ScopedSpan", "Span", "SpanEvent",
+    "SpanRecorder", "SpanScope",
 ]
 
 #: Default :class:`SpanRecorder` retention. Far above any single
@@ -314,3 +320,139 @@ class SpanRecorder:
 
     def __repr__(self) -> str:
         return "<SpanRecorder %d span(s)>" % len(self.spans)
+
+
+class Clock(Protocol):
+    """Anything with a monotonic ``now_ms``: a wall clock, or a simnet
+    :class:`~repro.simnet.Trace` reporting its virtual now."""
+
+    def now_ms(self) -> float: ...
+
+
+class SpanScope:
+    """One span stack — the nesting both drivers share.
+
+    A scope writes into *recorder* under one ``trace_id`` and export
+    lane (``tid``), timestamped by *clock*. Without a recorder it
+    records nothing but still counts :attr:`depth`, so a driver can
+    refuse a program that returns with a span open whether
+    observability is on or off. A :meth:`fork_child` scope (one fork
+    leg) and a simnet trace borrow an enclosing *parent* span: new
+    spans nest under it, and the scope never closes it."""
+
+    __slots__ = ("recorder", "clock", "trace_id", "tid", "_parent", "_stack")
+
+    def __init__(
+        self,
+        recorder: Optional[SpanRecorder],
+        clock: Clock,
+        trace_id: Optional[int] = None,
+        tid: int = 0,
+        parent: Optional[Span] = None,
+    ) -> None:
+        self.recorder = recorder
+        self.clock = clock
+        if trace_id is None and recorder is not None:
+            trace_id = recorder.new_trace_id()
+        self.trace_id = trace_id or 0
+        self.tid = tid
+        self._parent = parent
+        #: ``None`` entries stand for spans opened without a recorder.
+        self._stack: List[Optional[Span]] = []
+
+    @property
+    def depth(self) -> int:
+        """Spans this scope has open."""
+        return len(self._stack)
+
+    @property
+    def current(self) -> Optional[Span]:
+        """The innermost open span, else the borrowed parent."""
+        return self._stack[-1] if self._stack else self._parent
+
+    def open(
+        self, name: str, attrs: Optional[Dict[str, object]] = None
+    ) -> Optional[Span]:
+        span: Optional[Span] = None
+        if self.recorder is not None:
+            parent = self.current
+            span = self.recorder.start(
+                name,
+                self.clock.now_ms(),
+                parent_id=parent.span_id if parent is not None else None,
+                trace_id=self.trace_id,
+                tid=self.tid,
+                attrs=attrs,
+            )
+        self._stack.append(span)
+        return span
+
+    def set(self, key: str, value: object) -> None:
+        """Set an attribute on the innermost span this scope opened."""
+        span = self._stack[-1] if self._stack else None
+        if span is not None:
+            span.set(key, value)
+
+    def close(self, floor: int = 0) -> None:
+        """Close the innermost span. The bottom *floor* spans are not
+        the caller's to close: a driver passes the depth its program
+        started at, so an unmatched ``SpanClose`` raises
+        ``IndexError`` instead of closing an enclosing span."""
+        if len(self._stack) <= floor:
+            raise IndexError("no span open above depth %d" % floor)
+        span = self._stack.pop()
+        if span is not None and self.recorder is not None:
+            self.recorder.finish(span, self.clock.now_ms())
+
+    def unwind(self, depth: int = 0) -> int:
+        """Close spans, innermost first, until *depth* remain open;
+        returns how many it closed."""
+        closed = 0
+        while len(self._stack) > depth:
+            self.close()
+            closed += 1
+        return closed
+
+    def fork_child(self) -> "SpanScope":
+        """A scope for one fork leg: same trace, its own lane, nested
+        under this scope's current span."""
+        recorder = self.recorder
+        return SpanScope(
+            recorder,
+            self.clock,
+            trace_id=self.trace_id,
+            tid=recorder.next_tid() if recorder is not None else 0,
+            parent=self.current,
+        )
+
+
+class ScopedSpan:
+    """The ``with`` form of :meth:`SpanScope.open`, under the drivers'
+    run contract: exiting closes the span and anything left open
+    inside it, and a block that exits *normally* with an inner span
+    still open raises ``RuntimeError``. The span opens when this is
+    constructed, not when the block is entered, so one never entered
+    stays open and ``open_spans()`` reports it."""
+
+    __slots__ = ("_scope", "_depth", "_span")
+
+    def __init__(
+        self,
+        scope: SpanScope,
+        name: str,
+        attrs: Optional[Dict[str, object]],
+    ) -> None:
+        self._scope = scope
+        self._depth = scope.depth
+        self._span = scope.open(name, attrs)
+
+    def __enter__(self) -> Optional[Span]:
+        return self._span
+
+    def __exit__(self, exc_type: object, *exc: object) -> bool:
+        leaked = self._scope.unwind(self._depth) - 1
+        if leaked > 0 and exc_type is None:
+            raise RuntimeError(
+                "span block exited with %d inner span(s) open" % leaked
+            )
+        return False

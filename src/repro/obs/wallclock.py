@@ -1,17 +1,12 @@
-"""Wall-clock spans next to the virtual ones (ROADMAP item 2).
+"""Wall clocks for the serving layer's spans (ROADMAP item 2).
 
-The virtual-time span layer (:mod:`repro.obs.spans`) deliberately
-never reads a clock — simulated code hands it virtual timestamps. The
-serving layer needs the *same span tree shape* over real time, so this
-module adds the one missing ingredient: a monotonic millisecond clock
-(:class:`WallClock`), plus :class:`WallSpanScope`, the per-request
-span-stack helper the real-transport driver uses where the simnet
-driver uses ``Trace.span``.
-
-Everything still writes into a plain
-:class:`~repro.obs.spans.SpanRecorder`, so every exporter (Chrome
-trace, summaries) works unchanged on wall-clock trees — the sim-vs-
-real calibration in ``bench_e21_wire.py`` leans on exactly that.
+A :class:`~repro.obs.spans.SpanScope` is timed by any
+:class:`~repro.obs.spans.Clock`: a simnet trace hands it virtual time,
+the serving layer a :class:`WallClock` — monotonic milliseconds — so
+the served span tree has the *same shape* over real time and every
+exporter (Chrome trace, summaries) works unchanged on it; the
+sim-vs-real calibration in ``bench_e21_wire.py`` leans on exactly
+that.
 
 :class:`ManualClock` is the deterministic stand-in for tests: wall
 code paths can be exercised without real sleeps or flaky timing.
@@ -20,25 +15,10 @@ code paths can be exercised without real sleeps or flaky timing.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
 
-from repro.obs.spans import Span, SpanRecorder
+from repro.obs.spans import Clock
 
-__all__ = [
-    "Clock",
-    "ManualClock",
-    "NULL_SPAN_SCOPE",
-    "NullSpanScope",
-    "WallClock",
-    "WallSpanScope",
-]
-
-
-class Clock:
-    """Anything with a monotonic ``now_ms``."""
-
-    def now_ms(self) -> float:  # pragma: no cover - interface
-        raise NotImplementedError
+__all__ = ["ManualClock", "WallClock"]
 
 
 class WallClock(Clock):
@@ -70,105 +50,3 @@ class ManualClock(Clock):
             raise ValueError("clocks only move forward")
         self._now_ms += ms
         return self._now_ms
-
-
-class NullSpanScope:
-    """The free no-op scope used when no recorder is attached."""
-
-    __slots__ = ()
-
-    def open(
-        self, name: str, attrs: Optional[Dict[str, object]] = None
-    ) -> None:
-        return None
-
-    def set(self, key: str, value: object) -> None:
-        return None
-
-    def close(self) -> None:
-        return None
-
-    def unwind(self) -> None:
-        return None
-
-    def fork_child(self) -> "NullSpanScope":
-        return self
-
-
-NULL_SPAN_SCOPE = NullSpanScope()
-
-
-class WallSpanScope:
-    """A span stack over real time — the wall twin of the nesting the
-    simnet driver gets from ``Trace.span(...)`` context managers.
-
-    One scope covers one request (one ``trace_id``); each fork leg
-    gets a :meth:`fork_child` scope sharing the trace id but running
-    on its own lane (``tid``), mirroring how virtual fork branches
-    render side by side in the Chrome export."""
-
-    __slots__ = (
-        "recorder", "clock", "trace_id", "tid", "_stack", "_parent_id",
-    )
-
-    def __init__(
-        self,
-        recorder: SpanRecorder,
-        clock: Clock,
-        trace_id: Optional[int] = None,
-        tid: int = 0,
-        parent: Optional[Span] = None,
-    ) -> None:
-        self.recorder = recorder
-        self.clock = clock
-        self.trace_id = (
-            recorder.new_trace_id() if trace_id is None else trace_id
-        )
-        self.tid = tid
-        #: The borrowed parent (a fork child's enclosing span) is an
-        #: id only — this scope must never close it.
-        self._parent_id = parent.span_id if parent is not None else None
-        self._stack: List[Span] = []
-
-    def open(
-        self, name: str, attrs: Optional[Dict[str, object]] = None
-    ) -> Span:
-        parent_id = (
-            self._stack[-1].span_id if self._stack else self._parent_id
-        )
-        span = self.recorder.start(
-            name,
-            self.clock.now_ms(),
-            parent_id=parent_id,
-            trace_id=self.trace_id,
-            tid=self.tid,
-            attrs=attrs,
-        )
-        self._stack.append(span)
-        return span
-
-    def set(self, key: str, value: object) -> None:
-        if self._stack:
-            self._stack[-1].set(key, value)
-
-    def close(self) -> None:
-        span = self._stack.pop()
-        self.recorder.finish(span, self.clock.now_ms())
-
-    def unwind(self) -> None:
-        """Close every span this scope still has open (error paths);
-        a fork child's borrowed parent is not on the stack and stays
-        untouched."""
-        while self._stack:
-            span = self._stack.pop()
-            if span.end_ms is None:
-                self.recorder.finish(span, self.clock.now_ms())
-
-    def fork_child(self) -> "WallSpanScope":
-        return WallSpanScope(
-            self.recorder,
-            self.clock,
-            trace_id=self.trace_id,
-            tid=self.recorder.next_tid(),
-            parent=self._stack[-1] if self._stack else None,
-        )

@@ -39,8 +39,11 @@ intent         driver obligation
                :class:`LegOutcome.error`, anything else propagates
 =============  =======================================================
 
-Drivers close any spans a program leaves open when it raises — the
-sans-io equivalent of unwinding ``with trace.span(...)`` blocks.
+Both drivers hand span intents to a
+:class:`~repro.obs.spans.SpanScope` and close any spans a program
+leaves open — the sans-io equivalent of unwinding ``with
+trace.span(...)`` blocks; a program that *returns* with a span open
+raises ``RuntimeError``.
 """
 
 from __future__ import annotations

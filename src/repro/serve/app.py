@@ -28,8 +28,8 @@ from repro.core.server import GupsterServer
 from repro.bus import CacheInvalidationListener, ChangeBus
 from repro.obs.export import to_prometheus
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import SpanRecorder
-from repro.obs.wallclock import Clock, WallClock
+from repro.obs.spans import Clock, SpanRecorder
+from repro.obs.wallclock import WallClock
 from repro.sansio.engine import SansIoQueryEngine
 from repro.serve.admission import AdmissionGate
 from repro.serve.http import HttpServer, Request, Response
@@ -97,11 +97,7 @@ class ServeWorld:
         self.host.health.bind_registry(self.metrics)
         self.engine = SansIoQueryEngine(self.host)
         self.transport = WallTransport(
-            server.adapters,
-            faults=faults,
-            recorder=self.recorder,
-            clock=self.clock,
-            metrics=self.metrics,
+            server.adapters, faults=faults, metrics=self.metrics
         )
 
     def now_ms(self) -> float:

@@ -28,13 +28,8 @@ from typing import Optional
 from repro.access.context import RequestContext
 from repro.errors import PolicyError, ReproError
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import SpanRecorder
-from repro.obs.wallclock import (
-    NULL_SPAN_SCOPE,
-    Clock,
-    WallClock,
-    WallSpanScope,
-)
+from repro.obs.spans import Clock, SpanRecorder, SpanScope
+from repro.obs.wallclock import WallClock
 from repro.serve.admission import AdmissionGate, AdmissionRejected
 from repro.serve.http import (
     Handler,
@@ -43,6 +38,7 @@ from repro.serve.http import (
     Response,
 )
 from repro.serve.status import status_for
+from repro.serve.transport import REQUEST_SCOPE
 
 __all__ = [
     "RequestPipeline",
@@ -137,19 +133,15 @@ class RequestPipeline:
             request_id = next(self._request_ids)
             self.metrics.counter("serve.requests").inc()
             started_ms = self.clock.now_ms()
-            scope = (
-                WallSpanScope(self.recorder, self.clock)
-                if self.recorder is not None
-                else NULL_SPAN_SCOPE
-            )
-            # Hold the request span directly: if a handler leaks spans
-            # they sit *above* it on the stack, and attributes must
-            # still land on the request span, not the leak.
+            scope = SpanScope(self.recorder, self.clock)
+            # Hold the request span directly: attributes must land on
+            # it whatever the handler left open above it.
             request_span = scope.open("serve.request", {
                 "request_id": request_id,
                 "method": request.method,
                 "path": request.path,
             })
+            published = REQUEST_SCOPE.set(scope)
             try:
                 if self.gate is not None:
                     try:
@@ -173,6 +165,8 @@ class RequestPipeline:
                     response = await handler(request)
             except Exception as err:  # noqa: BLE001 - total by design
                 response = error_payload(err)
+            finally:
+                REQUEST_SCOPE.reset(published)
             if request_span is not None:
                 request_span.set("status", response.status)
             scope.unwind()  # closes leaked spans, then the request span

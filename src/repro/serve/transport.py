@@ -11,9 +11,16 @@ intents instead of charging them to a virtual trace:
   event loop;
 * ``Fork`` becomes ``asyncio.gather`` — real concurrency where the
   simulator models max-of-branches;
-* spans land in a :class:`~repro.obs.SpanRecorder` with wall-clock
-  timestamps via :class:`~repro.obs.wallclock.WallSpanScope`;
+* span intents go to a :class:`~repro.obs.spans.SpanScope` as the
+  simnet driver hands them to ``trace.scope``, under the same run
+  contract: unwind to the depth at entry, and raise ``RuntimeError``
+  for a program that *returned* above it;
 * ``Mark``/``PartReport`` feed ``serve.*`` metrics counters.
+
+The scope defaults to the request's, which the request pipeline
+publishes in :data:`REQUEST_SCOPE`: a handler's
+``transport.run(program)`` nests under ``serve.request``, so one
+request is one trace. Outside a request a run records nothing.
 
 Fault injection is the simulated network's own:
 :class:`~repro.simnet.faults.FaultState` (which a ``Network`` is)
@@ -25,16 +32,12 @@ both drivers; this one charges a refused send to
 from __future__ import annotations
 
 import asyncio
+from contextvars import ContextVar
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import SpanRecorder
-from repro.obs.wallclock import (
-    NULL_SPAN_SCOPE,
-    Clock,
-    WallClock,
-    WallSpanScope,
-)
+from repro.obs.spans import SpanScope
+from repro.obs.wallclock import WallClock
 from repro.sansio.intents import (
     Compute,
     Fork,
@@ -53,7 +56,13 @@ from repro.sansio.intents import (
 )
 from repro.simnet.faults import FaultState
 
-__all__ = ["WallTransport"]
+__all__ = ["REQUEST_SCOPE", "WallTransport"]
+
+#: The span scope of the request being served, set by the request
+#: pipeline; ``WallTransport.run`` nests under it.
+REQUEST_SCOPE: ContextVar[Optional[SpanScope]] = ContextVar(
+    "REQUEST_SCOPE", default=None
+)
 
 #: Per-mark metric names (``serve.*`` namespace).
 _MARK_METRICS: Dict[str, str] = {
@@ -72,14 +81,10 @@ class WallTransport:
         self,
         adapters: Mapping[str, Any],
         faults: Optional[FaultState] = None,
-        recorder: Optional[SpanRecorder] = None,
-        clock: Optional[Clock] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.adapters = adapters
         self.faults = faults
-        self.recorder = recorder
-        self.clock = clock if clock is not None else WallClock()
         self.metrics = (
             metrics if metrics is not None else MetricsRegistry()
         )
@@ -91,19 +96,17 @@ class WallTransport:
     # -- the driver loop -----------------------------------------------------
 
     async def run(
-        self, program: Program, scope: Optional[Any] = None
+        self, program: Program, scope: Optional[SpanScope] = None
     ) -> Any:
         """Drive *program* to completion; returns its return value.
 
-        *scope* is the span sink (a
-        :class:`~repro.obs.wallclock.WallSpanScope`); by default a
-        fresh one is opened per run when a recorder is attached."""
+        Spans go to *scope*, by default the request's
+        (:data:`REQUEST_SCOPE`). Spans the program left open are
+        closed first either way; a program that *returned* with a
+        span open raises ``RuntimeError``."""
         if scope is None:
-            scope = (
-                WallSpanScope(self.recorder, self.clock)
-                if self.recorder is not None
-                else NULL_SPAN_SCOPE
-            )
+            scope = REQUEST_SCOPE.get() or SpanScope(None, WallClock())
+        depth = scope.depth
         try:
             to_send: Any = None
             to_throw: Optional[BaseException] = None
@@ -115,19 +118,25 @@ class WallTransport:
                     else:
                         intent = program.send(to_send)
                 except StopIteration as stop:
-                    return stop.value
+                    result = stop.value
+                    break
                 to_send = None
                 try:
-                    to_send = await self._perform(intent, scope)
+                    to_send = await self._perform(intent, scope, depth)
                 except Exception as err:
                     to_throw = err
-        except BaseException:
-            scope.unwind()
-            raise
         finally:
+            leaked = scope.unwind(depth)
             program.close()
+        if leaked:
+            raise RuntimeError(
+                "program returned with %d open span(s)" % leaked
+            )
+        return result
 
-    async def _perform(self, intent: Intent, scope: Any) -> Any:
+    async def _perform(
+        self, intent: Intent, scope: SpanScope, depth: int
+    ) -> Any:
         if isinstance(intent, Send):
             await self._send(intent)
         elif isinstance(intent, (Compute, Sleep)):
@@ -146,7 +155,7 @@ class WallTransport:
         elif isinstance(intent, SpanSet):
             scope.set(intent.key, intent.value)
         elif isinstance(intent, SpanClose):
-            scope.close()
+            scope.close(depth)
         elif isinstance(intent, Mark):
             # A degraded query or batched item is one degraded
             # *response*; its count is the parts it lost.
@@ -175,15 +184,16 @@ class WallTransport:
                 raise error
         await asyncio.sleep(0)
 
-    async def _fork(self, intent: Fork, scope: Any) -> List[LegOutcome]:
+    async def _fork(
+        self, intent: Fork, scope: SpanScope
+    ) -> List[LegOutcome]:
         """Real concurrency: every leg runs as its own task; captured
         leg errors land in that leg's outcome, anything else cancels
         the gather and propagates into the parent program."""
 
         async def leg(program: Program) -> LegOutcome:
-            child = scope.fork_child()
             try:
-                value = await self.run(program, scope=child)
+                value = await self.run(program, scope.fork_child())
             except intent.capture as err:
                 return LegOutcome(error=err)
             return LegOutcome(value=value)

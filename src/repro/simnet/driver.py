@@ -9,16 +9,19 @@ failures raised by the trace (:class:`~repro.errors.NodeUnreachableError`,
 at the failing yield, which is where the protocol logic decides to
 fail over, back off, or degrade.
 
-The wall-clock counterpart is
-:class:`repro.serve.transport.WallTransport`; both drivers honour the
-same intent contract (see :mod:`repro.sansio.intents`), which the
-equivalence gate in ``tests/test_sansio_equivalence.py`` exercises
-under fault injection.
+Span intents go to ``trace.scope``, a
+:class:`~repro.obs.spans.SpanScope`. The wall-clock counterpart is
+:class:`repro.serve.transport.WallTransport`; both drivers hand span
+intents to a scope the same way, share one run contract (unwind to
+the depth at entry; refuse a program that returns above it) and
+honour the same intent contract (see :mod:`repro.sansio.intents`),
+which the equivalence gate in ``tests/test_sansio_equivalence.py``
+exercises under fault injection.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Mapping, Optional, Tuple
+from typing import Any, List, Mapping, Optional
 
 from repro.sansio.intents import (
     Compute,
@@ -40,10 +43,6 @@ from repro.simnet.network import Trace
 
 __all__ = ["SimnetDriver"]
 
-#: (context-manager handle, entered span) pairs — the driver's stand-in
-#: for the ``with trace.span(...)`` nesting of the inline code.
-_SpanStack = List[Tuple[Any, Any]]
-
 
 class SimnetDriver:
     """Runs sans-io programs against the simulated network.
@@ -58,20 +57,19 @@ class SimnetDriver:
 
     def run(self, program: Program, trace: Trace) -> Any:
         """Drive *program* to completion on *trace*; returns the
-        program's return value. Spans the program left open are closed
-        first either way (the sans-io equivalent of unwinding ``with``
-        blocks); exceptions the program does not handle then propagate,
-        and a program that *returned* with a span open raises
-        ``RuntimeError`` — with observability on or off, since the
-        driver tracks span handles either way."""
-        spans: _SpanStack = []
+        program's return value. Spans the program left open on
+        ``trace.scope`` are closed first either way (the sans-io
+        equivalent of unwinding ``with`` blocks); exceptions the
+        program does not handle then propagate, and a program that
+        *returned* with a span open raises ``RuntimeError`` — with
+        observability on or off, since the scope counts depth
+        either way."""
+        scope = trace.scope
+        depth = scope.depth
         try:
-            result = self._drive(program, trace, spans)
+            result = self._drive(program, trace, depth)
         finally:
-            leaked = len(spans)
-            while spans:
-                handle, _span = spans.pop()
-                handle.__exit__(None, None, None)
+            leaked = scope.unwind(depth)
             program.close()
         if leaked:
             raise RuntimeError(
@@ -79,9 +77,7 @@ class SimnetDriver:
             )
         return result
 
-    def _drive(
-        self, program: Program, trace: Trace, spans: _SpanStack
-    ) -> Any:
+    def _drive(self, program: Program, trace: Trace, depth: int) -> Any:
         to_send: Any = None
         to_throw: Optional[BaseException] = None
         while True:
@@ -95,13 +91,11 @@ class SimnetDriver:
                 return stop.value
             to_send = None
             try:
-                to_send = self._perform(intent, trace, spans)
+                to_send = self._perform(intent, trace, depth)
             except Exception as err:
                 to_throw = err
 
-    def _perform(
-        self, intent: Intent, trace: Trace, spans: _SpanStack
-    ) -> Any:
+    def _perform(self, intent: Intent, trace: Trace, depth: int) -> Any:
         if isinstance(intent, Send):
             trace.hop(intent.src, intent.dst, intent.nbytes, intent.note)
         elif isinstance(intent, Compute):
@@ -115,13 +109,11 @@ class SimnetDriver:
             if adapter is not None:
                 adapter.put(intent.path, intent.fragment)
         elif isinstance(intent, SpanOpen):
-            handle = trace.span(intent.name, **(intent.attrs or {}))
-            spans.append((handle, handle.__enter__()))
+            trace.scope.open(intent.name, intent.attrs)
         elif isinstance(intent, SpanSet):
-            spans[-1][1].set(intent.key, intent.value)
+            trace.scope.set(intent.key, intent.value)
         elif isinstance(intent, SpanClose):
-            handle, _span = spans.pop()
-            handle.__exit__(None, None, None)
+            trace.scope.close(depth)
         elif isinstance(intent, Mark):
             self._mark(intent, trace)
         elif isinstance(intent, PartReport):

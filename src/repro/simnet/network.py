@@ -37,9 +37,12 @@ Hierarchical observability (E18): the network owns a
 With a recorder attached, every Trace opens a root span and each
 ``hop``/``compute``/``wait`` charge records a leaf span carrying the
 link, byte count and outcome; callers can group charges under named
-spans with ``with trace.span("referral", store=...)``. The layer sits
-strictly *under* the cost model: with no recorder (the default)
-nothing is allocated and every sampled latency is bit-identical to
+spans with ``with trace.span("referral", store=...)``. Named spans
+live on ``trace.scope``, a :class:`~repro.obs.spans.SpanScope` timed
+by the trace's virtual :meth:`Trace.now_ms` — the same span stack the
+wall driver uses, so both drivers nest spans alike. The layer sits
+strictly *under* the cost model: with no recorder (the default) no
+span is constructed and every sampled latency is bit-identical to
 the pre-observability streams (``tests/data/golden_latencies.json``
 pins this).
 
@@ -62,7 +65,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import NodeUnreachableError, PacketLossError
 from repro.obs.metrics import CounterView, MetricsRegistry
-from repro.obs.spans import Span, SpanRecorder
+from repro.obs.spans import ScopedSpan, Span, SpanRecorder, SpanScope
 from repro.simnet.faults import FaultState
 
 __all__ = [
@@ -320,73 +323,6 @@ class Network(FaultState):
         )
 
 
-class _NullSpanHandle:
-    """The no-op ``trace.span(...)`` result when no recorder is
-    attached: context manager + attribute sink, all free."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpanHandle":
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-    def set(self, key: str, value: object) -> "_NullSpanHandle":
-        return self
-
-
-_NULL_SPAN = _NullSpanHandle()
-
-
-class _SpanHandle:
-    """A named span on a recording trace, opened when ``trace.span``
-    is called and finished when the ``with`` block exits — at the
-    trace's *virtual* now both times — so its duration is exactly the
-    sum of the charges made inside the block. A handle never entered
-    is an open span, and ``open_spans()`` reports it."""
-
-    __slots__ = ("_trace", "_span")
-
-    def __init__(
-        self,
-        trace: "Trace",
-        name: str,
-        attrs: Optional[Dict[str, object]],
-    ) -> None:
-        rec = trace._rec
-        assert rec is not None
-        self._trace = trace
-        self._span = rec.start(
-            name,
-            trace._now,
-            parent_id=trace._stack[-1].span_id,
-            trace_id=trace.trace_id,
-            tid=trace.tid,
-            attrs=attrs,
-        )
-        trace._stack.append(self._span)
-
-    def __enter__(self) -> Span:
-        return self._span
-
-    def __exit__(self, *exc: object) -> bool:
-        trace = self._trace
-        span = self._span
-        rec = trace._rec
-        assert rec is not None
-        stack = trace._stack
-        # Pop back to (and including) this span; tolerate an inner
-        # span leaked by a misbehaving caller rather than corrupting
-        # every later parent link.
-        while len(stack) > 1 and stack[-1] is not span:
-            stack.pop()
-        if len(stack) > 1:
-            stack.pop()
-        rec.finish(span, trace._now)
-        return False
-
-
 class Trace:
     """Cost accumulator for one logical operation over the network.
 
@@ -394,10 +330,10 @@ class Trace:
     the trace additionally maintains a hierarchical span tree: a root
     span covering the whole operation, one leaf span per charge
     (``hop``/``compute``/``wait``), and caller-named grouping spans
-    via :meth:`span`. All span timestamps are ``_base + elapsed_ms``
-    — pure virtual time — and recording changes **no** sampled
-    latency (the cost-model code paths are byte-identical; span
-    bookkeeping only ever reads ``elapsed_ms``)."""
+    via :meth:`span` over :attr:`scope`. All span timestamps are
+    :meth:`now_ms` — pure virtual time — and recording changes **no**
+    sampled latency (the cost-model code paths are byte-identical;
+    span bookkeeping only ever reads ``elapsed_ms``)."""
 
     def __init__(self, network: Network, parent: Optional["Trace"] = None):
         self._network = network
@@ -427,43 +363,45 @@ class Trace:
         self._join_seq = 0
         rec = network.recorder
         self._rec = rec
+        self._base = 0.0
+        self._root: Optional[Span] = None
         if rec is None:
-            self.trace_id = 0
-            self.tid = 0
-            self._base = 0.0
-            self._root: Optional[Span] = None
-            self._stack: List[Span] = []
+            self.scope = SpanScope(None, self)
             return
         if parent is None or parent._root is None:
-            self.trace_id = rec.new_trace_id()
-            self.tid = 0
-            self._base = 0.0
-            self._root = rec.start(
-                "trace", 0.0, trace_id=self.trace_id, tid=0
-            )
+            trace_id = rec.new_trace_id()
+            tid = 0
+            self._root = rec.start("trace", 0.0, trace_id=trace_id, tid=0)
         else:
-            self.trace_id = parent.trace_id
-            self.tid = rec.next_tid()
-            self._base = parent._base + parent.elapsed_ms
+            trace_id = parent.trace_id
+            tid = rec.next_tid()
+            self._base = parent.now_ms()
             self._root = rec.start(
                 "branch",
                 self._base,
-                parent_id=parent._stack[-1].span_id,
-                trace_id=self.trace_id,
-                tid=self.tid,
+                parent_id=parent.scope.current.span_id,
+                trace_id=trace_id,
+                tid=tid,
             )
         # The root is kept *closed* at the high-water mark of charges
         # (its end advances with every charge), so a finished query
-        # never leaves an open span behind.
+        # never leaves an open span behind. Named spans nest under it
+        # through the scope, which borrows it and never closes it.
         self._root.end_ms = self._base
-        self._stack = [self._root]
+        self.scope = SpanScope(
+            rec, self, trace_id=trace_id, tid=tid, parent=self._root
+        )
 
     # -- observability plumbing ----------------------------------------------
 
     @property
-    def _now(self) -> float:
+    def trace_id(self) -> int:
+        """The recorder's id for this trace's tree (0 when off)."""
+        return self.scope.trace_id
+
+    def now_ms(self) -> float:
         """This trace's absolute virtual instant (branch base + own
-        elapsed). Only meaningful for span timestamps — the cost model
+        elapsed): the clock its span scope reads. The cost model
         itself never reads it."""
         return self._base + self.elapsed_ms
 
@@ -471,37 +409,33 @@ class Trace:
         self, name: str, start_ms: float,
         attrs: Optional[Dict[str, object]],
     ) -> None:
-        rec = self._rec
-        if rec is None:  # pragma: no cover - callers pre-check
-            return
-        end = self._now
-        rec.leaf(
+        end = self.now_ms()
+        scope = self.scope
+        self._rec.leaf(
             name,
             start_ms,
             end,
-            parent_id=self._stack[-1].span_id,
-            trace_id=self.trace_id,
-            tid=self.tid,
+            parent_id=scope.current.span_id,
+            trace_id=scope.trace_id,
+            tid=scope.tid,
             attrs=attrs,
         )
-        root = self._root
-        if root is not None:
-            root.end_ms = end
+        self._root.end_ms = end
 
-    def span(self, name: str, **attrs: object):
+    def span(self, name: str, **attrs: object) -> ScopedSpan:
         """Open a named child span now; the returned context manager
-        finishes it, so it covers the charges made inside the ``with``
+        closes it, so it covers the charges made inside the ``with``
         block (store id, requester scope, retry number… go in
-        ``attrs``). Free when observability is off."""
-        if self._rec is None:
-            return _NULL_SPAN
-        return _SpanHandle(self, name, attrs if attrs else None)
+        ``attrs``). ``as`` binds the span, or ``None`` when
+        observability is off; :attr:`scope` sets attributes either
+        way."""
+        return ScopedSpan(self.scope, name, attrs if attrs else None)
 
     def event(self, name: str, **attrs: object) -> None:
         """A point-in-time annotation on the current span."""
         if self._rec is not None:
-            self._stack[-1].event(
-                name, self._now, attrs if attrs else None
+            self.scope.current.event(
+                name, self.now_ms(), attrs if attrs else None
             )
 
     # -- sequential costs -----------------------------------------------------
@@ -512,7 +446,7 @@ class Trace:
         """One message from *src* to *dst* carrying *nbytes*."""
         if self._rec is None:
             return self._hop(src, dst, nbytes, note)
-        start = self._now
+        start = self.now_ms()
         status = "ok"
         try:
             return self._hop(src, dst, nbytes, note)
@@ -582,54 +516,41 @@ class Trace:
         """Local processing time (query rewriting, policy evaluation...)."""
         if ms < 0:
             raise ValueError("negative compute time")
-        if self._rec is None:
-            self.elapsed_ms += ms
-            if note:
-                self.log.append("compute: %.3f ms (%s)" % (ms, note))
-            return
-        start = self._now
+        start = self.now_ms()
         self.elapsed_ms += ms
         if note:
             self.log.append("compute: %.3f ms (%s)" % (ms, note))
-        self._leaf(
-            "compute", start, {"note": note} if note else None
-        )
+        if self._rec is not None:
+            self._leaf("compute", start, {"note": note} if note else None)
 
     def wait(self, ms: float, note: str = "") -> None:
         """Idle wall-clock time charged to the operation (retry
         backoff). No bytes move and nothing computes."""
         if ms < 0:
             raise ValueError("negative wait time")
-        if self._rec is None:
-            self.elapsed_ms += ms
-            if note:
-                self.log.append("wait: %.3f ms (%s)" % (ms, note))
-            return
-        start = self._now
+        start = self.now_ms()
         self.elapsed_ms += ms
         if note:
             self.log.append("wait: %.3f ms (%s)" % (ms, note))
-        self._leaf("wait", start, {"note": note} if note else None)
+        if self._rec is not None:
+            self._leaf("wait", start, {"note": note} if note else None)
 
     # -- resilience accounting -------------------------------------------------
 
     def note_retry(self) -> None:
         self.retries += 1
         self._network.counters.retries += 1
-        if self._rec is not None:
-            self.event("retry", count=self.retries)
+        self.event("retry", count=self.retries)
 
     def note_failover(self) -> None:
         self.failovers += 1
         self._network.counters.failovers += 1
-        if self._rec is not None:
-            self.event("failover", count=self.failovers)
+        self.event("failover", count=self.failovers)
 
     def note_stale_serve(self) -> None:
         self.stale_serves += 1
         self._network.counters.stale_serves += 1
-        if self._rec is not None:
-            self.event("stale_serve", count=self.stale_serves)
+        self.event("stale_serve", count=self.stale_serves)
 
     def note_degraded(self, parts: int = 1) -> None:
         """Record *parts* unreachable referral parts.
@@ -642,7 +563,7 @@ class Trace:
         self.degraded_parts += parts
         if first and parts and not self._is_branch:
             self._network.counters.degraded_responses += 1
-        if self._rec is not None and parts:
+        if parts:
             self.event("degraded", parts=parts)
 
     def note_degraded_item(self, parts: int = 1) -> None:
@@ -659,8 +580,7 @@ class Trace:
             return
         self.degraded_parts += parts
         self._network.counters.degraded_responses += 1
-        if self._rec is not None:
-            self.event("degraded_item", parts=parts)
+        self.event("degraded_item", parts=parts)
 
     @property
     def degraded(self) -> bool:
@@ -706,7 +626,7 @@ class Trace:
         ):
             self._network.counters.degraded_responses += 1
         if self._rec is not None and self._root is not None:
-            self._root.end_ms = self._now
+            self._root.end_ms = self.now_ms()
 
     def snapshot(self) -> Dict[str, float]:
         return {

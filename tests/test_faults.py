@@ -291,7 +291,7 @@ def test_wall_driver_honours_link_loss():
 
 def test_the_wall_driver_has_no_latency_knobs():
     assert list(inspect.signature(WallTransport.__init__).parameters) == [
-        "self", "adapters", "faults", "recorder", "clock", "metrics",
+        "self", "adapters", "faults", "metrics",
     ]
     for factory in (ServeWorld.__init__, build_demo_world):
         assert "time_scale" not in inspect.signature(factory).parameters

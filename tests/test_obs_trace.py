@@ -28,8 +28,8 @@ def by_name(recorder, name):
 def test_disabled_trace_records_nothing_and_span_is_free():
     network = world()
     trace = network.trace()
-    with trace.span("query", store="s") as handle:
-        assert handle.set("k", "v") is handle
+    with trace.span("query", store="s") as span:
+        assert span is None
         trace.hop("a", "b", 100)
         trace.event("ignored")
     assert network.recorder is None
@@ -132,6 +132,20 @@ def test_span_opens_when_called_and_an_unentered_handle_stays_open():
         assert span is open_span
     assert rec.open_spans() == []
     assert span.duration_ms == pytest.approx(11.0)
+
+
+@pytest.mark.parametrize("observed", [False, True])
+def test_block_exiting_with_an_inner_span_open_is_refused(observed):
+    network = world()
+    rec = network.enable_observability() if observed else None
+    trace = network.trace()
+    with pytest.raises(RuntimeError, match="1 inner span"):
+        with trace.span("fed.round"):
+            trace.span("fed.poll")  # opened, never closed
+            trace.hop("a", "b", 1250)
+    assert trace.scope.depth == 0
+    if rec is not None:
+        assert rec.open_spans() == []
 
 
 def test_resilience_notes_become_events():

@@ -3,6 +3,7 @@ satellite regressions (cache TTL boundary, backoff cap, resync
 error)."""
 
 import ast
+import asyncio
 import pathlib
 
 import pytest
@@ -23,6 +24,9 @@ from repro.errors import (
     PacketLossError,
     ResyncRequiredError,
 )
+from repro.obs import SpanRecorder
+from repro.obs.spans import SpanScope
+from repro.obs.wallclock import ManualClock
 from repro.pxml import parse, parse_path
 from repro.sansio import (
     Compute,
@@ -37,6 +41,7 @@ from repro.sansio import (
     decision_of,
     leg_values,
 )
+from repro.serve import WallTransport
 from repro.simnet import Network
 from repro.simnet.driver import SimnetDriver
 from repro.workloads import SyntheticAdapter
@@ -238,27 +243,62 @@ class TestSimnetDriver:
         with pytest.raises(IndexError):
             SimnetDriver({}).run(program(), trace)
 
-    @pytest.mark.parametrize("observed", [False, True])
-    def test_program_returning_with_an_open_span_is_refused(
-        self, observed
-    ):
-        network, _ = self._trace()
-        recorder = network.enable_observability() if observed else None
-        driver = SimnetDriver({})
-        def leaky():
-            yield SpanOpen("fetch.store")
-            yield Compute(1.0, "work")
-            return "leaked"
-        with pytest.raises(RuntimeError, match="1 open span"):
-            driver.run(leaky(), network.trace())
-        if recorder is not None:
-            assert recorder.open_spans() == []
-        # The refusal is per program: the same driver runs the next.
-        def balanced():
-            yield SpanOpen("fetch.store")
-            yield SpanClose()
-            return "ok"
-        assert driver.run(balanced(), network.trace()) == "ok"
+
+
+# ---------------------------------------------------------------------------
+# One refusal for both drivers
+# ---------------------------------------------------------------------------
+
+def _simnet_runner(observed):
+    """(run a program, the recorder or None, the open depth) on the
+    simnet driver; every run gets a fresh trace."""
+    network = Network(seed=3)
+    recorder = network.enable_observability() if observed else None
+    driver = SimnetDriver({})
+    traces = []
+
+    def run_program(program):
+        traces.append(network.trace())
+        return driver.run(program, traces[-1])
+
+    return run_program, recorder, lambda: traces[-1].scope.depth
+
+
+def _wall_runner(observed):
+    """The same on the wall driver, every run on one explicit scope
+    (recorded or not)."""
+    recorder = SpanRecorder() if observed else None
+    scope = SpanScope(recorder, ManualClock())
+    transport = WallTransport({})
+
+    def run_program(program):
+        return asyncio.run(transport.run(program, scope))
+
+    return run_program, recorder, lambda: scope.depth
+
+
+@pytest.mark.parametrize("driver", ["simnet", "wall"])
+@pytest.mark.parametrize("observed", [False, True])
+def test_program_returning_with_an_open_span_is_refused(driver, observed):
+    runner = _simnet_runner if driver == "simnet" else _wall_runner
+    run_program, recorder, depth = runner(observed)
+    def leaky():
+        yield SpanOpen("fetch.store")
+        yield Compute(1.0, "work")
+        return "leaked"
+    with pytest.raises(RuntimeError, match="1 open span"):
+        run_program(leaky())
+    assert depth() == 0
+    if recorder is not None:
+        assert recorder.open_spans() == []
+        assert any(span.name == "fetch.store" for span in recorder.spans)
+    # The refusal is per program: the same driver runs the next.
+    def balanced():
+        yield SpanOpen("fetch.store")
+        yield SpanClose()
+        return "ok"
+    assert run_program(balanced()) == "ok"
+    assert depth() == 0
 
 
 # ---------------------------------------------------------------------------

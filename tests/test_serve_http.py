@@ -10,14 +10,16 @@ import pytest
 
 from repro.access import (
     PolicyRule,
+    RequestContext,
     all_of,
     relationship_in,
     working_hours,
 )
 from repro.errors import NodeUnreachableError, PacketLossError
 from repro.obs import SpanRecorder
-from repro.obs.wallclock import ManualClock, WallSpanScope
-from repro.pxml import parse
+from repro.obs.spans import SpanScope
+from repro.obs.wallclock import ManualClock
+from repro.pxml import parse, parse_path
 from repro.sansio import Compute, Fork, Send, SpanClose, SpanOpen
 from repro.serve import (
     AdmissionGate,
@@ -36,6 +38,7 @@ from repro.serve.http import (
     write_response,
 )
 from repro.simnet import FaultState
+from repro.simnet.driver import SimnetDriver
 
 BOOK = "/user[@id='u1']/address-book"
 PERSONAL = BOOK + "/item[@type='personal']"
@@ -628,7 +631,7 @@ class TestWallSpans:
     def test_nesting_and_timestamps(self):
         recorder = SpanRecorder()
         clock = ManualClock()
-        scope = WallSpanScope(recorder, clock)
+        scope = SpanScope(recorder, clock)
         outer = scope.open("outer")
         clock.advance(5.0)
         inner = scope.open("inner")
@@ -643,7 +646,7 @@ class TestWallSpans:
     def test_fork_child_never_closes_parent(self):
         recorder = SpanRecorder()
         clock = ManualClock()
-        scope = WallSpanScope(recorder, clock)
+        scope = SpanScope(recorder, clock)
         parent = scope.open("request")
         child = scope.fork_child()
         leg = child.open("leg")
@@ -657,24 +660,26 @@ class TestWallSpans:
 
     def test_driver_unwinds_wall_spans_on_error(self):
         recorder = SpanRecorder()
-        transport = WallTransport({}, recorder=recorder)
+        scope = SpanScope(recorder, ManualClock())
+        transport = WallTransport({})
         def program():
             yield SpanOpen("outer")
             yield SpanOpen("inner")
             raise RuntimeError("boom")
         with pytest.raises(RuntimeError):
-            run(transport.run(program()))
+            run(transport.run(program(), scope))
         assert recorder.open_spans() == []
 
     def test_span_close_balances(self):
         recorder = SpanRecorder()
-        transport = WallTransport({}, recorder=recorder)
+        scope = SpanScope(recorder, ManualClock())
+        transport = WallTransport({})
         def program():
             yield SpanOpen("a")
             yield Compute(1.0, "work")
             yield SpanClose()
             return "ok"
-        assert run(transport.run(program())) == "ok"
+        assert run(transport.run(program(), scope)) == "ok"
         assert len(recorder.spans) == 1
         assert recorder.spans[0].finished
 
@@ -682,6 +687,120 @@ class TestWallSpans:
         clock = ManualClock(10.0)
         with pytest.raises(ValueError):
             clock.advance(-1.0)
+
+
+# ---------------------------------------------------------------------------
+# One request, one trace
+# ---------------------------------------------------------------------------
+
+#: Spans that are charges, not named work: dropped when comparing shapes.
+CHARGE_LEAVES = ("hop", "compute", "wait")
+
+
+def named_tree(spans, root):
+    """The named-span tree below *root*: charge leaves dropped, fork
+    ``branch`` roots spliced out, siblings sorted (wall fork legs
+    interleave)."""
+    children = {}
+    for span in spans:
+        children.setdefault(span.parent_id, []).append(span)
+
+    def below(span):
+        shape = []
+        for child in children.get(span.span_id, []):
+            if child.name in CHARGE_LEAVES:
+                continue
+            if child.name == "branch":
+                shape.extend(below(child))
+            else:
+                shape.append((child.name, below(child)))
+        return sorted(shape)
+
+    return below(root)
+
+
+def _query(pattern):
+    return Request(
+        "GET", "/v1/query", params={"path": BOOK, "pattern": pattern},
+    )
+
+
+def _provision():
+    fragment = (
+        "<address-book><item type='personal'><entry name='t'>"
+        "<phone number='7'/></entry></item></address-book>"
+    )
+    return Request(
+        "POST", "/v1/provision", headers=PROVISION_HEADERS,
+        body=json.dumps({"path": BOOK, "fragment": fragment}).encode(),
+    )
+
+
+class TestOneRequestOneTrace:
+    def _served_spans(self, app, request):
+        """The spans one ``App.handle`` records, after any setup."""
+        recorder = app.world.recorder
+        recorder.clear()
+        response = run(app.handle(request))
+        return response, list(recorder.spans)
+
+    def _assert_one_trace(self, spans):
+        assert len({span.trace_id for span in spans}) == 1
+        roots = [span for span in spans if span.parent_id is None]
+        assert [root.name for root in roots] == ["serve.request"]
+        assert all(span.finished for span in spans)
+
+    @pytest.mark.parametrize("pattern", ["chaining", "cached"])
+    def test_query_is_one_trace(self, pattern):
+        app = create_app()
+        response, spans = self._served_spans(app, _query(pattern))
+        assert response.status == 200
+        self._assert_one_trace(spans)
+        assert "query.%s" % pattern in {span.name for span in spans}
+
+    def test_provision_is_one_trace(self):
+        app = create_app()
+        response, spans = self._served_spans(app, _provision())
+        assert response.status == 201
+        self._assert_one_trace(spans)
+        assert "query.provision" in {span.name for span in spans}
+
+    def test_subscription_poll_is_one_trace(self):
+        app = create_app()
+        created = run(app.handle(Request(
+            "POST", "/v1/subscriptions",
+            body=json.dumps({"watch_path": BOOK}).encode(),
+        )))
+        run(app.handle(_provision()))
+        app.jobs.drain_bus_once()
+        response, spans = self._served_spans(app, Request(
+            "GET", "/v1/subscriptions/%d" % get_json(created)["id"],
+        ))
+        assert response.status == 200
+        self._assert_one_trace(spans)
+
+    def test_served_chaining_has_the_simnet_span_shape(self):
+        simulated = build_demo_world()
+        network = simulated.network
+        recorder = network.enable_observability()
+        trace = network.trace()
+        SimnetDriver(simulated.server.adapters).run(
+            simulated.engine.chain(
+                simulated.client_node, parse_path(BOOK),
+                RequestContext("app", relationship="third-party"), 0.0,
+            ),
+            trace,
+        )
+        (sim_root,) = recorder.roots(trace.trace_id)
+        sim_shape = named_tree(recorder.spans, sim_root)
+
+        app = create_app()
+        _response, spans = self._served_spans(app, _query("chaining"))
+        (request_span,) = [s for s in spans if s.name == "serve.request"]
+        assert named_tree(spans, request_span) == sim_shape
+        assert sim_shape == [("query.chaining", [
+            ("fetch.store", []), ("fetch.store", []),
+        ])]
 
 
 # ---------------------------------------------------------------------------
