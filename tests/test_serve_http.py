@@ -683,6 +683,17 @@ class TestWallSpans:
         assert len(recorder.spans) == 1
         assert recorder.spans[0].finished
 
+    def test_unmatched_close_never_closes_the_enclosing_span(self):
+        recorder = SpanRecorder()
+        scope = SpanScope(recorder, ManualClock())
+        request_span = scope.open("serve.request")
+        def program():
+            yield SpanClose()
+        with pytest.raises(IndexError):
+            run(WallTransport({}).run(program(), scope))
+        assert scope.depth == 1
+        assert not request_span.finished
+
     def test_manual_clock_rejects_reverse(self):
         clock = ManualClock(10.0)
         with pytest.raises(ValueError):
