@@ -462,11 +462,11 @@ MUTANTS: List[Dict[str, str]] = [
         ),
     },
     {
-        "name": "wall_run_skips_unwind",
-        "bug_class": "the wall driver neither unwinds what a program "
+        "name": "driver_run_skips_unwind",
+        "bug_class": "the driver loop neither unwinds what a program "
                      "left open nor refuses a program that returned "
                      "with a span open",
-        "relpath": "repro/serve/transport.py",
+        "relpath": "repro/simnet/driver.py",
         "old": (
             "        finally:\n"
             "            leaked = scope.unwind(depth)\n"

@@ -31,6 +31,10 @@ the parts of a whole-profile read are distinct components, never value
 twins). The traces row counts the distinct trace ids among the spans
 each ``App.handle`` request records on the demo world (gated at
 exactly 1: the request's span tree and the engine's are one trace).
+The suspensions row steps each ``App.handle`` coroutine by hand with
+``send(None)`` and counts the steps before it returns (gated at
+exactly 0: a served request never yields to the event loop, so nothing
+else runs between reading a request and writing its response).
 
 Artifacts: ``results/e18_trace.json`` (Chrome trace-event JSON of the
 degraded query — load it in ``chrome://tracing`` / Perfetto) and
@@ -101,6 +105,10 @@ GARBAGE_REQUESTS = 200
 #: ``App.handle`` requests in the traces probe (the garbage probe's
 #: mix).
 TRACE_REQUESTS = 200
+
+#: ``App.handle`` requests in the suspensions probe (the garbage
+#: probe's mix).
+SUSPENSION_REQUESTS = 200
 
 #: ``App.handle`` requests in the pxml work probe: whole-profile reads
 #: as family (chaining, cached), buddy and a denied stranger, and
@@ -332,6 +340,31 @@ def run_traces_per_request() -> Dict[str, float]:
     }
 
 
+def run_suspensions_per_request() -> Dict[str, float]:
+    """Event-loop suspensions per ``App.handle`` request: each
+    coroutine is stepped by hand with ``send(None)`` until it returns,
+    over :data:`SUSPENSION_REQUESTS` requests (bus drained after
+    each)."""
+    app = create_app()
+    counts: List[int] = []
+    for request in _garbage_probe_requests(SUSPENSION_REQUESTS):
+        step = app.handle(request)
+        suspended = 0
+        try:
+            while True:
+                step.send(None)
+                suspended += 1
+        except StopIteration:
+            pass
+        counts.append(suspended)
+        app.jobs.drain_bus_once()
+    return {
+        "requests": SUSPENSION_REQUESTS,
+        "suspensions_per_req": sum(counts) / float(len(counts)),
+        "max": max(counts),
+    }
+
+
 def _pxml_work_requests(count: int) -> List[Request]:
     def read(requester: str, relationship: str, pattern: str) -> Request:
         return Request(
@@ -543,6 +576,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(gate == 1.00, min %d, max %d) -> %s" % (
             traces["requests"], traces["traces_per_req"],
             traces["min"], traces["max"], "OK" if traces_ok else "FAILED",
+        )
+    )
+    suspensions = run_suspensions_per_request()
+    suspensions_ok = suspensions["max"] == 0
+    failures += 0 if suspensions_ok else 1
+    print(
+        "event-loop suspensions per request (%d App.handle, demo "
+        "world): %.2f (gate == 0, max %d) -> %s" % (
+            suspensions["requests"], suspensions["suspensions_per_req"],
+            suspensions["max"], "OK" if suspensions_ok else "FAILED",
         )
     )
     work = run_pxml_work()

@@ -6,19 +6,18 @@ the E19 wave ``batch`` and the enter-once ``provision`` fan-out — as
 generator *programs* that yield typed :mod:`~repro.sansio.intents`
 and never perform I/O themselves.
 
-The same program is consumed by two drivers:
+The same program is run by one loop,
+:class:`repro.simnet.driver.SimnetDriver`, over one of two cost sinks:
 
-* :class:`repro.simnet.driver.SimnetDriver` charges every intent to a
-  virtual-time :class:`~repro.simnet.Trace`; the golden latency
-  fixtures pin the resulting cost model bit for bit.
-  :class:`~repro.core.query.QueryExecutor` is this driver's face.
-* :class:`repro.serve.transport.WallTransport` performs the intents
-  under asyncio against the wall clock, giving the serving layer
-  (:mod:`repro.serve`) real concurrency for fork/join fan-outs and
-  real (capped) backoff sleeps — with the *same* shield decisions,
-  values and degradation behaviour, which
-  ``tests/test_sansio_equivalence.py`` pins property-style under fault
-  injection.
+* a virtual-time :class:`~repro.simnet.Trace` charges every intent;
+  the golden latency fixtures pin the resulting cost model bit for
+  bit. :class:`~repro.core.query.QueryExecutor` is this sink's face.
+* :class:`repro.serve.transport.WallTransport` runs the programs for
+  the serving layer (:mod:`repro.serve`): sends are decided by the
+  fault model, no delay is modelled and fork legs run in order — with
+  the *same* shield decisions, values, degradation behaviour and
+  resilience marks, which ``tests/test_sansio_equivalence.py`` pins
+  property-style under fault injection.
 
 Everything stateful the programs consult — coverage resolution, the
 privacy shield, signing, endpoint health, provenance — and every cost

@@ -6,12 +6,14 @@ receive the result of each operation back at the ``yield`` expression
 (or have the operation's failure thrown in with ``generator.throw``).
 The generator never touches a socket, a clock, or the simulated
 network: everything observable about the outside world arrives through
-the intent protocol, so a single body of protocol code can be driven
+the intent protocol, so a single body of protocol code is driven by
+one loop, :class:`repro.simnet.driver.SimnetDriver`, over either cost
+sink:
 
-* by :class:`repro.simnet.driver.SimnetDriver` — charging every intent
-  to a virtual-time :class:`~repro.simnet.Trace`; and
-* by :class:`repro.serve.transport.WallTransport` — performing the
-  same intents under asyncio against the wall clock.
+* a virtual-time :class:`~repro.simnet.Trace`, which charges every
+  intent; or
+* the wall sink of :class:`repro.serve.transport.WallTransport`, which
+  decides each send by the fault model and models no delay.
 
 The intent protocol, per type:
 
@@ -23,8 +25,8 @@ intent         driver obligation
                :class:`~repro.errors.PacketLossError` *into* the
                program when the wire fails
 ``Compute``    charge ``ms`` of processing at the current node
-``Sleep``      idle for ``ms`` (retry backoff) — virtual ``wait`` or a
-               real (scaled, capped) ``asyncio.sleep``
+``Sleep``      idle for ``ms`` (retry backoff) — a virtual ``wait``;
+               free on the wall
 ``StoreGet``   evaluate ``path`` at store ``store_id``'s adapter and
                send the fragment (or ``None``) back in
 ``StorePut``   write ``fragment`` at ``path`` on ``store_id``
@@ -39,8 +41,8 @@ intent         driver obligation
                :class:`LegOutcome.error`, anything else propagates
 =============  =======================================================
 
-Both drivers hand span intents to a
-:class:`~repro.obs.spans.SpanScope` and close any spans a program
+The loop hands span intents to the sink's
+:class:`~repro.obs.spans.SpanScope` and closes any spans a program
 leaves open — the sans-io equivalent of unwinding ``with
 trace.span(...)`` blocks; a program that *returns* with a span open
 raises ``RuntimeError``.
@@ -110,10 +112,10 @@ class Send(Intent):
     """One message ``src -> dst`` carrying ``nbytes`` on the wire: a
     fixed part plus, when a *payload* rides along, its ``byte_size()``.
 
-    The payload is sized when a driver reads :attr:`nbytes` as it
-    performs the send. The simnet driver does, to charge the hop; the
-    wall transport never does, so the served path builds no size it
-    would throw away."""
+    The payload is sized when a cost sink reads :attr:`nbytes` as it
+    takes the send. A :class:`~repro.simnet.Trace` does, to charge the
+    hop; the wall sink never does, so the served path builds no size
+    it would throw away."""
 
     __slots__ = ("src", "dst", "fixed_bytes", "note", "payload")
 

@@ -5,8 +5,9 @@ patterns pure programs over typed I/O intents; this package is the
 second consumer of those programs — a wall-clock asyncio front end
 that serves them over real sockets:
 
-* :mod:`~repro.serve.transport` — the async intent driver (faults are
-  the simulated network's own :class:`~repro.simnet.FaultState`);
+* :mod:`~repro.serve.transport` — the wall-clock cost sink for the one
+  driver loop (faults are the simulated network's own
+  :class:`~repro.simnet.FaultState`);
 * :mod:`~repro.serve.http` — a minimal stdlib HTTP/1.1 layer;
 * :mod:`~repro.serve.status` — the deliberate error → HTTP status map;
 * :mod:`~repro.serve.middleware` — error/span/metrics/admission onion;

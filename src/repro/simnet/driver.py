@@ -1,28 +1,24 @@
-"""Virtual-time driver for sans-io programs.
+"""The one driver loop for sans-io programs.
 
 :class:`SimnetDriver` consumes the typed intent stream of a
-:mod:`repro.sansio` program and charges every intent to a
-:class:`~repro.simnet.Trace` — hop for hop, compute for compute (the
-golden latency fixtures pin the resulting costs bit-for-bit). Transport
-failures raised by the trace (:class:`~repro.errors.NodeUnreachableError`,
-:class:`~repro.errors.PacketLossError`) are *thrown into* the program
-at the failing yield, which is where the protocol logic decides to
-fail over, back off, or degrade.
-
-Span intents go to ``trace.scope``, a
-:class:`~repro.obs.spans.SpanScope`. The wall-clock counterpart is
-:class:`repro.serve.transport.WallTransport`; both drivers hand span
-intents to a scope the same way, share one run contract (unwind to
-the depth at entry; refuse a program that returns above it) and
-honour the same intent contract (see :mod:`repro.sansio.intents`),
-which the equivalence gate in ``tests/test_sansio_equivalence.py``
-exercises under fault injection.
+:mod:`repro.sansio` program: it performs store calls, hands span
+intents to ``sink.scope`` and charges every other intent to a
+:class:`CostSink` — a virtual-time :class:`~repro.simnet.Trace` (the
+golden latency fixtures pin its costs bit-for-bit) or the wall sink of
+:class:`repro.serve.transport.WallTransport`. Transport failures a
+sink's ``send`` raises are *thrown into* the program at the failing
+yield, which is where the protocol logic decides to fail over, back
+off, or degrade. Fork legs run one after another, in order, so a leg
+sees every earlier leg's effect on a shared health ledger. The
+equivalence gate in ``tests/test_sansio_equivalence.py`` drives both
+sinks under fault injection.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Mapping, Optional
+from typing import Any, List, Mapping, Optional, Protocol, TypeVar
 
+from repro.obs.spans import SpanScope
 from repro.sansio.intents import (
     Compute,
     Fork,
@@ -39,13 +35,34 @@ from repro.sansio.intents import (
     StoreGet,
     StorePut,
 )
-from repro.simnet.network import Trace
 
-__all__ = ["SimnetDriver"]
+__all__ = ["CostSink", "SimnetDriver"]
+
+_Sink = TypeVar("_Sink", bound="CostSink")
+
+
+class CostSink(Protocol):
+    """What the loop charges intents to. ``send`` gets the intent
+    whole, so only a sink that sizes messages reads ``Send.nbytes``;
+    ``fork`` opens one :class:`Fork` leg, ``join`` closes the group."""
+
+    scope: SpanScope
+    part_status: List[object]  # PartReport statuses
+
+    def send(self, intent: Send) -> None: ...
+    def compute(self, ms: float, note: str = "") -> None: ...
+    def wait(self, ms: float, note: str = "") -> None: ...
+    def note_retry(self) -> None: ...
+    def note_failover(self) -> None: ...
+    def note_stale_serve(self) -> None: ...
+    def note_degraded(self, parts: int = 1) -> None: ...
+    def note_degraded_item(self, parts: int = 1) -> None: ...
+    def fork(self: _Sink) -> _Sink: ...
+    def join(self: _Sink, branches: List[_Sink]) -> None: ...
 
 
 class SimnetDriver:
-    """Runs sans-io programs against the simulated network.
+    """Runs sans-io programs against a cost sink.
 
     *adapters* maps store ids to profile-store adapters (normally
     ``server.adapters``) — the driver performs ``StoreGet``/``StorePut``
@@ -55,19 +72,19 @@ class SimnetDriver:
     def __init__(self, adapters: Mapping[str, Any]) -> None:
         self.adapters = adapters
 
-    def run(self, program: Program, trace: Trace) -> Any:
-        """Drive *program* to completion on *trace*; returns the
+    def run(self, program: Program, sink: CostSink) -> Any:
+        """Drive *program* to completion on *sink*; returns the
         program's return value. Spans the program left open on
-        ``trace.scope`` are closed first either way (the sans-io
+        ``sink.scope`` are closed first either way (the sans-io
         equivalent of unwinding ``with`` blocks); exceptions the
         program does not handle then propagate, and a program that
         *returned* with a span open raises ``RuntimeError`` — with
         observability on or off, since the scope counts depth
         either way."""
-        scope = trace.scope
+        scope = sink.scope
         depth = scope.depth
         try:
-            result = self._drive(program, trace, depth)
+            result = self._drive(program, sink, depth)
         finally:
             leaked = scope.unwind(depth)
             program.close()
@@ -77,7 +94,7 @@ class SimnetDriver:
             )
         return result
 
-    def _drive(self, program: Program, trace: Trace, depth: int) -> Any:
+    def _drive(self, program: Program, sink: CostSink, depth: int) -> Any:
         to_send: Any = None
         to_throw: Optional[BaseException] = None
         while True:
@@ -91,17 +108,17 @@ class SimnetDriver:
                 return stop.value
             to_send = None
             try:
-                to_send = self._perform(intent, trace, depth)
+                to_send = self._perform(intent, sink, depth)
             except Exception as err:
                 to_throw = err
 
-    def _perform(self, intent: Intent, trace: Trace, depth: int) -> Any:
+    def _perform(self, intent: Intent, sink: CostSink, depth: int) -> Any:
         if isinstance(intent, Send):
-            trace.hop(intent.src, intent.dst, intent.nbytes, intent.note)
+            sink.send(intent)
         elif isinstance(intent, Compute):
-            trace.compute(intent.ms, intent.note)
+            sink.compute(intent.ms, intent.note)
         elif isinstance(intent, Sleep):
-            trace.wait(intent.ms, intent.note)
+            sink.wait(intent.ms, intent.note)
         elif isinstance(intent, StoreGet):
             return self.adapters[intent.store_id].get(intent.path)
         elif isinstance(intent, StorePut):
@@ -109,46 +126,46 @@ class SimnetDriver:
             if adapter is not None:
                 adapter.put(intent.path, intent.fragment)
         elif isinstance(intent, SpanOpen):
-            trace.scope.open(intent.name, intent.attrs)
+            sink.scope.open(intent.name, intent.attrs)
         elif isinstance(intent, SpanSet):
-            trace.scope.set(intent.key, intent.value)
+            sink.scope.set(intent.key, intent.value)
         elif isinstance(intent, SpanClose):
-            trace.scope.close(depth)
+            sink.scope.close(depth)
         elif isinstance(intent, Mark):
-            self._mark(intent, trace)
+            self._mark(intent, sink)
         elif isinstance(intent, PartReport):
-            trace.part_status.extend(intent.statuses)
+            sink.part_status.extend(intent.statuses)
         elif isinstance(intent, Fork):
-            return self._fork(intent, trace)
+            return self._fork(intent, sink)
         else:  # pragma: no cover - new intents must be handled here
             raise TypeError("unknown intent %r" % (intent,))
         return None
 
-    def _mark(self, intent: Mark, trace: Trace) -> None:
+    def _mark(self, intent: Mark, sink: CostSink) -> None:
         if intent.kind == "retry":
             for _ in range(intent.count):
-                trace.note_retry()
+                sink.note_retry()
         elif intent.kind == "failover":
             for _ in range(intent.count):
-                trace.note_failover()
+                sink.note_failover()
         elif intent.kind == "stale_serve":
             for _ in range(intent.count):
-                trace.note_stale_serve()
+                sink.note_stale_serve()
         elif intent.kind == "degraded":
-            trace.note_degraded(intent.count)
+            sink.note_degraded(intent.count)
         else:  # degraded_item — Mark validates the vocabulary
-            trace.note_degraded_item(intent.count)
+            sink.note_degraded_item(intent.count)
 
-    def _fork(self, intent: Fork, trace: Trace) -> List[LegOutcome]:
-        """Sequential legs on forked branch traces, joined once —
-        virtual-time parallelism (elapsed = max over branches). A
-        captured leg error lands in its outcome with the branch still
-        joined; an uncaptured error propagates before the join, exactly
-        like the inline fan-out loops this replaces."""
+    def _fork(self, intent: Fork, sink: CostSink) -> List[LegOutcome]:
+        """Legs in order, each on its own forked sink, joined once (on
+        a trace: virtual-time parallelism, elapsed = max over
+        branches). A captured leg error lands in its outcome with the
+        branch still joined; an uncaptured error propagates before the
+        join, exactly like the inline fan-out loops this replaces."""
         outcomes: List[LegOutcome] = []
-        branches: List[Trace] = []
+        branches: List[CostSink] = []
         for leg in intent.programs:
-            branch = trace.fork()
+            branch = sink.fork()
             try:
                 value = self.run(leg, branch)
             except intent.capture as err:
@@ -156,5 +173,5 @@ class SimnetDriver:
             else:
                 outcomes.append(LegOutcome(value=value))
             branches.append(branch)
-        trace.join(branches)
+        sink.join(branches)
         return outcomes

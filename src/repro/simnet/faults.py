@@ -6,11 +6,11 @@ its behaviour *under failure* — yet a simulator that never fails
 anything can only measure the sunny day.
 
 :class:`FaultState` is what is broken right now — the one fault model
-both drivers consult. A :class:`~repro.simnet.Network` is one (it adds
+both cost sinks consult. A :class:`~repro.simnet.Network` is one (it adds
 topology); :class:`repro.serve.WallTransport` takes a bare one. Each
 asks :meth:`FaultState.verdict` per message and charges the refusal in
-its own currency: virtual milliseconds and ``net.*`` counters there, a
-scheduler yield and ``serve.send_failures`` here.
+its own currency: virtual milliseconds and ``net.*`` counters there,
+``serve.send_failures`` alone here.
 
 :class:`FaultSchedule` scripts changes to that state against virtual
 time so experiment E16 (availability under churn) is exactly

@@ -40,7 +40,7 @@ link, byte count and outcome; callers can group charges under named
 spans with ``with trace.span("referral", store=...)``. Named spans
 live on ``trace.scope``, a :class:`~repro.obs.spans.SpanScope` timed
 by the trace's virtual :meth:`Trace.now_ms` — the same span stack the
-wall driver uses, so both drivers nest spans alike. The layer sits
+wall sink uses, so both sinks nest spans alike. The layer sits
 strictly *under* the cost model: with no recorder (the default) no
 span is constructed and every sampled latency is bit-identical to
 the pre-observability streams (``tests/data/golden_latencies.json``
@@ -61,12 +61,15 @@ by luck, once — only when exactly one leg degraded.)
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import NodeUnreachableError, PacketLossError
 from repro.obs.metrics import CounterView, MetricsRegistry
 from repro.obs.spans import ScopedSpan, Span, SpanRecorder, SpanScope
 from repro.simnet.faults import FaultState
+
+if TYPE_CHECKING:  # pragma: no cover - intents import nothing from here
+    from repro.sansio.intents import Send
 
 __all__ = [
     "NetworkNode",
@@ -464,6 +467,10 @@ class Trace:
             if note:
                 attrs["note"] = note
             self._leaf("hop", start, attrs)
+
+    def send(self, intent: Send) -> None:
+        """Charge a sans-io ``Send``: where its payload is sized."""
+        self.hop(intent.src, intent.dst, intent.nbytes, intent.note)
 
     def _hop(
         self, src: str, dst: str, nbytes: int, note: str = ""

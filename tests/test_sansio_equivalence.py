@@ -1,41 +1,43 @@
-"""The sim ≡ real equivalence gate (ISSUE 9 satellite + tentpole
-deliverable).
+"""The sim ≡ wall equivalence gate.
 
-One sans-io program, two drivers: :class:`SimnetDriver` (virtual
-time) and :class:`WallTransport` (asyncio). For any
-request trace and any fault schedule, both drivers must walk the
-program through the *same* decision sequence — same values, same
-shield outcomes, same degraded parts, same error classes. Hypothesis
-draws the traces and the faults.
+One sans-io program, one driver loop, two cost sinks:
+:class:`SimnetDriver` on a virtual-time trace and
+:class:`WallTransport` on the wall clock. For any request trace and
+any fault schedule, both must walk the program through the *same*
+decision sequence — same values, same shield outcomes, same degraded
+parts, same error classes — and record the same retries, failovers
+and failed sends (the wall's ``serve.send_failures`` against the
+simulator's ``net.timeouts``). Hypothesis draws the traces and the
+faults.
 
 Worlds are twins: same :class:`SyntheticAdapter` seeds, same node
 names, same retry policy. The ``now`` per request is supplied
 explicitly on both sides so cache-TTL decisions can't diverge.
 
-A constraint this test leans on (also documented in DESIGN.md §4.9):
-the two referral parts have *disjoint* store sets (personal on
-alpha∥beta, corporate only on corp). Wall fork legs run concurrently
-while sim legs run sequentially, so legs touching a *shared* endpoint
-could observe its health ledger in different orders. With disjoint
-sets per part, each endpoint's health is driven by exactly one leg
-and the interleaving cannot matter.
+Two store layouts run: the split address book (personal on
+alpha∥beta, corporate only on corp) and a shared one where both parts
+are registered on alpha and beta, so the two legs of one fan-out
+consult the same endpoints' health ledger. Fork legs run in order on
+both sinks, so a later leg sees an earlier leg's failure either way.
 
 The Section 5.1 meta-data lookups ride the same property: the three
 MDM topology programs, single and batched, run on a twin of the E6
 golden world (``build_mdm_world``) under the same schedule, and must
-agree on per-item outcomes, retries and failovers. The same constraint
-holds there by construction — no two fan-out legs share an MDM node.
+agree on per-item outcomes, retries, failovers and failed sends.
+An enter-once write under a failed store must leave the stores in the
+same state on both sinks.
 """
 
 import asyncio
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.access import RequestContext
 from repro.core import ComponentCache, GupsterServer, RetryPolicy
 from repro.core.mdm import Lookup
-from repro.pxml import parse_path
+from repro.pxml import parse, parse_path
 from repro.core.host import QueryHost
 from repro.sansio import SansIoQueryEngine, decision_of
 from repro.serve import WallTransport
@@ -62,7 +64,9 @@ DROPPABLE_LINKS = tuple(
 ) + ((CLIENT, SERVER),) + tuple((CLIENT, node) for node in MDM_NODES)
 
 
-def build_server():
+def build_server(shared=False):
+    """The twin world: the split address book, or with *shared* both
+    parts on alpha and beta."""
     server = GupsterServer(
         SERVER,
         cache=ComponentCache(
@@ -79,7 +83,11 @@ def build_server():
         server.join(adapter, user_ids=[])
     server.register_component(PERSONAL, "gup.alpha.com")
     server.register_component(PERSONAL, "gup.beta.com")
-    server.register_component(CORPORATE, "gup.corp.com")
+    if shared:
+        server.register_component(CORPORATE, "gup.alpha.com")
+        server.register_component(CORPORATE, "gup.beta.com")
+    else:
+        server.register_component(CORPORATE, "gup.corp.com")
     return server
 
 
@@ -101,7 +109,7 @@ def arm(faults_of, failed, drops):
         faults_of(b).force_drops(a, b, count)
 
 
-def build_sim_side(failed, drops, retry_policy):
+def build_sim_side(failed, drops, retry_policy, shared=False):
     network = Network(seed=16)
     network.add_node(SERVER, region="core")
     network.add_node(CLIENT, region="internet")
@@ -113,24 +121,28 @@ def build_sim_side(failed, drops, retry_policy):
         lambda node: mdm_network if node in MDM_NODES else network,
         failed, drops,
     )
-    server = build_server()
+    server = build_server(shared)
     host = QueryHost(
         server, server_node=SERVER, retry_policy=retry_policy
     )
 
     def run(program, pattern):
         on_mdms = pattern.partition(".")[0] in mdms
+        counters = (mdm_network if on_mdms else network).counters
         trace = (mdm_network if on_mdms else network).trace()
-        result = SimnetDriver(server.adapters).run(program, trace)
-        return result, (trace.retries, trace.failovers)
+        return measured(
+            lambda: SimnetDriver(server.adapters).run(program, trace),
+            lambda: (counters.retries, counters.failovers,
+                     counters.timeouts),
+        )
 
     return run, SansIoQueryEngine(host), mdms
 
 
-def build_wall_side(failed, drops, retry_policy):
+def build_wall_side(failed, drops, retry_policy, shared=False):
     faults = FaultState()
     arm(lambda node: faults, failed, drops)
-    server = build_server()
+    server = build_server(shared)
     host = QueryHost(
         server, server_node=SERVER, retry_policy=retry_policy
     )
@@ -144,17 +156,28 @@ def wall_runner(server, faults):
     def marks():
         return tuple(
             transport.metrics.counter(name).value
-            for name in ("serve.retries", "serve.failovers")
+            for name in (
+                "serve.retries", "serve.failovers", "serve.send_failures",
+            )
         )
 
     def run(program, _pattern):
-        before = marks()
-        result = asyncio.run(transport.run(program))
-        return result, tuple(
-            now - then for now, then in zip(marks(), before)
+        return measured(
+            lambda: asyncio.run(transport.run(program)), marks
         )
 
     return run
+
+
+def measured(drive, marks):
+    """(the program's result or the error it raised, the retries,
+    failovers and failed sends it recorded)."""
+    before = marks()
+    try:
+        result = drive()
+    except Exception as err:  # noqa: BLE001 - the error IS the result
+        result = err
+    return result, tuple(now - then for now, then in zip(marks(), before))
 
 
 def batch_decision(items):
@@ -189,9 +212,11 @@ def mdm_request(pattern, path, context, now, runner, mdms):
         (index, parse_path(request), context)
         for index, request in enumerate(requests)
     ]
-    _none, (retries, failovers) = runner(
+    error, (retries, failovers, failed_sends) = runner(
         mdms[name].program(lookup, items), pattern
     )
+    if error is not None:
+        raise error
     return {
         "items": [
             referral.render() if error is None
@@ -200,6 +225,7 @@ def mdm_request(pattern, path, context, now, runner, mdms):
         ],
         "retries": retries,
         "failovers": failovers,
+        "failed_sends": failed_sends,
     }
 
 
@@ -219,10 +245,10 @@ def run_request(pattern, path, context, now, runner, engine, mdms):
         program = engine.referral(CLIENT, parse_path(path), context, now)
     else:
         program = engine.chain(CLIENT, parse_path(path), context, now)
-    try:
-        return record(runner(program, pattern)[0])
-    except Exception as err:  # noqa: BLE001 - the decision IS the record
-        return decision_of(err)
+    result, marks = runner(program, pattern)
+    if isinstance(result, Exception):
+        return decision_of(result), marks
+    return record(result), marks
 
 
 requests_strategy = st.lists(
@@ -247,17 +273,15 @@ faults_strategy = st.fixed_dictionaries({
 })
 
 
-@settings(max_examples=40, deadline=None)
-@given(requests=requests_strategy, faults=faults_strategy)
-def test_sim_and_wall_drivers_agree(requests, faults):
+def assert_drivers_agree(requests, faults, shared=False):
     retry_policy = RetryPolicy(
         max_attempts=faults["max_attempts"], base_backoff_ms=10.0
     )
     sim_side = build_sim_side(
-        faults["failed"], faults["drops"], retry_policy
+        faults["failed"], faults["drops"], retry_policy, shared
     )
     wall_side = build_wall_side(
-        faults["failed"], faults["drops"], retry_policy
+        faults["failed"], faults["drops"], retry_policy, shared
     )
 
     sim_decisions = []
@@ -273,3 +297,61 @@ def test_sim_and_wall_drivers_agree(requests, faults):
         )
 
     assert sim_decisions == wall_decisions
+
+
+@settings(max_examples=40, deadline=None)
+@given(requests=requests_strategy, faults=faults_strategy)
+def test_sim_and_wall_drivers_agree(requests, faults):
+    assert_drivers_agree(requests, faults)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    requests=st.lists(
+        st.tuples(
+            st.sampled_from(("chaining", "cached", "referral", "batch")),
+            st.sampled_from([BOOK, PERSONAL, CORPORATE]),
+        ),
+        min_size=1, max_size=6,
+    ),
+    faults=faults_strategy,
+)
+@example(
+    # Both legs of the book's fan-out try alpha first: the second leg
+    # must see the first leg's failure in the health ledger.
+    requests=[("chaining", BOOK)],
+    faults={"failed": {"gup.alpha.com"}, "drops": {}, "max_attempts": 1},
+)
+def test_sim_and_wall_drivers_agree_on_shared_endpoints(requests, faults):
+    assert_drivers_agree(requests, faults, shared=True)
+
+
+@pytest.mark.parametrize("failed", STORES)
+def test_provision_under_a_failed_store_agrees(failed):
+    """An enter-once write that hits a down store fails on both sinks
+    after the same sends, and leaves every store as the other side's
+    twin: legs after the failing one never run on either."""
+    retry_policy = RetryPolicy(max_attempts=1, base_backoff_ms=10.0)
+    fragment = parse(
+        "<address-book><item type='personal'><entry name='p'>"
+        "<phone number='7'/></entry></item></address-book>"
+    )
+    books = []
+    for side in (build_sim_side, build_wall_side):
+        runner, engine, _mdms = side({failed}, {}, retry_policy)
+        server = engine.host.server
+        result, marks = runner(engine.provision(
+            CLIENT, parse_path(BOOK), fragment,
+            RequestContext("u1", relationship="self", purpose="provision"),
+            0.0,
+        ), "provision")
+        books.append((
+            decision_of(result), marks,
+            {
+                store: server.adapters[store].get(parse_path(BOOK))
+                .serialize()
+                for store in STORES if store != failed
+            },
+        ))
+    assert books[0] == books[1]
+    assert books[0][0]["error"] == "NodeUnreachableError"

@@ -710,8 +710,8 @@ CHARGE_LEAVES = ("hop", "compute", "wait")
 
 def named_tree(spans, root):
     """The named-span tree below *root*: charge leaves dropped, fork
-    ``branch`` roots spliced out, siblings sorted (wall fork legs
-    interleave)."""
+    ``branch`` roots spliced out, siblings in creation order (fork legs
+    run in order on both sinks)."""
     children = {}
     for span in spans:
         children.setdefault(span.parent_id, []).append(span)
@@ -725,7 +725,7 @@ def named_tree(spans, root):
                 shape.extend(below(child))
             else:
                 shape.append((child.name, below(child)))
-        return sorted(shape)
+        return shape
 
     return below(root)
 
@@ -812,6 +812,47 @@ class TestOneRequestOneTrace:
         assert sim_shape == [("query.chaining", [
             ("fetch.store", []), ("fetch.store", []),
         ])]
+
+
+# ---------------------------------------------------------------------------
+# A served request runs straight through
+# ---------------------------------------------------------------------------
+
+def handled_in_one_step(app, request):
+    """Step ``app.handle(request)`` once by hand: it must return
+    without ever suspending to an event loop."""
+    step = app.handle(request)
+    try:
+        with pytest.raises(StopIteration) as stop:
+            step.send(None)
+    finally:
+        step.close()
+    return stop.value.value
+
+
+class TestServedRequestNeverSuspends:
+    @pytest.mark.parametrize("down", [None, "gup.alpha.com"])
+    @pytest.mark.parametrize("kind", [
+        "chaining", "cached miss", "cached hit", "provision",
+    ])
+    def test_one_step(self, kind, down):
+        faults = FaultState()
+        if down is not None:
+            faults.fail(down)
+        app = create_app(build_demo_world(faults=faults))
+        if kind == "cached hit":
+            handled_in_one_step(app, _query("cached"))
+        request = (
+            _provision() if kind == "provision"
+            else _query(kind.split()[0])
+        )
+        response = handled_in_one_step(app, request)
+        if kind == "cached hit":
+            assert get_json(response)["cache_hit"] is True
+        if kind == "provision" and down is not None:
+            assert response.status == 503  # the write reached alpha
+        else:
+            assert response.status in (200, 201)
 
 
 # ---------------------------------------------------------------------------
