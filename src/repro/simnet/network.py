@@ -68,7 +68,7 @@ from repro.obs.metrics import CounterView, MetricsRegistry
 from repro.obs.spans import ScopedSpan, Span, SpanRecorder, SpanScope
 from repro.simnet.faults import FaultState
 
-if TYPE_CHECKING:  # pragma: no cover - intents import nothing from here
+if TYPE_CHECKING:  # annotation only: repro.sansio imports repro.core, which imports simnet
     from repro.sansio.intents import Send
 
 __all__ = [
