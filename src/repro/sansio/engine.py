@@ -964,10 +964,15 @@ class SansIoQueryEngine:
         else:
             document = PNode("user", {"id": path.user_id() or ""})
             document.append(fragment.copy())
-        yield Fork([
+        # Every live store takes its slice even when another is down;
+        # the write still fails, with the first leg's error.
+        outcomes: List[LegOutcome] = yield Fork([
             self._provision_part(client, part, document, now)
             for part in referral.parts
-        ])
+        ], capture=TRANSIENT_ERRORS)
+        for outcome in outcomes:
+            if outcome.error is not None:
+                raise outcome.error
         yield SpanClose()
         return None
 

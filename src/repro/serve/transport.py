@@ -21,7 +21,7 @@ request is one trace. Outside a request a run records nothing.
 from __future__ import annotations
 
 from contextvars import ContextVar
-from typing import Any, List, Mapping, Optional
+from typing import Any, List, Mapping, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanScope
@@ -49,16 +49,12 @@ class _WallSink:
     """One run's (or fork leg's) charges on the wall clock."""
 
     def __init__(
-        self,
-        faults: Optional[FaultState],
-        metrics: MetricsRegistry,
+        self, faults: Optional[FaultState], metrics: MetricsRegistry,
         scope: SpanScope,
     ) -> None:
         self.faults = faults
         self.metrics = metrics
         self.scope = scope
-        # Statuses travel in the program's return value.
-        self.part_status: List[object] = []
 
     def send(self, intent: Send) -> None:
         self.metrics.counter("serve.sends").inc()
@@ -68,11 +64,15 @@ class _WallSink:
                 self.metrics.counter("serve.send_failures").inc()
                 raise refusal[0]
 
+    # Part statuses travel in the program's return value.
+    def report_parts(self, statuses: Sequence[object]) -> None:
+        pass
+
+    # The real compute happens inline, and no delay is modelled.
     def compute(self, ms: float, note: str = "") -> None:
         pass
 
-    def wait(self, ms: float, note: str = "") -> None:
-        pass
+    wait = compute
 
     def note_retry(self) -> None:
         self.metrics.counter("serve.retries").inc()
@@ -88,8 +88,7 @@ class _WallSink:
     def note_degraded(self, parts: int = 1) -> None:
         self.metrics.counter("serve.degraded_responses").inc()
 
-    def note_degraded_item(self, parts: int = 1) -> None:
-        self.metrics.counter("serve.degraded_responses").inc()
+    note_degraded_item = note_degraded
 
     def fork(self) -> "_WallSink":
         return _WallSink(self.faults, self.metrics, self.scope.fork_child())
@@ -108,9 +107,7 @@ class WallTransport:
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.faults = faults
-        self.metrics = (
-            metrics if metrics is not None else MetricsRegistry()
-        )
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         for name in _COUNTERS:
             self.metrics.counter(name)
         self._driver = SimnetDriver(adapters)

@@ -16,7 +16,7 @@ sinks under fault injection.
 
 from __future__ import annotations
 
-from typing import Any, List, Mapping, Optional, Protocol, TypeVar
+from typing import Any, List, Mapping, Optional, Protocol, Sequence, TypeVar
 
 from repro.obs.spans import SpanScope
 from repro.sansio.intents import (
@@ -47,9 +47,9 @@ class CostSink(Protocol):
     ``fork`` opens one :class:`Fork` leg, ``join`` closes the group."""
 
     scope: SpanScope
-    part_status: List[object]  # PartReport statuses
 
     def send(self, intent: Send) -> None: ...
+    def report_parts(self, statuses: Sequence[object]) -> None: ...
     def compute(self, ms: float, note: str = "") -> None: ...
     def wait(self, ms: float, note: str = "") -> None: ...
     def note_retry(self) -> None: ...
@@ -134,7 +134,7 @@ class SimnetDriver:
         elif isinstance(intent, Mark):
             self._mark(intent, sink)
         elif isinstance(intent, PartReport):
-            sink.part_status.extend(intent.statuses)
+            sink.report_parts(intent.statuses)
         elif isinstance(intent, Fork):
             return self._fork(intent, sink)
         else:  # pragma: no cover - new intents must be handled here

@@ -61,7 +61,7 @@ by luck, once — only when exactly one leg degraded.)
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import NodeUnreachableError, PacketLossError
 from repro.obs.metrics import CounterView, MetricsRegistry
@@ -471,6 +471,10 @@ class Trace:
     def send(self, intent: Send) -> None:
         """Charge a sans-io ``Send``: where its payload is sized."""
         self.hop(intent.src, intent.dst, intent.nbytes, intent.note)
+
+    def report_parts(self, statuses: Sequence[object]) -> None:
+        """Take a sans-io ``PartReport`` into :attr:`part_status`."""
+        self.part_status.extend(statuses)
 
     def _hop(
         self, src: str, dst: str, nbytes: int, note: str = ""

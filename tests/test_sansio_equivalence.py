@@ -24,8 +24,8 @@ The Section 5.1 meta-data lookups ride the same property: the three
 MDM topology programs, single and batched, run on a twin of the E6
 golden world (``build_mdm_world``) under the same schedule, and must
 agree on per-item outcomes, retries, failovers and failed sends.
-An enter-once write under a failed store must leave the stores in the
-same state on both sinks.
+An enter-once write under a failed store must fail on both sinks and
+leave every live store written, the same way on both.
 """
 
 import asyncio
@@ -326,32 +326,40 @@ def test_sim_and_wall_drivers_agree_on_shared_endpoints(requests, faults):
     assert_drivers_agree(requests, faults, shared=True)
 
 
-@pytest.mark.parametrize("failed", STORES)
-def test_provision_under_a_failed_store_agrees(failed):
-    """An enter-once write that hits a down store fails on both sinks
-    after the same sends, and leaves every store as the other side's
-    twin: legs after the failing one never run on either."""
+def provision_book(side, failed):
+    """Provision the book on *side* with *failed* stores down: the
+    decision, the marks and every live store's book after it."""
     retry_policy = RetryPolicy(max_attempts=1, base_backoff_ms=10.0)
     fragment = parse(
         "<address-book><item type='personal'><entry name='p'>"
         "<phone number='7'/></entry></item></address-book>"
     )
-    books = []
-    for side in (build_sim_side, build_wall_side):
-        runner, engine, _mdms = side({failed}, {}, retry_policy)
-        server = engine.host.server
-        result, marks = runner(engine.provision(
-            CLIENT, parse_path(BOOK), fragment,
-            RequestContext("u1", relationship="self", purpose="provision"),
-            0.0,
-        ), "provision")
-        books.append((
-            decision_of(result), marks,
-            {
-                store: server.adapters[store].get(parse_path(BOOK))
-                .serialize()
-                for store in STORES if store != failed
-            },
-        ))
+    runner, engine, _mdms = side(failed, {}, retry_policy)
+    server = engine.host.server
+    result, marks = runner(engine.provision(
+        CLIENT, parse_path(BOOK), fragment,
+        RequestContext("u1", relationship="self", purpose="provision"),
+        0.0,
+    ), "provision")
+    decision = None if result is None else decision_of(result)
+    return decision, marks, {
+        store: server.adapters[store].get(parse_path(BOOK)).serialize()
+        for store in STORES if store not in failed
+    }
+
+
+@pytest.mark.parametrize("failed", STORES)
+def test_provision_under_a_failed_store_agrees(failed):
+    """An enter-once write that hits a down store fails on both sinks
+    after the same sends, and every live store still takes its slice:
+    it holds what a healthy write leaves there."""
+    books = [
+        provision_book(side, {failed})
+        for side in (build_sim_side, build_wall_side)
+    ]
     assert books[0] == books[1]
     assert books[0][0]["error"] == "NodeUnreachableError"
+    healthy = provision_book(build_sim_side, set())[2]
+    assert books[0][2] == {
+        store: book for store, book in healthy.items() if store != failed
+    }

@@ -850,7 +850,7 @@ class TestServedRequestNeverSuspends:
         if kind == "cached hit":
             assert get_json(response)["cache_hit"] is True
         if kind == "provision" and down is not None:
-            assert response.status == 503  # the write reached alpha
+            assert response.status == 503  # alpha refused its slice
         else:
             assert response.status in (200, 201)
 
