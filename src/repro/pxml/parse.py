@@ -10,15 +10,29 @@ parser honest and fully testable.
 The parser is the inverse of :meth:`repro.pxml.node.PNode.serialize`:
 ``parse(node.serialize()).deep_equal(node)`` holds for every tree the
 data model can represent (a property test asserts this).
+
+It scans runs, not characters. A start tag whose attribute values hold
+no entity and no ``<`` is one match of :data:`_ELEMENT` (together with
+its text and end tag, for a leaf like ``<name>Bob</name>``); character
+data and quoted values are sliced between ``str.find`` hits. A start
+tag the pattern does not match goes to the exact per-token path
+(:meth:`_Parser._start_tag_exact`), which alone raises the errors of a
+malformed tag, so every :class:`ParseError` message and position is
+the one a character-at-a-time reading gives
+(``tests/test_pxml_parse_differential.py`` keeps that reading as its
+oracle). Names are matched without backtracking: a name pattern only
+ever matches a whole name. Elements are built with a stack of open
+elements, never by recursion.
 """
 
 from __future__ import annotations
 
+import re
 from sys import intern as _intern
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.errors import ParseError
-from repro.pxml.node import _NAME_CHARS, _NAME_START, PNode
+from repro.pxml.node import PNode
 
 __all__ = ["parse"]
 
@@ -29,6 +43,33 @@ _ENTITIES = {
     "quot": '"',
     "apos": "'",
 }
+
+# The data model's name grammar (``PNode._is_name``): ASCII letters and
+# underscore to start, then letters, digits, '_', '-', '.'. The
+# lookahead makes every match maximal, so a name never gives characters
+# back to whatever follows it ("<iXid='1'>" is tag "iXid", never tag
+# "iX" with attribute "id").
+_NAME = r"[A-Za-z_][A-Za-z0-9_.\-]*(?![A-Za-z0-9_.\-])"
+_SPACE = "[ \t\r\n]*"
+_NAME_RE = re.compile(_NAME)
+_SPACE_RE = re.compile(_SPACE)
+#: One attribute whose value holds no entity and no ``<``: groups are
+#: the name and the double- or single-quoted value.
+_ATTRIBUTE_RE = re.compile(
+    _SPACE + "(" + _NAME + ")" + _SPACE + "=" + _SPACE
+    + "(?:\"([^\"&<]*)\"|'([^'&<]*)')"
+)
+#: A whole element start made of such attributes: groups are the tag,
+#: the attribute run, ``/`` for an empty-element tag, and the text of a
+#: leaf closed right after it (``<name>Bob</name>``), entity-free.
+_ELEMENT = re.compile(
+    "<(?P<tag>" + _NAME + ")((?:" + _SPACE + _NAME + _SPACE + "=" + _SPACE
+    + "(?:\"[^\"&<]*\"|'[^'&<]*'))*)" + _SPACE
+    + "(?:(/)>|>(?:([^<&]*)</(?P=tag)" + _SPACE + ">)?)"
+)
+
+#: An open element: the node, its closing-tag prefix and its text runs.
+_Open = Tuple[PNode, str, List[str]]
 
 
 def parse(text: str) -> PNode:
@@ -41,6 +82,18 @@ def parse(text: str) -> PNode:
     return parser.parse_document()
 
 
+def _new_node(tag: str) -> PNode:
+    # Built the way ``PNode.copy`` builds a node: the name patterns
+    # already are the data model's name grammar, so the constructor's
+    # check could never fail here.
+    node = object.__new__(PNode)
+    node.tag = _intern(tag)
+    node.attrs = {}
+    node.text = None
+    node.children = []
+    return node
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -51,7 +104,7 @@ class _Parser:
 
     def parse_document(self) -> PNode:
         self._skip_prolog()
-        root = self._parse_element()
+        root = self._parse_elements()
         self._skip_misc()
         if self.pos != self.length:
             self._fail("trailing content after document element")
@@ -82,19 +135,105 @@ class _Parser:
 
     # -- elements ----------------------------------------------------------
 
-    def _parse_element(self) -> PNode:
-        if not self._consume("<"):
+    def _parse_elements(self) -> PNode:
+        """The document element and everything inside it, one token
+        per step, with the open elements on a stack."""
+        text, length = self.text, self.length
+        root, is_open = self._element()
+        if not is_open:
+            return root
+        node, closing, parts = root, "</" + root.tag, []
+        stack: List[_Open] = []
+        while True:
+            pos = self.pos
+            stop = text.find("<", pos)
+            if stop != pos:
+                if pos >= length:
+                    self._fail(
+                        "unexpected end of input inside %r" % node.tag
+                    )
+                if stop < 0:
+                    stop = length
+                if text.find("&", pos, stop) < 0:
+                    parts.append(text[pos:stop])
+                    self.pos = stop
+                else:
+                    parts.append(self._chardata())
+                continue
+            after = text[pos + 1 : pos + 2]
+            if after == "/":
+                if not text.startswith(closing, pos):
+                    self._fail("mismatched closing tag inside %r" % node.tag)
+                self.pos = pos + len(closing)
+                if not text.startswith(">", self.pos):
+                    self._skip_whitespace()
+                    if not text.startswith(">", self.pos):
+                        self._fail(
+                            "malformed closing tag for %r" % node.tag
+                        )
+                self.pos += 1
+                content = "".join(parts)
+                if node.children:
+                    if content.strip():
+                        self._fail(
+                            "mixed content in %r is not supported"
+                            % node.tag
+                        )
+                else:
+                    # An explicit closing tag means the element has
+                    # text content — possibly empty ("<a></a>" is
+                    # text="", while "<a/>" is text=None), mirroring
+                    # the serializer exactly.
+                    node.text = content
+                if not stack:
+                    return root
+                node, closing, parts = stack.pop()
+            elif after == "!" and text.startswith("<!--", pos):
+                self._skip_comment()
+            else:
+                child, is_open = self._element()
+                node.children.append(child)
+                if is_open:
+                    stack.append((node, closing, parts))
+                    node, closing, parts = child, "</" + child.tag, []
+
+    def _element(self) -> Tuple[PNode, bool]:
+        """The element starting at the cursor: its node, and whether
+        it is still open (its content and end tag follow)."""
+        match = _ELEMENT.match(self.text, self.pos)
+        if match is None:
+            return self._start_tag_exact()
+        tag, run, slash, content = match.groups()
+        node = _new_node(tag)
+        node.text = content
+        if run:
+            attrs = node.attrs
+            pairs = _ATTRIBUTE_RE.findall(run)
+            for name, double, single in pairs:
+                attrs[_intern(name)] = double or single
+            if len(pairs) != len(attrs):
+                # A duplicate attribute: the exact path reports it.
+                return self._start_tag_exact()
+        self.pos = match.end()
+        return node, slash is None and content is None
+
+    def _start_tag_exact(self) -> Tuple[PNode, bool]:
+        """The start tag at the cursor, read token by token: its node,
+        and whether it is open (``>``, not ``/>``)."""
+        if not self.text.startswith("<", self.pos):
             self._fail("expected element start '<'")
+        self.pos += 1
         tag = self._parse_name("element name")
-        node = PNode(tag)
+        node = _new_node(tag)
         self._parse_attributes(node)
         self._skip_whitespace()
-        if self._consume("/>"):
-            return node
-        if not self._consume(">"):
+        if self.text.startswith("/>", self.pos):
+            self.pos += 2
+            return node, False
+        if not self.text.startswith(">", self.pos):
             self._fail("expected '>' or '/>' in element %r" % tag)
-        self._parse_content(node)
-        return node
+        self.pos += 1
+        return node, True
 
     def _parse_attributes(self, node: PNode) -> None:
         while True:
@@ -104,8 +243,9 @@ class _Parser:
                 return
             name = self._parse_name("attribute name")
             self._skip_whitespace()
-            if not self._consume("="):
+            if not self.text.startswith("=", self.pos):
                 self._fail("expected '=' after attribute %r" % name)
+            self.pos += 1
             self._skip_whitespace()
             value = self._parse_quoted()
             if name in node.attrs:
@@ -115,50 +255,25 @@ class _Parser:
             # (values stay unbounded and uninterned).
             node.attrs[_intern(name)] = value
 
-    def _parse_content(self, node: PNode) -> None:
-        text_parts = []
-        closing = "</" + node.tag
-        while True:
-            if self.pos >= self.length:
-                self._fail("unexpected end of input inside %r" % node.tag)
-            if self.text.startswith("<!--", self.pos):
-                self._skip_comment()
-                continue
-            if self.text.startswith(closing, self.pos):
-                self.pos += len(closing)
-                self._skip_whitespace()
-                if not self._consume(">"):
-                    self._fail("malformed closing tag for %r" % node.tag)
-                break
-            if self.text.startswith("</", self.pos):
-                self._fail("mismatched closing tag inside %r" % node.tag)
-            if self._peek() == "<":
-                child = self._parse_element()
-                node.append(child)
-                continue
-            text_parts.append(self._parse_chardata())
-        text = "".join(text_parts)
-        if node.children:
-            if text.strip():
-                self._fail(
-                    "mixed content in %r is not supported" % node.tag
-                )
-        else:
-            # An explicit closing tag means the element has text
-            # content — possibly empty ("<a></a>" is text="", while
-            # "<a/>" is text=None), mirroring the serializer exactly.
-            node.set_text(text)
-
-    def _parse_chardata(self) -> str:
+    def _chardata(self) -> str:
+        """Character data from the cursor up to the next ``<`` (or the
+        end of input), entities decoded."""
+        text, length = self.text, self.length
         parts = []
-        while self.pos < self.length and self._peek() != "<":
-            ch = self.text[self.pos]
-            if ch == "&":
-                parts.append(self._parse_entity())
-            else:
-                parts.append(ch)
-                self.pos += 1
-        return "".join(parts)
+        pos = self.pos
+        while True:
+            stop = text.find("<", pos)
+            if stop < 0:
+                stop = length
+            amp = text.find("&", pos, stop)
+            if amp < 0:
+                parts.append(text[pos:stop])
+                self.pos = stop
+                return "".join(parts)
+            parts.append(text[pos:amp])
+            self.pos = amp
+            parts.append(self._parse_entity())
+            pos = self.pos
 
     def _parse_entity(self) -> str:
         end = self.text.find(";", self.pos + 1)
@@ -182,60 +297,49 @@ class _Parser:
     # -- lexical helpers ---------------------------------------------------
 
     def _parse_name(self, what: str) -> str:
-        # Accept exactly the name grammar of the data model
-        # (PNode._is_name): ASCII letters and underscore to start,
-        # then letters, digits, '_', '-', '.'.  Using str.isalpha()
-        # here would admit Unicode alphabetics that the PNode
-        # constructor rejects, turning a malformed document into a
-        # bare ValueError instead of a ParseError.
-        start = self.pos
-        ch = self._peek()
-        if ch is None or ch not in _NAME_START:
+        match = _NAME_RE.match(self.text, self.pos)
+        if match is None:
             self._fail("expected %s" % what)
-        self.pos += 1
-        while True:
-            ch = self._peek()
-            if ch is not None and ch in _NAME_CHARS:
-                self.pos += 1
-            else:
-                break
-        return self.text[start : self.pos]
+        self.pos = match.end()
+        return match.group()
 
     def _parse_quoted(self) -> str:
+        """A quoted value, entities decoded: the text between the
+        quotes, cut at each ``&`` (decoded) and refused at a ``<``."""
+        text = self.text
         quote = self._peek()
         if quote not in ('"', "'"):
             self._fail("expected quoted attribute value")
-        self.pos += 1
+        pos = self.pos + 1
+        close = text.find(quote, pos)
+        end = close if close >= 0 else self.length
         parts = []
         while True:
-            if self.pos >= self.length:
-                self._fail("unterminated attribute value")
-            ch = self.text[self.pos]
-            if ch == quote:
-                self.pos += 1
-                return "".join(parts)
-            if ch == "&":
-                parts.append(self._parse_entity())
-            elif ch == "<":
+            amp = text.find("&", pos, end)
+            less = text.find("<", pos, end if amp < 0 else amp)
+            if less >= 0:
+                self.pos = less
                 self._fail("'<' not allowed in attribute value")
-            else:
-                parts.append(ch)
-                self.pos += 1
+            if amp < 0:
+                break
+            parts.append(text[pos:amp])
+            self.pos = amp
+            parts.append(self._parse_entity())
+            pos = self.pos
+        if close < 0:
+            self.pos = self.length
+            self._fail("unterminated attribute value")
+        parts.append(text[pos:close])
+        self.pos = close + 1
+        return "".join(parts)
 
     def _peek(self) -> Optional[str]:
         if self.pos < self.length:
             return self.text[self.pos]
         return None
 
-    def _consume(self, token: str) -> bool:
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
-
     def _skip_whitespace(self) -> None:
-        while self.pos < self.length and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
+        self.pos = _SPACE_RE.match(self.text, self.pos).end()
 
     def _fail(self, message: str) -> None:
         raise ParseError(
