@@ -22,7 +22,9 @@ the one a character-at-a-time reading gives
 (``tests/test_pxml_parse_differential.py`` keeps that reading as its
 oracle). Names are matched without backtracking: a name pattern only
 ever matches a whole name. Elements are built with a stack of open
-elements, never by recursion.
+elements, never by recursion, and a document nests at most
+:data:`MAX_DEPTH` elements, because everything downstream of the parser
+(copy, merge, serialize) recurses once per level.
 """
 
 from __future__ import annotations
@@ -34,7 +36,12 @@ from typing import List, Optional, Tuple
 from repro.errors import ParseError
 from repro.pxml.node import PNode
 
-__all__ = ["parse"]
+__all__ = ["MAX_DEPTH", "parse"]
+
+#: Deepest element nesting a document may have (the document element
+#: is level 1). Profile components nest about six levels below
+#: ``<user>``; a deeper element is a :class:`ParseError` at its ``<``.
+MAX_DEPTH = 128
 
 _ENTITIES = {
     "amp": "&",
@@ -191,6 +198,10 @@ class _Parser:
             elif after == "!" and text.startswith("<!--", pos):
                 self._skip_comment()
             else:
+                if len(stack) + 1 >= MAX_DEPTH:
+                    self._fail(
+                        "element nesting deeper than %d levels" % MAX_DEPTH
+                    )
                 child, is_open = self._element()
                 node.children.append(child)
                 if is_open:
@@ -283,13 +294,14 @@ class _Parser:
         self.pos = end + 1
         if name.startswith("#"):
             try:
-                code = (
+                # chr() refuses a negative code ("&#-1;") the way int()
+                # refuses a non-number: both are a bad reference.
+                return chr(
                     int(name[2:], 16) if name[1:2] in ("x", "X")
                     else int(name[1:])
                 )
             except ValueError:
                 self._fail("bad character reference &%s;" % name)
-            return chr(code)
         if name not in _ENTITIES:
             self._fail("unknown entity &%s;" % name)
         return _ENTITIES[name]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ParseError
 from repro.pxml import PNode, parse
+from repro.pxml.parse import MAX_DEPTH
 
 
 class TestBasics:
@@ -82,6 +83,47 @@ class TestErrors:
             assert err.position >= 0
         else:  # pragma: no cover
             pytest.fail("expected ParseError")
+
+
+class TestLimits:
+    @pytest.mark.parametrize("text, reference, position", [
+        ("<a>&#-1;</a>", "&#-1;", 8),
+        ("<a>&#x-1;</a>", "&#x-1;", 9),
+        ("<a v='&#-1;'/>", "&#-1;", 11),
+    ])
+    def test_negative_character_reference(self, text, reference, position):
+        with pytest.raises(ParseError) as caught:
+            parse(text)
+        assert str(caught.value) == (
+            "bad character reference %s (at position %d)"
+            % (reference, position)
+        )
+        assert caught.value.position == position
+
+    def test_nesting_to_the_limit_parses(self):
+        text = "<a>" * MAX_DEPTH + "x" + "</a>" * MAX_DEPTH
+        node = parse(text)
+        assert node.depth() == MAX_DEPTH
+        assert node.copy().serialize() == text
+
+    def test_nesting_past_the_limit_fails_at_the_tag(self):
+        text = "<a>" * (MAX_DEPTH + 1) + "</a>" * (MAX_DEPTH + 1)
+        with pytest.raises(ParseError) as caught:
+            parse(text)
+        assert caught.value.position == 3 * MAX_DEPTH
+        assert str(caught.value) == (
+            "element nesting deeper than %d levels (at position %d)"
+            % (MAX_DEPTH, 3 * MAX_DEPTH)
+        )
+
+    def test_an_empty_element_past_the_limit_fails_too(self):
+        text = "<a>" * MAX_DEPTH + "<b/>" + "</a>" * MAX_DEPTH
+        with pytest.raises(ParseError):
+            parse(text)
+
+    def test_nesting_far_past_the_recursion_limit_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            parse("<a>" * 5_000 + "</a>" * 5_000)
 
 
 class TestRoundTrip:

@@ -7,7 +7,9 @@ descent. Any later parser must accept the same language, build the
 same trees (``deep_equal``, tags and attribute names interned) and
 raise :class:`ParseError` with the same message and position wherever
 the original did. Where the original escaped with anything other than
-a ``ParseError`` (a crash), the parser must raise a ``ParseError``.
+a ``ParseError`` (a crash), or built a tree deeper than
+:data:`repro.pxml.parse.MAX_DEPTH`, the parser must raise a
+``ParseError``.
 """
 
 import string
@@ -18,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ParseError
 from repro.pxml import PNode, parse
+from repro.pxml.parse import MAX_DEPTH
 
 # ---------------------------------------------------------------------------
 # The frozen original
@@ -251,7 +254,9 @@ def _interned(tree):
 def assert_parses_like_the_original(text):
     expected = _outcome(_frozen_parse, text)
     got = _outcome(parse, text)
-    if expected[0] == "tree":
+    if expected[0] == "tree" and expected[1].depth() > MAX_DEPTH:
+        assert got[0] == "parse-error", (text, got)
+    elif expected[0] == "tree":
         assert got[0] == "tree", (text, got)
         assert got[1].deep_equal(expected[1]), text
         assert _interned(got[1]), text
@@ -338,6 +343,10 @@ class TestParseMatchesTheOriginal:
     @example("<a>&a<b;</a>")
     @example("<a x=\"&x\" b=\"y;\"/>")
     @example("<a>　<b/></a>")
+    @example("<a>&#-1;</a>")
+    @example("<a>&#x-1;</a>")
+    @example("<a b='&#-1;'/>")
+    @example("<a>" * (MAX_DEPTH + 1) + "</a>" * (MAX_DEPTH + 1))
     def test_xmlish_text(self, text):
         assert_parses_like_the_original(text)
 

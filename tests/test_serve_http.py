@@ -20,6 +20,7 @@ from repro.obs import SpanRecorder
 from repro.obs.spans import SpanScope
 from repro.obs.wallclock import ManualClock
 from repro.pxml import parse, parse_path
+from repro.pxml.parse import MAX_DEPTH
 from repro.sansio import Compute, Fork, Send, SpanClose, SpanOpen
 from repro.serve import (
     AdmissionGate,
@@ -52,6 +53,18 @@ PROVISION_HEADERS = {
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def nested_book(depth, marker):
+    """A personal address-book item nested *depth* elements deep, the
+    ``<address-book>`` being the first and ``<n>marker</n>`` the last."""
+    inner = "<n>%s</n>" % marker
+    for _ in range(depth - 3):
+        inner = "<n>%s</n>" % inner
+    return (
+        "<address-book><item type='personal'>%s</item></address-book>"
+        % inner
+    )
 
 
 def get_json(response):
@@ -250,6 +263,64 @@ class TestAppRoutes:
         )))
         assert 400 <= response.status < 500
         assert b"Traceback" not in response.body
+
+    @pytest.mark.parametrize("fragment", [
+        "<address-book>&#-1;</address-book>",
+        "<address-book>&#x-1;</address-book>",
+        "<address-book><item type='&#-1;'/></address-book>",
+    ])
+    def test_provision_bad_character_reference_is_400(self, fragment):
+        app = create_app()
+        response = run(app.handle(Request(
+            "POST", "/v1/provision", headers=PROVISION_HEADERS,
+            body=json.dumps({"path": BOOK, "fragment": fragment}).encode(),
+        )))
+        assert response.status == 400
+        payload = get_json(response)
+        assert payload["error"] == "parse-error"
+        assert payload["detail"].startswith("bad character reference")
+
+    def test_provision_nested_to_the_depth_limit_reads_back(self):
+        app = create_app()
+        fragment = nested_book(MAX_DEPTH, "deepest")
+
+        async def go():
+            wrote = await app.handle(Request(
+                "POST", "/v1/provision", headers=PROVISION_HEADERS,
+                body=json.dumps(
+                    {"path": BOOK, "fragment": fragment}
+                ).encode(),
+            ))
+            reads = [
+                await app.handle(Request(
+                    "GET", "/v1/query",
+                    params={"path": BOOK, "pattern": pattern},
+                ))
+                for pattern in ("chaining", "cached", "cached")
+            ]
+            return wrote, reads
+
+        wrote, reads = run(go())
+        assert wrote.status == 201
+        for read in reads:
+            assert read.status == 200
+            assert "<n>deepest</n>" in get_json(read)["fragment"]
+
+    def test_provision_nested_past_the_depth_limit_is_400(self):
+        app = create_app()
+        fragment = nested_book(MAX_DEPTH + 1, "too-deep")
+        response = run(app.handle(Request(
+            "POST", "/v1/provision", headers=PROVISION_HEADERS,
+            body=json.dumps({"path": BOOK, "fragment": fragment}).encode(),
+        )))
+        assert response.status == 400
+        payload = get_json(response)
+        assert payload["error"] == "parse-error"
+        offending = fragment.index("<n>too-deep")
+        assert payload["detail"] == (
+            "element nesting deeper than %d levels (at position %d)"
+            % (MAX_DEPTH, offending)
+        )
 
     def test_subscription_lifecycle(self):
         app = create_app()
