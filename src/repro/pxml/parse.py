@@ -153,19 +153,10 @@ class _Parser:
         stack: List[_Open] = []
         while True:
             pos = self.pos
-            stop = text.find("<", pos)
-            if stop != pos:
-                if pos >= length:
-                    self._fail(
-                        "unexpected end of input inside %r" % node.tag
-                    )
-                if stop < 0:
-                    stop = length
-                if text.find("&", pos, stop) < 0:
-                    parts.append(text[pos:stop])
-                    self.pos = stop
-                else:
-                    parts.append(self._chardata())
+            if pos >= length:
+                self._fail("unexpected end of input inside %r" % node.tag)
+            if text[pos] != "<":
+                parts.append(self._chardata())
                 continue
             after = text[pos + 1 : pos + 2]
             if after == "/":
