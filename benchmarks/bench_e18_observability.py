@@ -34,7 +34,11 @@ exactly 1: the request's span tree and the engine's are one trace).
 The suspensions row steps each ``App.handle`` coroutine by hand with
 ``send(None)`` and counts the steps before it returns (gated at
 exactly 0: a served request never yields to the event loop, so nothing
-else runs between reading a request and writing its response).
+else runs between reading a request and writing its response). The
+collector row counts the cyclic collector's young, middle and full
+passes per 1 000 requests of the garbage probe's mix while an
+``AppServer`` is started, so with the world frozen and the serving
+thresholds in force; it is reported, not gated.
 
 Artifacts: ``results/e18_trace.json`` (Chrome trace-event JSON of the
 degraded query — load it in ``chrome://tracing`` / Perfetto) and
@@ -69,7 +73,7 @@ from repro.obs import (  # noqa: E402
 )
 from repro.obs.wallclock import WallClock  # noqa: E402
 from repro.pxml import PNode  # noqa: E402
-from repro.serve import Request, create_app  # noqa: E402
+from repro.serve import AppServer, Request, create_app  # noqa: E402
 from tests.data.profile_world import (  # noqa: E402
     PROFILE,
     build_profile_world,
@@ -109,6 +113,10 @@ TRACE_REQUESTS = 200
 #: ``App.handle`` requests in the suspensions probe (the garbage
 #: probe's mix).
 SUSPENSION_REQUESTS = 200
+
+#: ``App.handle`` requests in the collector probe (the garbage probe's
+#: mix) with an :class:`AppServer` started.
+COLLECTOR_REQUESTS = 1_000
 
 #: ``App.handle`` requests in the pxml work probe: whole-profile reads
 #: as family (chaining, cached), buddy and a denied stranger, and
@@ -365,6 +373,40 @@ def run_suspensions_per_request() -> Dict[str, float]:
     }
 
 
+def run_collector_passes() -> Dict[str, float]:
+    """Collector passes by generation per 1 000 ``App.handle``
+    requests of the garbage probe's mix, while an :class:`AppServer`
+    is started (world frozen, serving thresholds in force) and the bus
+    drained after each request."""
+    app = create_app()
+    passes = [0, 0, 0]
+
+    def count(phase: str, info: Dict[str, int]) -> None:
+        if phase == "stop":
+            passes[info["generation"]] += 1
+
+    async def serve() -> None:
+        server = AppServer(app, port=0)
+        await server.start()
+        gc.callbacks.append(count)
+        try:
+            for request in _garbage_probe_requests(COLLECTOR_REQUESTS):
+                await app.handle(request)
+                app.jobs.drain_bus_once()
+        finally:
+            gc.callbacks.remove(count)
+            await server.stop()
+
+    asyncio.run(serve())
+    per_1k = 1_000.0 / COLLECTOR_REQUESTS
+    return {
+        "requests": COLLECTOR_REQUESTS,
+        "young_per_1k": passes[0] * per_1k,
+        "middle_per_1k": passes[1] * per_1k,
+        "full_per_1k": passes[2] * per_1k,
+    }
+
+
 def _pxml_work_requests(count: int) -> List[Request]:
     def read(requester: str, relationship: str, pattern: str) -> Request:
         return Request(
@@ -586,6 +628,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         "world): %.2f (gate == 0, max %d) -> %s" % (
             suspensions["requests"], suspensions["suspensions_per_req"],
             suspensions["max"], "OK" if suspensions_ok else "FAILED",
+        )
+    )
+    collector = run_collector_passes()
+    # Reported, not gated: pass counts follow the interpreter's own
+    # allocation pattern, so they can differ between the Python
+    # versions CI runs.
+    print(
+        "collector passes per 1000 requests (%d App.handle, demo world, "
+        "AppServer started): young %.1f, middle %.1f, full %.1f "
+        "(reported)" % (
+            collector["requests"], collector["young_per_1k"],
+            collector["middle_per_1k"], collector["full_per_1k"],
         )
     )
     work = run_pxml_work()

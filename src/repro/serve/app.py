@@ -48,6 +48,7 @@ __all__ = [
     "App",
     "AppServer",
     "SERVE_MAX_SPANS",
+    "SERVING_GC_THRESHOLDS",
     "ServeWorld",
     "build_demo_world",
     "create_app",
@@ -222,6 +223,19 @@ class App:
         )
 
 
+#: The collector's (young, middle, full) thresholds while a server
+#: listens. Once the world is frozen, CPython's "full pass when the
+#: survivors grow by a quarter" rule counts only the small unfrozen
+#: heap, and every written book, cache refill and export memo feeds it:
+#: 21 full passes per 4 000 ``write_mix`` requests of the spine at
+#: CPython's (700, 10, 10). A young pass every 7 000 allocations
+#: instead of 700 lets a request's temporaries die by reference count
+#: first, so far fewer objects survive into the older generations: no
+#: full pass in those 4 000 requests, and a quarter of the collector
+#: time (EXPERIMENTS.md E32 has the sweep).
+SERVING_GC_THRESHOLDS = (7_000, 10, 10)
+
+
 class AppServer:
     """App + background jobs behind a real listening socket."""
 
@@ -230,12 +244,15 @@ class AppServer:
     ) -> None:
         self.app = app
         self.http = HttpServer(app.handle, host=host, port=port)
+        self._gc_thresholds: Optional[Tuple[int, int, int]] = None
 
     async def start(self) -> Tuple[str, int]:
         # Everything alive now is the long-lived world (stores,
         # coverage, policies, warm cache, span recorder): freezing it
         # keeps every later full collection from re-scanning it.
         gc.freeze()
+        self._gc_thresholds = gc.get_threshold()
+        gc.set_threshold(*SERVING_GC_THRESHOLDS)
         self.app.jobs.start()
         return await self.http.start()
 
@@ -243,6 +260,9 @@ class AppServer:
         await self.app.jobs.stop()
         await self.http.stop()
         gc.unfreeze()
+        if self._gc_thresholds is not None:
+            gc.set_threshold(*self._gc_thresholds)
+            self._gc_thresholds = None
 
 
 def create_app(

@@ -4,7 +4,8 @@ Profile trees are acyclic, so every fragment a request builds and
 drops is freed by reference counting: none reaches the cyclic
 collector. And the server freezes the world it starts with, so the
 collections that still run skip the long-lived stores, cache and span
-recorder.
+recorder, and it raises the young collector threshold while it
+listens (``stop()`` restores the thresholds it found).
 """
 
 import asyncio
@@ -15,6 +16,7 @@ import pytest
 
 from repro.pxml import PNode
 from repro.serve import AppServer, Request, create_app
+from repro.serve.app import SERVING_GC_THRESHOLDS
 
 BOOK = "/user[@id='u1']/address-book"
 
@@ -97,14 +99,34 @@ def test_requests_leave_no_profile_tree_to_the_cyclic_collector(
 
 
 def test_server_freezes_the_world_while_it_listens():
+    before = gc.get_threshold()
+
     async def go():
         server = AppServer(create_app(), port=0)
         await server.start()
-        frozen = gc.get_freeze_count()
+        listening = gc.get_freeze_count(), gc.get_threshold()
         await server.stop()
-        return frozen, gc.get_freeze_count()
+        return listening, (gc.get_freeze_count(), gc.get_threshold())
 
-    frozen, after_stop = run(go())
+    (frozen, raised), (after_stop, restored) = run(go())
     assert frozen > 0
     assert after_stop == 0
+    assert raised == SERVING_GC_THRESHOLDS
+    assert raised[0] > before[0]
+    assert restored == before
+
+
+def test_server_restores_the_thresholds_it_found():
+    found = gc.get_threshold()
+    gc.set_threshold(500, 5, 5)
+    try:
+        async def go():
+            server = AppServer(create_app(), port=0)
+            await server.start()
+            await server.stop()
+            return gc.get_threshold()
+
+        assert run(go()) == (500, 5, 5)
+    finally:
+        gc.set_threshold(*found)
 
