@@ -559,6 +559,20 @@ MUTANTS: List[Dict[str, str]] = [
         ),
         "new": "",
     },
+    # The run-scanning XML parser matches names with a regex whose
+    # negative lookahead keeps every match maximal; without it a name
+    # gives characters back, and "<iXid='1'/>" parses as tag "iX" with
+    # an attribute instead of failing. No rule looks at regex text: the
+    # differential property against the frozen character-at-a-time
+    # parser (tests/test_pxml_parse_differential.py) is what kills it.
+    {
+        "name": "parse_name_backtracks",
+        "bug_class": "the XML parser's name pattern loses its "
+                     "lookahead and backtracks into shorter names",
+        "relpath": "repro/pxml/parse.py",
+        "old": '_NAME = r"[A-Za-z_][A-Za-z0-9_.\\-]*(?![A-Za-z0-9_.\\-])"\n',
+        "new": '_NAME = r"[A-Za-z_][A-Za-z0-9_.\\-]*"\n',
+    },
 ]
 
 Finding = Tuple[str, str, str]
