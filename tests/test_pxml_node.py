@@ -1,8 +1,10 @@
 """Unit tests for the PNode tree data model."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.pxml import PNode, element
+from repro.pxml.node import _is_name
 
 
 def build_sample():
@@ -173,3 +175,40 @@ class TestSerialization:
         lines = text.split("\n")
         assert lines[0].startswith("<user")
         assert lines[1].startswith("  <address-book>")
+
+
+# The name grammar as the set-based check it was first written as:
+# ASCII letters and '_' to start, then letters, digits, '_', '-', '.'.
+_FROZEN_NAME_START = set(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+)
+_FROZEN_NAME_CHARS = _FROZEN_NAME_START | set("0123456789-.")
+
+
+def _frozen_is_name(name):
+    return (
+        bool(name)
+        and name[0] in _FROZEN_NAME_START
+        and all(ch in _FROZEN_NAME_CHARS for ch in name)
+    )
+
+
+class TestNameGrammar:
+    @given(st.one_of(
+        st.text(max_size=12),
+        st.text(alphabet="aZ_09-.é\n :", max_size=8),
+        st.text(alphabet="aZ_09-.", max_size=8).map(lambda s: s + "\n"),
+    ))
+    @settings(max_examples=400)
+    @example("a\n")
+    @example("a\nb")
+    @example("\na")
+    @example("ab\r")
+    @example("é")
+    @example("aé")
+    @example("a١")
+    @example("-a")
+    @example(".")
+    @example("")
+    def test_is_name_agrees_with_the_set_based_check(self, name):
+        assert _is_name(name) == _frozen_is_name(name)
