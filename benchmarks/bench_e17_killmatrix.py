@@ -570,8 +570,34 @@ MUTANTS: List[Dict[str, str]] = [
         "bug_class": "the XML parser's name pattern loses its "
                      "lookahead and backtracks into shorter names",
         "relpath": "repro/pxml/parse.py",
-        "old": '_NAME = r"[A-Za-z_][A-Za-z0-9_.\\-]*(?![A-Za-z0-9_.\\-])"\n',
-        "new": '_NAME = r"[A-Za-z_][A-Za-z0-9_.\\-]*"\n',
+        "old": '_NAME = NAME_PATTERN + "(?![" + NAME_CHARS + "])"\n',
+        "new": "_NAME = NAME_PATTERN\n",
+    },
+    # Published profile trees are frozen so readers can share them
+    # instead of copying: the component cache keeps ``fragment.frozen()``
+    # and hands that one tree to every hit. Kept mutable, a hit is a
+    # private copy again and nothing fails on a tamper — but the kept
+    # tree is no longer frozen, which the served-flow property
+    # (tests/test_published_trees.py) and the cache's read-only test
+    # see. No rule looks at freezing.
+    {
+        "name": "cache_put_keeps_mutable",
+        "bug_class": "the component cache stores a fragment without "
+                     "freezing it",
+        "relpath": "repro/core/cache.py",
+        "old": "            fragment.frozen(),\n",
+        "new": "            fragment,\n",
+    },
+    # A frozen node's attributes are a dict that refuses writes; with
+    # ``__setitem__`` back, ``attrs[key] = value`` changes a published
+    # tree every reader shares. tests/test_pxml_frozen.py kills it.
+    {
+        "name": "frozen_attrs_writable",
+        "bug_class": "the read-only attribute map of a frozen node "
+                     "accepts item assignment",
+        "relpath": "repro/pxml/node.py",
+        "old": "    __setitem__ = _refuse\n",
+        "new": "",
     },
 ]
 

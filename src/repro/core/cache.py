@@ -31,6 +31,12 @@ place. The scope is a required keyword of :meth:`get`,
 slice every requester shares. Invalidation ignores scopes: an update
 stales every slice.
 
+Entries are published trees: :meth:`put` keeps ``fragment.frozen()``
+and :meth:`get` and :meth:`get_stale` hand that one tree to every
+reader (:meth:`~repro.pxml.node.PNode.share`). Every write to it
+raises :class:`~repro.errors.ModelError`, so no reader can change what
+the next one is served, and no read copies.
+
 Serve-stale-on-failure (requirement 13, E16): with a positive
 ``stale_grace_ms`` the cache retains expired entries for that long,
 and :meth:`get_stale` can serve them when every origin store is
@@ -222,7 +228,7 @@ class ComponentCache:
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        return entry.fragment.copy()
+        return entry.fragment.share()
 
     def get_stale(
         self,
@@ -247,7 +253,7 @@ class ComponentCache:
             # the entry is already stale and must go through (and be
             # counted by) the serve-stale path below.
             self._entries.move_to_end(key)
-            return entry.fragment.copy()
+            return entry.fragment.share()
         bound = (
             self.stale_grace_ms if max_stale_ms is None else max_stale_ms
         )
@@ -257,7 +263,7 @@ class ComponentCache:
             # LRU sweep takes idle entries first.
             self._entries.move_to_end(key)
             self.stale_serves += 1
-            return entry.fragment.copy()
+            return entry.fragment.share()
         self._drop(key)
         self.expirations += 1
         return None
@@ -291,7 +297,7 @@ class ComponentCache:
             else:
                 self.evictions += 1
         self._entries[key] = _Entry(
-            fragment.copy(),
+            fragment.frozen(),
             now,
             self.default_ttl_ms if ttl_ms is None else ttl_ms,
         )

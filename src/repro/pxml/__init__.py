@@ -2,7 +2,7 @@
 and the GUP schema. This is the common data model (requirement 1) every
 other subsystem builds on."""
 
-from repro.pxml.node import PNode, element
+from repro.pxml.node import FrozenPNode, PNode, element
 from repro.pxml.parse import parse
 from repro.pxml.path import Path, Predicate, Step, parse_path
 from repro.pxml.evaluate import (
@@ -45,7 +45,7 @@ from repro.pxml.schema import (
 )
 
 __all__ = [
-    "PNode", "element", "parse",
+    "FrozenPNode", "PNode", "element", "parse",
     "Path", "Predicate", "Step", "parse_path",
     "evaluate", "evaluate_first", "evaluate_values", "exists", "extract",
     "node_contains", "path_contains", "step_contains", "steps_compatible",

@@ -82,14 +82,18 @@ def exists(root: PNode, path: Union[str, Path]) -> bool:
 def extract(root: PNode, path: Union[str, Path]) -> Optional[PNode]:
     """Project the subtree(s) selected by *path* out of *root*.
 
-    Returns a copy of *root* pruned to only the ancestor chains and
-    subtrees of matching nodes — i.e. the XML fragment a data store
+    Returns *root* pruned to only the ancestor chains and subtrees of
+    matching nodes — i.e. the XML fragment a data store
     ships back for a component request. Returns None when nothing
     matches.
 
     The ancestor spine is preserved (with attributes) so the fragment is
     self-describing: a request for ``/user[@id='a']/address-book`` yields
     ``<user id='a'><address-book>...</address-book></user>``.
+
+    The spine nodes are always new. A matched subtree is shared when
+    it is frozen and copied when it is not, so extracting from a
+    mutable tree never aliases it.
     """
     steps = parse_path(path).element_path().steps
     if not steps[0].matches(root.tag, root.attrs):
@@ -100,10 +104,11 @@ def extract(root: PNode, path: Union[str, Path]) -> Optional[PNode]:
 def _project(
     node: PNode, steps: Tuple[Step, ...], depth: int
 ) -> Optional[PNode]:
-    """*node* matched ``steps[:depth]``: copy it when that is the whole
-    path, else keep a bare spine node if some child survives."""
+    """*node* matched ``steps[:depth]``: share it (:meth:`PNode.share`)
+    when that is the whole path, else keep a bare spine node if some
+    child survives."""
     if depth == len(steps):
-        return node.copy()
+        return node.share()
     step = steps[depth]
     spine: Optional[PNode] = None
     for child in node.children:

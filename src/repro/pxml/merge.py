@@ -135,9 +135,11 @@ def merge_all(
     if not fragments:
         raise ModelError("merge_all needs at least one fragment")
     if len(fragments) == 1:
-        return fragments[0].copy()
-    # ``_merge_nodes`` builds a fresh tree and never mutates its
-    # inputs, so the first fragment needs no defensive copy.
+        return fragments[0].share()
+    # ``_merge_nodes`` builds fresh nodes wherever the inputs meet and
+    # never mutates its inputs, so the first fragment needs no
+    # defensive copy. A subtree only one side has is shared
+    # (:meth:`PNode.share`): taken as it is when frozen, else copied.
     merged = fragments[0]
     for fragment in fragments[1:]:
         merged = _merge_nodes(merged, fragment, keyspec, policy)
@@ -281,8 +283,8 @@ def _merge_children(
                 _merge_nodes(node, right[partner_index], keyspec, policy)
             )
         else:
-            parent.append(node.copy())
+            parent.append(node.share())
 
     for index, node in enumerate(right):
         if index not in consumed:
-            parent.append(node.copy())
+            parent.append(node.share())

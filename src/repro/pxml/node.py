@@ -19,16 +19,30 @@ Design notes
 * ``deep_equal`` ignores child *order* only when comparing keyed children
   via :func:`repro.pxml.merge.deep_union`; here equality is structural
   and ordered, which is the strictest (safe) default.
+* A tree that is kept and served again (an export memo, a written
+  component, a cache entry) is *published* as a :class:`FrozenPNode`:
+  every write to it raises, so readers share it instead of copying it.
+  :meth:`PNode.frozen` publishes a tree, sharing the subtrees that are
+  already frozen; :meth:`PNode.share` is what a reader takes — the tree
+  itself when it is frozen, a private deep copy when it is not.
 """
 
 from __future__ import annotations
 
+import re
 from sys import intern as _intern
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ModelError
 
-__all__ = ["PNode", "element"]
+__all__ = ["FrozenPNode", "NAME_CHARS", "NAME_PATTERN", "PNode", "element"]
+
+#: The data model's name grammar, for tags and attribute names: an ASCII
+#: letter or ``_``, then letters, digits, ``_``, ``-`` and ``.``.
+#: ``NAME_CHARS`` is the body of the character class after the first.
+NAME_CHARS = r"A-Za-z0-9_.\-"
+NAME_PATTERN = "[A-Za-z_][" + NAME_CHARS + "]*"
+_NAME_FULLMATCH = re.compile(NAME_PATTERN).fullmatch
 
 
 class PNode:
@@ -159,7 +173,8 @@ class PNode:
     # -- copying / equality ---------------------------------------------------
 
     def copy(self) -> "PNode":
-        """Deep copy of this subtree: fresh nodes and ``attrs`` dicts.
+        """Deep, mutable copy of this subtree: fresh nodes, ``attrs``
+        dicts and ``children`` lists, also when this tree is frozen.
 
         The slots are filled directly instead of through ``__init__``:
         a tag is validated and interned once, when its node is built,
@@ -171,6 +186,25 @@ class PNode:
         dup.text = self.text
         dup.children = [child.copy() for child in self.children]
         return dup
+
+    def frozen(self) -> "FrozenPNode":
+        """This subtree published: a frozen copy that shares every
+        subtree that is already frozen. This tree is left as it is."""
+        node = object.__new__(FrozenPNode)
+        _fill(
+            node,
+            self.tag,
+            _ReadOnlyAttrs(self.attrs) if self.attrs else _NO_ATTRS,
+            self.text,
+            tuple([child.frozen() for child in self.children]),
+        )
+        return node
+
+    def share(self) -> "PNode":
+        """What a reader of this subtree takes: the subtree itself when
+        it is frozen (see :class:`FrozenPNode`), else a private deep
+        copy, so a caller that hands in a mutable tree keeps its own."""
+        return self.copy()
 
     def deep_equal(self, other: "PNode") -> bool:
         """Structural, ordered equality of two subtrees."""
@@ -201,11 +235,48 @@ class PNode:
     # -- serialization ---------------------------------------------------------
 
     def serialize(self, indent: Optional[int] = None) -> str:
-        """Render as XML text. With ``indent`` set, pretty-print."""
+        """Render as XML text. With ``indent`` set, pretty-print.
+
+        The compact form is written in one pass over an explicit stack
+        (a closing tag is pushed as a string): attributes are sorted
+        only when a node has two or more, and a value is escaped only
+        when it holds a character that needs it."""
         parts: List[str] = []
-        self._serialize_into(parts, indent, 0)
-        joiner = "\n" if indent is not None else ""
-        return joiner.join(parts)
+        if indent is not None:
+            self._serialize_into(parts, indent, 0)
+            return "\n".join(parts)
+        out = parts.append
+        stack: List[Any] = [self]
+        pop = stack.pop
+        push = stack.append
+        while stack:
+            node = pop()
+            if node.__class__ is str:
+                out(node)
+                continue
+            tag = node.tag
+            head = "<" + tag
+            attrs = node.attrs
+            if attrs:
+                for key, value in (
+                    sorted(attrs.items()) if len(attrs) > 1
+                    else attrs.items()
+                ):
+                    if _NEEDS_ESCAPE(value):
+                        value = _escape_attr(value)
+                    head += ' %s="%s"' % (key, value)
+            text = node.text
+            if text is not None:
+                if _NEEDS_ESCAPE(text):
+                    text = _escape_text(text)
+                out("%s>%s</%s>" % (head, text, tag))
+            elif node.children:
+                out(head + ">")
+                push("</%s>" % tag)
+                stack.extend(reversed(node.children))
+            else:
+                out(head + "/>")
+        return "".join(parts)
 
     def _serialize_into(
         self, parts: List[str], indent: Optional[int], level: int
@@ -232,7 +303,113 @@ class PNode:
         summary = self.text if self.text is not None else (
             "%d children" % len(self.children)
         )
-        return "<PNode %s %r (%s)>" % (self.tag, self.attrs, summary)
+        return "<%s %s %r (%s)>" % (
+            type(self).__name__, self.tag, dict(self.attrs), summary
+        )
+
+
+class _ReadOnlyAttrs(dict):  # type: ignore[type-arg]
+    """The attributes of a :class:`FrozenPNode`: a ``dict`` that
+    refuses every write."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args: object, **kwargs: object) -> Any:
+        raise ModelError("a published profile tree is read-only")
+
+    __setitem__ = _refuse
+    __delitem__ = _refuse
+    __ior__ = _refuse
+    clear = _refuse
+    pop = _refuse
+    popitem = _refuse
+    setdefault = _refuse
+    update = _refuse
+
+
+#: The attributes of every frozen node that has none.
+_NO_ATTRS = _ReadOnlyAttrs()
+
+_SET_TAG = PNode.tag.__set__  # type: ignore[attr-defined]
+_SET_ATTRS = PNode.attrs.__set__  # type: ignore[attr-defined]
+_SET_TEXT = PNode.text.__set__  # type: ignore[attr-defined]
+_SET_CHILDREN = PNode.children.__set__  # type: ignore[attr-defined]
+
+
+def _fill(
+    node: PNode,
+    tag: str,
+    attrs: Dict[str, str],
+    text: Optional[str],
+    children: Tuple[PNode, ...],
+) -> None:
+    """Fill *node*'s slots past :meth:`FrozenPNode.__setattr__`."""
+    _SET_TAG(node, tag)
+    _SET_ATTRS(node, attrs)
+    _SET_TEXT(node, text)
+    _SET_CHILDREN(node, children)
+
+
+class FrozenPNode(PNode):
+    """A published profile tree node: every write to it raises
+    :class:`ModelError`.
+
+    Its ``children`` is a tuple of frozen nodes and its ``attrs`` a
+    ``dict`` that refuses writes, so a tree built of frozen nodes can be
+    handed to any number of readers without a copy: none of them can
+    change what another is served. :meth:`copy` still returns a private,
+    mutable tree; :meth:`frozen` and :meth:`share` return the node
+    itself.
+    """
+
+    __slots__ = ()
+
+    def __init__(
+        self,
+        tag: str,
+        attrs: Optional[Dict[str, str]] = None,
+        text: Optional[str] = None,
+        children: Optional[Iterable[PNode]] = None,
+    ):
+        if not tag or not _is_name(tag):
+            raise ModelError("invalid element tag: %r" % (tag,))
+        frozen_children = (
+            tuple([child.frozen() for child in children]) if children
+            else ()
+        )
+        if text is not None and frozen_children:
+            raise ModelError(
+                "mixed content not supported: %r has both text and children"
+                % (tag,)
+            )
+        _fill(
+            self,
+            _intern(tag),
+            _ReadOnlyAttrs(
+                {_intern(key): value for key, value in attrs.items()}
+            ) if attrs else _NO_ATTRS,
+            text,
+            frozen_children,
+        )
+
+    def _refuse(self, *args: object, **kwargs: object) -> Any:
+        raise ModelError(
+            "a published profile tree is read-only: <%s>" % (self.tag,)
+        )
+
+    __setattr__ = _refuse
+    __delattr__ = _refuse
+    append = _refuse
+    extend = _refuse
+    remove = _refuse
+    replace_children = _refuse
+    set_text = _refuse
+
+    def frozen(self) -> "FrozenPNode":
+        return self
+
+    def share(self) -> "PNode":
+        return self
 
 
 def element(
@@ -245,18 +422,14 @@ def element(
     return PNode(tag, attrs, text, children or None)
 
 
-_NAME_START = set(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
-)
-_NAME_CHARS = _NAME_START | set("0123456789-.")
-
-
 def _is_name(name: str) -> bool:
-    return (
-        bool(name)
-        and name[0] in _NAME_START
-        and all(ch in _NAME_CHARS for ch in name)
-    )
+    # ``fullmatch``, not ``match`` with ``$``: "$" also matches before
+    # a trailing newline, and "a\n" is not a name.
+    return _NAME_FULLMATCH(name) is not None
+
+
+#: Finds a character that either escape below rewrites.
+_NEEDS_ESCAPE = re.compile('[&<>"]').search
 
 
 def _escape_text(value: str) -> str:

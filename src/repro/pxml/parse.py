@@ -34,7 +34,7 @@ from sys import intern as _intern
 from typing import List, Optional, Tuple
 
 from repro.errors import ParseError
-from repro.pxml.node import PNode
+from repro.pxml.node import NAME_CHARS, NAME_PATTERN, PNode
 
 __all__ = ["MAX_DEPTH", "parse"]
 
@@ -51,12 +51,11 @@ _ENTITIES = {
     "apos": "'",
 }
 
-# The data model's name grammar (``PNode._is_name``): ASCII letters and
-# underscore to start, then letters, digits, '_', '-', '.'. The
+# The data model's name grammar (``repro.pxml.node.NAME_PATTERN``). The
 # lookahead makes every match maximal, so a name never gives characters
 # back to whatever follows it ("<iXid='1'>" is tag "iXid", never tag
 # "iX" with attribute "id").
-_NAME = r"[A-Za-z_][A-Za-z0-9_.\-]*(?![A-Za-z0-9_.\-])"
+_NAME = NAME_PATTERN + "(?![" + NAME_CHARS + "])"
 _SPACE = "[ \t\r\n]*"
 _NAME_RE = re.compile(_NAME)
 _SPACE_RE = re.compile(_SPACE)
@@ -287,12 +286,17 @@ class _Parser:
             try:
                 # chr() refuses a negative code ("&#-1;") the way int()
                 # refuses a non-number: both are a bad reference.
-                return chr(
+                char = chr(
                     int(name[2:], 16) if name[1:2] in ("x", "X")
                     else int(name[1:])
                 )
             except ValueError:
                 self._fail("bad character reference &%s;" % name)
+            # A surrogate is no XML character, and a tree holding one
+            # cannot be encoded.
+            if "\ud800" <= char <= "\udfff":
+                self._fail("bad character reference &%s;" % name)
+            return char
         if name not in _ENTITIES:
             self._fail("unknown entity &%s;" % name)
         return _ENTITIES[name]

@@ -22,15 +22,18 @@ Path objects are immutable and hashable so they can key coverage maps.
 
 from __future__ import annotations
 
+import re
 from sys import intern as _intern
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, NoReturn, Optional, Tuple, Union
 
 from repro.errors import ModelError, PathSyntaxError, UnsupportedPathError
-from repro.pxml.node import _NAME_CHARS, _NAME_START
+from repro.pxml.node import NAME_PATTERN
 
 __all__ = ["Predicate", "Step", "Path", "parse_path"]
 
 WILDCARD = "*"
+
+_NAME_MATCH = re.compile(NAME_PATTERN).match
 
 
 class Predicate:
@@ -309,24 +312,18 @@ class _PathParser:
 
     def _name(self, what: str) -> str:
         # Same ASCII name grammar as the document model (see
-        # repro.pxml.node._is_name): a path must never name an
+        # repro.pxml.node.NAME_PATTERN): a path must never name an
         # element that no well-formed document can contain.
-        start = self.pos
-        ch = self._peek()
-        if ch is None or ch not in _NAME_START:
+        match = _NAME_MATCH(self.text, self.pos)
+        if match is None:
             self._fail("expected %s" % what)
-        while True:
-            ch = self._peek()
-            if ch is not None and ch in _NAME_CHARS:
-                self.pos += 1
-            else:
-                break
+        self.pos = match.end()
         # Names come from bounded vocabularies (component tags,
         # attribute names like ``id``/``type``): interning makes the
         # hot ``Step.matches`` / hash comparisons pointer-fast.
         # Predicate *values* (user ids — unbounded) are never interned;
         # see :meth:`_quoted`.
-        return _intern(self.text[start : self.pos])
+        return _intern(match.group())
 
     def _quoted(self) -> str:
         quote = self._peek()
@@ -355,7 +352,7 @@ class _PathParser:
         while self._peek() == " ":
             self.pos += 1
 
-    def _fail(self, message: str) -> None:
+    def _fail(self, message: str) -> NoReturn:
         raise PathSyntaxError(
             "%s at position %d in %r" % (message, self.pos, self.text)
         )

@@ -39,7 +39,7 @@ from repro.errors import (
     PartialResultError,
     ReproError,
 )
-from repro.pxml import Path, PNode, extract, parse_path
+from repro.pxml import FrozenPNode, Path, PNode, extract, parse_path
 from repro.pxml.merge import GUP_KEYSPEC, merge_all
 from repro.access import RequestContext
 from repro.core.host import QueryHost
@@ -958,12 +958,14 @@ class SansIoQueryEngine:
         # Wrap the new component state in a user document so each
         # store can be handed exactly its slice (a store registered
         # for item[@type='corporate'] must not receive — nor lose —
-        # the personal half).
+        # the personal half). The document is frozen once, so every
+        # store's slice shares it and every store keeps it as is.
         if fragment.tag == "user":
-            document = fragment.copy()
+            document = fragment.frozen()
         else:
-            document = PNode("user", {"id": path.user_id() or ""})
-            document.append(fragment.copy())
+            document = FrozenPNode(
+                "user", {"id": path.user_id() or ""}, None, (fragment,)
+            )
         # Every live store takes its slice even when another is down;
         # the write still fails, with the first leg's error.
         outcomes: List[LegOutcome] = yield Fork([

@@ -19,7 +19,7 @@ import random
 import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.pxml import PNode
+from repro.pxml import FrozenPNode, PNode
 from repro.adapters.base import GupAdapter
 
 __all__ = ["SyntheticAdapter", "ZipfSampler", "spread_users"]
@@ -54,15 +54,15 @@ class SyntheticAdapter(GupAdapter):
         self.seed = seed
         #: user id -> components this store holds for them
         self._holdings: Dict[str, Tuple[str, ...]] = {}
-        #: components overridden by writes: (user, component) -> PNode
+        #: components overridden by writes, frozen:
+        #: (user, component) -> FrozenPNode
         self._written: Dict[Tuple[str, str], PNode] = {}
         #: Opt-in export memoization for hot read workloads (E19).
-        #: Safe because :meth:`GupAdapter.get` projects the view
-        #: through :func:`~repro.pxml.evaluate.extract`, which copies —
-        #: the cached tree is never handed to callers for mutation.
-        #: Invalidated on any add/remove/write for the user; holds the
-        #: :data:`EXPORT_MEMO_USERS` most recently exported users,
-        #: least recent first.
+        #: Exports are built frozen (:class:`FrozenPNode`), so the
+        #: memoized tree is shared with every reader and none of them
+        #: can change it. Invalidated on any add/remove/write for the
+        #: user; holds the :data:`EXPORT_MEMO_USERS` most recently
+        #: exported users, least recent first.
         self._export_cache: Optional[Dict[str, PNode]] = (
             {} if memoize_exports else None
         )
@@ -120,6 +120,8 @@ class SyntheticAdapter(GupAdapter):
     # -- generation ------------------------------------------------------------
 
     def export_user(self, user_id: str) -> Optional[PNode]:
+        """The user's generated profile as a frozen tree; a written
+        component is the frozen override itself, shared."""
         components = self._holdings.get(user_id)
         if components is None:
             return None
@@ -128,7 +130,6 @@ class SyntheticAdapter(GupAdapter):
             if cached is not None:
                 self._export_cache[user_id] = cached
                 return cached
-        root = self._user_root(user_id)
         # CRC32, not hash(): string hash() is randomized per process
         # (PYTHONHASHSEED), which silently made generated *text* —
         # and therefore sampled byte sizes and latencies — differ
@@ -140,13 +141,15 @@ class SyntheticAdapter(GupAdapter):
              ^ self.seed
              ^ zlib.crc32(self.store_id.encode("utf-8"))) & 0x7FFFFFFF
         )
+        parts: List[PNode] = []
         for component in components:
             override = self._written.get((user_id, component))
             if override is not None:
-                root.append(override.copy())
+                parts.append(override)
                 continue
             builder = getattr(self, "_build_" + component.replace("-", "_"))
-            root.append(builder(user_id, rng))
+            parts.append(builder(user_id, rng))
+        root = FrozenPNode("user", {"id": user_id}, None, parts)
         if self._export_cache is not None:
             if len(self._export_cache) >= EXPORT_MEMO_USERS:
                 del self._export_cache[next(iter(self._export_cache))]
@@ -162,96 +165,84 @@ class SyntheticAdapter(GupAdapter):
             self._holdings[user_id] = self._holdings[user_id] + (
                 component,
             )
-        self._written[(user_id, component)] = fragment.copy()
+        self._written[(user_id, component)] = fragment.frozen()
         if self._export_cache is not None:
             self._export_cache.pop(user_id, None)
 
     # -- component builders ----------------------------------------------------
+    # Each builds its component frozen, children first, drawing from
+    # *rng* in document order.
 
     def _build_address_book(self, user_id: str, rng) -> PNode:
-        book = PNode("address-book")
+        items = []
         for index in range(self.book_entries):
-            item = book.append(
-                PNode(
-                    "item",
-                    {
-                        "id": str(index),
-                        "type": "personal" if index % 2 else "corporate",
-                    },
-                )
+            name = FrozenPNode(
+                "name", text="Contact %d of %s" % (index, user_id)
             )
-            item.append(
-                PNode("name", text="Contact %d of %s" % (index, user_id))
+            number = FrozenPNode(
+                "number", {"type": "cell"},
+                "908-%03d-%04d" % (rng.randint(100, 999),
+                                   rng.randint(0, 9999)),
             )
-            item.append(
-                PNode(
-                    "number", {"type": "cell"},
-                    "908-%03d-%04d" % (rng.randint(100, 999),
-                                       rng.randint(0, 9999)),
-                )
-            )
-        return book
+            items.append(FrozenPNode(
+                "item",
+                {
+                    "id": str(index),
+                    "type": "personal" if index % 2 else "corporate",
+                },
+                None,
+                (name, number),
+            ))
+        return FrozenPNode("address-book", None, None, items)
 
     def _build_presence(self, user_id: str, rng) -> PNode:
-        presence = PNode("presence")
-        presence.append(
-            PNode(
-                "status",
-                text=rng.choice(["available", "busy", "away", "offline"]),
-            )
+        status = FrozenPNode(
+            "status",
+            text=rng.choice(["available", "busy", "away", "offline"]),
         )
-        return presence
+        return FrozenPNode("presence", None, None, (status,))
 
     def _build_calendar(self, user_id: str, rng) -> PNode:
-        calendar = PNode("calendar")
+        appointments = []
         for index in range(self.calendar_entries):
-            appt = calendar.append(
-                PNode("appointment", {"id": "a%d" % index})
-            )
             hour = 8 + (index * 2) % 10
-            appt.append(
-                PNode("start", text="2003-01-06T%02d:00" % hour)
-            )
-            appt.append(
-                PNode("end", text="2003-01-06T%02d:00" % (hour + 1))
-            )
-            appt.append(
-                PNode("subject", text="meeting %d" % index)
-            )
-        return calendar
+            appointments.append(FrozenPNode(
+                "appointment", {"id": "a%d" % index}, None,
+                (
+                    FrozenPNode("start", text="2003-01-06T%02d:00" % hour),
+                    FrozenPNode(
+                        "end", text="2003-01-06T%02d:00" % (hour + 1)
+                    ),
+                    FrozenPNode("subject", text="meeting %d" % index),
+                ),
+            ))
+        return FrozenPNode("calendar", None, None, appointments)
 
     def _build_game_scores(self, user_id: str, rng) -> PNode:
-        scores = PNode("game-scores")
-        for game in ("chess", "go"):
-            scores.append(
-                PNode("score", {"game": game},
-                      str(rng.randint(100, 3000)))
-            )
-        return scores
+        scores = [
+            FrozenPNode("score", {"game": game},
+                        str(rng.randint(100, 3000)))
+            for game in ("chess", "go")
+        ]
+        return FrozenPNode("game-scores", None, None, scores)
 
     def _build_devices(self, user_id: str, rng) -> PNode:
-        devices = PNode("devices")
-        devices.append(
-            PNode(
-                "device",
-                {
-                    "id": "dev-%s" % user_id,
-                    "type": "cell-phone",
-                    "carrier": rng.choice(
-                        ["sprintpcs", "vodafone", "att"]
-                    ),
-                },
-            )
+        device = FrozenPNode(
+            "device",
+            {
+                "id": "dev-%s" % user_id,
+                "type": "cell-phone",
+                "carrier": rng.choice(["sprintpcs", "vodafone", "att"]),
+            },
         )
-        return devices
+        return FrozenPNode("devices", None, None, (device,))
 
     def _build_preferences(self, user_id: str, rng) -> PNode:
-        prefs = PNode("preferences")
-        prefs.append(
-            PNode("preference", {"name": "language"},
-                  rng.choice(["en", "fr", "de"]))
+        preference = FrozenPNode(
+            "preference", {"name": "language"},
+            rng.choice(["en", "fr", "de"]),
         )
-        return prefs
+        return FrozenPNode("preferences", None, None, (preference,))
 
 
 class ZipfSampler:

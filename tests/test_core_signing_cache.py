@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SignatureError, StaleQueryError
+from repro.errors import ModelError, SignatureError, StaleQueryError
 from repro.core import ComponentCache, QuerySigner
 from repro.pxml import PNode
 
@@ -96,11 +96,12 @@ class TestComponentCache:
         assert cache.get("/user[@id='a']/presence", now=4, scope=SCOPE) is not None
         assert cache.evictions == 1
 
-    def test_returned_fragment_is_a_copy(self):
+    def test_returned_fragment_is_read_only(self):
         cache = ComponentCache()
         cache.put(PATH, fragment(), now=0, scope=SCOPE)
         first = cache.get(PATH, now=1, scope=SCOPE)
-        first.child("presence").child("status").text = "tampered"
+        with pytest.raises(ModelError):
+            first.child("presence").child("status").text = "tampered"
         second = cache.get(PATH, now=2, scope=SCOPE)
         assert second.child("presence").child("status").text == (
             "available"

@@ -8,7 +8,8 @@ served from it afterwards. The property below runs scripted flows of
 served requests (chaining and cached reads, enter-once writes,
 subscription polls) through ``App.handle`` on the demo world and on the
 whole-profile world, snapshots the text of every kept tree before each
-request, and requires every snapshotted tree to read the same after it.
+request, and requires every snapshotted tree to read the same after it,
+and every kept tree to be frozen.
 """
 
 import asyncio
@@ -16,6 +17,7 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
+from repro.pxml import FrozenPNode
 from repro.serve import Request, create_app
 from repro.serve.app import build_demo_world
 from tests.data.profile_world import PROFILE, build_profile_world
@@ -126,6 +128,10 @@ def run_flow(world_name, memoize, steps):
             subscriptions.append(json.loads(response.body)["id"])
         for tree, text in before.values():
             assert tree.serialize() == text, (steps[: index + 1], text)
+        for tree in kept_trees(world):
+            assert all(
+                isinstance(node, FrozenPNode) for node in tree.walk()
+            ), (steps[: index + 1], tree.serialize())
     return world
 
 

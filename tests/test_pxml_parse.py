@@ -100,6 +100,25 @@ class TestLimits:
         )
         assert caught.value.position == position
 
+    def test_every_surrogate_reference_is_refused(self):
+        for code in range(0xD800, 0xE000):
+            for reference in ("&#x%X;" % code, "&#x%x;" % code, "&#%d;" % code):
+                for text in ("<a>%s</a>" % reference, "<a v='%s'/>" % reference):
+                    position = text.index(reference) + len(reference)
+                    with pytest.raises(ParseError) as caught:
+                        parse(text)
+                    assert str(caught.value) == (
+                        "bad character reference %s (at position %d)"
+                        % (reference, position)
+                    )
+                    assert caught.value.position == position
+
+    def test_the_neighbours_of_the_surrogates_parse_and_encode(self):
+        node = parse("<a v='&#xD7FF;'>&#xE000;&#55295;</a>")
+        assert node.text == "\ue000\ud7ff"
+        assert node.attrs["v"] == "\ud7ff"
+        assert node.byte_size() == len(node.serialize().encode("utf-8"))
+
     def test_nesting_to_the_limit_parses(self):
         text = "<a>" * MAX_DEPTH + "x" + "</a>" * MAX_DEPTH
         node = parse(text)

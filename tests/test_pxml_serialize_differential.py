@@ -14,7 +14,7 @@ from typing import List, Optional
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.pxml import PNode, parse
+from repro.pxml import PNode
 
 # ---------------------------------------------------------------------------
 # The frozen original
@@ -110,8 +110,3 @@ class TestSerializeMatchesTheOriginal:
         assert tree.serialize(indent=indent) == _frozen_serialize(
             tree, indent
         )
-
-    @given(trees())
-    @settings(max_examples=100)
-    def test_compact_round_trips(self, tree):
-        assert parse(tree.serialize()).deep_equal(tree)

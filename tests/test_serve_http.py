@@ -280,6 +280,25 @@ class TestAppRoutes:
         assert payload["error"] == "parse-error"
         assert payload["detail"].startswith("bad character reference")
 
+    def test_provision_surrogate_reference_is_400(self):
+        app = create_app()
+        fragments = [
+            "<address-book><item id='s'><name>&#xD800;</name></item>"
+            "</address-book>",
+            "<address-book><item id='s' type='&#55296;'/></address-book>",
+        ]
+        for fragment in fragments:
+            response = run(app.handle(Request(
+                "POST", "/v1/provision", headers=PROVISION_HEADERS,
+                body=json.dumps(
+                    {"path": BOOK, "fragment": fragment}
+                ).encode(),
+            )))
+            assert response.status == 400
+            payload = get_json(response)
+            assert payload["error"] == "parse-error"
+            assert payload["detail"].startswith("bad character reference")
+
     def test_provision_nested_to_the_depth_limit_reads_back(self):
         app = create_app()
         fragment = nested_book(MAX_DEPTH, "deepest")
