@@ -28,7 +28,9 @@ request makes on a whole-profile world: ``byte_size`` (gated at 0: the
 wall transport never sizes a message), ``serialize`` (gated at <= 1:
 a response body is rendered once) and ``canonical_key`` (gated at 0:
 the parts of a whole-profile read are distinct components, never value
-twins). The traces row counts the distinct trace ids among the spans
+twins), and nodes copied per read (gated at 0: kept trees are frozen
+and shared) and per write, and mutable nodes published frozen per read
+and per write (both reported). The traces row counts the distinct trace ids among the spans
 each ``App.handle`` request records on the demo world (gated at
 exactly 1: the request's span tree and the engine's are one trace).
 The suspensions row steps each ``App.handle`` coroutine by hand with
@@ -123,12 +125,17 @@ COLLECTOR_REQUESTS = 1_000
 #: self-provisions of the address book, in rotation.
 PXML_WORK_REQUESTS = 200
 
-#: The profile-model methods the pxml work probe counts.
+#: The profile-model methods the pxml work probe counts. ``copy`` and
+#: ``frozen`` recurse once per node, so their counts are nodes copied
+#: into a private mutable tree and mutable nodes published frozen
+#: (``FrozenPNode.frozen`` returns the node itself and is not counted).
 PXML_WORK_COUNTED = (
     (PNode, "byte_size"),
     (RequestContext, "byte_size"),
     (PNode, "serialize"),
     (PNode, "canonical_key"),
+    (PNode, "copy"),
+    (PNode, "frozen"),
 )
 
 
@@ -444,10 +451,13 @@ def _pxml_work_requests(count: int) -> List[Request]:
 
 def run_pxml_work() -> Dict[str, float]:
     """Profile-model calls per ``App.handle`` request over
-    :data:`PXML_WORK_REQUESTS` requests on the whole-profile world."""
+    :data:`PXML_WORK_REQUESTS` requests on the whole-profile world;
+    ``copy`` and ``frozen`` per read and per write (provision)."""
     app = create_app(build_profile_world())
     requests = _pxml_work_requests(PXML_WORK_REQUESTS)
-    calls = {"byte_size": 0, "serialize": 0, "canonical_key": 0}
+    #: (method name, "read" | "write") -> calls
+    calls: Dict[Tuple[str, str], int] = {}
+    kind = "read"
     originals = [
         (owner, name, getattr(owner, name))
         for owner, name in PXML_WORK_COUNTED
@@ -455,12 +465,15 @@ def run_pxml_work() -> Dict[str, float]:
 
     def counting(name: str, original):
         def counted(*args, **kwargs):
-            calls[name] += 1
+            key = (name, kind)
+            calls[key] = calls.get(key, 0) + 1
             return original(*args, **kwargs)
         return counted
 
     async def serve() -> None:
+        nonlocal kind
         for request in requests:
+            kind = "write" if request.method == "POST" else "read"
             await app.handle(request)
             app.jobs.drain_bus_once()
 
@@ -471,9 +484,20 @@ def run_pxml_work() -> Dict[str, float]:
     finally:
         for owner, name, original in originals:
             setattr(owner, name, original)
-    result: Dict[str, float] = {"requests": PXML_WORK_REQUESTS}
-    for name, count in calls.items():
-        result["%s_per_req" % name] = count / float(PXML_WORK_REQUESTS)
+    writes = sum(1 for request in requests if request.method == "POST")
+    per_kind = {"read": len(requests) - writes, "write": writes}
+    result: Dict[str, float] = {
+        "requests": PXML_WORK_REQUESTS, "reads": per_kind["read"],
+        "writes": writes,
+    }
+    for name in ("byte_size", "serialize", "canonical_key"):
+        total = calls.get((name, "read"), 0) + calls.get((name, "write"), 0)
+        result["%s_per_req" % name] = total / float(PXML_WORK_REQUESTS)
+    for name in ("copy", "frozen"):
+        for which, count in per_kind.items():
+            result["%s_per_%s" % (name, which)] = (
+                calls.get((name, which), 0) / float(count)
+            )
     return result
 
 
@@ -647,14 +671,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         work["byte_size_per_req"] == 0
         and work["serialize_per_req"] <= 1
         and work["canonical_key_per_req"] == 0
+        and work["copy_per_read"] == 0
     )
     failures += 0 if work_ok else 1
+    # Copies per write, and nodes published frozen, are reported: a
+    # write publishes the fragment it carries.
     print(
         "pxml work per request (%d App.handle, whole-profile world): "
         "byte_size %.2f (gate 0), serialize %.2f (gate <= 1), "
-        "canonical_key %.2f (gate 0) -> %s" % (
+        "canonical_key %.2f (gate 0), copied nodes per read %.2f "
+        "(gate 0) / per write %.2f, frozen nodes per read %.2f / per "
+        "write %.2f -> %s" % (
             work["requests"], work["byte_size_per_req"],
             work["serialize_per_req"], work["canonical_key_per_req"],
+            work["copy_per_read"], work["copy_per_write"],
+            work["frozen_per_read"], work["frozen_per_write"],
             "OK" if work_ok else "FAILED",
         )
     )
