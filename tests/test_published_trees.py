@@ -9,7 +9,8 @@ served requests (chaining and cached reads, enter-once writes,
 subscription polls) through ``App.handle`` on the demo world and on the
 whole-profile world, snapshots the text of every kept tree before each
 request, and requires every snapshotted tree to read the same after it,
-and every kept tree to be frozen.
+and every kept tree to be frozen and to serialize to the text a fresh
+copy of it renders.
 """
 
 import asyncio
@@ -132,6 +133,11 @@ def run_flow(world_name, memoize, steps):
             assert all(
                 isinstance(node, FrozenPNode) for node in tree.walk()
             ), (steps[: index + 1], tree.serialize())
+            # The text a kept tree serves is what a fresh, private
+            # copy of it renders.
+            assert tree.serialize() == tree.copy().serialize(), (
+                steps[: index + 1]
+            )
     return world
 
 

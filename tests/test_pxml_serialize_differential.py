@@ -8,13 +8,18 @@ go faster, both forms must produce exactly the original's text, for
 every tree the data model can hold: any tag and attribute name of the
 name grammar, any attribute value and any text, including markup
 characters, quotes and non-ASCII.
+
+Published (frozen) trees are held to the same text, however they are
+reached: as a frozen root, as a frozen subtree under a mutable spine
+(what ``extract`` and ``merge`` build), before and after either was
+rendered once, compact and pretty.
 """
 
 from typing import List, Optional
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.pxml import PNode
+from repro.pxml import FrozenPNode, PNode
 
 # ---------------------------------------------------------------------------
 # The frozen original
@@ -110,3 +115,87 @@ class TestSerializeMatchesTheOriginal:
         assert tree.serialize(indent=indent) == _frozen_serialize(
             tree, indent
         )
+
+
+# ---------------------------------------------------------------------------
+# Published subtrees: mutable spines over frozen trees
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def mixed_trees(draw, depth=3):
+    """A tree whose subtrees are frozen at random: a mutable spine
+    (what ``extract`` and ``merge`` build) over published subtrees,
+    or a frozen root."""
+    if depth == 0 or draw(st.booleans()):
+        tree = draw(trees(depth=0))
+    else:
+        tree = PNode(draw(names), draw(st.dictionaries(names, values,
+                                                       max_size=4)))
+        tree.extend(draw(st.lists(mixed_trees(depth=depth - 1), max_size=4)))
+    return tree.frozen() if draw(st.booleans()) else tree
+
+
+def frozen_subtrees(tree: PNode) -> List[PNode]:
+    """The frozen nodes of *tree* whose parent is mutable (or that are
+    the root): the subtrees a spine splices whole."""
+    found = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, FrozenPNode):
+            found.append(node)
+        else:
+            stack.extend(node.children)
+    return found
+
+
+class TestPublishedSubtrees:
+    @given(mixed_trees(), st.data())
+    @settings(max_examples=200)
+    def test_compact_twice(self, tree, data):
+        # Some published subtrees are rendered on their own first.
+        for node in frozen_subtrees(tree):
+            if data.draw(st.booleans()):
+                assert node.serialize() == _frozen_serialize(node)
+        expected = _frozen_serialize(tree)
+        assert tree.serialize() == expected
+        assert tree.serialize() == expected
+        for node in tree.walk():
+            assert node.serialize() == _frozen_serialize(node)
+
+    @given(mixed_trees(), st.sampled_from([0, 1, 2, 4]))
+    @settings(max_examples=100)
+    def test_pretty_after_compact(self, tree, indent):
+        tree.serialize()
+        for _ in range(2):
+            assert tree.serialize(indent=indent) == _frozen_serialize(
+                tree, indent
+            )
+        assert tree.serialize() == _frozen_serialize(tree)
+
+    @given(trees(), st.booleans())
+    @settings(max_examples=100)
+    def test_subtree_before_and_after_splicing(self, tree, first):
+        published = tree.frozen()
+        expected = _frozen_serialize(published)
+        if first:
+            assert published.serialize() == expected
+        spine = PNode("spine", {"id": "1"}, None, [published])
+        spine.append(PNode("tail"))
+        assert spine.serialize() == _frozen_serialize(spine)
+        assert published.serialize() == expected
+        assert spine.serialize() == _frozen_serialize(spine)
+
+    @given(trees(depth=3))
+    @settings(max_examples=100)
+    def test_root_after_its_children_were_spliced(self, tree):
+        # A spine over each child of a published root renders first;
+        # the root, rendered after, holds children that carry text.
+        published = tree.frozen()
+        for child in published.children:
+            spine = PNode("spine", None, None, [child])
+            assert spine.serialize() == _frozen_serialize(spine)
+        for _ in range(2):
+            assert published.serialize() == _frozen_serialize(published)
+        assert published.copy().serialize() == published.serialize()
