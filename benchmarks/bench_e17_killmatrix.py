@@ -599,6 +599,58 @@ MUTANTS: List[Dict[str, str]] = [
         "old": "    __setitem__ = _refuse\n",
         "new": "",
     },
+    # A published tree carries its compact text and returns it from
+    # then on; served for ``indent=`` too, a pretty rendering comes
+    # back compact once the tree was rendered compact. The serializer
+    # differential and the frozen-tree contract kill it.
+    {
+        "name": "frozen_text_served_pretty",
+        "bug_class": "a frozen node returns its cached compact text "
+                     "when asked for the indented form",
+        "relpath": "repro/pxml/node.py",
+        "old": (
+            "        if indent is not None:\n"
+            "            return _pretty(self, indent)\n"
+            "        return _wire_of(self)\n"
+        ),
+        "new": "        return _wire_of(self)\n",
+    },
+    # A mutable spine splices each frozen child as the text that child
+    # carries; splicing the text of another child serves a sibling
+    # twice. The serializer differential's mixed trees and the spine
+    # test in tests/test_pxml_frozen.py kill it.
+    {
+        "name": "splice_stale_child_text",
+        "bug_class": "the spine splices a text cached for a different "
+                     "child",
+        "relpath": "repro/pxml/node.py",
+        "old": (
+            "                        _wire_of(child) if child.__class__ "
+            "is FrozenPNode\n"
+        ),
+        "new": (
+            "                        _wire_of(children[0]) if "
+            "child.__class__ is FrozenPNode\n"
+        ),
+    },
+    # The parser publishes what it builds: every element a FrozenPNode
+    # at its end tag. Handing back a mutable copy of each element with
+    # children reads the same and serializes the same, so only the
+    # parsed-tree contract in tests/test_pxml_frozen.py sees it.
+    {
+        "name": "parse_returns_mutable",
+        "bug_class": "the parser builds mutable PNodes instead of "
+                     "published trees",
+        "relpath": "repro/pxml/parse.py",
+        "old": (
+            "                    node = frozen_node(tag, attrs, None, "
+            "tuple(children))\n"
+        ),
+        "new": (
+            "                    node = frozen_node(tag, attrs, None, "
+            "tuple(children)).copy()\n"
+        ),
+    },
 ]
 
 Finding = Tuple[str, str, str]

@@ -24,13 +24,16 @@ garbage row counts the cyclic objects each ``App.handle`` request
 leaves for the collector on the demo world, split into profile tree
 nodes (``PNode``, gated at 0: trees are acyclic) and everything else.
 The pxml work row counts the profile-model calls each ``App.handle``
-request makes on a whole-profile world: ``byte_size`` (gated at 0: the
-wall transport never sizes a message), ``serialize`` (gated at <= 1:
-a response body is rendered once) and ``canonical_key`` (gated at 0:
-the parts of a whole-profile read are distinct components, never value
-twins), and nodes copied per read (gated at 0: kept trees are frozen
-and shared) and per write, and mutable nodes published frozen per read
-and per write (both reported). The traces row counts the distinct trace ids among the spans
+request makes on a whole-profile world with a change bus: ``byte_size``
+(gated at 0: the wall transport never sizes a message), ``serialize``
+(gated at <= 1: a response body, or a write's bus record, is rendered
+once) and ``canonical_key`` (gated at 0: the parts of a whole-profile
+read are distinct components, never value twins), nodes copied per
+read (gated at 0: kept trees are frozen and shared) and per write
+(reported), mutable nodes published frozen per read (reported) and per
+write (gated at 0: the parser builds the fragment frozen), and nodes
+serialized fresh per read and per write (reported) and on a warm
+cached hit (gated at 0: the entry carries its text). The traces row counts the distinct trace ids among the spans
 each ``App.handle`` request records on the demo world (gated at
 exactly 1: the request's span tree and the engine's are one trace).
 The suspensions row steps each ``App.handle`` coroutine by hand with
@@ -74,12 +77,13 @@ from repro.obs import (  # noqa: E402
     write_json_snapshot,
 )
 from repro.obs.wallclock import WallClock  # noqa: E402
-from repro.pxml import PNode  # noqa: E402
+from repro.pxml import FrozenPNode, PNode  # noqa: E402
 from repro.serve import AppServer, Request, create_app  # noqa: E402
 from tests.data.profile_world import (  # noqa: E402
     PROFILE,
     build_profile_world,
 )
+from tests.data.pxml_work import FRESH, counting_patches  # noqa: E402
 from tests.data.reference import (  # noqa: E402
     BOOK,
     GOLDEN_STREAMS,
@@ -125,17 +129,22 @@ COLLECTOR_REQUESTS = 1_000
 #: self-provisions of the address book, in rotation.
 PXML_WORK_REQUESTS = 200
 
-#: The profile-model methods the pxml work probe counts. ``copy`` and
-#: ``frozen`` recurse once per node, so their counts are nodes copied
-#: into a private mutable tree and mutable nodes published frozen
-#: (``FrozenPNode.frozen`` returns the node itself and is not counted).
+#: The profile-model methods the pxml work probe counts, as
+#: ``(owner, method, key)``. ``copy`` and ``frozen`` recurse once per
+#: node, so their counts are nodes copied into a private mutable tree
+#: and mutable nodes published frozen (``FrozenPNode.frozen`` returns
+#: the node itself and is not counted). A published tree overrides
+#: ``serialize`` (it returns the text it carries), so both classes
+#: count; nodes serialized fresh are counted by
+#: ``tests.data.pxml_work``.
 PXML_WORK_COUNTED = (
-    (PNode, "byte_size"),
-    (RequestContext, "byte_size"),
-    (PNode, "serialize"),
-    (PNode, "canonical_key"),
-    (PNode, "copy"),
-    (PNode, "frozen"),
+    (PNode, "byte_size", "byte_size"),
+    (RequestContext, "byte_size", "byte_size"),
+    (PNode, "serialize", "serialize"),
+    (FrozenPNode, "serialize", "serialize"),
+    (PNode, "canonical_key", "canonical_key"),
+    (PNode, "copy", "copy"),
+    (PNode, "frozen", "frozen"),
 )
 
 
@@ -451,24 +460,19 @@ def _pxml_work_requests(count: int) -> List[Request]:
 
 def run_pxml_work() -> Dict[str, float]:
     """Profile-model calls per ``App.handle`` request over
-    :data:`PXML_WORK_REQUESTS` requests on the whole-profile world;
-    ``copy`` and ``frozen`` per read and per write (provision)."""
-    app = create_app(build_profile_world())
+    :data:`PXML_WORK_REQUESTS` requests on the whole-profile world with
+    a change bus; ``copy``, ``frozen`` and fresh nodes serialized per
+    read and per write (provision); and the fresh nodes of a warm
+    cached hit, the third of three family cached reads after the
+    mix."""
+    app = create_app(build_profile_world(with_bus=True))
     requests = _pxml_work_requests(PXML_WORK_REQUESTS)
-    #: (method name, "read" | "write") -> calls
+    #: (method name | FRESH, "read" | "write" | "warm") -> count
     calls: Dict[Tuple[str, str], int] = {}
     kind = "read"
-    originals = [
-        (owner, name, getattr(owner, name))
-        for owner, name in PXML_WORK_COUNTED
-    ]
 
-    def counting(name: str, original):
-        def counted(*args, **kwargs):
-            key = (name, kind)
-            calls[key] = calls.get(key, 0) + 1
-            return original(*args, **kwargs)
-        return counted
+    def record(key: str, amount: int) -> None:
+        calls[(key, kind)] = calls.get((key, kind), 0) + amount
 
     async def serve() -> None:
         nonlocal kind
@@ -476,24 +480,32 @@ def run_pxml_work() -> Dict[str, float]:
             kind = "write" if request.method == "POST" else "read"
             await app.handle(request)
             app.jobs.drain_bus_once()
+        warm = requests[1]
+        for kind in ("warm-up", "warm-up", "warm"):
+            await app.handle(warm)
 
+    patches = counting_patches(PXML_WORK_COUNTED, record)
+    originals = [
+        (target, name, getattr(target, name)) for target, name, _ in patches
+    ]
     try:
-        for owner, name, original in originals:
-            setattr(owner, name, counting(name, original))
+        for target, name, replacement in patches:
+            setattr(target, name, replacement)
         asyncio.run(serve())
     finally:
-        for owner, name, original in originals:
-            setattr(owner, name, original)
+        for target, name, original in reversed(originals):
+            setattr(target, name, original)
     writes = sum(1 for request in requests if request.method == "POST")
     per_kind = {"read": len(requests) - writes, "write": writes}
     result: Dict[str, float] = {
         "requests": PXML_WORK_REQUESTS, "reads": per_kind["read"],
         "writes": writes,
+        "fresh_warm_hit": calls.get((FRESH, "warm"), 0),
     }
     for name in ("byte_size", "serialize", "canonical_key"):
         total = calls.get((name, "read"), 0) + calls.get((name, "write"), 0)
         result["%s_per_req" % name] = total / float(PXML_WORK_REQUESTS)
-    for name in ("copy", "frozen"):
+    for name in ("copy", "frozen", FRESH):
         for which, count in per_kind.items():
             result["%s_per_%s" % (name, which)] = (
                 calls.get((name, which), 0) / float(count)
@@ -672,20 +684,27 @@ def main(argv: Optional[List[str]] = None) -> int:
         and work["serialize_per_req"] <= 1
         and work["canonical_key_per_req"] == 0
         and work["copy_per_read"] == 0
+        and work["frozen_per_write"] == 0
+        and work["fresh_warm_hit"] == 0
     )
     failures += 0 if work_ok else 1
-    # Copies per write, and nodes published frozen, are reported: a
-    # write publishes the fragment it carries.
+    # Copies per write, nodes published frozen per read and fresh
+    # nodes per read and per write are reported: a read that misses
+    # the cache publishes the root it merged, and renders what no kept
+    # tree carries yet.
     print(
         "pxml work per request (%d App.handle, whole-profile world): "
         "byte_size %.2f (gate 0), serialize %.2f (gate <= 1), "
         "canonical_key %.2f (gate 0), copied nodes per read %.2f "
         "(gate 0) / per write %.2f, frozen nodes per read %.2f / per "
-        "write %.2f -> %s" % (
+        "write %.2f (gate 0), fresh nodes serialized per read %.2f / "
+        "per write %.2f / on a warm cached hit %d (gate 0) -> %s" % (
             work["requests"], work["byte_size_per_req"],
             work["serialize_per_req"], work["canonical_key_per_req"],
             work["copy_per_read"], work["copy_per_write"],
             work["frozen_per_read"], work["frozen_per_write"],
+            work["%s_per_read" % FRESH], work["%s_per_write" % FRESH],
+            work["fresh_warm_hit"],
             "OK" if work_ok else "FAILED",
         )
     )

@@ -35,7 +35,10 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ModelError
 
-__all__ = ["FrozenPNode", "NAME_CHARS", "NAME_PATTERN", "PNode", "element"]
+__all__ = [
+    "FrozenPNode", "NAME_CHARS", "NAME_PATTERN", "PNode", "element",
+    "frozen_node",
+]
 
 #: The data model's name grammar, for tags and attribute names: an ASCII
 #: letter or ``_``, then letters, digits, ``_``, ``-`` and ``.``.
@@ -190,15 +193,12 @@ class PNode:
     def frozen(self) -> "FrozenPNode":
         """This subtree published: a frozen copy that shares every
         subtree that is already frozen. This tree is left as it is."""
-        node = object.__new__(FrozenPNode)
-        _fill(
-            node,
+        return frozen_node(
             self.tag,
-            _ReadOnlyAttrs(self.attrs) if self.attrs else _NO_ATTRS,
+            self.attrs,
             self.text,
             tuple([child.frozen() for child in self.children]),
         )
-        return node
 
     def share(self) -> "PNode":
         """What a reader of this subtree takes: the subtree itself when
@@ -237,46 +237,12 @@ class PNode:
     def serialize(self, indent: Optional[int] = None) -> str:
         """Render as XML text. With ``indent`` set, pretty-print.
 
-        The compact form is written in one pass over an explicit stack
-        (a closing tag is pushed as a string): attributes are sorted
-        only when a node has two or more, and a value is escaped only
-        when it holds a character that needs it."""
-        parts: List[str] = []
+        The compact form is written in one pass (see :func:`_compact`);
+        a published subtree under this node is spliced as the text it
+        carries (see :class:`FrozenPNode`)."""
         if indent is not None:
-            self._serialize_into(parts, indent, 0)
-            return "\n".join(parts)
-        out = parts.append
-        stack: List[Any] = [self]
-        pop = stack.pop
-        push = stack.append
-        while stack:
-            node = pop()
-            if node.__class__ is str:
-                out(node)
-                continue
-            tag = node.tag
-            head = "<" + tag
-            attrs = node.attrs
-            if attrs:
-                for key, value in (
-                    sorted(attrs.items()) if len(attrs) > 1
-                    else attrs.items()
-                ):
-                    if _NEEDS_ESCAPE(value):
-                        value = _escape_attr(value)
-                    head += ' %s="%s"' % (key, value)
-            text = node.text
-            if text is not None:
-                if _NEEDS_ESCAPE(text):
-                    text = _escape_text(text)
-                out("%s>%s</%s>" % (head, text, tag))
-            elif node.children:
-                out(head + ">")
-                push("</%s>" % tag)
-                stack.extend(reversed(node.children))
-            else:
-                out(head + "/>")
-        return "".join(parts)
+            return _pretty(self, indent)
+        return _compact(self)
 
     def _serialize_into(
         self, parts: List[str], indent: Optional[int], level: int
@@ -337,17 +303,39 @@ _SET_CHILDREN = PNode.children.__set__  # type: ignore[attr-defined]
 
 
 def _fill(
-    node: PNode,
+    node: "FrozenPNode",
     tag: str,
     attrs: Dict[str, str],
     text: Optional[str],
     children: Tuple[PNode, ...],
 ) -> None:
-    """Fill *node*'s slots past :meth:`FrozenPNode.__setattr__`."""
+    """Fill *node*'s slots past :meth:`FrozenPNode.__setattr__`; its
+    compact text is not built yet."""
     _SET_TAG(node, tag)
     _SET_ATTRS(node, attrs)
     _SET_TEXT(node, text)
     _SET_CHILDREN(node, children)
+    _SET_WIRE(node, None)
+
+
+def frozen_node(
+    tag: str,
+    attrs: Dict[str, str],
+    text: Optional[str],
+    children: Tuple[PNode, ...],
+) -> "FrozenPNode":
+    """A :class:`FrozenPNode` built from parts that are already valid:
+    *tag* a name of the data model's grammar, interned, the attribute
+    names interned, *children* a tuple of frozen nodes, and not both
+    *text* and *children*. *attrs* is copied. The parser builds every
+    tree it returns with it, bottom-up, and :meth:`PNode.frozen`
+    publishes a mutable tree with it."""
+    node = object.__new__(FrozenPNode)
+    _fill(
+        node, tag, _ReadOnlyAttrs(attrs) if attrs else _NO_ATTRS, text,
+        children,
+    )
+    return node
 
 
 class FrozenPNode(PNode):
@@ -359,10 +347,15 @@ class FrozenPNode(PNode):
     handed to any number of readers without a copy: none of them can
     change what another is served. :meth:`copy` still returns a private,
     mutable tree; :meth:`frozen` and :meth:`share` return the node
-    itself.
+    itself, and so do ``copy.copy`` and ``copy.deepcopy``.
+
+    A published tree is served again and again, so it carries its own
+    compact text: the first compact :meth:`serialize` keeps it in
+    ``_wire`` and every later one returns it. Pickling drops that text;
+    the unpickled tree builds its own.
     """
 
-    __slots__ = ()
+    __slots__ = ("_wire",)
 
     def __init__(
         self,
@@ -410,6 +403,105 @@ class FrozenPNode(PNode):
 
     def share(self) -> "PNode":
         return self
+
+    def serialize(self, indent: Optional[int] = None) -> str:
+        if indent is not None:
+            return _pretty(self, indent)
+        return _wire_of(self)
+
+    def __copy__(self) -> "FrozenPNode":
+        return self
+
+    def __deepcopy__(self, memo: Dict[int, object]) -> "FrozenPNode":
+        return self
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return (
+            FrozenPNode, (self.tag, dict(self.attrs), self.text, self.children)
+        )
+
+
+_SET_WIRE = FrozenPNode._wire.__set__  # type: ignore[attr-defined]
+
+
+def _wire_of(node: FrozenPNode) -> str:
+    """*node*'s compact text: the text it carries, built and kept on
+    first use."""
+    wire = node._wire
+    if wire is None:
+        wire = _compact(node)
+        _SET_WIRE(node, wire)
+    return wire
+
+
+def _pretty(root: PNode, indent: int) -> str:
+    """The indented text of *root*'s subtree; it never reads or keeps
+    a published tree's compact text."""
+    parts: List[str] = []
+    root._serialize_into(parts, indent, 0)
+    return "\n".join(parts)
+
+
+def _compact(root: PNode) -> str:
+    """The compact text of *root*'s subtree, written in one pass over
+    an explicit stack (a closing tag is pushed as a string): attributes
+    are sorted only when a node has two or more, and a value is escaped
+    only when it holds a character that needs it.
+
+    A frozen node that carries its text is spliced whole. A frozen
+    child of a mutable node (a published subtree under the spine that
+    ``extract`` or ``merge`` builds) is rendered through
+    :func:`_wire_of`, so it carries its text for the next response.
+    Below a frozen node nothing new is kept: a tree keeps the text of
+    the node a call started at and of its spine's frozen children,
+    never one text per interior node."""
+    parts: List[str] = []
+    out = parts.append
+    stack: List[Any] = [root]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        node = pop()
+        cls = node.__class__
+        if cls is str:
+            out(node)
+            continue
+        if cls is FrozenPNode:
+            wire = node._wire
+            if wire is not None:
+                out(wire)
+                continue
+        tag = node.tag
+        head = "<" + tag
+        attrs = node.attrs
+        if attrs:
+            for key, value in (
+                sorted(attrs.items()) if len(attrs) > 1
+                else attrs.items()
+            ):
+                if _NEEDS_ESCAPE(value):
+                    value = _escape_attr(value)
+                head += ' %s="%s"' % (key, value)
+        text = node.text
+        if text is not None:
+            if _NEEDS_ESCAPE(text):
+                text = _escape_text(text)
+            out("%s>%s</%s>" % (head, text, tag))
+        elif node.children:
+            out(head + ">")
+            push("</%s>" % tag)
+            children = node.children
+            if cls is FrozenPNode:
+                stack.extend(reversed(children))
+            else:
+                for child in reversed(children):
+                    push(
+                        _wire_of(child) if child.__class__ is FrozenPNode
+                        else child
+                    )
+        else:
+            out(head + "/>")
+    return "".join(parts)
 
 
 def element(

@@ -21,20 +21,30 @@ malformed tag, so every :class:`ParseError` message and position is
 the one a character-at-a-time reading gives
 (``tests/test_pxml_parse_differential.py`` keeps that reading as its
 oracle). Names are matched without backtracking: a name pattern only
-ever matches a whole name. Elements are built with a stack of open
+ever matches a whole name. Elements are read with a stack of open
 elements, never by recursion, and a document nests at most
 :data:`MAX_DEPTH` elements, because everything downstream of the parser
 (copy, merge, serialize) recurses once per level.
+
+A parsed tree is published as it is built: each element becomes a
+:class:`repro.pxml.node.FrozenPNode` at its end tag, over the children
+already built, so a parsed fragment is stored, cached and served
+without the copy that freezing a mutable tree would take.
 """
 
 from __future__ import annotations
 
 import re
 from sys import intern as _intern
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ParseError
-from repro.pxml.node import NAME_CHARS, NAME_PATTERN, PNode
+from repro.pxml.node import (
+    NAME_CHARS,
+    NAME_PATTERN,
+    FrozenPNode,
+    frozen_node,
+)
 
 __all__ = ["MAX_DEPTH", "parse"]
 
@@ -74,30 +84,24 @@ _ELEMENT = re.compile(
     + "(?:(/)>|>(?:([^<&]*)</(?P=tag)" + _SPACE + ">)?)"
 )
 
-#: An open element: the node, its closing-tag prefix and its text runs.
-_Open = Tuple[PNode, str, List[str]]
+#: An open element: its tag, attributes and children so far, its
+#: closing-tag prefix and its text runs.
+_Open = Tuple[str, Dict[str, str], List[FrozenPNode], str, List[str]]
+#: A start tag read: its tag and attributes, and the element itself
+#: when the tag closed it (``<a/>``, or a leaf like ``<a>x</a>``).
+_Start = Tuple[str, Dict[str, str], Optional[FrozenPNode]]
 
 
-def parse(text: str) -> PNode:
-    """Parse XML *text* into a :class:`PNode` tree.
+def parse(text: str) -> FrozenPNode:
+    """Parse XML *text* into a published tree: every node a
+    :class:`repro.pxml.node.FrozenPNode`, built at its end tag. Take
+    ``copy()`` of it for a tree to change.
 
     Raises :class:`repro.errors.ParseError` with the offending position
     on malformed input.
     """
     parser = _Parser(text)
     return parser.parse_document()
-
-
-def _new_node(tag: str) -> PNode:
-    # Built the way ``PNode.copy`` builds a node: the name patterns
-    # already are the data model's name grammar, so the constructor's
-    # check could never fail here.
-    node = object.__new__(PNode)
-    node.tag = _intern(tag)
-    node.attrs = {}
-    node.text = None
-    node.children = []
-    return node
 
 
 class _Parser:
@@ -108,7 +112,7 @@ class _Parser:
 
     # -- document --------------------------------------------------------
 
-    def parse_document(self) -> PNode:
+    def parse_document(self) -> FrozenPNode:
         self._skip_prolog()
         root = self._parse_elements()
         self._skip_misc()
@@ -141,50 +145,51 @@ class _Parser:
 
     # -- elements ----------------------------------------------------------
 
-    def _parse_elements(self) -> PNode:
+    def _parse_elements(self) -> FrozenPNode:
         """The document element and everything inside it, one token
-        per step, with the open elements on a stack."""
+        per step, with the open elements on a stack. Each element is
+        built at its end tag, after its children."""
         text, length = self.text, self.length
-        root, is_open = self._element()
-        if not is_open:
-            return root
-        node, closing, parts = root, "</" + root.tag, []
+        tag, attrs, done = self._element()
+        if done is not None:
+            return done
+        children: List[FrozenPNode] = []
+        closing, parts = "</" + tag, []
         stack: List[_Open] = []
         while True:
             pos = self.pos
             if pos >= length:
-                self._fail("unexpected end of input inside %r" % node.tag)
+                self._fail("unexpected end of input inside %r" % tag)
             if text[pos] != "<":
                 parts.append(self._chardata())
                 continue
             after = text[pos + 1 : pos + 2]
             if after == "/":
                 if not text.startswith(closing, pos):
-                    self._fail("mismatched closing tag inside %r" % node.tag)
+                    self._fail("mismatched closing tag inside %r" % tag)
                 self.pos = pos + len(closing)
                 if not text.startswith(">", self.pos):
                     self._skip_whitespace()
                     if not text.startswith(">", self.pos):
-                        self._fail(
-                            "malformed closing tag for %r" % node.tag
-                        )
+                        self._fail("malformed closing tag for %r" % tag)
                 self.pos += 1
                 content = "".join(parts)
-                if node.children:
+                if children:
                     if content.strip():
                         self._fail(
-                            "mixed content in %r is not supported"
-                            % node.tag
+                            "mixed content in %r is not supported" % tag
                         )
+                    node = frozen_node(tag, attrs, None, tuple(children))
                 else:
                     # An explicit closing tag means the element has
                     # text content — possibly empty ("<a></a>" is
                     # text="", while "<a/>" is text=None), mirroring
                     # the serializer exactly.
-                    node.text = content
+                    node = frozen_node(tag, attrs, content, ())
                 if not stack:
-                    return root
-                node, closing, parts = stack.pop()
+                    return node
+                tag, attrs, children, closing, parts = stack.pop()
+                children.append(node)
             elif after == "!" and text.startswith("<!--", pos):
                 self._skip_comment()
             else:
@@ -192,23 +197,22 @@ class _Parser:
                     self._fail(
                         "element nesting deeper than %d levels" % MAX_DEPTH
                     )
-                child, is_open = self._element()
-                node.children.append(child)
-                if is_open:
-                    stack.append((node, closing, parts))
-                    node, closing, parts = child, "</" + child.tag, []
+                child_tag, child_attrs, done = self._element()
+                if done is not None:
+                    children.append(done)
+                else:
+                    stack.append((tag, attrs, children, closing, parts))
+                    tag, attrs, children = child_tag, child_attrs, []
+                    closing, parts = "</" + tag, []
 
-    def _element(self) -> Tuple[PNode, bool]:
-        """The element starting at the cursor: its node, and whether
-        it is still open (its content and end tag follow)."""
+    def _element(self) -> _Start:
+        """The start tag at the cursor (see :data:`_Start`)."""
         match = _ELEMENT.match(self.text, self.pos)
         if match is None:
             return self._start_tag_exact()
         tag, run, slash, content = match.groups()
-        node = _new_node(tag)
-        node.text = content
+        attrs: Dict[str, str] = {}
         if run:
-            attrs = node.attrs
             pairs = _ATTRIBUTE_RE.findall(run)
             for name, double, single in pairs:
                 attrs[_intern(name)] = double or single
@@ -216,32 +220,37 @@ class _Parser:
                 # A duplicate attribute: the exact path reports it.
                 return self._start_tag_exact()
         self.pos = match.end()
-        return node, slash is None and content is None
+        # The name patterns are the data model's name grammar, so the
+        # tag needs no further check.
+        tag = _intern(tag)
+        if slash is None and content is None:
+            return tag, attrs, None
+        return tag, attrs, frozen_node(tag, attrs, content, ())
 
-    def _start_tag_exact(self) -> Tuple[PNode, bool]:
-        """The start tag at the cursor, read token by token: its node,
-        and whether it is open (``>``, not ``/>``)."""
+    def _start_tag_exact(self) -> _Start:
+        """The start tag at the cursor, read token by token (see
+        :data:`_Start`)."""
         if not self.text.startswith("<", self.pos):
             self._fail("expected element start '<'")
         self.pos += 1
-        tag = self._parse_name("element name")
-        node = _new_node(tag)
-        self._parse_attributes(node)
+        tag = _intern(self._parse_name("element name"))
+        attrs = self._parse_attributes()
         self._skip_whitespace()
         if self.text.startswith("/>", self.pos):
             self.pos += 2
-            return node, False
+            return tag, attrs, frozen_node(tag, attrs, None, ())
         if not self.text.startswith(">", self.pos):
             self._fail("expected '>' or '/>' in element %r" % tag)
         self.pos += 1
-        return node, True
+        return tag, attrs, None
 
-    def _parse_attributes(self, node: PNode) -> None:
+    def _parse_attributes(self) -> Dict[str, str]:
+        attrs: Dict[str, str] = {}
         while True:
             self._skip_whitespace()
             ch = self._peek()
             if ch in (">", "/") or ch is None:
-                return
+                return attrs
             name = self._parse_name("attribute name")
             self._skip_whitespace()
             if not self.text.startswith("=", self.pos):
@@ -249,12 +258,12 @@ class _Parser:
             self.pos += 1
             self._skip_whitespace()
             value = self._parse_quoted()
-            if name in node.attrs:
+            if name in attrs:
                 self._fail("duplicate attribute %r" % name)
             # Attribute names are schema vocabulary — intern so the
             # whole deserialized forest shares one string per name
             # (values stay unbounded and uninterned).
-            node.attrs[_intern(name)] = value
+            attrs[_intern(name)] = value
 
     def _chardata(self) -> str:
         """Character data from the cursor up to the next ``<`` (or the

@@ -110,7 +110,7 @@ class Step:
 class Path:
     """An absolute location path in the GUPster fragment."""
 
-    __slots__ = ("steps", "attribute", "_hash")
+    __slots__ = ("steps", "attribute", "_hash", "_text")
 
     def __init__(
         self, steps: Tuple[Step, ...], attribute: Optional[str] = None
@@ -120,6 +120,8 @@ class Path:
         self.steps = tuple(steps)
         self.attribute = attribute
         self._hash = hash((self.steps, self.attribute))
+        #: The rendered path, built on first use (a path is immutable).
+        self._text: Optional[str] = None
 
     # -- derived forms ----------------------------------------------------
 
@@ -182,9 +184,12 @@ class Path:
         return self._hash
 
     def __repr__(self) -> str:
-        text = "/" + "/".join(repr(step) for step in self.steps)
-        if self.attribute is not None:
-            text += "/@" + self.attribute
+        text = self._text
+        if text is None:
+            text = "/" + "/".join(repr(step) for step in self.steps)
+            if self.attribute is not None:
+                text += "/@" + self.attribute
+            self._text = text
         return text
 
     __str__ = __repr__

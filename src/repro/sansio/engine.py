@@ -958,8 +958,9 @@ class SansIoQueryEngine:
         # Wrap the new component state in a user document so each
         # store can be handed exactly its slice (a store registered
         # for item[@type='corporate'] must not receive — nor lose —
-        # the personal half). The document is frozen once, so every
-        # store's slice shares it and every store keeps it as is.
+        # the personal half). The document is published (frozen), so
+        # every store's slice shares it and every store keeps it as is;
+        # a parsed fragment already is, and is wrapped without a copy.
         if fragment.tag == "user":
             document = fragment.frozen()
         else:

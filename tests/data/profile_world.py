@@ -12,6 +12,7 @@ work row drive it through ``App.handle``.
 from __future__ import annotations
 
 from repro.access import PolicyRule, relationship_in
+from repro.bus import CacheInvalidationListener, ChangeBus
 from repro.core import ComponentCache, GupsterServer
 from repro.serve import ServeWorld
 from repro.simnet import Network, Simulator
@@ -33,7 +34,9 @@ SHIELD = (
 )
 
 
-def build_profile_world() -> ServeWorld:
+def build_profile_world(with_bus: bool = False) -> ServeWorld:
+    """The world above; *with_bus* adds a change bus that invalidates
+    the cache, as the demo world's does."""
     network = Network(seed=3)
     network.add_node("gupster", region="core")
     network.add_node("http-client", region="internet")
@@ -52,4 +55,9 @@ def build_profile_world() -> ServeWorld:
             "u1", "%s/%s" % (PROFILE, component), "permit",
             relationship_in(*relationships),
         ))
-    return ServeWorld(server, sim=Simulator(), network=network)
+    sim = Simulator()
+    bus = None
+    if with_bus:
+        bus = ChangeBus(sim, network, origin_node="gupster")
+        bus.attach(CacheInvalidationListener("serve-cache", server.cache))
+    return ServeWorld(server, sim=sim, network=network, bus=bus)

@@ -115,7 +115,7 @@ class TestExtract:
         assert extract(doc(), "/user/calendar") is None
 
     def test_extract_is_a_copy(self):
-        root = doc()
+        root = doc().copy()
         fragment = extract(root, "/user/presence")
         fragment.child("presence").child("status").text = "changed"
         assert (

@@ -1,6 +1,12 @@
 """The frozen-tree contract: a published profile tree refuses every
 write, ``copy()`` of it is private and mutable, and ``frozen()``
-shares what is already frozen without touching its input."""
+shares what is already frozen without touching its input. A published
+tree carries its compact text once built, ``copy.copy`` and
+``copy.deepcopy`` return it, pickling rebuilds it without that text,
+and ``parse()`` returns one."""
+
+import copy
+import pickle
 
 import pytest
 
@@ -156,3 +162,85 @@ class TestFrozen:
         assert published.byte_size() == tree.byte_size()
         assert tree.deep_equal(published) and published.deep_equal(tree)
         assert parse(published.serialize()).deep_equal(published)
+
+
+class TestCarriedText:
+    def test_compact_text_is_built_once(self):
+        published = build_sample().frozen()
+        text = published.serialize()
+        assert text == build_sample().serialize()
+        assert published.serialize() is text
+        assert published.byte_size() == len(text.encode("utf-8"))
+
+    def test_pretty_form_never_reads_the_compact_text(self):
+        published = build_sample().frozen()
+        published.serialize()
+        assert published.serialize(indent=2) == build_sample().serialize(
+            indent=2
+        )
+        assert "\n" not in published.serialize()
+
+    def test_spine_splices_its_frozen_children(self):
+        book = build_sample().child("address-book").frozen()
+        presence = FrozenPNode("presence", None, "away")
+        spine = PNode(
+            "user", {"id": "alice"}, None, [book, PNode("x"), presence]
+        )
+        text = spine.serialize()
+        assert text == spine.copy().serialize()
+        assert book.serialize() in text
+        assert presence._wire == "<presence>away</presence>"
+        # The spliced child keeps its text; its own children keep none.
+        assert book._wire == book.copy().serialize()
+        assert all(node._wire is None for node in book.walk()
+                   if node is not book)
+
+    def test_a_frozen_root_keeps_only_its_own_text(self):
+        published = build_sample().frozen()
+        published.serialize()
+        assert all(node._wire is None for node in published.walk()
+                   if node is not published)
+
+
+class TestCopyModuleAndPickle:
+    def test_copy_and_deepcopy_return_the_tree(self):
+        published = build_sample().frozen()
+        published.serialize()
+        assert copy.copy(published) is published
+        assert copy.deepcopy(published) is published
+        holder = {"tree": published}
+        assert copy.deepcopy(holder)["tree"] is published
+
+    @pytest.mark.parametrize("carried", [False, True])
+    def test_pickle_rebuilds_a_frozen_tree_without_its_text(self, carried):
+        published = build_sample().frozen()
+        if carried:
+            published.serialize()
+        loaded = pickle.loads(pickle.dumps(published))
+        assert loaded is not published
+        assert all(isinstance(node, FrozenPNode) for node in loaded.walk())
+        assert all(node._wire is None for node in loaded.walk())
+        assert loaded.deep_equal(published)
+        assert loaded.serialize() == build_sample().serialize()
+        with pytest.raises(ModelError):
+            loaded.attrs["id"] = "mallory"
+
+
+class TestParsedTreesArePublished:
+    @pytest.mark.parametrize("text", [
+        "<a/>",
+        "<a>text</a>",
+        "<a></a>",
+        "<user id='alice'><book><item id='1' type='x'><name>B &amp; A"
+        "</name><n x=\"1\"/></item></book><presence/></user>",
+        "<a x='&lt;'><b y='1' y2=\"&amp;\">t</b><!-- c --><c/></a>",
+    ])
+    def test_every_node_is_frozen(self, text):
+        tree = parse(text)
+        for node in tree.walk():
+            assert type(node) is FrozenPNode
+            assert isinstance(node.children, tuple)
+            assert node._wire is None
+            with pytest.raises(ModelError):
+                node.attrs["new"] = "x"
+        assert tree.serialize() == tree.copy().serialize()

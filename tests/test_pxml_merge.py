@@ -113,7 +113,7 @@ class TestDeepUnion:
         assert len(merged.child("bookmarks").children) == 1
 
     def test_result_is_fresh_tree(self):
-        a, b = personal_book(), corporate_book()
+        a, b = personal_book().copy(), corporate_book().copy()
         merged = deep_union(a, b)
         merged.child("address-book").children[0].attrs["id"] = "99"
         assert a.child("address-book").children[0].attrs["id"] == "1"
@@ -125,7 +125,7 @@ class TestMergeAll:
             merge_all([])
 
     def test_single_fragment_copied(self):
-        original = personal_book()
+        original = personal_book().copy()
         merged = merge_all([original])
         assert merged.deep_equal(original)
         assert merged is not original

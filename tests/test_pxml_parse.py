@@ -11,7 +11,7 @@ class TestBasics:
     def test_empty_element(self):
         node = parse("<a/>")
         assert node.tag == "a"
-        assert node.children == []
+        assert list(node.children) == []
         assert node.text is None
 
     def test_attributes_both_quote_styles(self):

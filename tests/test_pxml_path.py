@@ -134,3 +134,49 @@ class TestPathOperations:
     def test_requires_one_step(self):
         with pytest.raises(PathSyntaxError):
             Path(())
+
+
+def _rendered(path):
+    """A path's text as rendered before it was kept on the path."""
+    text = "/" + "/".join(
+        step.name + "".join(
+            "[@%s='%s']" % (p.attr, p.value) for p in step.predicates
+        )
+        for step in path.steps
+    )
+    if path.attribute is not None:
+        text += "/@" + path.attribute
+    return text
+
+
+class TestPathText:
+    @pytest.mark.parametrize("text", [
+        "/user",
+        "/user[@id='arnaud']/address-book/item[@type='personal']",
+        "/a[@y='2'][@x='1']/b",
+        "/user[@id='u1']/*/item",
+        "/*",
+        "/user[@id='u1']/address-book/item/@phone",
+        "/*[@id='x']/*/@type",
+    ])
+    def test_str_is_stable_and_equals_the_rendering(self, text):
+        path = parse_path(text)
+        first = str(path)
+        assert first == _rendered(path)
+        assert str(path) is first
+        assert repr(path) is first
+        assert parse_path(first) == path
+
+    def test_derived_paths_render_their_own_text(self):
+        path = parse_path("/user[@id='u1']/address-book/item/@phone")
+        str(path)
+        assert str(path.element_path()) == (
+            "/user[@id='u1']/address-book/item"
+        )
+        assert str(path.prefix(2)) == "/user[@id='u1']/address-book"
+        assert str(path.prefix(1).child(Step("calendar"))) == (
+            "/user[@id='u1']/calendar"
+        )
+        assert str(path.with_predicate(2, Predicate("type", "x"))) == (
+            "/user[@id='u1']/address-book/item[@type='x']/@phone"
+        )

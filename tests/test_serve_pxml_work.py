@@ -5,6 +5,9 @@ The wall transport never reads a message's size, so serving a request
 sizes nothing: ``byte_size`` is never called, a response carrying a
 fragment serializes it once, and a whole-profile read, whose parts are
 distinct components, canonicalizes no subtree to look for value twins.
+A published tree carries its text, so a warm cached hit renders no
+node fresh, and a read-back renders only the spine over the tree its
+write's bus record rendered.
 
 ``Trace.bytes_total`` pins every engine pattern's wire volume on the
 simnet driver: the bytes a ``Send`` carries feed the virtual-time cost
@@ -20,11 +23,12 @@ import pytest
 
 from repro.access import RequestContext
 from repro.core.host import QueryHost
-from repro.pxml import PNode, parse, parse_path
+from repro.pxml import FrozenPNode, PNode, parse, parse_path
 from repro.sansio import SansIoQueryEngine
 from repro.serve import Request, create_app
 from repro.simnet.driver import SimnetDriver
 from tests.data.profile_world import PROFILE, build_profile_world
+from tests.data.pxml_work import FRESH, counting_patches
 from tests.data.reference import BOOK, CORPORATE, PERSONAL, build_split_world
 
 STORES = ("gup.alpha.com", "gup.beta.com", "gup.corp.com")
@@ -119,27 +123,28 @@ def test_bytes_on_the_wire_are_pinned(pattern):
 # pxml work per served request
 # ---------------------------------------------------------------------------
 
+#: (owner, method, key). A published tree overrides ``serialize``, so
+#: both classes count as ``PNode.serialize``.
 COUNTED = (
-    (PNode, "byte_size"),
-    (RequestContext, "byte_size"),
-    (PNode, "serialize"),
-    (PNode, "canonical_key"),
+    (PNode, "byte_size", "PNode.byte_size"),
+    (RequestContext, "byte_size", "RequestContext.byte_size"),
+    (PNode, "serialize", "PNode.serialize"),
+    (FrozenPNode, "serialize", "PNode.serialize"),
+    (PNode, "canonical_key", "PNode.canonical_key"),
 )
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """``Owner.method`` -> calls so far (recursive calls included)."""
+    """``Owner.method`` -> calls so far (recursive calls included),
+    and ``fresh_nodes`` -> nodes serialized fresh so far."""
     counts = collections.Counter()
-    for owner, name in COUNTED:
-        key = "%s.%s" % (owner.__name__, name)
 
-        def counting(*args, _original=getattr(owner, name), _key=key,
-                     **kwargs):
-            counts[_key] += 1
-            return _original(*args, **kwargs)
+    def record(key, amount):
+        counts[key] += amount
 
-        monkeypatch.setattr(owner, name, counting)
+    for target, name, replacement in counting_patches(COUNTED, record):
+        monkeypatch.setattr(target, name, replacement)
     return counts
 
 
@@ -221,3 +226,58 @@ def test_whole_profile_family_read_canonicalizes_nothing(calls, pattern):
         assert made.get("PNode.canonical_key", 0) == 0
         assert made.get("PNode.byte_size", 0) == 0
         assert made.get("PNode.serialize", 0) == 1
+
+
+# ---------------------------------------------------------------------------
+# Text a published tree carries
+# ---------------------------------------------------------------------------
+
+FAMILY = {"x-requester": "u2", "x-relationship": "family"}
+
+
+def test_a_warm_cached_hit_serializes_no_node_fresh(calls):
+    app = create_app(build_profile_world())
+    fresh = []
+    for _ in range(3):
+        response, made = handle(app, calls, query(PROFILE, "cached", FAMILY))
+        assert response.status == 200
+        assert made.get("PNode.serialize", 0) == 1
+        fresh.append(made.get(FRESH, 0))
+    miss, first_hit, warm_hit = fresh
+    # The miss renders the merged parts, which keep their text; the
+    # cache keeps a frozen root over them, rendered once by the first
+    # hit; every hit after that is the text the entry carries.
+    assert miss > 3
+    assert first_hit == 1
+    assert warm_hit == 0
+
+
+def test_a_read_back_splices_the_text_its_write_published(calls):
+    world = build_profile_world(with_bus=True)
+    app = create_app(world)
+    book = PROFILE + "/address-book"
+    fragment = (
+        "<address-book><item id='w1'><name>Zoé &amp; 1</name></item>"
+        "</address-book>"
+    )
+    provision = Request(
+        "POST", "/v1/provision",
+        headers=dict(SELF, **{"x-purpose": "provision"}),
+        body=json.dumps({"path": book, "fragment": fragment}).encode(),
+    )
+    response, made = handle(app, calls, provision)
+    assert response.status == 201
+    # The bus record renders the parsed fragment, which the store keeps
+    # as its override, as it is.
+    assert made.get("PNode.serialize", 0) == 1
+    assert made.get(FRESH, 0) == 3
+    kept = world.server.adapters["gup.portal"]._written[
+        ("u1", "address-book")
+    ]
+    assert isinstance(kept, FrozenPNode) and kept._wire is not None
+    response, made = handle(app, calls, query(book, "chaining", SELF))
+    assert response.status == 200
+    assert "Zoé &amp; 1" in json.loads(response.body)["fragment"]
+    assert made.get("PNode.serialize", 0) == 1
+    # Only the <user> spine over the kept tree is rendered fresh.
+    assert made.get(FRESH, 0) == 1
