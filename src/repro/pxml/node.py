@@ -24,7 +24,10 @@ Design notes
   every write to it raises, so readers share it instead of copying it.
   :meth:`PNode.frozen` publishes a tree, sharing the subtrees that are
   already frozen; :meth:`PNode.share` is what a reader takes — the tree
-  itself when it is frozen, a private deep copy when it is not.
+  itself when it is frozen, a private deep copy when it is not. The
+  parser builds its trees frozen, and a published tree carries its
+  compact text once it has been rendered, so a tree served again is
+  not rendered again.
 """
 
 from __future__ import annotations
@@ -296,45 +299,36 @@ class _ReadOnlyAttrs(dict):  # type: ignore[type-arg]
 #: The attributes of every frozen node that has none.
 _NO_ATTRS = _ReadOnlyAttrs()
 
-_SET_TAG = PNode.tag.__set__  # type: ignore[attr-defined]
-_SET_ATTRS = PNode.attrs.__set__  # type: ignore[attr-defined]
-_SET_TEXT = PNode.text.__set__  # type: ignore[attr-defined]
-_SET_CHILDREN = PNode.children.__set__  # type: ignore[attr-defined]
 
+class _Unpublished(PNode):
+    """A :class:`FrozenPNode` while :func:`frozen_node` fills it: the
+    same layout without the refusals, so its slots take plain
+    assignments; it then becomes a :class:`FrozenPNode`."""
 
-def _fill(
-    node: "FrozenPNode",
-    tag: str,
-    attrs: Dict[str, str],
-    text: Optional[str],
-    children: Tuple[PNode, ...],
-) -> None:
-    """Fill *node*'s slots past :meth:`FrozenPNode.__setattr__`; its
-    compact text is not built yet."""
-    _SET_TAG(node, tag)
-    _SET_ATTRS(node, attrs)
-    _SET_TEXT(node, text)
-    _SET_CHILDREN(node, children)
-    _SET_WIRE(node, None)
+    __slots__ = ("_wire",)
 
 
 def frozen_node(
     tag: str,
-    attrs: Dict[str, str],
+    attrs: Optional[Dict[str, str]],
     text: Optional[str],
     children: Tuple[PNode, ...],
 ) -> "FrozenPNode":
     """A :class:`FrozenPNode` built from parts that are already valid:
     *tag* a name of the data model's grammar, interned, the attribute
     names interned, *children* a tuple of frozen nodes, and not both
-    *text* and *children*. *attrs* is copied. The parser builds every
-    tree it returns with it, bottom-up, and :meth:`PNode.frozen`
-    publishes a mutable tree with it."""
-    node = object.__new__(FrozenPNode)
-    _fill(
-        node, tag, _ReadOnlyAttrs(attrs) if attrs else _NO_ATTRS, text,
-        children,
-    )
+    *text* and *children*. *attrs* is copied. Every frozen node is
+    built here — by its constructor, by :meth:`PNode.frozen` and by the
+    parser, bottom-up — with its compact text not built yet."""
+    node = object.__new__(_Unpublished)
+    node.tag = tag
+    node.attrs = _ReadOnlyAttrs(attrs) if attrs else _NO_ATTRS
+    node.text = text
+    node.children = children
+    node._wire = None
+    # The two classes share one layout, so this only makes the node
+    # refuse every write from now on.
+    node.__class__ = FrozenPNode
     return node
 
 
@@ -357,13 +351,13 @@ class FrozenPNode(PNode):
 
     __slots__ = ("_wire",)
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         tag: str,
         attrs: Optional[Dict[str, str]] = None,
         text: Optional[str] = None,
         children: Optional[Iterable[PNode]] = None,
-    ):
+    ) -> "FrozenPNode":
         if not tag or not _is_name(tag):
             raise ModelError("invalid element tag: %r" % (tag,))
         frozen_children = (
@@ -375,15 +369,16 @@ class FrozenPNode(PNode):
                 "mixed content not supported: %r has both text and children"
                 % (tag,)
             )
-        _fill(
-            self,
+        return frozen_node(
             _intern(tag),
-            _ReadOnlyAttrs(
-                {_intern(key): value for key, value in attrs.items()}
-            ) if attrs else _NO_ATTRS,
+            {_intern(key): value for key, value in attrs.items()}
+            if attrs else None,
             text,
             frozen_children,
         )
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        """Built whole by :meth:`__new__`; there is nothing to set."""
 
     def _refuse(self, *args: object, **kwargs: object) -> Any:
         raise ModelError(
