@@ -651,6 +651,50 @@ MUTANTS: List[Dict[str, str]] = [
             "tuple(children)).copy()\n"
         ),
     },
+    # The served surface's subscribe route decides the shield before
+    # it attaches a listener (the PR 24 bypass, put back). The HTTP
+    # route tests see a denied requester get a subscription.
+    {
+        "name": "subscribe_skips_shield",
+        "bug_class": "an HTTP subscription is attached without a "
+                     "shield decision",
+        "relpath": "repro/serve/routers/subscription.py",
+        "old": (
+            "        if (\n"
+            "            server.enforce_policies\n"
+            "            and not server.pep.enforce(path, context).permit\n"
+            "        ):\n"
+            "            raise AccessDeniedError(\n"
+            '                "privacy shield denies a subscription to '
+            '%s for %s"\n'
+            "                % (path, context.requester)\n"
+            "            )\n"
+        ),
+        "new": "",
+    },
+    # A protocol-core frame that reads the fault model itself has
+    # grown a dependency on the simulated wire the wall transport
+    # cannot honour. The sans-io boundary guard
+    # (tests/test_sansio_boundary.py) sees the direct call.
+    {
+        "name": "executor_reads_fault_state",
+        "bug_class": "the query executor reads the simulated fault "
+                     "state directly",
+        "relpath": "repro/core/query.py",
+        "old": (
+            "        trace = self.network.trace()\n"
+            "        driver = simnet_driver.SimnetDriver("
+            "self.server.adapters)\n"
+        ),
+        "new": (
+            "        trace = self.network.trace()\n"
+            "        if self.network.is_failed(self.server.name):\n"
+            '            raise RuntimeError("%s is down" % '
+            "self.server.name)\n"
+            "        driver = simnet_driver.SimnetDriver("
+            "self.server.adapters)\n"
+        ),
+    },
 ]
 
 Finding = Tuple[str, str, str]

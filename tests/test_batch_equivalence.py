@@ -103,7 +103,8 @@ def _norm_statuses(statuses):
 
 
 def run_sequential(executor, queries, use_cache, now=0.0):
-    """One observation tuple per query: (kind, payload, hit, statuses)."""
+    """One observation tuple per query:
+    (kind, payload, hit, stale, statuses)."""
     observed = []
     for request, context in queries:
         try:
@@ -118,7 +119,8 @@ def run_sequential(executor, queries, use_cache, now=0.0):
                 hit = False
         except ReproError as err:
             observed.append(
-                ("error:" + type(err).__name__, str(err), False, ())
+                ("error:" + type(err).__name__, str(err), False, False,
+                 ())
             )
             continue
         observed.append(
@@ -126,6 +128,7 @@ def run_sequential(executor, queries, use_cache, now=0.0):
                 "ok",
                 fragment.serialize() if fragment is not None else None,
                 hit,
+                trace.stale_serves > 0,
                 _norm_statuses(trace.part_status),
             )
         )
@@ -149,6 +152,7 @@ def run_batched(executor, queries, use_cache, batch_size=None, now=0.0):
                         "error:" + type(item.error).__name__,
                         str(item.error),
                         False,
+                        False,
                         (),
                     )
                 )
@@ -159,6 +163,7 @@ def run_batched(executor, queries, use_cache, batch_size=None, now=0.0):
                     item.fragment.serialize()
                     if item.fragment is not None else None,
                     item.hit,
+                    item.stale,
                     _norm_statuses(item.statuses),
                 )
             )
@@ -189,25 +194,30 @@ def random_queries(rng, count, with_denials=False):
 
 def assert_equivalent(queries, fault=(), use_cache=False,
                       enforce=False, stale_grace_ms=0.0,
-                      batch_size=None, warmup=()):
+                      batch_size=None, warmup=(), now=0.0):
     """Build two identical worlds, apply the same deterministic faults,
-    run the same queries sequentially and batched, compare."""
+    run the same queries sequentially and batched at *now* (after
+    *warmup* at 0), compare the observations and the number of shield
+    decisions each mode made (enforced, denied)."""
     runs = {}
+    decisions = {}
     for label, runner in (
         ("sequential", run_sequential),
-        ("batched", lambda ex, q, c: run_batched(
-            ex, q, c, batch_size=batch_size
+        ("batched", lambda ex, q, c, now: run_batched(
+            ex, q, c, batch_size=batch_size, now=now
         )),
     ):
-        network, _server, executor = build_world(
+        network, server, executor = build_world(
             enforce=enforce, stale_grace_ms=stale_grace_ms
         )
         for request, context in warmup:
             executor.cached("client", request, context, now=0.0)
         for node in fault:
             network.fail(node)
-        runs[label] = runner(executor, queries, use_cache)
+        runs[label] = runner(executor, queries, use_cache, now)
+        decisions[label] = (server.pep.enforced, server.pep.denied)
     assert runs["batched"] == runs["sequential"]
+    assert decisions["batched"] == decisions["sequential"]
     return runs["sequential"]
 
 
@@ -294,7 +304,7 @@ class TestFaultEquivalence:
                 batch_size=rng.choice([None, 4]),
             )
             degraded = [e for e in observed if e[0] == "ok" and any(
-                not ok for _p, _s, ok, _e in e[3]
+                not ok for _p, _s, ok, _e in e[4]
             )]
             if any(request == BOOK for request, _c in queries):
                 assert degraded
@@ -315,18 +325,28 @@ class TestFaultEquivalence:
         assert observed[0][0] == "error:PartialResultError"
 
     def test_stale_serve_from_cache_identical(self):
-        """Warm the cache, kill every store: both modes serve the
-        requester's own stale entry for the warmed path and fail the
-        cold one."""
-        warmup = [(BOOK, STRANGER)]
-        queries = [(BOOK, STRANGER), (PRESENCE, STRANGER)]
+        """Warm two family reads, kill every store, read past the TTL
+        and inside the grace with the shield on: both modes serve the
+        family member's own stale entries (the shield re-checked on
+        each), deny the stranger, fail the cold path, and make the
+        same shield decisions."""
+        warmup = [(PERSONAL, FAMILY), (PRESENCE, FAMILY)]
+        queries = [
+            (PERSONAL, FAMILY),
+            (PERSONAL, STRANGER),
+            (PRESENCE, FAMILY),
+            (BOOK, FAMILY),
+        ]
         observed = assert_equivalent(
-            queries, use_cache=True, stale_grace_ms=120_000.0,
-            warmup=warmup,
+            queries, use_cache=True, enforce=True,
+            stale_grace_ms=120_000.0, warmup=warmup, now=90_000.0,
             fault=("gup.alpha.com", "gup.beta.com", "gup.corp.com"),
         )
-        assert observed[0][0] == "ok" and observed[0][2] is True
-        assert observed[1][0] == "error:PartialResultError"
+        for index in (0, 2):
+            kind, _payload, hit, stale, _statuses = observed[index]
+            assert (kind, hit, stale) == ("ok", True, True)
+        assert observed[1][0].startswith("error:AccessDenied")
+        assert observed[3][0] == "error:PartialResultError"
 
 
 class TestExecuteBatchApi:

@@ -1081,7 +1081,7 @@ class TestKillMatrix:
         bench = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(bench)
         names = [row["name"] for row in bench.MUTANTS]
-        assert len(names) == len(set(names)) >= 28
+        assert len(names) == len(set(names)) >= 42
         for row in bench.MUTANTS:
             assert row["old"] != row["new"]
             bench.mutated_source(row)  # SystemExit unless exactly once
