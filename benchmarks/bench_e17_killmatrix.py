@@ -168,8 +168,9 @@ MUTANTS: List[Dict[str, str]] = [
         ),
         "new": "        return True\n",
     },
-    # Rule-overlap rows (recorded, not acted on here): which of
-    # sim-blocking / determinism / sans-io-purity fire on each.
+    # Wall-clock and blocking rows: determinism fires on each
+    # statically; the sans-io boundary guard
+    # (tests/test_sansio_boundary.py) sees a wall read in the core.
     {
         "name": "simnet_wall_sleep",
         "bug_class": "wall-clock sleep inside a simnet event handler",

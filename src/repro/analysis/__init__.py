@@ -1,22 +1,14 @@
 """gupcheck — GUPster-aware static analysis.
 
-The GUPster promises that runtime tests cannot fully guard — *every*
-profile read is mediated by the privacy shield, the simulator is
-deterministic and replayable, layers do not reach around their
-interfaces — are statically checkable. This package is a small,
-reusable AST-visitor framework plus the repo-specific rules that
-encode those invariants (DESIGN.md §4.2–4.3):
+Some GUPster promises are statically checkable one module at a time:
+the simulator is deterministic and replayable, layers do not reach
+around their interfaces, parsers raise only GUP errors. This package
+is a small, reusable AST-visitor framework plus the repo-specific
+rules that encode those invariants (DESIGN.md §4.2–4.3):
 
 ========================  ====================================================
 rule                      invariant protected
 ========================  ====================================================
-``shield-egress``         every egress serving a requester context reaches a
-                          privacy-shield check first (whole-program):
-                          interprocedural taint from every
-                          store/adapter/cache/sync/``StoreGet`` source to
-                          every return, send, bus-delivery and
-                          foreign-write sink — the shield is the only
-                          sanitizer
 ``determinism``           simulated components use the virtual clock and an
                           injected seeded ``random.Random`` — never wall-clock
                           time or the shared module-level ``random`` state;
@@ -29,8 +21,13 @@ rule                      invariant protected
                           timestamp never mutate the same attribute
 ``iter-order``            unordered ``set`` iteration never feeds event
                           scheduling or result assembly (warning)
-``sans-io-purity``        the sans-io core infers as pure or virtual-time
 ========================  ====================================================
+
+Two promises are tier-1 tests, not rules: every release of profile
+data passes the privacy shield (the route, batch-equivalence, bus,
+federation and sync tests, DESIGN.md §4.2), and the protocol core
+never calls wall I/O or the simulated wire itself (the runtime
+boundary guard ``tests/test_sansio_boundary.py``, DESIGN.md §4.7).
 
 Four invariants are enforced by the code rather than by a rule: the
 component cache requires a non-empty ``scope`` keyword on every
@@ -44,14 +41,12 @@ Container growth is checked at runtime, not by a rule: the soak in
 ``tests/test_soak.py`` fails when a container of the served world
 grows with traffic (DESIGN.md §4.8).
 
-Run it over the source tree — one invocation parses every file once,
-analyses the whole tree and writes every requested artefact from that
-one result::
+Run it over the source tree — one invocation parses every file once
+and writes every requested artefact from that one result::
 
     PYTHONPATH=src python -m repro.analysis src/          # human output
     PYTHONPATH=src python -m repro.analysis --json src/   # machine output
-    PYTHONPATH=src python -m repro.analysis src/ --sarif out.sarif \\
-        --effects .gupcheck-effects.json
+    PYTHONPATH=src python -m repro.analysis src/ --sarif out.sarif
 
 A violation can be suppressed — with a mandatory justification — by a
 comment on (or immediately above) the offending line::
@@ -65,7 +60,6 @@ themselves violations.
 from repro.analysis.framework import (
     Analyzer,
     ModuleInfo,
-    ProjectRule,
     Report,
     Rule,
     Violation,
@@ -77,7 +71,6 @@ __all__ = [
     "ALL_RULES",
     "Analyzer",
     "ModuleInfo",
-    "ProjectRule",
     "Report",
     "Rule",
     "Violation",

@@ -5,22 +5,20 @@ once, every (selected) rule runs over the whole tree, and each
 artefact flag is a *sink* of that one result —
 
 * ``--json``            the report, on stdout;
-* ``--sarif [PATH]``    the report as SARIF 2.1.0;
-* ``--effects [PATH]``  the per-function effect / sans-io boundary map.
+* ``--sarif [PATH]``    the report as SARIF 2.1.0.
 
 Sinks compose (each artefact is byte-identical to the one its flag
 writes alone) and never change the exit code; ``-`` as PATH means
 stdout, which at most one sink may own — the human-readable report is
-printed only when none does, and per-artefact notes move to stderr.
+printed only when none does.
 
 Exit-code contract (stable for CI):
 
 * ``0`` — clean: no active error-severity findings (warnings and
   suppressed findings are reported but do not gate);
 * ``1`` — violations: at least one active error-severity finding
-  (a tainted sans-io boundary is the ``sans-io-purity`` finding of
-  the run; an unscoped cache call and a re-entrant simulator call are
-  not findings, they raise when the code runs);
+  (an unscoped cache call and a re-entrant simulator call are not
+  findings, they raise when the code runs);
 * ``2`` — analysis error: unparseable files, unwritable artefact
   destinations, usage errors.
 """
@@ -28,13 +26,9 @@ Exit-code contract (stable for CI):
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import IO, Callable, List, Optional, Tuple
 
-from repro.analysis.effects_report import (
-    EFFECTS_FILENAME, effects_payload,
-)
 from repro.analysis.framework import Analyzer, Report
 from repro.analysis.rules import default_rules
 from repro.analysis.sarif import to_sarif_json
@@ -49,8 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="gupcheck: GUPster-aware static analysis "
-                    "(whole-program privacy-egress taint, simulator "
-                    "soundness, determinism and layering lints)",
+                    "(simulator soundness, determinism, layering and "
+                    "exception lints)",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"],
@@ -68,12 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--rules", default=None, metavar="NAME[,NAME...]",
         help="comma-separated subset of rules to run",
-    )
-    parser.add_argument(
-        "--effects", nargs="?", const=EFFECTS_FILENAME,
-        default=None, metavar="PATH",
-        help="write the per-function effect / sans-io boundary map "
-             "to PATH (default: %s; '-' for stdout)" % EFFECTS_FILENAME,
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -101,21 +89,8 @@ def _emit(destination: str, text: str, what: str) -> bool:
     return True
 
 
-#: An artefact renderer: the run's report -> (file text, one-line
-#: note for the human channel or None).
-_Render = Callable[[Report], Tuple[str, Optional[str]]]
-
-
-def _render_effects(report: Report) -> Tuple[str, Optional[str]]:
-    payload = effects_payload(report.project)
-    boundary = payload["boundary"]
-    return json.dumps(payload, indent=2) + "\n", (
-        "%d function(s), boundary %s" % (
-            len(payload["functions"]),
-            "clean" if boundary["clean"]
-            else "%d violation(s)" % len(boundary["violations"]),
-        )
-    )
+#: An artefact renderer: the run's report -> its file text.
+_Render = Callable[[Report], str]
 
 
 def _render_text(report: Report, out: IO[str]) -> None:
@@ -173,10 +148,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     candidates: List[Tuple[str, Optional[str], str, _Render]] = [
         ("--json", "-" if options.as_json else None, "JSON report",
-         lambda report: (report.to_json() + "\n", None)),
+         lambda report: report.to_json() + "\n"),
         ("--sarif", options.sarif, "SARIF log",
-         lambda report: (to_sarif_json(report, rules), None)),
-        ("--effects", options.effects, "effects map", _render_effects),
+         lambda report: to_sarif_json(report, rules)),
     ]
     sinks = [sink for sink in candidates if sink[1] is not None]
     on_stdout = [flag for flag, destination, _, _ in sinks
@@ -190,7 +164,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         report = Analyzer(rules).analyze_paths(options.paths)
         rendered = [
-            (destination, what) + render(report)
+            (destination, what, render(report))
             for _, destination, what, render in sinks
         ]
     except (OSError, RecursionError) as err:
@@ -198,20 +172,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_ERROR
 
     # Stdout carries either the human report or the one sink that
-    # claimed it; the artefact notes follow the human channel.
-    human = sys.stderr if on_stdout else sys.stdout
+    # claimed it.
     if not on_stdout:
-        _render_text(report, human)
+        _render_text(report, sys.stdout)
     written = True
-    for destination, what, text, note in rendered:
+    for destination, what, text in rendered:
         if not _emit(destination, text, what):
             written = False
-        elif note is not None:
-            human.write("gupcheck: %s %s — %s\n" % (
-                what,
-                "(stdout)" if destination == "-" else destination,
-                note,
-            ))
 
     if report.errors or not written:
         return EXIT_ERROR

@@ -13,23 +13,11 @@ import io
 import json
 import re
 import tokenize
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.analysis.ir.project import Project
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Analyzer",
     "ModuleInfo",
-    "ProjectRule",
     "Report",
     "Rule",
     "SEVERITIES",
@@ -235,40 +223,11 @@ class Rule:
         )
 
 
-class ProjectRule(Rule):
-    """A whole-program rule: sees the project IR, not one module.
-
-    Project rules run after every module is parsed, on the
-    :class:`~repro.analysis.ir.project.Project` (import/call graph +
-    interprocedural summaries). They report per module through
-    :meth:`check_module`, so their findings pass the same per-module
-    suppression filter as every other rule's.
-    """
-
-    def check(self, module: ModuleInfo) -> List[Violation]:
-        return []  # project rules contribute via check_module only
-
-    def check_module(self, project: "Project",
-                     module: ModuleInfo) -> List[Violation]:
-        """Violations attributable to *module*, given whole-program
-        context."""
-        raise NotImplementedError
-
-    def check_project(self, project: "Project") -> List[Violation]:
-        found: List[Violation] = []
-        for pmodule in project.modules_in_order():
-            found.extend(self.check_module(project, pmodule.info))
-        return found
-
-
 class Report:
     """Aggregated result of an analysis run."""
 
-    def __init__(self, rules: Sequence[Rule], project: "Project") -> None:
+    def __init__(self, rules: Sequence[Rule]) -> None:
         self.rule_names = [rule.name for rule in rules]
-        #: The whole-program IR the findings were computed from —
-        #: what the ``--effects`` artefact reads.
-        self.project = project
         self.files_scanned = 0
         #: Active violations (error-severity ones fail the analysis).
         self.violations: List[Violation] = []
@@ -329,8 +288,8 @@ class Analyzer:
     def analyze_module(
         self, module: ModuleInfo
     ) -> Tuple[List[Violation], List[Violation]]:
-        """(active, suppressed) violations of the per-module rules
-        for one module."""
+        """(active, suppressed) violations of every rule for one
+        module."""
         active, suppressed = self._split(module, [
             violation
             for rule in self.rules if rule.applies_to(module.relpath)
@@ -410,39 +369,25 @@ class Analyzer:
         """Run every rule over the trees/files in *paths* — the one
         way gupcheck runs.
 
-        Each file is parsed once, the modules become one
-        :class:`~repro.analysis.ir.project.Project` (kept on
-        :attr:`Report.project` for the artefact writers), and every
-        rule — per-module or whole-program — reports per module so
-        the suppression filter and audit apply uniformly.
+        Each file is parsed once and every rule sees it through
+        :meth:`analyze_module`, so the suppression filter and audit
+        apply uniformly.
         """
-        from repro.analysis.ir.project import Project
-
         files = self.discover(paths)
-        modules: List[ModuleInfo] = []
-        errors: List[Tuple[str, str]] = []
+        report = Report(self.rules)
+        report.files_scanned = len(files)
         for filename in files:
             try:
                 with open(filename, "r", encoding="utf-8") as handle:
                     source = handle.read()
-                modules.append(ModuleInfo.from_source(
+                module = ModuleInfo.from_source(
                     source, _relpath(filename), filename
-                ))
+                )
             except (OSError, SyntaxError, ValueError) as err:
-                errors.append((filename, str(err)))
-
-        project = Project(modules)
-        report = Report(self.rules, project)
-        report.files_scanned = len(files)
-        report.errors = errors
-        report.paths = {module.relpath: module.path for module in modules}
-        for module in modules:
-            active, suppressed = self._split(module, [
-                violation
-                for rule in self.rules
-                if rule.applies_to(module.relpath)
-                for violation in _run_rule(rule, project, module)
-            ])
+                report.errors.append((filename, str(err)))
+                continue
+            report.paths[module.relpath] = module.path
+            active, suppressed = self.analyze_module(module)
             report.violations.extend(active)
             report.suppressed.extend(suppressed)
         report.violations.sort(key=_report_order)
@@ -453,14 +398,6 @@ class Analyzer:
 def _report_order(violation: Violation) -> Tuple[str, int, int, str]:
     return (violation.path, violation.line, violation.col,
             violation.rule)
-
-
-def _run_rule(
-    rule: Rule, project: "Project", module: ModuleInfo
-) -> List[Violation]:
-    if isinstance(rule, ProjectRule):
-        return rule.check_module(project, module)
-    return rule.check(module)
 
 
 #: Path components the relpath computation anchors on. ``repro`` is the
@@ -489,15 +426,12 @@ def check_source(
     Suppressions are honoured (suppressed findings are dropped), so a
     fixture can exercise the suppression path too; malformed
     suppressions are **not** audited here (that is
-    :meth:`Analyzer.analyze_module`'s job). A :class:`ProjectRule`
-    sees a one-module project."""
-    from repro.analysis.ir.project import Project
-
+    :meth:`Analyzer.analyze_module`'s job)."""
     module = ModuleInfo.from_source(source, relpath)
     if not rule.applies_to(relpath):
         return []
     findings = []
-    for violation in _run_rule(rule, Project([module]), module):
+    for violation in rule.check(module):
         supp = module.suppression_for(rule.name, violation.line)
         if supp is None or not supp.justification:
             findings.append(violation)

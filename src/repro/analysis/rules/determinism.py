@@ -29,12 +29,39 @@ justification.
 from __future__ import annotations
 
 import ast
-from typing import List
+from typing import FrozenSet, List, Optional
 
 from repro.analysis.framework import ModuleInfo, Rule, Violation
-from repro.analysis.interproc.effects import reads_wall_clock
 
-__all__ = ["DeterminismRule"]
+__all__ = ["DeterminismRule", "WALL_CLOCK_CALLS", "reads_wall_clock"]
+
+#: ``<receiver>.<attr>`` calls that read the host's wall clock, keyed
+#: by the receiver's last dotted segment.
+WALL_CLOCK_CALLS: FrozenSet[str] = frozenset({
+    "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
+    "time.perf_counter", "time.perf_counter_ns", "time.process_time",
+    "time.localtime", "time.gmtime",
+    "datetime.now", "datetime.utcnow", "datetime.today", "date.today",
+})
+
+
+def reads_wall_clock(receiver: str, attr: str) -> bool:
+    """Is ``<receiver>.<attr>(...)`` a :data:`WALL_CLOCK_CALLS` read?"""
+    tail = receiver.rsplit(".", 1)[-1]
+    return "%s.%s" % (tail, attr) in WALL_CLOCK_CALLS
+
+
+def dotted_ref(expr: ast.expr) -> Optional[str]:
+    """``a.b.c`` as a dotted string, or None for non-name shapes."""
+    parts: List[str] = []
+    node = expr
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
 
 #: The only member of the random module deterministic code may touch:
 #: an instance seeded by the caller.
@@ -84,16 +111,16 @@ class DeterminismRule(Rule):
         func = node.func
         if not isinstance(func, ast.Attribute):
             return
-        receiver = func.value
-        if not isinstance(receiver, ast.Name):
+        receiver = dotted_ref(func.value)
+        if receiver is None:
             return
-        if reads_wall_clock(receiver.id, func.attr):
+        if reads_wall_clock(receiver, func.attr):
             found.append(self.violation(
                 module, node,
                 "wall-clock read %s.%s() — use the Simulator's "
-                "virtual clock (sim.now)" % (receiver.id, func.attr),
+                "virtual clock (sim.now)" % (receiver, func.attr),
             ))
-        elif receiver.id == "random" and func.attr not in _RANDOM_ALLOWED:
+        elif receiver == "random" and func.attr not in _RANDOM_ALLOWED:
             found.append(self.violation(
                 module, node,
                 "module-level random.%s() — inject a seeded "

@@ -22,7 +22,7 @@ import ast
 from typing import List, Optional, Set
 
 from repro.analysis.framework import ModuleInfo, Rule, Violation
-from repro.analysis.interproc.taint import SIM_SCHEDULERS
+from repro.analysis.rules.sim_race import SIM_SCHEDULERS
 
 __all__ = ["IterOrderRule"]
 

@@ -22,9 +22,11 @@ import itertools
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.framework import ModuleInfo, Rule, Violation
-from repro.analysis.interproc.taint import SIM_SCHEDULERS
 
-__all__ = ["SimRaceRule"]
+__all__ = ["SIM_SCHEDULERS", "SimRaceRule"]
+
+#: Methods that hand a callback to the simulator's event queue.
+SIM_SCHEDULERS = frozenset({"schedule", "schedule_at", "every"})
 
 #: Method calls that mutate their receiver in place.
 _MUTATORS = frozenset({

@@ -1,13 +1,14 @@
 """gupcheck (repro.analysis): fixture tests per rule, suppression
-mechanics, JSON report schema, and the self-check that the shipped
-source tree is clean under every rule.
+mechanics, JSON report schema, SARIF output shape, the one-run CLI
+(composing sinks, exit codes, the four-flag surface), and the
+self-check that the shipped source tree is clean under every rule.
 
 Each rule gets three kinds of fixture: a snippet it must flag, a
 snippet it must not flag, and a suppressed snippet (justified
 ``# gupcheck: ignore[rule] -- why`` comment) it must stay silent on.
 """
 
-import functools
+import inspect
 import json
 import os
 import subprocess
@@ -24,12 +25,16 @@ from repro.analysis.framework import (
     SUPPRESSION_RULE,
     ModuleInfo,
 )
+from repro.analysis.__main__ import _build_parser, main
 from repro.analysis.rules import (
     DeterminismRule,
     ExceptionTotalityRule,
+    IterOrderRule,
     LayeringRule,
-    ShieldEgressRule,
+    SimRaceRule,
 )
+from repro.analysis.rules.determinism import WALL_CLOCK_CALLS
+from repro.analysis.sarif import to_sarif, to_sarif_json
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_ROOT = os.path.join(REPO_ROOT, "src")
@@ -75,6 +80,23 @@ class TestDeterminismRule:
             "repro/core/fixture.py",
         )
         assert len(found) == 2
+
+    def test_flags_every_wall_clock_read(self):
+        # The vocabulary keys on the receiver's last dotted segment, so
+        # a dotted receiver (``datetime.datetime.now()``) reads too.
+        for call in sorted(WALL_CLOCK_CALLS):
+            for written in (call, "host." + call):
+                found = check_source(
+                    DeterminismRule(), "STAMP = %s()\n" % written,
+                    "repro/core/fixture.py",
+                )
+                assert [v.rule for v in found] == ["determinism"], written
+                assert written in found[0].message
+        for benign in ("trace.now()", "sim.time()", "clock.today()"):
+            assert check_source(
+                DeterminismRule(), "STAMP = %s\n" % benign,
+                "repro/core/fixture.py",
+            ) == [], benign
 
     def test_flags_module_level_random(self):
         found = check_source(
@@ -382,499 +404,6 @@ class TestSimBlockingRule:
 
 
 # ---------------------------------------------------------------------------
-# shield-egress
-# ---------------------------------------------------------------------------
-
-class TestShieldEgressRule:
-    RELPATH = "repro/core/server.py"
-    ENGINE_RELPATH = "repro/sansio/engine.py"
-
-    def test_flags_unshielded_cache_egress(self):
-        found = check_source(
-            ShieldEgressRule(),
-            dedent("""
-                class Server:
-                    def lookup(self, request, context, now):
-                        fragment = self.cache.get(
-                            request, now, scope=context.cache_scope()
-                        )
-                        return fragment
-            """),
-            self.RELPATH,
-        )
-        assert len(found) == 1
-        assert "privacy-shield" in found[0].message
-
-    def test_flags_unshielded_adapter_egress_via_helper(self):
-        # Taint must flow through same-class plumbing (the fixpoint).
-        found = check_source(
-            ShieldEgressRule(),
-            dedent("""
-                class Executor:
-                    def _fetch(self, part):
-                        adapter = self.adapters[part.store_id]
-                        return adapter.get(part.path)
-
-                    def run(self, request, context, now):
-                        fragment = self._fetch(request)
-                        return fragment, now
-            """),
-            self.ENGINE_RELPATH,
-        )
-        assert len(found) == 1
-
-    def test_flags_export_user_egress(self):
-        found = check_source(
-            ShieldEgressRule(),
-            dedent("""
-                class Server:
-                    def dump(self, store, user_id, context):
-                        view = store.export_user(user_id)
-                        return view
-            """),
-            self.RELPATH,
-        )
-        assert len(found) == 1
-
-    def test_shielded_egress_passes(self):
-        found = check_source(
-            ShieldEgressRule(),
-            dedent("""
-                class Server:
-                    def lookup(self, request, context, now):
-                        fragment = self.cache.get(
-                            request, now, scope=context.cache_scope()
-                        )
-                        if fragment is None:
-                            return None
-                        self._shield_cached(request, context)
-                        return fragment
-
-                    def _shield_cached(self, parsed, context):
-                        decision = self.pep.enforce(parsed, context)
-                        if not decision.permit:
-                            raise RuntimeError("denied")
-            """),
-            self.RELPATH,
-        )
-        assert found == []
-
-    def test_resolve_counts_as_sanitizer(self):
-        # Not by its name: the server's resolve earns the guard
-        # through a body that reaches pep.enforce.
-        found = check_source(
-            ShieldEgressRule(),
-            dedent("""
-                class Server:
-                    def resolve(self, request, context, now):
-                        self.pep.enforce(request, context)
-                        return self.coverage.lookup(request)
-
-                class Executor:
-                    def __init__(self, server: Server):
-                        self.server = server
-
-                    def run(self, request, context, now):
-                        referral = self.server.resolve(request, context, now)
-                        fragments = []
-                        for part in referral.parts:
-                            adapter = self.server.adapters[part.store_id]
-                            fragments.append(adapter.get(part.path))
-                        return fragments
-            """),
-            self.ENGINE_RELPATH,
-        )
-        assert found == []
-
-    def test_flags_unshielded_batch_egress(self):
-        # E19: a batch fan-out takes *contexts* (a batch of
-        # requesters) — that is an egress surface exactly like a lone
-        # ``context`` parameter, and returning adapter data without a
-        # sanitizer must be flagged.
-        found = check_source(
-            ShieldEgressRule(),
-            dedent("""
-                class Executor:
-                    def execute_batch(self, requests, contexts, now):
-                        results = []
-                        for request in requests:
-                            adapter = self.adapters[request.store_id]
-                            results.append(adapter.get(request.path))
-                        return results
-            """),
-            self.ENGINE_RELPATH,
-        )
-        assert len(found) == 1
-        assert "execute_batch" in found[0].message
-
-    def test_flags_batch_egress_via_annotation(self):
-        # The batch parameter may be named anything as long as it is
-        # annotated with a RequestContext container.
-        found = check_source(
-            ShieldEgressRule(),
-            dedent("""
-                class Executor:
-                    def fan_out(self, requests,
-                                requesters: "Sequence[RequestContext]",
-                                now):
-                        payload = [
-                            self.cache.get(request, now, scope="s")
-                            for request in requests
-                        ]
-                        return payload
-            """),
-            self.ENGINE_RELPATH,
-        )
-        assert len(found) == 1
-
-    def test_shielded_batch_egress_passes(self):
-        # The real batch path: per-item shield recheck via the
-        # sanitizing facades keeps the fan-out clean.
-        found = check_source(
-            ShieldEgressRule(),
-            dedent("""
-                class Executor:
-                    def execute_batch(self, requests, contexts, now):
-                        results = []
-                        for request, context in zip(requests, contexts):
-                            hit = self.cache_lookup(request, context, now)
-                            if hit is not None:
-                                results.append(hit)
-                                continue
-                            referral = self._resolve_tracked(
-                                request, context, now
-                            )
-                            results.append(referral)
-                        return results
-
-                    def cache_lookup(self, request, context, now):
-                        hit = self.cache.get(request, now, scope="s")
-                        self._shield_cached(request, context)
-                        return hit
-
-                    def _resolve_tracked(self, request, context, now):
-                        self.pep.enforce(request, context)
-                        return self.coverage.lookup(request)
-            """),
-            self.ENGINE_RELPATH,
-        )
-        assert found == []
-
-    def test_flags_unshielded_store_get_program(self):
-        # The value a sans-io program receives at `yield StoreGet(...)`
-        # is the adapter read the driver did for it — a source exactly
-        # like `adapter.get(...)` was in the inline dialect.
-        found = check_source(
-            ShieldEgressRule(),
-            dedent("""
-                class Engine:
-                    def peek(self, client, part, context, now):
-                        fragment = yield StoreGet(part.store_id, part.path)
-                        yield Send(part.store_id, client,
-                                   fragment.byte_size(), "fragment")
-                        return fragment
-            """),
-            self.ENGINE_RELPATH,
-        )
-        assert len(found) == 1
-        assert "peek" in found[0].message
-
-    def test_flags_referral_program_resolved_off_the_shield(self):
-        # The engine's referral program, except that the referral comes
-        # from a raw coverage lookup instead of _resolve_tracked: taint
-        # flows out of fetch_part through `yield Fork([...])` and
-        # `yield from`, and nothing on the path consults the shield.
-        found = check_source(
-            ShieldEgressRule(),
-            dedent("""
-                class Engine:
-                    def fetch_part(self, origin, part, now):
-                        yield Send(origin, part.store_id, 80, "query")
-                        fragment = yield StoreGet(part.store_id, part.path)
-                        return fragment, part.store_id
-
-                    def referral(self, client, path, context, now,
-                                 parallel=True):
-                        referral = self.host.server.coverage.lookup(path)
-                        fragments = []
-                        if parallel and len(referral.parts) > 1:
-                            outcomes = yield Fork([
-                                self.fetch_part(client, part, now)
-                                for part in referral.parts
-                            ])
-                            fragments.extend(
-                                outcome.value[0] for outcome in outcomes
-                            )
-                        else:
-                            for part in referral.parts:
-                                fragment, _store = yield from (
-                                    self.fetch_part(client, part, now)
-                                )
-                                fragments.append(fragment)
-                        merged = yield from self.merge_at(fragments, client)
-                        return QueryOutcome(merged)
-            """),
-            self.ENGINE_RELPATH,
-        )
-        assert len(found) == 1
-        assert "referral" in found[0].message
-
-    @staticmethod
-    @functools.lru_cache(maxsize=None)
-    def shipped_findings():
-        """Relpaths of the rule's findings over the real tree (the
-        whole of src/ is the project: shields are earned through
-        resolved callee bodies, not names)."""
-        report = Analyzer([ShieldEgressRule()]).analyze_paths([SRC_ROOT])
-        assert report.errors == []
-        return [v.path for v in report.violations + report.suppressed]
-
-    def test_shipped_engine_is_shielded(self):
-        # Every requester-facing pattern program reaches the shield.
-        assert self.ENGINE_RELPATH not in self.shipped_findings()
-
-    def test_contextless_plumbing_exempt(self):
-        # No requester context = not an egress surface (the cache
-        # itself, the engine's fetch_part, the deliberately unshielded
-        # direct() baseline).
-        found = check_source(
-            ShieldEgressRule(),
-            dedent("""
-                class Cacheish:
-                    def get(self, path, now, scope=""):
-                        entry = self.entries.get((path, scope))
-                        return entry
-
-                    def _fetch(self, part):
-                        adapter = self.adapters[part.store_id]
-                        return adapter.get(part.path)
-            """),
-            "repro/core/cache.py",
-        )
-        assert found == []
-
-    def test_out_of_scope_file_not_checked(self):
-        # The rule covers all of repro/; tests and benches are out.
-        found = check_source(
-            ShieldEgressRule(),
-            dedent("""
-                class Anything:
-                    def lookup(self, request, context):
-                        return self.cache.get(request, 0.0)
-            """),
-            "tests/fixture.py",
-        )
-        assert found == []
-
-    def test_suppression(self):
-        found = check_source(
-            ShieldEgressRule(),
-            dedent("""
-                class Server:
-                    def debug_peek(self, request, context, now):
-                        fragment = self.cache.get(request, now, scope="x")
-                        # gupcheck: ignore[shield-egress] -- operator debug tap, not client-reachable
-                        return fragment
-            """),
-            self.RELPATH,
-        )
-        assert found == []
-
-    # -- E20: bus delivery callbacks are requester egress -------------------
-
-    BUS_RELPATH = "repro/bus/listeners.py"
-
-    def test_flags_unshielded_bus_delivery(self):
-        # A delivery batch is profile data by construction; handing a
-        # delta to the subscriber callback without the shield is the
-        # push-path twin of an unshielded return.
-        found = check_source(
-            ShieldEgressRule(),
-            dedent("""
-                class Subscriber:
-                    def _deliver_records(self, records, now, context):
-                        for record in records:
-                            self._on_delivery(record.value, record.at, now)
-            """),
-            self.BUS_RELPATH,
-        )
-        assert len(found) == 1
-        assert "delivery" in found[0].message
-        assert "_deliver_records" in found[0].message
-
-    def test_flags_bus_log_replay_egress(self):
-        # ``since`` on a log receiver is a source like a cache probe.
-        found = check_source(
-            ShieldEgressRule(),
-            dedent("""
-                class Notifier:
-                    def replay_to(self, cursor, context):
-                        pending = self.log.since(cursor)
-                        return pending
-            """),
-            "repro/bus/bus.py",
-        )
-        assert len(found) == 1
-
-    def test_shielded_bus_delivery_passes(self):
-        # The real listener: one pep.enforce per delivery, ahead of
-        # every delta it forwards.
-        found = check_source(
-            ShieldEgressRule(),
-            dedent("""
-                class Subscriber:
-                    def _deliver_records(self, records, now, context):
-                        decision = self._pep.enforce(self._request, context)
-                        for record in records:
-                            if decision.permit:
-                                self._on_delivery(
-                                    record.value, record.at, now
-                                )
-            """),
-            self.BUS_RELPATH,
-        )
-        assert found == []
-
-    def test_flags_bus_delivery_before_the_shield(self):
-        # The shield is statement-ordered, not function-wide: a delta
-        # forwarded before the enforce has not passed it.
-        found = check_source(
-            ShieldEgressRule(),
-            dedent("""
-                class Subscriber:
-                    def _deliver_records(self, records, now, context):
-                        for record in records:
-                            self._on_delivery(record.value, record.at, now)
-                        self._pep.enforce(self._request, context)
-            """),
-            self.BUS_RELPATH,
-        )
-        assert len(found) == 1
-
-    def test_contextless_bus_plumbing_exempt(self):
-        # The wave flush hands records to listeners but acts for no
-        # requester — the shield belongs to the listener's delivery.
-        found = check_source(
-            ShieldEgressRule(),
-            dedent("""
-                class Bus:
-                    def _flush(self):
-                        for listener in self._listeners:
-                            batch = self.log.since(self.cursor[listener.name])
-                            listener.deliver(batch, self.now)
-            """),
-            "repro/bus/bus.py",
-        )
-        assert found == []
-
-    def test_bus_delivery_suppression(self):
-        found = check_source(
-            ShieldEgressRule(),
-            dedent("""
-                class Subscriber:
-                    def _deliver_records(self, records, now, context):
-                        for record in records:
-                            # gupcheck: ignore[shield-egress] -- owner-only mirror feed, no third-party requester
-                            self._on_delivery(record.value, record.at, now)
-            """),
-            self.BUS_RELPATH,
-        )
-        assert found == []
-
-    def test_bus_sink_model_scoped_to_bus_modules(self):
-        # Outside repro/bus/, a ``records`` parameter is not
-        # pre-tainted and delivery sinks are not egress.
-        found = check_source(
-            ShieldEgressRule(),
-            dedent("""
-                class Hub:
-                    def _deliver_records(self, records, now, context):
-                        for record in records:
-                            self._on_delivery(record.value, record.at, now)
-            """),
-            self.RELPATH,
-        )
-        assert found == []
-
-    FED_RELPATH = "repro/federation/reconciler.py"
-
-    def test_flags_unshielded_federation_export(self):
-        # An outbound sync write is a disclosure to another
-        # administrative domain; skipping the shield on the export
-        # path is the E22 twin of an unshielded bus delivery.
-        found = check_source(
-            ShieldEgressRule(),
-            dedent("""
-                class Reconciler:
-                    def _push_out(self, user_id, entry, value, at, context):
-                        self.foreign.write(
-                            user_id, entry.foreign_attr, value,
-                            origin=self.tag, at=at,
-                        )
-            """),
-            self.FED_RELPATH,
-        )
-        assert len(found) == 1
-        assert "_push_out" in found[0].message
-
-    def test_shielded_federation_export_passes(self):
-        # The real export path: pep.enforce per attribute, withheld
-        # values never reach the foreign write.
-        found = check_source(
-            ShieldEgressRule(),
-            dedent("""
-                class Reconciler:
-                    def _push_out(self, user_id, entry, value, at, context):
-                        decision = self.pep.enforce(
-                            entry.gup_path(user_id), context
-                        )
-                        if not decision.permit:
-                            return False
-                        self.foreign.write(
-                            user_id, entry.foreign_attr, value,
-                            origin=self.tag, at=at,
-                        )
-                        return True
-            """),
-            self.FED_RELPATH,
-        )
-        assert found == []
-
-    def test_contextless_federation_import_exempt(self):
-        # The pull path writes GUPster's own store for no requester —
-        # the shield belongs where data leaves the system.
-        found = check_source(
-            ShieldEgressRule(),
-            dedent("""
-                class Reconciler:
-                    def _pull_in(self, user_id, entry, value, at):
-                        self._note_tag(user_id, entry.gup_suffix, value)
-                        self.gup.write(user_id, entry.gup_suffix, value, at=at)
-            """),
-            self.FED_RELPATH,
-        )
-        assert found == []
-
-    def test_fed_sink_model_scoped_to_federation_modules(self):
-        # Outside repro/federation/, a ``value`` parameter is not
-        # pre-tainted and ``write`` is not an egress sink.
-        found = check_source(
-            ShieldEgressRule(),
-            dedent("""
-                class Server:
-                    def apply(self, user_id, value, context):
-                        self.store.write(user_id, value)
-            """),
-            self.RELPATH,
-        )
-        assert found == []
-
-    def test_shipped_reconciler_export_is_shielded(self):
-        # The rule holds on the real module, not just fixtures.
-        assert self.FED_RELPATH not in self.shipped_findings()
-
-
-# ---------------------------------------------------------------------------
 # suppression mechanics (Analyzer-level audit)
 # ---------------------------------------------------------------------------
 
@@ -1060,6 +589,370 @@ class TestSelfCheck:
         assert proc.returncode == 0
         for rule_class in ALL_RULES:
             assert rule_class.name in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# simulator soundness rules
+# ---------------------------------------------------------------------------
+
+class TestSimRace:
+    def test_same_timestamp_same_attribute_flagged(self):
+        found = check_source(SimRaceRule(), dedent(
+            """
+            def wire(sim, node):
+                def arm():
+                    node.state = "armed"
+
+                def fire():
+                    node.state = "fired"
+
+                sim.schedule_at(5.0, arm)
+                sim.schedule_at(5.0, fire)
+            """
+        ), "repro/simnet/fixture.py")
+        assert len(found) == 1
+        assert "state" in found[0].message
+
+    def test_different_timestamps_clean(self):
+        found = check_source(SimRaceRule(), dedent(
+            """
+            def wire(sim, node):
+                def arm():
+                    node.state = "armed"
+
+                def fire():
+                    node.state = "fired"
+
+                sim.schedule_at(5.0, arm)
+                sim.schedule_at(6.0, fire)
+            """
+        ), "repro/simnet/fixture.py")
+        assert found == []
+
+    def test_disjoint_attributes_clean(self):
+        found = check_source(SimRaceRule(), dedent(
+            """
+            def wire(sim, node):
+                def arm():
+                    node.armed = True
+
+                def fire():
+                    node.fired = True
+
+                sim.schedule_at(5.0, arm)
+                sim.schedule_at(5.0, fire)
+            """
+        ), "repro/simnet/fixture.py")
+        assert found == []
+
+
+class TestIterOrder:
+    def test_set_iteration_feeding_scheduler_warns(self):
+        found = check_source(IterOrderRule(), dedent(
+            """
+            def kick(sim, nodes):
+                pending = set(nodes)
+                for node in pending:
+                    sim.schedule(0.1, node.wake)
+            """
+        ), "repro/simnet/fixture.py")
+        assert len(found) == 1
+        assert found[0].severity == "warning"
+
+    def test_sorted_set_iteration_clean(self):
+        found = check_source(IterOrderRule(), dedent(
+            """
+            def kick(sim, nodes):
+                pending = set(nodes)
+                for node in sorted(pending):
+                    sim.schedule(0.1, node.wake)
+            """
+        ), "repro/simnet/fixture.py")
+        assert found == []
+
+    def test_set_iteration_without_order_sensitive_sink_clean(self):
+        found = check_source(IterOrderRule(), dedent(
+            """
+            def total(sizes):
+                seen = set(sizes)
+                count = 0
+                for size in seen:
+                    count += size
+                return count
+            """
+        ), "repro/simnet/fixture.py")
+        assert found == []
+
+
+# ---------------------------------------------------------------------------
+# SARIF
+# ---------------------------------------------------------------------------
+
+class TestSarif:
+    def report(self, tmp_path):
+        bad = tmp_path / "repro" / "simnet" / "busy.py"
+        bad.parent.mkdir(parents=True)
+        bad.write_text(
+            "import time\n\n\ndef handler():\n"
+            "    time.sleep(1)\n"
+            "    return time.time()"
+            "  # gupcheck: ignore[determinism] -- fixture\n",
+            encoding="utf-8",
+        )
+        return Analyzer().analyze_paths([str(tmp_path)])
+
+    def test_sarif_shape(self, tmp_path):
+        report = self.report(tmp_path)
+        log = to_sarif(report, default_rules())
+        assert log["version"] == "2.1.0"
+        assert "sarif-schema-2.1.0" in log["$schema"]
+        (run,) = log["runs"]
+        driver = run["tool"]["driver"]
+        rule_ids = [rule["id"] for rule in driver["rules"]]
+        assert len(rule_ids) == len(set(rule_ids))
+        assert {r.name for r in default_rules()} <= set(rule_ids)
+        assert run["results"], "expected findings"
+        for result in run["results"]:
+            assert result["ruleId"] in rule_ids
+            assert result["level"] in ("error", "warning", "note")
+            location = result["locations"][0]["physicalLocation"]
+            uri = location["artifactLocation"]["uri"]
+            assert uri.endswith("busy.py")
+            assert location["region"]["startLine"] >= 1
+            assert "partialFingerprints" in result
+            # ruleIndex must agree with the rules array.
+            assert (
+                driver["rules"][result["ruleIndex"]]["id"]
+                == result["ruleId"]
+            )
+
+    def test_suppressed_findings_carry_suppressions(self, tmp_path):
+        report = self.report(tmp_path)
+        assert report.suppressed, "fixture should suppress determinism"
+        log = to_sarif(report, default_rules())
+        suppressed_results = [
+            result for result in log["runs"][0]["results"]
+            if result.get("suppressions")
+        ]
+        assert suppressed_results
+        kinds = {
+            supp["kind"]
+            for result in suppressed_results
+            for supp in result["suppressions"]
+        }
+        assert kinds == {"inSource"}
+
+    def test_sarif_json_serializes(self, tmp_path):
+        text = to_sarif_json(self.report(tmp_path), default_rules())
+        parsed = json.loads(text)
+        assert parsed["version"] == "2.1.0"
+
+    def test_clean_report_has_no_results(self, tmp_path):
+        clean = tmp_path / "repro" / "ok.py"
+        clean.parent.mkdir(parents=True)
+        clean.write_text("VALUE = 1\n", encoding="utf-8")
+        report = Analyzer().analyze_paths([str(tmp_path)])
+        log = to_sarif(report, default_rules())
+        assert log["runs"][0]["results"] == []
+        invocation = log["runs"][0]["invocations"][0]
+        assert invocation["executionSuccessful"] is True
+
+
+# ---------------------------------------------------------------------------
+# CLI: exit codes, the composing sinks, the four-flag surface
+# ---------------------------------------------------------------------------
+
+#: Every option gupcheck has dropped; argparse must reject each
+#: (exit 2).
+REMOVED_FLAGS = (
+    ["--stats"], ["--changed-only"], ["--changed-only", "HEAD"],
+    ["--cache", "c.json"], ["--no-cache"], ["--baseline", "b.json"],
+    ["--no-baseline"], ["--write-baseline"],
+    ["--growth"], ["--growth", "g.json"],
+    ["--effects"], ["--effects", "e.json"],
+)
+
+
+class TestCli:
+    def run_cli(self, args, cwd):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_ROOT + os.pathsep + env.get(
+            "PYTHONPATH", ""
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "repro.analysis"] + args,
+            capture_output=True, text=True, env=env, cwd=str(cwd),
+        )
+
+    def tree(self, tmp_path):
+        """A two-module tree with one suppressed finding — something
+        for every sink."""
+        core = tmp_path / "repro" / "core"
+        core.mkdir(parents=True)
+        (tmp_path / "repro" / "workloads").mkdir()
+        (core / "hub.py").write_text(dedent(
+            """
+            class WaveHub:
+                def __init__(self):
+                    self._queue = []
+
+                def size(self):
+                    return len(self._queue)
+            """
+        ), encoding="utf-8")
+        (tmp_path / "repro" / "workloads" / "clock.py").write_text(
+            "import time\n\n\ndef stamp():\n"
+            "    return time.time()  "
+            "# gupcheck: ignore[determinism] -- fixture\n",
+            encoding="utf-8",
+        )
+        return str(tmp_path / "repro")
+
+    def test_exit_1_on_violations(self, tmp_path):
+        bad = tmp_path / "repro" / "simnet" / "busy.py"
+        bad.parent.mkdir(parents=True)
+        bad.write_text(
+            "import time\nNOW = time.time()\n", encoding="utf-8"
+        )
+        proc = self.run_cli([str(tmp_path)], REPO_ROOT)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+
+    def test_exit_2_on_parse_error(self, tmp_path):
+        bad = tmp_path / "repro" / "broken.py"
+        bad.parent.mkdir(parents=True)
+        bad.write_text("def (:\n", encoding="utf-8")
+        proc = self.run_cli([str(tmp_path)], REPO_ROOT)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+
+    def test_exit_0_clean(self, tmp_path):
+        ok = tmp_path / "repro" / "ok.py"
+        ok.parent.mkdir(parents=True)
+        ok.write_text("VALUE = 1\n", encoding="utf-8")
+        proc = self.run_cli([str(tmp_path)], REPO_ROOT)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stderr == ""
+
+    def test_sarif_file_output(self, tmp_path):
+        ok = tmp_path / "repro" / "ok.py"
+        ok.parent.mkdir(parents=True)
+        ok.write_text("VALUE = 1\n", encoding="utf-8")
+        out = tmp_path / "out.sarif"
+        proc = self.run_cli(
+            ["--sarif", str(out), str(tmp_path / "repro")],
+            REPO_ROOT,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        parsed = json.loads(out.read_text(encoding="utf-8"))
+        assert parsed["version"] == "2.1.0"
+
+    def test_both_sinks_compose_in_one_invocation(
+        self, tmp_path, capsys
+    ):
+        root = self.tree(tmp_path)
+        alone = tmp_path / "alone.sarif"
+        assert main([root, "--sarif", str(alone)]) == 0
+        capsys.readouterr()
+        assert main([root, "--json"]) == 0
+        json_alone = capsys.readouterr().out
+
+        together = tmp_path / "together.sarif"
+        assert main([root, "--json", "--sarif", str(together)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == json_alone
+        assert json.loads(captured.out)["suppressed"]
+        assert together.read_bytes() == alone.read_bytes()
+        assert captured.err == ""
+
+    def test_sinks_do_not_change_the_exit_code(self, tmp_path, capsys):
+        root = self.tree(tmp_path)
+        assert main([root, "--sarif", str(tmp_path / "s")]) == 0
+        hub = tmp_path / "repro" / "core" / "hub.py"
+        hub.write_text(
+            "import time\n" + hub.read_text(encoding="utf-8")
+            + "\n    def stamp(self):\n"
+              "        return time.time()\n",
+            encoding="utf-8",
+        )
+        # A wall-clock read in the core now — exit 1 with or without
+        # the sinks, because it is the run's determinism finding.
+        assert main([root]) == 1
+        assert main([root, "--json", "--sarif", str(tmp_path / "s")]) == 1
+        assert main([root, "--rules", "layering",
+                     "--sarif", str(tmp_path / "s")]) == 0
+        capsys.readouterr()
+
+    def test_two_sinks_cannot_share_stdout(self, tmp_path):
+        root = self.tree(tmp_path)
+        proc = self.run_cli([root, "--json", "--sarif"], REPO_ROOT)
+        assert proc.returncode == 2
+        assert "--json and --sarif" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_unwritable_sink_is_exit_2_and_the_rest_still_land(
+        self, tmp_path, capsys
+    ):
+        root = self.tree(tmp_path)
+        assert main([
+            root, "--json",
+            "--sarif", str(tmp_path / "no" / "such" / "s"),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["ok"] is True
+        assert "could not write SARIF log" in captured.err
+
+    def test_overlapping_paths_scan_each_file_once(self, tmp_path):
+        root = self.tree(tmp_path)
+        once = Analyzer().analyze_paths([root])
+        twice = Analyzer().analyze_paths([
+            root, os.path.join(root, "core"),
+            os.path.join(root, "core", "hub.py"),
+            os.path.join(root, ".", "workloads", "clock.py"),
+        ])
+        assert once.files_scanned == twice.files_scanned == 2
+        assert twice.to_dict() == once.to_dict()
+
+    def test_removed_flags_exit_2_through_argparse(self, tmp_path):
+        root = self.tree(tmp_path)
+        for flags in REMOVED_FLAGS:
+            proc = self.run_cli(flags + [root], REPO_ROOT)
+            assert proc.returncode == 2, flags
+            assert "usage:" in proc.stderr, flags
+
+    def test_one_invocation_parses_each_file_once(
+        self, tmp_path, monkeypatch
+    ):
+        root = self.tree(tmp_path)
+        parsed = []
+        from_source = ModuleInfo.from_source.__func__
+
+        def counting_from_source(cls, source, relpath, path=None):
+            parsed.append(relpath)
+            return from_source(cls, source, relpath, path)
+
+        monkeypatch.setattr(
+            ModuleInfo, "from_source",
+            classmethod(counting_from_source),
+        )
+        assert main([root, "--json", "--sarif", str(tmp_path / "s")]) == 0
+        assert sorted(parsed) == [
+            "repro/core/hub.py", "repro/workloads/clock.py",
+        ]
+        # ... and that one parse fed the file sink.
+        assert (tmp_path / "s").exists()
+
+    def test_surface_is_four_flags_and_one_parameter(self):
+        options = sorted(
+            option
+            for action in _build_parser()._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        )
+        assert options == [
+            "--json", "--list-rules", "--rules", "--sarif",
+        ]
+        assert list(
+            inspect.signature(Analyzer.analyze_paths).parameters
+        ) == ["self", "paths"]
 
 
 # ---------------------------------------------------------------------------

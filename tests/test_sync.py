@@ -219,9 +219,8 @@ class TestConflicts:
 
 
 # ---------------------------------------------------------------------------
-# shield-mediated sessions (gupcheck shield-egress satellite): the
-# network never pushes an item to the device that the device's
-# RequestContext is not permitted to see.
+# shield-mediated sessions: the network never pushes an item to the
+# device that the device's RequestContext is not permitted to see.
 # ---------------------------------------------------------------------------
 
 class TestShieldedSync:
