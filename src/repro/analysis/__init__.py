@@ -25,7 +25,7 @@ rule                      invariant protected
 
 Two promises are tier-1 tests, not rules: every release of profile
 data passes the privacy shield (the route, batch-equivalence, bus,
-federation and sync tests, DESIGN.md §4.2), and the protocol core
+federation and sync tests, DESIGN.md §4.3), and the protocol core
 never calls wall I/O or the simulated wire itself (the runtime
 boundary guard ``tests/test_sansio_boundary.py``, DESIGN.md §4.7).
 

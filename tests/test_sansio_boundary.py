@@ -215,14 +215,13 @@ def test_only_the_direct_caller_counts():
 
 
 def test_guard_restores_the_previous_profiler():
-    seen: List[str] = []
-
     def outer(frame: Any, event: str, arg: Optional[Any]) -> None:
-        seen.append(event)
+        pass
 
+    previous = sys.getprofile()
     sys.setprofile(outer)
     try:
         BoundaryGuard().run(lambda: None)
         assert sys.getprofile() is outer
     finally:
-        sys.setprofile(None)
+        sys.setprofile(previous)
