@@ -33,7 +33,7 @@ from typing import FrozenSet, List, Optional
 
 from repro.analysis.framework import ModuleInfo, Rule, Violation
 
-__all__ = ["DeterminismRule", "WALL_CLOCK_CALLS", "reads_wall_clock"]
+__all__ = ["DeterminismRule", "WALL_CLOCK_CALLS"]
 
 #: ``<receiver>.<attr>`` calls that read the host's wall clock, keyed
 #: by the receiver's last dotted segment.
@@ -45,7 +45,7 @@ WALL_CLOCK_CALLS: FrozenSet[str] = frozenset({
 })
 
 
-def reads_wall_clock(receiver: str, attr: str) -> bool:
+def _reads_wall_clock(receiver: str, attr: str) -> bool:
     """Is ``<receiver>.<attr>(...)`` a :data:`WALL_CLOCK_CALLS` read?"""
     tail = receiver.rsplit(".", 1)[-1]
     return "%s.%s" % (tail, attr) in WALL_CLOCK_CALLS
@@ -114,7 +114,7 @@ class DeterminismRule(Rule):
         receiver = dotted_ref(func.value)
         if receiver is None:
             return
-        if reads_wall_clock(receiver, func.attr):
+        if _reads_wall_clock(receiver, func.attr):
             found.append(self.violation(
                 module, node,
                 "wall-clock read %s.%s() — use the Simulator's "
@@ -140,7 +140,7 @@ class DeterminismRule(Rule):
                     ))
         elif node.module == "time":
             for alias in node.names:
-                if reads_wall_clock("time", alias.name) \
+                if _reads_wall_clock("time", alias.name) \
                         or alias.name == "sleep":
                     found.append(self.violation(
                         module, node,

@@ -26,13 +26,7 @@ SARIF_SCHEMA = (
     "master/Schemata/sarif-schema-2.1.0.json"
 )
 
-#: Major-bumped with the analysis engine: 6.x drops the whole-program
-#: rules (``shield-egress``, ``sans-io-purity``; tier-1 tests decide
-#: both now) and with them the project IR and effect inference; 5.x
-#: dropped the static resource-bound analysis (``container-growth``;
-#: leaks are decided at runtime by the soak test); 3.x added the
-#: CFG/typestate rules and effect inference. 4.1 changed rule ids:
-#: the two shield rules became one ``shield-egress``.
+#: Major-bumped whenever a rule id is removed or renamed.
 _TOOL_VERSION = "6.0.0"
 _FINGERPRINT_KEY = "gupcheckFingerprint/v1"
 

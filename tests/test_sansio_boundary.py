@@ -67,6 +67,12 @@ _WIRE_CODES = frozenset(
 Hit = Tuple[str, str, str]
 
 
+def _qualname(code: Any) -> str:
+    # ``co_qualname`` is new in Python 3.11; older interpreters only
+    # carry the bare function name.
+    return getattr(code, "co_qualname", code.co_name)
+
+
 def _in_boundary(module: str) -> bool:
     return any(
         module == name or module.startswith(name + ".")
@@ -91,7 +97,7 @@ class BoundaryGuard:
             inside = self._boundary[module] = _in_boundary(module)
         if inside:
             self.hits.append((
-                kind, "%s.%s" % (module, caller.f_code.co_qualname),
+                kind, "%s.%s" % (module, _qualname(caller.f_code)),
                 callee,
             ))
 
@@ -106,9 +112,9 @@ class BoundaryGuard:
         elif event == "call":
             code = frame.f_code
             if code.co_filename in _WALL_FILES:
-                self._note("wall-io", frame.f_back, code.co_qualname)
+                self._note("wall-io", frame.f_back, _qualname(code))
             elif code.co_filename in _WIRE_FILES or code in _WIRE_CODES:
-                self._note("wire", frame.f_back, code.co_qualname)
+                self._note("wire", frame.f_back, _qualname(code))
 
     def run(self, replay: Callable[[], Any]) -> Any:
         """Run *replay* under the hook; returns what it returns."""
